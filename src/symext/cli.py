@@ -40,7 +40,7 @@ from .forcing import (Eq, Mem, Not, And, forces, parse_formula,
                       symmetry_lemma_check)
 from .instances import (build_instance, build_staged_instance, chain_family,
                         downset_embedding, in_stage, random_poset)
-from .kernels import swap_kernel, wisc_kernel
+from .kernels import _cond_obj, swap_kernel, wisc_kernel
 from .names import check_name, interpret, ordinal, pair_name, set_name
 from .symmetry import (assemble_sequence, conjugation_check, fix_generators,
                        generator_closure, infer_min_support, is_hs)
@@ -50,6 +50,7 @@ _FLAT_KEYS = {"poset", "n", "v", "c", "d",
 _STAGED_KEYS = {"stages", "c",
                 "max_dom", "max_support", "seed", "posets", "formulas", "suites"}
 _POSET_KEYS = {"elements", "leq"}
+_INT_OPTIONS = ("max_dom", "max_support", "seed", "posets")
 
 FLAT_SUITES = ("embedding", "hs", "normality", "forcing-oracle",
                "symmetry-lemma", "swap")
@@ -68,6 +69,11 @@ class InstanceSpec:
     def options(self) -> dict:
         return {k: self.raw.get(k) for k in
                 ("max_dom", "max_support", "seed", "posets", "formulas", "suites")}
+
+
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_instance_spec(text: str) -> InstanceSpec:
@@ -92,17 +98,20 @@ def parse_instance_spec(text: str) -> InstanceSpec:
         poset = raw["poset"]
         if not isinstance(poset, dict) or set(poset) - _POSET_KEYS:
             raise ParseError("poset must be an object with 'elements' and 'leq'")
-        for key in ("n", "v", "c"):
-            if not isinstance(raw.get(key), int):
-                raise ParseError(f"spec field {key!r} must be an integer")
-        if "d" in raw and not isinstance(raw["d"], int):
-            raise ParseError("spec field 'd' must be an integer")
+        required = ["n", "v", "c"] + (["d"] if "d" in raw else [])
     else:
         if (not isinstance(raw["stages"], list)
-                or not all(isinstance(s, int) for s in raw["stages"])):
+                or not all(_is_int(s) for s in raw["stages"])):
             raise ParseError("'stages' must be a list of integers")
-        if not isinstance(raw.get("c"), int):
-            raise ParseError("spec field 'c' must be an integer")
+        required = ["c"]
+    optional = [k for k in _INT_OPTIONS if raw.get(k) is not None]
+    for key in required + optional:
+        if not _is_int(raw.get(key)):
+            raise ParseError(f"spec field {key!r} must be an integer")
+    suites = raw.get("suites")
+    if suites is not None and (not isinstance(suites, list)
+                               or not all(isinstance(s, str) for s in suites)):
+        raise ParseError("'suites' must be a list of strings")
     spec = InstanceSpec(kind, json.dumps(raw, sort_keys=True), raw)
     _build_objects(spec)  # run the instance validator now
     return spec
@@ -243,11 +252,8 @@ def _context(spec_text: str, overrides_text: str) -> dict:
                            for text in formulas]
         else:
             ctx["pool"] = default_formula_pool(ctx)
-        ctx["conditions"] = list(iter_conditions(inst, ctx["max_dom"]))
-        ctx["perms"] = generator_closure(fix_generators(inst, ()), 3)
-    else:
-        ctx["conditions"] = list(iter_conditions(inst, ctx["max_dom"]))
-        ctx["perms"] = generator_closure(fix_generators(inst, ()), 3)
+    ctx["conditions"] = list(iter_conditions(inst, ctx["max_dom"]))
+    ctx["perms"] = generator_closure(fix_generators(inst, ()), 3)
     ctx["supports"] = _supports(inst, ctx["max_support"])
     _CTX_CACHE[key] = ctx
     return ctx
@@ -259,10 +265,6 @@ def _supports(inst, max_support):
     for k in range(bound + 1):
         out.extend(frozenset(c) for c in itertools.combinations(inst.pairs, k))
     return out
-
-
-def _cond_obj(cond):
-    return [list(cell) + [bit] for cell, bit in cond.items]
 
 
 def _support_obj(support):
@@ -430,11 +432,16 @@ def _run_normality(ctx, unit):
 
 
 def _staged_name_pool(ctx, base_stage):
-    inst = ctx["inst"]
-    family = ctx["family"]
-    pool = [(f"ord:{k}", check_name(inst, ordinal(k))) for k in range(2)]
-    pool += [(label, nm) for label, nm in family.members()
-             if label != "graph" and in_stage(nm, base_stage)]
+    """The labeled names living at the base stage, built once per stage
+    and kept in the context."""
+    pools = ctx.setdefault("_pools", {})
+    pool = pools.get(base_stage)
+    if pool is None:
+        inst = ctx["inst"]
+        pool = [(f"ord:{k}", check_name(inst, ordinal(k))) for k in range(2)]
+        pool += [(label, nm) for label, nm in ctx["family"].members()
+                 if label != "graph" and in_stage(nm, base_stage)]
+        pools[base_stage] = pool
     return pool
 
 
@@ -444,10 +451,10 @@ def _gen_wisc(ctx):
     inst = ctx["inst"]
     units = []
     for base in inst.sites:
+        pool = _staged_name_pool(ctx, base)
         for swap in inst.sites:
             if swap <= base:
                 continue
-            pool = _staged_name_pool(ctx, base)
             for yi in range(len(pool)):
                 for qi, q in enumerate(ctx["conditions"]):
                     occupied = q.touched_fibers(swap)

@@ -20,9 +20,10 @@ pure functions, so sweeps can be partitioned across workers freely.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import InvalidInstance, MismatchedInstance
 
@@ -167,6 +168,10 @@ class Instance:
         return tuple((z, a) for z in self.sites for a in range(self.fibers))
 
     @cached_property
+    def pair_set(self) -> frozenset:
+        return frozenset(self.pairs)
+
+    @cached_property
     def cell_index(self) -> dict:
         return {cell: i for i, cell in enumerate(self.cells)}
 
@@ -247,6 +252,10 @@ class StagedInstance:
     @cached_property
     def pairs(self) -> tuple:
         return tuple((i, a) for i in self.sites for a in range(self.stage_sizes[i]))
+
+    @cached_property
+    def pair_set(self) -> frozenset:
+        return frozenset(self.pairs)
 
     @cached_property
     def cell_index(self) -> dict:

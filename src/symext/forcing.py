@@ -305,8 +305,6 @@ def _space(inst) -> _Space:
     return sp
 
 
-MODES = ("semantic", "recursive")
-
 _SEM_MEMO: dict = {}
 
 

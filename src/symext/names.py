@@ -11,6 +11,11 @@ gives the same handle).  Under CPython's GIL lookup-or-insert is safe
 enough for the concurrent reads our sweeps do; a build that wants true
 parallel construction should confine interning to one worker per
 process, which multiprocessing gives us for free.
+
+Each name also carries the memo of its hereditary cell set, filled by
+the first `name_cells` call.  That is safe because names are interned
+and immutable: the cells a name mentions can never change, so the memo
+lives on the name itself and is bounded by the name registry.
 """
 
 from __future__ import annotations
@@ -92,10 +97,11 @@ class Name:
 
     rank is 1 + the largest subname rank (0 for the empty name); key is a
     structural sort key; inst is the owning instance, or None for the
-    empty name, which is shared by every instance.
+    empty name, which is shared by every instance; _cells is the memo
+    of name_cells, None until first asked.
     """
 
-    __slots__ = ("entries", "rank", "key", "inst")
+    __slots__ = ("entries", "rank", "key", "inst", "_cells")
 
     def __repr__(self):
         return f"Name(rank={self.rank}, entries={len(self.entries)})"
@@ -132,6 +138,7 @@ def make_name(entries: Iterable[tuple]) -> Name:
     obj.rank = 0 if not ordered else 1 + max(s.rank for _, s in ordered)
     obj.key = (obj.rank, tuple((c.items, s.key) for c, s in ordered))
     obj.inst = inst
+    obj._cells = None
     _NAME_REGISTRY[ordered] = obj
     return obj
 
@@ -208,7 +215,10 @@ def name_conditions(x: Name) -> set:
 
 
 def name_cells(x: Name) -> frozenset:
-    """Every cell mentioned by a condition hereditarily in x."""
-    return frozenset(cell
-                     for cond in name_conditions(x)
-                     for cell, _ in cond.items)
+    """Every cell mentioned by a condition hereditarily in x; computed
+    once per name and kept on it."""
+    cells = x._cells
+    if cells is None:
+        own = frozenset(cell for cond, _ in x.entries for cell, _ in cond.items)
+        cells = x._cells = own.union(*(name_cells(sub) for _, sub in x.entries))
+    return cells

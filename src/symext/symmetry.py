@@ -18,8 +18,9 @@ free).  Tests cross-check against brute-force closures at small scale.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from .core import Condition, StagedInstance, _same_instance
 from .errors import InvalidInstance
@@ -36,7 +37,7 @@ class FiberPermutation:
         if isinstance(mapping, Mapping):
             mapping = mapping.items()
         moved = {}
-        pair_set = set(inst.pairs)
+        pair_set = inst.pair_set
         for src, dst in mapping:
             src, dst = tuple(src), tuple(dst)
             if src not in pair_set or dst not in pair_set:
@@ -163,7 +164,7 @@ def act_name(pi: FiberPermutation, x: Name) -> Name:
 def check_support(inst, support) -> frozenset:
     """Validate a support set against the instance bounds and cutoff."""
     support = frozenset(tuple(p) for p in support)
-    pair_set = set(inst.pairs)
+    pair_set = inst.pair_set
     for p in support:
         if p not in pair_set:
             raise InvalidInstance(f"support pair {p!r} outside instance bounds")

@@ -93,3 +93,20 @@ def naive_min_support(inst, name, act_name_fn, fix_generators_fn):
         if found:
             return found
     return []
+
+
+def naive_name_cells(name):
+    """Every cell of every condition in the name's closure, by a fresh
+    walk of the whole closure (no per-name memo)."""
+    cells = set()
+    seen = set()
+    stack = [name]
+    while stack:
+        nm = stack.pop()
+        if id(nm) in seen:
+            continue
+        seen.add(id(nm))
+        for cond, sub in nm.entries:
+            cells.update(cell for cell, _ in cond.items)
+            stack.append(sub)
+    return frozenset(cells)

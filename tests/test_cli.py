@@ -1,16 +1,39 @@
 import io
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
-from symext import InvalidInstance, ParseError, iter_conditions
+from symext import InvalidInstance, ParseError, in_stage, iter_conditions
 from symext.cli import (InstanceSpec, default_formula_pool, main,
-                        parse_instance_spec, run_checks, _context)
+                        parse_instance_spec, run_checks, _context,
+                        _staged_name_pool)
 
 REFERENCE = ('{"poset": {"elements": ["a", "b"], "leq": []}, '
              '"n": 2, "v": 2, "c": 1, "d": 8}')
 STAGED = '{"stages": [3, 4], "c": 1}'
+SPECS = Path(__file__).parent.parent / "specs"
+FLAT_FIELDS = '"poset": {"elements": ["a", "b"], "leq": []}, "n": 2, "v": 2'
+
+# every spec here must exit 2 with a message: wrong container types,
+# JSON booleans where an integer is expected, a non-integer max_dom
+MALFORMED = [
+    '{"stages": [3, 4], "c": 1, "suites": "hs"}',
+    '{"stages": [3, 4], "c": 1, "suites": ["hs", 1]}',
+    '{"stages": [3, true], "c": 1}',
+    '{"stages": [3, 4], "c": true}',
+    '{%s, "c": true}' % FLAT_FIELDS,
+    '{"poset": {"elements": ["a", "b"], "leq": []}, "n": true, "v": 2, "c": 1}',
+    '{"poset": {"elements": ["a", "b"], "leq": []}, "n": 2, "v": true, "c": 1}',
+    '{%s, "c": 1, "d": true}' % FLAT_FIELDS,
+    '{%s, "c": 1, "max_dom": "x"}' % FLAT_FIELDS,
+    '{%s, "c": 1, "max_dom": 1.5}' % FLAT_FIELDS,
+    '{"stages": [3, 4], "c": 1, "max_dom": true}',
+    '{%s, "c": 1, "max_support": true}' % FLAT_FIELDS,
+    '{%s, "c": 1, "seed": false}' % FLAT_FIELDS,
+    '{%s, "c": 1, "posets": true}' % FLAT_FIELDS,
+]
 
 
 def run(spec_text, suite, overrides=None, jobs=1):
@@ -182,6 +205,16 @@ class TestMain:
         path.write_text('{"poset": {"elements": ["a"], "leq": []}, "n": 1, "v": 1, "c": 1}')
         assert main(["--spec", str(path)]) == 2
 
+    @pytest.mark.parametrize("text", MALFORMED)
+    def test_malformed_spec_exits_2_without_traceback(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("symext: ")
+        assert "Traceback" not in captured.err
+
     def test_flag_overrides(self, tmp_path, capsys):
         path = tmp_path / "ref.json"
         path.write_text(REFERENCE)
@@ -199,3 +232,13 @@ class TestDefaultPool:
         assert len(pool) >= 20
         assert any(l.startswith("(not") for l in labels)
         assert any(l.startswith("(and") for l in labels)
+
+
+class TestStagedNamePool:
+    def test_built_once_per_base_stage(self):
+        spec = parse_instance_spec((SPECS / "staged.json").read_text())
+        ctx = _context(spec.text, "{}")
+        for base in ctx["inst"].sites:
+            pool = _staged_name_pool(ctx, base)
+            assert _staged_name_pool(ctx, base) is pool
+            assert pool and all(in_stage(nm, base) for _, nm in pool)

@@ -2,13 +2,14 @@ import itertools
 
 import pytest
 
-from symext import (Condition, GenericFilter, MismatchedInstance, check_name,
-                    generic_filters, hf, interpret, kuratowski, make_name,
-                    name_cells, ordinal, pair_name, set_name)
+from symext import (Condition, GenericFilter, MismatchedInstance, act_name,
+                    check_name, fix_generators, generic_filters, hf, interpret,
+                    kuratowski, make_name, name_cells, ordinal, pair_name,
+                    set_name)
 from symext.names import EMPTY_HF, EMPTY_NAME
 
 from _oracles import (frozen_ordinal, hf_to_frozen, naive_interpret,
-                      total_assignments)
+                      naive_name_cells, total_assignments)
 
 
 class TestHF:
@@ -190,6 +191,19 @@ class TestNameStructure:
         _, family = reference
         cells = name_cells(family.rows[("a", 0)])
         assert cells == frozenset({("a", 0, 0), ("a", 0, 1)})
+
+    @pytest.mark.parametrize("fixture", ["reference", "staged_pair"])
+    def test_name_cells_memo_matches_closure_walk(self, fixture, request):
+        inst, family = request.getfixturevalue(fixture)
+        members = [nm for _, nm in family.members()]
+        images = [act_name(g, nm) for g in fix_generators(inst, ()) for nm in members]
+        names = members + images
+        names += [set_name(inst, names), set_name(inst, members[:2])]
+        names += [pair_name(inst, x, y) for x, y in zip(names, names[1:])]
+        for nm in names:
+            cells = name_cells(nm)
+            assert cells == naive_name_cells(nm)
+            assert name_cells(nm) is cells
 
     def test_mixed_instances_rejected(self, reference, swap_scale):
         inst, _ = reference
