@@ -76,6 +76,27 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _check_poset(poset) -> None:
+    """Element and relation types; the order axioms are left to Poset."""
+    if not isinstance(poset, dict) or set(poset) - _POSET_KEYS:
+        raise ParseError("poset must be an object with 'elements' and 'leq'")
+    elements = poset.get("elements", [])
+    if not (_is_str_list(elements)
+            or isinstance(elements, list) and all(_is_int(e) for e in elements)):
+        raise ParseError("poset 'elements' must be a list of strings "
+                         "or a list of integers")
+    leq = poset.get("leq", [])
+    if not isinstance(leq, list) or not all(
+            isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(e, str) or _is_int(e) for e in pair)
+            for pair in leq):
+        raise ParseError("poset 'leq' must be a list of [element, element] pairs")
+
+
 def parse_instance_spec(text: str) -> InstanceSpec:
     """Parse and validate a spec; building the instance runs the full
     validator, so invalid bounds are rejected here."""
@@ -95,9 +116,7 @@ def parse_instance_spec(text: str) -> InstanceSpec:
     if unknown:
         raise ParseError(f"unknown spec fields: {sorted(unknown)}")
     if kind == "flat":
-        poset = raw["poset"]
-        if not isinstance(poset, dict) or set(poset) - _POSET_KEYS:
-            raise ParseError("poset must be an object with 'elements' and 'leq'")
+        _check_poset(raw["poset"])
         required = ["n", "v", "c"] + (["d"] if "d" in raw else [])
     else:
         if (not isinstance(raw["stages"], list)
@@ -108,10 +127,9 @@ def parse_instance_spec(text: str) -> InstanceSpec:
     for key in required + optional:
         if not _is_int(raw.get(key)):
             raise ParseError(f"spec field {key!r} must be an integer")
-    suites = raw.get("suites")
-    if suites is not None and (not isinstance(suites, list)
-                               or not all(isinstance(s, str) for s in suites)):
-        raise ParseError("'suites' must be a list of strings")
+    for key in ("suites", "formulas"):
+        if raw.get(key) is not None and not _is_str_list(raw[key]):
+            raise ParseError(f"{key!r} must be a list of strings")
     spec = InstanceSpec(kind, json.dumps(raw, sort_keys=True), raw)
     _build_objects(spec)  # run the instance validator now
     return spec

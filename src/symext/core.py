@@ -145,6 +145,13 @@ class Instance:
                 "trivial-group exclusion: a support of size "
                 f"{self.support_cutoff} can spoil every fiber transposition "
                 f"(need fibers >= 2 and support cutoff < sites*(fibers-1) = {room})")
+        # the dataclass hash, computed once: instances key every memo
+        object.__setattr__(self, "_hash", hash((
+            self.poset, self.fibers, self.slots, self.support_cutoff,
+            self.domain_cutoff)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def sites(self) -> tuple:
@@ -231,6 +238,10 @@ class StagedInstance:
             raise InvalidInstance(
                 f"stage size {sizes[0]} leaves no transposition headroom "
                 f"(need every stage >= support_cutoff + 2 = {self.support_cutoff + 2})")
+        object.__setattr__(self, "_hash", hash((sizes, self.support_cutoff)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def sites(self) -> tuple:

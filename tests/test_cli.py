@@ -17,8 +17,17 @@ SPECS = Path(__file__).parent.parent / "specs"
 FLAT_FIELDS = '"poset": {"elements": ["a", "b"], "leq": []}, "n": 2, "v": 2'
 
 # every spec here must exit 2 with a message: wrong container types,
-# JSON booleans where an integer is expected, a non-integer max_dom
+# JSON booleans where an integer is expected, a non-integer max_dom,
+# ill-typed poset elements and relation pairs
 MALFORMED = [
+    '{"poset": {"elements": ["a", 1], "leq": []}, "n": 2, "v": 2, "c": 1}',
+    '{"poset": {"elements": ["a", "b"], "leq": [["a"]]}, "n": 2, "v": 2, "c": 1}',
+    '{"poset": {"elements": "ab", "leq": []}, "n": 2, "v": 2, "c": 1}',
+    '{"poset": {"elements": ["a", "b"], "leq": "ab"}, "n": 2, "v": 2, "c": 1}',
+    '{"poset": {"elements": ["a", "b"], "leq": [["a", ["b"]]]}, "n": 2, "v": 2, "c": 1}',
+    '{"poset": {"elements": [0, 1], "leq": [[true, 0]]}, "n": 2, "v": 2, "c": 1}',
+    '{%s, "c": 1, "formulas": "(eq ord:0 ord:0)"}' % FLAT_FIELDS,
+    '{%s, "c": 1, "formulas": ["(eq ord:0 ord:0)", 1]}' % FLAT_FIELDS,
     '{"stages": [3, 4], "c": 1, "suites": "hs"}',
     '{"stages": [3, 4], "c": 1, "suites": ["hs", 1]}',
     '{"stages": [3, true], "c": 1}',
@@ -72,6 +81,18 @@ class TestParse:
 
     def test_staged(self):
         assert parse_instance_spec(STAGED).kind == "staged"
+
+    @pytest.mark.parametrize("value", ['"(eq ord:0 ord:0)"', '["(eq ord:0 ord:0)", 1]'])
+    def test_formulas_must_be_a_list_of_strings(self, value):
+        # rejected by name at parse time, not as a misleading formula
+        # syntax error once the suites start
+        with pytest.raises(ParseError, match="'formulas' must be a list of strings"):
+            parse_instance_spec('{%s, "c": 1, "formulas": %s}' % (FLAT_FIELDS, value))
+
+    def test_integer_elements_still_accepted(self):
+        spec = parse_instance_spec('{"poset": {"elements": [0, 1], "leq": [[0, 1]]}, '
+                                   '"n": 2, "v": 2, "c": 1}')
+        assert spec.kind == "flat"
 
     def test_wrong_types(self):
         with pytest.raises(ParseError):

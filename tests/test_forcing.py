@@ -3,12 +3,14 @@ import itertools
 import pytest
 
 from symext import (And, Condition, Eq, FiberPermutation, GenericFilter,
-                    InvalidInstance, Mem, Not, ParseError, act_condition,
-                    act_formula, check_name, eval_formula, extends, forces,
-                    format_formula, generic_filters, generator_closure,
-                    fix_generators, iter_conditions, ordinal, parse_formula,
-                    symmetry_lemma_check)
-from symext.forcing import _space
+                    InvalidInstance, Mem, MismatchedInstance, Not, ParseError,
+                    act_condition, act_formula, check_name, eval_formula,
+                    extends, forces, format_formula, forcing, generic_filters,
+                    generator_closure, fix_generators, iter_conditions,
+                    ordinal, parse_formula, symmetry_lemma_check)
+from symext.cli import default_formula_pool
+from symext.forcing import (_FILTER_SPACES, _filter_space, _separating_filter,
+                            _space)
 from symext.names import EMPTY_NAME
 
 from _oracles import naive_eval, naive_forces, total_assignments
@@ -82,6 +84,13 @@ class TestModeAgreement:
         pool = small_pool(inst, family)
         for p in iter_conditions(inst, 2):
             for phi in pool:
+                assert forces(p, phi, "semantic") == naive_forces(inst, p, phi)
+
+    def test_semantic_matches_naive_oracle_reference(self, reference):
+        inst, family = reference
+        pool = default_formula_pool({"inst": inst, "family": family})
+        for p in iter_conditions(inst, 1):
+            for _, phi in pool:
                 assert forces(p, phi, "semantic") == naive_forces(inst, p, phi)
 
     def test_spot_reference(self, reference):
@@ -187,11 +196,56 @@ class TestSyntax:
                 parse_formula(bad, resolve)
 
 
+class TestFilterSpace:
+    def test_extension_mask_lists_the_filters_containing_the_condition(self, reference):
+        inst, _ = reference
+        fs = _filter_space(inst)
+        assert fs.filters == tuple(generic_filters(inst))
+        for p in iter_conditions(inst, 2):
+            mask = fs.ext(p)
+            assert [bool(mask >> i & 1) for i in range(len(fs.filters))] == \
+                [filt.contains(p) for filt in fs.filters]
+
+    def test_separating_filter_is_the_first_failing_filter(self, reference):
+        inst, family = reference
+        pool = default_formula_pool({"inst": inst, "family": family})
+        unforced = 0
+        for p in iter_conditions(inst, 1):
+            for _, phi in pool:
+                scan = next((filt for filt in generic_filters(inst, p)
+                             if not eval_formula(phi, filt)), None)
+                assert _separating_filter(p, phi) == scan
+                unforced += scan is not None
+        assert unforced > 0
+
+    @pytest.mark.parametrize("mode", ["semantic", "recursive"])
+    def test_mismatch_raised_after_mask_or_table_exists(self, mode, reference, tiny):
+        inst, family = reference
+        other, _ = tiny
+        phi = Mem(check_name(inst, ordinal(0)), family.rows[("a", 0)])
+        forces(Condition.top(inst), phi, mode)
+        for _ in range(2):
+            with pytest.raises(MismatchedInstance):
+                forces(Condition.top(other), phi, mode)
+
+
 class TestSpaceGuards:
     def test_large_instance_rejected_for_recursive_mode(self, staged_pair):
         staged, _ = staged_pair
         with pytest.raises(InvalidInstance):
             _space(staged)
+
+    def test_large_instance_rejected_for_semantic_mode(self, staged_pair, monkeypatch):
+        staged, _ = staged_pair
+
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("filter space built for a rejected instance")
+
+        monkeypatch.setattr(forcing, "generic_filters", no_enumeration)
+        phi = Eq(EMPTY_NAME, EMPTY_NAME)
+        with pytest.raises(InvalidInstance, match=r"25 cells \(2\^25 filters\)"):
+            forces(Condition.top(staged), phi, "semantic")
+        assert staged not in _FILTER_SPACES
 
     def test_act_formula_structure(self, reference):
         inst, family = reference
