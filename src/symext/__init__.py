@@ -1,18 +1,17 @@
 """Desk-scale engine for symmetric extensions of finite forcing posets."""
 
 from .core import (Compat, Condition, GenericFilter, Instance, Poset,
-                   StagedInstance, compatible, extends, generic_filters,
-                   iter_conditions)
+                   compatible, extends, generic_filters, iter_conditions)
 from .errors import (EngineError, FiberExhausted, InvalidInstance,
                      MismatchedInstance, ParseError, StageViolation)
 from .forcing import (And, Eq, Mem, Not, act_formula, eval_formula, forces,
                       format_formula, formula_names, parse_formula,
                       symmetry_lemma_check)
 from .instances import (build_instance, build_staged_instance, canonical_family,
-                        canonical_staged_family, chain_family, downset_embedding,
-                        in_hs_stage, in_stage, least_value_name, name_stage,
-                        random_poset, region_name, row_name, site_name,
-                        stage_group_generators, stage_restrict)
+                        chain_family, downset_embedding, in_stage,
+                        least_value_name, name_stage, random_poset, region_name,
+                        row_name, site_name, stage_group_generators,
+                        stage_restrict)
 from .kernels import (KernelReport, MinOntoReport, min_onto_check, swap_kernel,
                       swap_partner, wisc_kernel)
 from .names import (HF, EMPTY_HF, EMPTY_NAME, Name, check_name, hf, interpret,

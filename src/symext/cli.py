@@ -27,6 +27,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import os
 import random
 import sys
 import time
@@ -36,11 +37,11 @@ from typing import Optional
 
 from .core import GenericFilter, Poset, iter_conditions
 from .errors import EngineError, ParseError
-from .forcing import (Eq, Mem, Not, And, forces, parse_formula,
+from .forcing import (Eq, Mem, Not, And, check_size, forces, parse_formula,
                       symmetry_lemma_check)
 from .instances import (build_instance, build_staged_instance, chain_family,
                         downset_embedding, in_stage, random_poset)
-from .kernels import _cond_obj, swap_kernel, wisc_kernel
+from .kernels import _cond_obj, partner, swap_kernel, wisc_kernel
 from .names import check_name, interpret, ordinal, pair_name, set_name
 from .symmetry import (assemble_sequence, conjugation_check, fix_generators,
                        generator_closure, infer_min_support, is_hs)
@@ -256,6 +257,7 @@ def _context(spec_text: str, overrides_text: str) -> dict:
         "spec": spec,
         "inst": inst,
         "family": family,
+        "names": dict(family.members()),
         "max_dom": opt("max_dom", 2),
         "max_support": opt("max_support", inst.support_cutoff),
         "seed": opt("seed", 0),
@@ -273,6 +275,8 @@ def _context(spec_text: str, overrides_text: str) -> dict:
     ctx["conditions"] = list(iter_conditions(inst, ctx["max_dom"]))
     ctx["perms"] = generator_closure(fix_generators(inst, ()), 3)
     ctx["supports"] = _supports(inst, ctx["max_support"])
+    ctx["members"] = [label for label in ctx["names"]
+                      if label.split(":")[0] in ("row", "site")]
     _CTX_CACHE[key] = ctx
     return ctx
 
@@ -361,14 +365,10 @@ def _swap_admissible(ctx):
     for qi, q in enumerate(ctx["conditions"]):
         occupied = {z: q.touched_fibers(z) for z in inst.sites}
         for si, support in enumerate(ctx["supports"]):
-            for z in inst.sites:
-                for a in range(inst.fiber_count(z)):
-                    if (z, a) in support:
-                        continue
-                    if any(b != a and (z, b) not in support
-                           and b not in occupied[z]
-                           for b in range(inst.fiber_count(z))):
-                        units.append((qi, si, z, a))
+            for z, a in inst.pairs:
+                if ((z, a) not in support
+                        and partner(inst, support, z, a, occupied[z]) is not None):
+                    units.append((qi, si, z, a))
     return units
 
 
@@ -389,12 +389,12 @@ def _run_swap(ctx, unit):
 
 
 def _gen_hs(ctx):
-    return [label for label, _ in ctx["family"].members()]
+    return list(ctx["names"])
 
 
 def _run_hs(ctx, label):
     inst = ctx["inst"]
-    nm = dict(ctx["family"].members())[label]
+    nm = ctx["names"][label]
     found = infer_min_support(inst, nm)
     hereditarily = is_hs(inst, nm)
     kind = label.split(":")[0]
@@ -415,12 +415,9 @@ def _run_hs(ctx, label):
 def _gen_normality(ctx):
     units = [("conj", pi, si) for pi in range(len(ctx["perms"]))
              for si in range(len(ctx["supports"]))]
-    members = [label for label, _ in ctx["family"].members()
-               if label.split(":")[0] in ("row", "site")]
     for k in (1, 2):
-        for combo in itertools.combinations(range(len(members)), k):
+        for combo in itertools.combinations(range(len(ctx["members"])), k):
             units.append(("assemble",) + combo)
-    ctx["_members"] = members
     return units
 
 
@@ -435,14 +432,8 @@ def _run_normality(ctx, unit):
                   "support": _support_obj(support),
                   "image": _support_obj(report.support_image)}
         return params, report.ok, (None if report.ok else {"witness": repr(report.witness)})
-    members = ctx.get("_members")
-    if members is None:
-        members = [label for label, _ in ctx["family"].members()
-                   if label.split(":")[0] in ("row", "site")]
-        ctx["_members"] = members
-    labels = [members[i] for i in unit[1:]]
-    table = dict(ctx["family"].members())
-    report = assemble_sequence(inst, [table[l] for l in labels])
+    labels = [ctx["members"][i] for i in unit[1:]]
+    report = assemble_sequence(inst, [ctx["names"][l] for l in labels])
     ok = report.hs or not report.certified
     params = {"members": labels, "hereditarily_symmetric": report.hs,
               "certified": report.certified}
@@ -457,7 +448,7 @@ def _staged_name_pool(ctx, base_stage):
     if pool is None:
         inst = ctx["inst"]
         pool = [(f"ord:{k}", check_name(inst, ordinal(k))) for k in range(2)]
-        pool += [(label, nm) for label, nm in ctx["family"].members()
+        pool += [(label, nm) for label, nm in ctx["names"].items()
                  if label != "graph" and in_stage(nm, base_stage)]
         pools[base_stage] = pool
     return pool
@@ -467,23 +458,23 @@ def _gen_wisc(ctx):
     if ctx["kind"] != "staged":
         return None
     inst = ctx["inst"]
+    admissible = {}     # swap stage -> (qi, si) on which the kernel finds fibers
+    for swap in inst.sites[1:]:
+        admissible[swap] = []
+        for qi, q in enumerate(ctx["conditions"]):
+            occupied = q.touched_fibers(swap)
+            for si, support in enumerate(ctx["supports"]):
+                first = partner(inst, support, swap, None, ())
+                if (first is not None
+                        and partner(inst, support, swap, first, occupied) is not None):
+                    admissible[swap].append((qi, si))
     units = []
     for base in inst.sites:
         pool = _staged_name_pool(ctx, base)
         for swap in inst.sites:
-            if swap <= base:
-                continue
-            for yi in range(len(pool)):
-                for qi, q in enumerate(ctx["conditions"]):
-                    occupied = q.touched_fibers(swap)
-                    for si, support in enumerate(ctx["supports"]):
-                        free = [d for d in range(inst.fiber_count(swap))
-                                if (swap, d) not in support]
-                        if not free:
-                            continue
-                        first = free[0]
-                        if any(d != first and d not in occupied for d in free):
-                            units.append((base, swap, yi, qi, si))
+            if swap > base:
+                units.extend((base, swap, yi, qi, si) for yi in range(len(pool))
+                             for qi, si in admissible[swap])
     return units
 
 
@@ -502,7 +493,7 @@ def _run_wisc(ctx, unit):
 def _gen_chains(ctx):
     if ctx["kind"] != "staged":
         return None
-    k = len(ctx["inst"].stage_sizes)
+    k = len(ctx["inst"].sites)
     units = [("entries", b) for b in range(k - 1)]
     units += [("interp", i) for i in range(16)]
     return units
@@ -574,6 +565,10 @@ def run_checks(spec: InstanceSpec, suite: str = "all", jobs: int = 1,
             FLAT_SUITES if spec.kind == "flat" else STAGED_SUITES)
     else:
         suites = (suite,)
+    if spec.kind == "flat" and {"forcing-oracle", "symmetry-lemma"} & set(suites):
+        # both suites run both forcing modes: reject before any output
+        check_size(_context(spec.text, overrides_text)["inst"],
+                   "recursive", "semantic")
     failed = False
     for name in suites:
         if name not in SUITES:
@@ -598,7 +593,8 @@ def run_checks(spec: InstanceSpec, suite: str = "all", jobs: int = 1,
             step = -(-total // jobs)
             chunks = [(spec.text, overrides_text, name, lo, min(lo + step, total))
                       for lo in range(0, total, step)]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            workers = min(jobs, len(chunks), os.cpu_count() or 1)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = pool.map(_run_slice_star, chunks)
                 for lines in results:
                     for line in lines:
@@ -629,10 +625,14 @@ def main(argv=None) -> int:
     parser.add_argument("--max-support", type=int, default=None,
                         help="support size bound for enumerating suites")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes; output order stays deterministic")
+                        help="worker processes (at most one per CPU); output "
+                             "order stays deterministic")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for sampled suites (logged in each line)")
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        print("symext: --jobs must be at least 1", file=sys.stderr)
+        return 2
     try:
         with open(args.spec, encoding="utf-8") as fh:
             spec = parse_instance_spec(fh.read())

@@ -1,17 +1,19 @@
 """Finite forcing posets: conditions, the extension order, generic filters.
 
-An instance fixes the ambient finite context: a poset of sites, a fiber
-count, a slot bound, and two cutoffs (condition domain size, support
-size).  Cells are (site, fiber, slot) triples.  A condition is a finite
-partial bit assignment on cells; the empty condition is the maximum of
-the order, and p extends q when p's assignment is a super-map of q's.
+An instance fixes the ambient finite context: a poset of sites, fiber
+and slot counts per site, cumulative condition domain bounds, and a
+support size cutoff.  Cells are (site, fiber, slot) triples.  A
+condition is a finite partial bit assignment on cells; the empty
+condition is the maximum of the order, and p extends q when p's
+assignment is a super-map of q's.
 With the default domain cutoff (the full cell count) the atoms of the
 order are the total assignments, and generic filters are exactly their
 up-closures.
 
-A staged instance replaces the site poset by an increasing list of stage
-sizes; fiber and slot bounds vary per stage and condition domains obey a
-per-stage cumulative bound instead of a single cutoff.
+A flat instance has the same fiber and slot counts at every site and one
+domain cutoff over all cells.  A staged instance is a chain of stages
+with an increasing list of sizes; fiber and slot counts vary per stage
+and condition domains obey a per-stage cumulative bound instead.
 
 Everything here is immutable after construction and all operations are
 pure functions, so sweeps can be partitioned across workers freely.
@@ -110,45 +112,89 @@ class Poset:
 
 @dataclass(frozen=True)
 class Instance:
-    """The ambient context for a flat forcing poset.
+    """The ambient context of a forcing poset.
 
-    fibers bounds the fiber index at every site, slots the slot index of
-    every row.  support_cutoff bounds support sets, domain_cutoff bounds
-    condition domains (None means the full cell count, i.e. conditions
-    may be total).
+    Each site carries its own fiber and slot counts.  limits is a list of
+    cumulative domain bounds: a pair (k, bound) lets a condition keep at
+    most bound cells on the first k sites; the last pair covers every
+    site, so its bound is the domain cutoff.  moved_bounds gives, per
+    site, how many fibers a group element may move there.  support_cutoff
+    bounds support sets.
 
-    The validator rejects any instance on which some admissible support
-    would pointwise-stabilize only the identity: a support of size c can
-    spoil transpositions at floor(c/(fibers-1)) sites at worst, so we
-    need support_cutoff < sites * (fibers - 1).
+    Build instances with `flat` or `staged`, which hold the two
+    validators; kind records which one, and selects the shape of
+    describe().
     """
 
+    kind: str
     poset: Poset
-    fibers: int
-    slots: int
+    fiber_counts: tuple
+    slot_counts: tuple
     support_cutoff: int
-    domain_cutoff: Optional[int] = None
+    limits: tuple
+    moved_bounds: tuple
 
     def __post_init__(self):
-        if self.fibers < 1 or self.slots < 1:
+        if min(self.fiber_counts + self.slot_counts) < 1:
             raise InvalidInstance("fiber and slot bounds must be positive")
         if self.support_cutoff < 1:
             raise InvalidInstance("support cutoff must be positive")
-        n_cells = len(self.poset.elements) * self.fibers * self.slots
-        if self.domain_cutoff is None:
-            object.__setattr__(self, "domain_cutoff", n_cells)
-        if self.domain_cutoff < 1:
+        if min(bound for _, bound in self.limits) < 1:
             raise InvalidInstance("domain cutoff must be positive")
-        room = len(self.poset.elements) * (self.fibers - 1)
-        if self.fibers < 2 or self.support_cutoff >= room:
-            raise InvalidInstance(
-                "trivial-group exclusion: a support of size "
-                f"{self.support_cutoff} can spoil every fiber transposition "
-                f"(need fibers >= 2 and support cutoff < sites*(fibers-1) = {room})")
         # the dataclass hash, computed once: instances key every memo
         object.__setattr__(self, "_hash", hash((
-            self.poset, self.fibers, self.slots, self.support_cutoff,
-            self.domain_cutoff)))
+            self.kind, self.poset, self.fiber_counts, self.slot_counts,
+            self.support_cutoff, self.limits, self.moved_bounds)))
+
+    @classmethod
+    def flat(cls, poset: Poset, fibers: int, slots: int, support_cutoff: int,
+             domain_cutoff: Optional[int] = None) -> "Instance":
+        """A site poset with the same fiber and slot counts at every site
+        and one domain cutoff over all cells (None means the full cell
+        count, i.e. conditions may be total).
+
+        The validator rejects any instance on which some admissible
+        support would pointwise-stabilize only the identity: a support of
+        size c can spoil transpositions at floor(c/(fibers-1)) sites at
+        worst, so we need support_cutoff < sites * (fibers - 1).
+        """
+        k = len(poset.elements)
+        if domain_cutoff is None:
+            domain_cutoff = k * fibers * slots
+        inst = cls("flat", poset, (fibers,) * k, (slots,) * k, support_cutoff,
+                   ((k, domain_cutoff),), (fibers,) * k)
+        room = k * (fibers - 1)
+        if fibers < 2 or support_cutoff >= room:
+            raise InvalidInstance(
+                "trivial-group exclusion: a support of size "
+                f"{support_cutoff} can spoil every fiber transposition "
+                f"(need fibers >= 2 and support cutoff < sites*(fibers-1) = {room})")
+        return inst
+
+    @classmethod
+    def staged(cls, stage_sizes, support_cutoff: int) -> "Instance":
+        """A product of stage posets with per-stage cumulative domain bounds.
+
+        Stage i is site i, with stage_sizes[i] fibers and as many slots.
+        A condition must keep, for every stage j, fewer than
+        stage_sizes[j] cells at stages <= j, and a group element moves
+        fewer fibers of a stage than its size.  Each stage needs
+        support_cutoff + 2 fibers of headroom so no admissible support
+        can spoil all of a stage's transpositions.
+        """
+        sizes = tuple(int(s) for s in stage_sizes)
+        if not sizes:
+            raise InvalidInstance("need at least one stage")
+        if any(b <= a for a, b in zip(sizes, sizes[1:])):
+            raise InvalidInstance("stage sizes must be strictly increasing")
+        if sizes[0] < support_cutoff + 2:
+            raise InvalidInstance(
+                f"stage size {sizes[0]} leaves no transposition headroom "
+                f"(need every stage >= support_cutoff + 2 = {support_cutoff + 2})")
+        below = tuple(s - 1 for s in sizes)
+        limits = tuple((j + 1, bound) for j, bound in enumerate(below))
+        return cls("staged", Poset.chain(range(len(sizes))), sizes, sizes,
+                   support_cutoff, limits, below)
 
     def __hash__(self):
         return self._hash
@@ -157,22 +203,51 @@ class Instance:
     def sites(self) -> tuple:
         return self.poset.elements
 
+    @cached_property
+    def site_index(self) -> dict:
+        return {z: i for i, z in enumerate(self.sites)}
+
+    def _index(self, site) -> int:
+        index = self.site_index.get(site)
+        if index is None:
+            raise InvalidInstance(f"site {site!r} outside instance bounds")
+        return index
+
     def fiber_count(self, site) -> int:
-        return self.fibers
+        return self.fiber_counts[self._index(site)]
 
     def slot_count(self, site) -> int:
-        return self.slots
+        return self.slot_counts[self._index(site)]
+
+    def moved_bound(self, site) -> int:
+        return self.moved_bounds[self._index(site)]
+
+    @property
+    def fibers(self) -> int:
+        """The fiber count of the first site (of every site, when flat)."""
+        return self.fiber_counts[0]
+
+    @property
+    def slots(self) -> int:
+        """The slot count of the first site (of every site, when flat)."""
+        return self.slot_counts[0]
+
+    @property
+    def domain_cutoff(self) -> int:
+        return self.limits[-1][1]
 
     @cached_property
     def cells(self) -> tuple:
         return tuple((z, a, g)
-                     for z in self.sites
-                     for a in range(self.fibers)
-                     for g in range(self.slots))
+                     for z, fibers, slots in zip(self.sites, self.fiber_counts,
+                                                 self.slot_counts)
+                     for a in range(fibers)
+                     for g in range(slots))
 
     @cached_property
     def pairs(self) -> tuple:
-        return tuple((z, a) for z in self.sites for a in range(self.fibers))
+        return tuple((z, a) for z, fibers in zip(self.sites, self.fiber_counts)
+                     for a in range(fibers))
 
     @cached_property
     def pair_set(self) -> frozenset:
@@ -183,24 +258,34 @@ class Instance:
         return {cell: i for i, cell in enumerate(self.cells)}
 
     def cell_ok(self, cell) -> bool:
-        if len(cell) != 3:
-            return False
-        site, fiber, slot = cell
-        return (site in self.cell_sites
-                and 0 <= fiber < self.fibers
-                and 0 <= slot < self.slots)
+        return cell in self.cell_index
 
     @cached_property
-    def cell_sites(self) -> frozenset:
-        return frozenset(self.sites)
+    def _min_limit(self) -> int:
+        # conditions this small meet every limit
+        return min(bound for _, bound in self.limits)
 
     def condition_violation(self, items) -> Optional[str]:
-        if len(items) > self.domain_cutoff:
-            return (f"condition has {len(items)} cells, "
-                    f"domain cutoff is {self.domain_cutoff}")
+        if len(items) <= self._min_limit:
+            return None
+        counts = [0] * len(self.sites)
+        index = self.site_index
+        for (site, _, _), _ in items:
+            counts[index[site]] += 1
+        for k, bound in self.limits:
+            kept = sum(counts[:k])
+            if kept > bound:
+                return (f"condition keeps {kept} cells on the first {k} of "
+                        f"{len(counts)} sites, bound is {bound}")
         return None
 
     def describe(self) -> dict:
+        if self.kind == "staged":
+            return {
+                "kind": "staged",
+                "stage_sizes": list(self.fiber_counts),
+                "support_cutoff": self.support_cutoff,
+            }
         return {
             "kind": "flat",
             "elements": list(self.sites),
@@ -210,107 +295,6 @@ class Instance:
             "support_cutoff": self.support_cutoff,
             "domain_cutoff": self.domain_cutoff,
         }
-
-
-@dataclass(frozen=True)
-class StagedInstance:
-    """A product of stage posets with per-stage cumulative domain bounds.
-
-    Stage i has stage_sizes[i] fibers and as many slots.  A condition
-    must keep, for every stage j, fewer than stage_sizes[j] cells at
-    stages <= j.  Each stage needs support_cutoff + 2 fibers of headroom
-    so no admissible support can spoil all of a stage's transpositions.
-    """
-
-    stage_sizes: tuple
-    support_cutoff: int
-
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.stage_sizes)
-        object.__setattr__(self, "stage_sizes", sizes)
-        if not sizes:
-            raise InvalidInstance("need at least one stage")
-        if self.support_cutoff < 1:
-            raise InvalidInstance("support cutoff must be positive")
-        if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise InvalidInstance("stage sizes must be strictly increasing")
-        if sizes[0] < self.support_cutoff + 2:
-            raise InvalidInstance(
-                f"stage size {sizes[0]} leaves no transposition headroom "
-                f"(need every stage >= support_cutoff + 2 = {self.support_cutoff + 2})")
-        object.__setattr__(self, "_hash", hash((sizes, self.support_cutoff)))
-
-    def __hash__(self):
-        return self._hash
-
-    @property
-    def sites(self) -> tuple:
-        return tuple(range(len(self.stage_sizes)))
-
-    def fiber_count(self, site) -> int:
-        return self.stage_sizes[site]
-
-    def slot_count(self, site) -> int:
-        return self.stage_sizes[site]
-
-    @cached_property
-    def cells(self) -> tuple:
-        return tuple((i, a, g)
-                     for i in self.sites
-                     for a in range(self.stage_sizes[i])
-                     for g in range(self.stage_sizes[i]))
-
-    @cached_property
-    def pairs(self) -> tuple:
-        return tuple((i, a) for i in self.sites for a in range(self.stage_sizes[i]))
-
-    @cached_property
-    def pair_set(self) -> frozenset:
-        return frozenset(self.pairs)
-
-    @cached_property
-    def cell_index(self) -> dict:
-        return {cell: i for i, cell in enumerate(self.cells)}
-
-    @cached_property
-    def cell_sites(self) -> frozenset:
-        return frozenset(self.sites)
-
-    def cell_ok(self, cell) -> bool:
-        if len(cell) != 3:
-            return False
-        site, fiber, slot = cell
-        if site not in self.cell_sites:
-            return False
-        size = self.stage_sizes[site]
-        return 0 <= fiber < size and 0 <= slot < size
-
-    @property
-    def domain_cutoff(self) -> int:
-        # largest domain any condition can have: all stages saturated
-        return self.stage_sizes[-1] - 1
-
-    def condition_violation(self, items) -> Optional[str]:
-        counts = [0] * len(self.stage_sizes)
-        for (site, _, _), _ in items:
-            counts[site] += 1
-        running = 0
-        for j, size in enumerate(self.stage_sizes):
-            running += counts[j]
-            if running >= size:
-                return (f"condition keeps {running} cells at stages <= {j}, "
-                        f"bound is {size - 1}")
-        return None
-
-    def describe(self) -> dict:
-        return {
-            "kind": "staged",
-            "stage_sizes": list(self.stage_sizes),
-            "support_cutoff": self.support_cutoff,
-        }
-
-
-AnyInstance = Union[Instance, StagedInstance]
 
 
 def _same_instance(a, b):

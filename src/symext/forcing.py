@@ -7,8 +7,9 @@ Two independent modes are implemented:
   filters of an instance are enumerated once, on the first semantic
   call, and indexed by their bits read as a binary number with cell 0
   the most significant (the order `generic_filters` yields them).  Each
-  formula is evaluated once per filter into a truth mask (bit i set iff
-  it holds under filter i) and each condition gets an extension mask
+  atomic formula is evaluated once per filter into a truth mask (bit i
+  set iff it holds under filter i), negation and conjunction combine
+  their parts' masks, and each condition gets an extension mask
   (bit i set iff filter i contains it), so p forces phi iff
   ext(p) & ~truth(phi) == 0.  An instance with more than
   `_FILTER_CELLS` = 14 cells (2^14 filters) is rejected before anything
@@ -117,46 +118,55 @@ def act_formula(pi: FiberPermutation, phi: Formula) -> Formula:
     return And(act_formula(pi, phi.left), act_formula(pi, phi.right))
 
 
-_EVAL_MEMO: dict = {}
-
-
 def eval_formula(phi: Formula, filt: GenericFilter) -> bool:
     """Truth of phi in the interpretation by the filter."""
-    key = (phi, filt)
-    cached = _EVAL_MEMO.get(key)
-    if cached is not None:
-        return cached
     if isinstance(phi, Eq):
-        value = interpret(phi.left, filt) is interpret(phi.right, filt)
-    elif isinstance(phi, Mem):
-        value = interpret(phi.left, filt) in interpret(phi.right, filt)
-    elif isinstance(phi, Not):
-        value = not eval_formula(phi.body, filt)
-    elif isinstance(phi, And):
-        value = eval_formula(phi.left, filt) and eval_formula(phi.right, filt)
-    else:
-        raise TypeError(f"not a formula: {phi!r}")
-    _EVAL_MEMO[key] = value
-    return value
+        return interpret(phi.left, filt) is interpret(phi.right, filt)
+    if isinstance(phi, Mem):
+        return interpret(phi.left, filt) in interpret(phi.right, filt)
+    if isinstance(phi, Not):
+        return not eval_formula(phi.body, filt)
+    if isinstance(phi, And):
+        return eval_formula(phi.left, filt) and eval_formula(phi.right, filt)
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+_SPACE_LIMIT = 600_000
+# At the semantic limit, 14 cells, enumerating the 16,384 filters took
+# 0.09 s, and the truth masks of the CLI's 20-formula default pool 3.6 s
+# and 56 MB more peak memory (2-CPU machine, CPython 3.11); both about
+# double with each further cell.
+_FILTER_CELLS = 14
+
+
+def check_size(inst, *modes) -> None:
+    """Raise InvalidInstance, with the cost, when the instance is too
+    large for one of the forcing modes named ("recursive", "semantic")."""
+    n = len(inst.cells)
+    if "recursive" in modes and 3 ** n > _SPACE_LIMIT:
+        raise InvalidInstance(
+            f"recursive forcing tables need 3^cells <= {_SPACE_LIMIT}; "
+            f"instance has {n} cells")
+    if "semantic" in modes and n > _FILTER_CELLS:
+        raise InvalidInstance(
+            f"semantic forcing enumerates 2^cells generic filters, at most "
+            f"2^{_FILTER_CELLS} = {1 << _FILTER_CELLS}; instance has {n} "
+            f"cells (2^{n} filters)")
 
 
 # The recursive mode works on an integer encoding of the condition
 # lattice: cell i carries trit 0 (unset), 1 (bit 0) or 2 (bit 1), so a
 # condition is a base-3 code and extension is digitwise refinement.
 
-_SPACE_LIMIT = 600_000
 _SPACES: dict = {}
 
 
 class _Space:
     def __init__(self, inst):
+        check_size(inst, "recursive")
         cells = inst.cells
         n = len(cells)
         size = 3 ** n
-        if size > _SPACE_LIMIT:
-            raise InvalidInstance(
-                f"recursive forcing tables need 3^cells <= {_SPACE_LIMIT}; "
-                f"instance has {n} cells")
         self.inst = inst
         self.cells = cells
         self.n = n
@@ -325,22 +335,13 @@ def _space(inst) -> _Space:
     return sp
 
 
-# At the limit, 14 cells, enumerating the 16,384 filters took 0.09 s,
-# and the truth masks of the CLI's 20-formula default pool 3.6 s and
-# 56 MB more peak memory (2-CPU machine, CPython 3.11); both about
-# double with each further cell.
-_FILTER_CELLS = 14
 _FILTER_SPACES: dict = {}
 
 
 class _FilterSpace:
     def __init__(self, inst):
+        check_size(inst, "semantic")
         n = len(inst.cells)
-        if n > _FILTER_CELLS:
-            raise InvalidInstance(
-                f"semantic forcing enumerates 2^cells generic filters, at most "
-                f"2^{_FILTER_CELLS} = {1 << _FILTER_CELLS}; instance has {n} "
-                f"cells (2^{n} filters)")
         self.inst = inst
         self.filters = tuple(generic_filters(inst))
         full = self.full = (1 << len(self.filters)) - 1
@@ -355,14 +356,20 @@ class _FilterSpace:
         self._ext: dict = {}
 
     def truth(self, phi: Formula) -> int:
-        """The filters under which phi holds."""
+        """The filters under which phi holds; only atoms are evaluated
+        filter by filter."""
         mask = self._truth.get(phi)
         if mask is None:
             _check_formula(self.inst, phi)
-            mask = 0
-            for i, filt in enumerate(self.filters):
-                if eval_formula(phi, filt):
-                    mask |= 1 << i
+            if isinstance(phi, Not):
+                mask = self.full & ~self.truth(phi.body)
+            elif isinstance(phi, And):
+                mask = self.truth(phi.left) & self.truth(phi.right)
+            else:
+                mask = 0
+                for i, filt in enumerate(self.filters):
+                    if eval_formula(phi, filt):
+                        mask |= 1 << i
             self._truth[phi] = mask
         return mask
 

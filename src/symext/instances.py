@@ -29,11 +29,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Condition, Instance, Poset, StagedInstance
+from .core import Condition, Instance, Poset
 from .errors import InvalidInstance
 from .names import (Name, check_name, make_name, name_cells, ordinal,
                     pair_name, set_name)
-from .symmetry import act_name, fix_generators, is_hs
+from .symmetry import fix_generators, is_hs
 
 
 def downset_embedding(poset: Poset) -> dict:
@@ -96,7 +96,8 @@ def least_value_name(inst, site, fiber) -> Name:
 
 @dataclass(frozen=True, eq=False)
 class NameFamily:
-    """The canonical names of a flat instance, keyed for reports."""
+    """The canonical names of an instance, keyed for reports.  A staged
+    family has no region or least names."""
 
     inst: Instance
     rows: dict      # (site, fiber) -> Name
@@ -116,42 +117,40 @@ class NameFamily:
         for pair, nm in sorted(self.least.items()):
             yield f"least:{pair[0]}:{pair[1]}", nm
 
-    def label(self, name: Name) -> Optional[str]:
-        for lbl, nm in self.members():
-            if nm is name:
-                return lbl
-        return None
-
 
 _FAMILIES: dict = {}
 
 
 def canonical_family(inst: Instance) -> NameFamily:
+    """Row, site and graph names; on a flat instance also the region name
+    of every site subset and the least name of every row.  Row names of
+    a staged instance use stage-local cells only, so each lives in its
+    stage's condition poset."""
     fam = _FAMILIES.get(inst)
     if fam is not None:
         return fam
-    if len(inst.sites) > 10:
+    flat = inst.kind == "flat"
+    if flat and len(inst.sites) > 10:
         raise InvalidInstance("canonical family builds all region names; "
                               "instances are capped at 10 sites")
     rows = {(z, a): row_name(inst, z, a) for z in inst.sites
             for a in range(inst.fiber_count(z))}
     sites = {z: site_name(inst, z) for z in inst.sites}
-    regions = {}
-    for k in range(len(inst.sites) + 1):
-        for combo in itertools.combinations(inst.sites, k):
-            regions[frozenset(combo)] = region_name(inst, combo)
-    least = {(z, a): least_value_name(inst, z, a) for z in inst.sites
-             for a in range(inst.fiber_count(z))}
+    regions, least = {}, {}
+    if flat:
+        for k in range(len(inst.sites) + 1):
+            for combo in itertools.combinations(inst.sites, k):
+                regions[frozenset(combo)] = region_name(inst, combo)
+        least = {(z, a): least_value_name(inst, z, a) for z in inst.sites
+                 for a in range(inst.fiber_count(z))}
     fam = NameFamily(inst, rows, sites, regions, graph_name(inst), least)
     _FAMILIES[inst] = fam
     return fam
 
 
-def build_instance(poset: Poset, fibers: int, slots: int, support_cutoff: int,
-                   domain_cutoff: Optional[int] = None):
-    """Validate the bounds, build the instance and its canonical family,
-    and verify every family member is hereditarily symmetric."""
-    inst = Instance(poset, fibers, slots, support_cutoff, domain_cutoff)
+def _verified_family(inst: Instance):
+    """The canonical family, after checking every member is hereditarily
+    symmetric."""
     family = canonical_family(inst)
     for label, nm in family.members():
         if not is_hs(inst, nm):
@@ -159,52 +158,17 @@ def build_instance(poset: Poset, fibers: int, slots: int, support_cutoff: int,
     return inst, family
 
 
-@dataclass(frozen=True, eq=False)
-class StagedNameFamily:
-    staged: StagedInstance
-    rows: dict    # (stage, fiber) -> Name
-    sites: dict   # stage -> Name
-    graph: Name
-
-    def members(self):
-        for pair, nm in sorted(self.rows.items()):
-            yield f"row:{pair[0]}:{pair[1]}", nm
-        for stage, nm in sorted(self.sites.items()):
-            yield f"site:{stage}", nm
-        yield "graph", self.graph
-
-    def label(self, name: Name) -> Optional[str]:
-        for lbl, nm in self.members():
-            if nm is name:
-                return lbl
-        return None
-
-
-_STAGED_FAMILIES: dict = {}
-
-
-def canonical_staged_family(staged: StagedInstance) -> StagedNameFamily:
-    fam = _STAGED_FAMILIES.get(staged)
-    if fam is not None:
-        return fam
-    rows = {(i, a): row_name(staged, i, a) for i in staged.sites
-            for a in range(staged.fiber_count(i))}
-    sites = {i: site_name(staged, i) for i in staged.sites}
-    fam = StagedNameFamily(staged, rows, sites, graph_name(staged))
-    _STAGED_FAMILIES[staged] = fam
-    return fam
+def build_instance(poset: Poset, fibers: int, slots: int, support_cutoff: int,
+                   domain_cutoff: Optional[int] = None):
+    """Validate the bounds, build the flat instance and its canonical
+    family, and verify every family member is hereditarily symmetric."""
+    return _verified_family(
+        Instance.flat(poset, fibers, slots, support_cutoff, domain_cutoff))
 
 
 def build_staged_instance(stage_sizes, support_cutoff: int):
-    """Validate and build the staged instance with its per-stage family;
-    row names of stage i use stage-i cells only, hence live in the
-    stage-i condition poset."""
-    staged = StagedInstance(tuple(stage_sizes), support_cutoff)
-    family = canonical_staged_family(staged)
-    for label, nm in family.members():
-        if not is_hs(staged, nm):
-            raise InvalidInstance(f"canonical name {label} is not hereditarily symmetric")
-    return staged, family
+    """The same for a staged instance and its per-stage family."""
+    return _verified_family(Instance.staged(stage_sizes, support_cutoff))
 
 
 def stage_restrict(cond: Condition, stage: int) -> Condition:
@@ -228,44 +192,17 @@ def in_stage(x: Name, stage: int) -> bool:
     return top is None or top <= stage
 
 
-def stage_group_generators(staged: StagedInstance, stage: int) -> list:
+def stage_group_generators(staged: Instance, stage: int) -> list:
     """Generators of the subgroup moving only pairs at stages up to the
     given one; monotone in the stage."""
     return fix_generators(staged, (), max_site=stage)
 
 
-_HS_STAGE_MEMO: dict = {}
-
-
-def in_hs_stage(staged: StagedInstance, x: Name, stage: int) -> bool:
-    """Membership in the stage's hereditarily symmetric class: conditions
-    stay at stages up to it, a support of stage-bounded pairs within the
-    cutoff exists, and subnames satisfy the same recursively."""
-    key = (staged, x, stage)
-    if key in _HS_STAGE_MEMO:
-        return _HS_STAGE_MEMO[key]
-    ok = in_stage(x, stage)
-    if ok:
-        pairs = [p for p in staged.pairs if p[0] <= stage]
-        found = False
-        for size in range(staged.support_cutoff + 1):
-            for combo in itertools.combinations(pairs, size):
-                if all(act_name(g, x) is x
-                       for g in fix_generators(staged, combo, max_site=stage)):
-                    found = True
-                    break
-            if found:
-                break
-        ok = found and all(in_hs_stage(staged, sub, stage) for _, sub in x.entries)
-    _HS_STAGE_MEMO[key] = ok
-    return ok
-
-
-def chain_family(staged: StagedInstance) -> list:
+def chain_family(staged: Instance) -> list:
     """The suffix chain: for each starting stage, the set-name bundling
     every row name at that stage or above.  Entry sets shrink strictly
     along the chain, and interpretations shrink under every filter."""
-    family = canonical_staged_family(staged)
+    family = canonical_family(staged)
     out = []
     for start in staged.sites:
         members = [family.rows[(i, a)] for i in staged.sites if i >= start

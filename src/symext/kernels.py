@@ -54,20 +54,30 @@ def _cond_obj(cond: Condition) -> list:
     return [list(cell) + [bit] for cell, bit in cond.items]
 
 
-def swap_partner(inst, q: Condition, support, site, fiber) -> int:
+def partner(inst, support, site, fiber, occupied) -> Optional[int]:
     """The least fiber b != fiber at the site with (site, b) outside the
-    support and no cell of row (site, b) in q's domain."""
+    support and b not in occupied; None when there is none.  Both swap
+    kernels choose their fibers by this rule, and the CLI enumerates
+    exactly the inputs on which it finds them."""
+    for b in range(inst.fiber_count(site)):
+        if b != fiber and (site, b) not in support and b not in occupied:
+            return b
+    return None
+
+
+def swap_partner(inst, q: Condition, support, site, fiber) -> int:
+    """The partner of (site, fiber) for the swap kernel: no cell of its
+    row may be in q's domain."""
     _same_instance(inst, q.inst)
     support = check_support(inst, support)
     if (site, fiber) in support:
         raise ValueError(f"target pair {(site, fiber)!r} must avoid the support")
-    occupied = q.touched_fibers(site)
-    for b in range(inst.fiber_count(site)):
-        if b != fiber and (site, b) not in support and b not in occupied:
-            return b
-    raise FiberExhausted(
-        f"no spare fiber at site {site!r}: every other fiber is in the "
-        "support or touched by the condition")
+    b = partner(inst, support, site, fiber, q.touched_fibers(site))
+    if b is None:
+        raise FiberExhausted(
+            f"no spare fiber at site {site!r}: every other fiber is in the "
+            "support or touched by the condition")
+    return b
 
 
 def swap_kernel(inst, q: Condition, support, site, fiber, names=None) -> KernelReport:
@@ -80,8 +90,8 @@ def swap_kernel(inst, q: Condition, support, site, fiber, names=None) -> KernelR
     names of the support pairs plus every site name.
     """
     support = check_support(inst, support)
-    partner = swap_partner(inst, q, support, site, fiber)
-    pi = FiberPermutation.transposition(inst, site, fiber, partner)
+    mate = swap_partner(inst, q, support, site, fiber)
+    pi = FiberPermutation.transposition(inst, site, fiber, mate)
     if names is None:
         family = canonical_family(inst)
         names = [(f"row:{z}:{a}", family.rows[(z, a)]) for (z, a) in sorted(support)]
@@ -106,7 +116,7 @@ def swap_kernel(inst, q: Condition, support, site, fiber, names=None) -> KernelR
         kernel="swap",
         inputs={"condition": _cond_obj(q), "support": sorted(map(list, support)),
                 "site": site, "fiber": fiber},
-        chosen={"partner": partner},
+        chosen={"partner": mate},
         checks=checks,
         witness=witness,
         verdict=all(checks.values()),
@@ -131,21 +141,13 @@ def wisc_kernel(staged, base_stage: int, y: Name, swap_stage: int,
     if not in_stage(y, base_stage):
         raise StageViolation(
             f"name uses cells above stage {base_stage}")
-    if swap_stage <= base_stage or swap_stage not in staged.cell_sites:
+    if swap_stage <= base_stage or swap_stage not in staged.site_index:
         raise ValueError("swap stage must lie strictly above the base stage")
-    first = None
-    for d in range(staged.fiber_count(swap_stage)):
-        if (swap_stage, d) not in support:
-            first = d
-            break
+    first = partner(staged, support, swap_stage, None, ())
     if first is None:
         raise FiberExhausted(f"every fiber of stage {swap_stage} is in the support")
-    occupied = q.touched_fibers(swap_stage)
-    second = None
-    for t in range(staged.fiber_count(swap_stage)):
-        if t != first and (swap_stage, t) not in support and t not in occupied:
-            second = t
-            break
+    second = partner(staged, support, swap_stage, first,
+                     q.touched_fibers(swap_stage))
     if second is None:
         raise FiberExhausted(
             f"no spare fiber at stage {swap_stage}: every other fiber is in "
@@ -237,12 +239,7 @@ def min_onto_check(inst, site, max_dom: Optional[int] = None) -> MinOntoReport:
     failures = []
     defects = []
     for p in iter_conditions(inst, limit):
-        occupied = p.touched_fibers(site)
-        fresh = None
-        for a in range(inst.fiber_count(site)):
-            if a not in occupied:
-                fresh = a
-                break
+        fresh = partner(inst, (), site, None, p.touched_fibers(site))
         for gamma in range(v):
             checked += 1
             if fresh is None:

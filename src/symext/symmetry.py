@@ -22,7 +22,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import Condition, StagedInstance, _same_instance
+from .core import Condition, _same_instance
 from .errors import InvalidInstance
 from .names import Name, make_name, name_cells, set_name
 
@@ -50,13 +50,14 @@ class FiberPermutation:
                 raise InvalidInstance(f"pair {src!r} mapped twice")
         if set(moved.values()) != set(moved):
             raise InvalidInstance("moved pairs must permute among themselves")
-        if isinstance(inst, StagedInstance):
-            for stage in inst.sites:
-                count = sum(1 for (s, _) in moved if s == stage)
-                if count >= inst.stage_sizes[stage]:
-                    raise InvalidInstance(
-                        f"permutation moves {count} fibers at stage {stage}, "
-                        f"bound is {inst.stage_sizes[stage] - 1}")
+        counts = {}
+        for site, _ in moved:
+            counts[site] = counts.get(site, 0) + 1
+        for site, count in counts.items():
+            if count > inst.moved_bound(site):
+                raise InvalidInstance(
+                    f"permutation moves {count} fibers at site {site!r}, "
+                    f"bound is {inst.moved_bound(site)}")
         self.inst = inst
         self.moved = tuple(sorted(moved.items()))
         self._map = moved
@@ -199,17 +200,19 @@ def fix_generators(inst, support, max_site=None) -> list:
     return gens
 
 
-def is_symmetric_under(inst, x: Name, support) -> bool:
-    """True iff every stabilizer generator of the support fixes x literally."""
+def is_symmetric_under(inst, x: Name, support, max_site=None) -> bool:
+    """True iff every stabilizer generator of the support (at sites up to
+    max_site, when given) fixes x literally."""
     if x.inst is not None:
         _same_instance(inst, x.inst)
-    return all(act_name(g, x) is x for g in fix_generators(inst, support))
+    return all(act_name(g, x) is x
+               for g in fix_generators(inst, support, max_site))
 
 
 _SUPPORT_MEMO: dict = {}
 
 
-def infer_min_support(inst, x: Name) -> Optional[frozenset]:
+def infer_min_support(inst, x: Name, max_site=None) -> Optional[frozenset]:
     """The least support of x, or None if nothing within the cutoff works.
 
     Ties are broken by size, then by preferring witnesses drawn from the
@@ -217,22 +220,24 @@ def infer_min_support(inst, x: Name) -> Optional[frozenset]:
     fiber counts a support can protect a row by blocking every other
     fiber of its site; the canonical witness is still the row's own
     pair, and this ordering selects it.)
+
+    max_site bounds the search to one stage of a staged instance: the
+    support and the stabilizer generators use sites up to it only, and a
+    name with a cell above it has no support.
     """
-    key = (inst, x)
+    key = (inst, x, max_site)
     if key in _SUPPORT_MEMO:
         return _SUPPORT_MEMO[key]
     own = {(cell[0], cell[1]) for cell in name_cells(x)}
-    result = None
-    pairs = inst.pairs
-    for size in range(inst.support_cutoff + 1):
-        combos = sorted(itertools.combinations(pairs, size),
-                        key=lambda c: (sum(1 for p in c if p not in own), c))
-        for combo in combos:
-            if is_symmetric_under(inst, x, combo):
-                result = frozenset(combo)
-                break
-        if result is not None:
-            break
+    candidates = ()
+    if max_site is None or all(site <= max_site for site, _ in own):
+        pairs = [p for p in inst.pairs if max_site is None or p[0] <= max_site]
+        candidates = (
+            combo for size in range(inst.support_cutoff + 1)
+            for combo in sorted(itertools.combinations(pairs, size),
+                                key=lambda c: (sum(1 for p in c if p not in own), c)))
+    result = next((frozenset(combo) for combo in candidates
+                   if is_symmetric_under(inst, x, combo, max_site)), None)
     _SUPPORT_MEMO[key] = result
     return result
 
@@ -240,14 +245,16 @@ def infer_min_support(inst, x: Name) -> Optional[frozenset]:
 _HS_MEMO: dict = {}
 
 
-def is_hs(inst, x: Name) -> bool:
+def is_hs(inst, x: Name, max_site=None) -> bool:
     """Hereditarily symmetric: x has a support within the cutoff, and so
-    does every hereditary subname."""
-    key = (inst, x)
+    does every hereditary subname.  With max_site given this is
+    membership in that stage's hereditarily symmetric class (see
+    infer_min_support)."""
+    key = (inst, x, max_site)
     if key in _HS_MEMO:
         return _HS_MEMO[key]
-    ok = infer_min_support(inst, x) is not None and all(
-        is_hs(inst, sub) for _, sub in x.entries)
+    ok = infer_min_support(inst, x, max_site) is not None and all(
+        is_hs(inst, sub, max_site) for _, sub in x.entries)
     _HS_MEMO[key] = ok
     return ok
 

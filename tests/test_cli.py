@@ -5,10 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from symext import InvalidInstance, ParseError, in_stage, iter_conditions
+from symext import (FiberExhausted, InvalidInstance, ParseError, in_stage,
+                    iter_conditions, swap_kernel, wisc_kernel)
+from symext import cli
 from symext.cli import (InstanceSpec, default_formula_pool, main,
-                        parse_instance_spec, run_checks, _context,
-                        _staged_name_pool)
+                        parse_instance_spec, run_checks, _context, _gen_swap,
+                        _gen_wisc, _staged_name_pool)
 
 REFERENCE = ('{"poset": {"elements": ["a", "b"], "leq": []}, '
              '"n": 2, "v": 2, "c": 1, "d": 8}')
@@ -200,6 +202,34 @@ class TestDeterminism:
             line.pop("elapsed")
         assert seq == par
 
+    def test_workers_bounded_by_chunks_and_cpus(self, monkeypatch):
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        _, seq = run(REFERENCE, "hs")           # 15 units
+        for jobs in (1000, 3):
+            _, par = run(REFERENCE, "hs", jobs=jobs)
+            for line in seq + par:
+                line.pop("elapsed", None)
+            assert seq == par
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        run(REFERENCE, "hs", jobs=1000)
+        assert started == [4, 3, 15]
+
     def test_lines_are_json_objects_with_fixed_fields(self):
         _, lines = run(REFERENCE, "normality")
         for line in lines:
@@ -236,6 +266,28 @@ class TestMain:
         assert captured.err.startswith("symext: ")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("suite", ["forcing-oracle", "symmetry-lemma"])
+    def test_oversized_forcing_spec_rejected_before_output(self, suite, tmp_path,
+                                                           capsys):
+        # 14 cells: within the semantic limit, past the recursive one
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "poset": {"elements": ["a", "b"], "leq": []}, "n": 7, "v": 1,
+            "c": 1, "suites": ["embedding", suite]}))
+        assert main(["--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "3^cells" in captured.err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, jobs, tmp_path, capsys):
+        path = tmp_path / "ref.json"
+        path.write_text(REFERENCE)
+        assert main(["--spec", str(path), "--suite", "hs", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--jobs" in captured.err
+
     def test_flag_overrides(self, tmp_path, capsys):
         path = tmp_path / "ref.json"
         path.write_text(REFERENCE)
@@ -263,3 +315,54 @@ class TestStagedNamePool:
             pool = _staged_name_pool(ctx, base)
             assert _staged_name_pool(ctx, base) is pool
             assert pool and all(in_stage(nm, base) for _, nm in pool)
+
+
+class TestPartnerRule:
+    """The units a generator emits are exactly the inputs on which its
+    kernel finds its fibers, so enumeration and kernel cannot drift."""
+
+    def test_swap_units_are_the_kernel_inputs(self):
+        spec = parse_instance_spec((SPECS / "reference.json").read_text())
+        ctx = _context(spec.text, json.dumps({"max_dom": 1}))
+        inst = ctx["inst"]
+        found, inputs = set(), 0
+        for qi, q in enumerate(ctx["conditions"]):
+            for si, support in enumerate(ctx["supports"]):
+                for z, a in inst.pairs:
+                    if (z, a) in support:
+                        continue
+                    inputs += 1
+                    try:
+                        swap_kernel(inst, q, support, z, a)
+                    except FiberExhausted:
+                        continue
+                    found.add((qi, si, z, a))
+        assert 0 < len(found) < inputs
+        assert set(_gen_swap(ctx)) == found
+
+    # At max_dom 1 stage headroom leaves every wisc input admissible; at
+    # max_dom 2 a condition can fill the swap stage, so the first pool
+    # name is also run there.
+    @pytest.mark.parametrize("max_dom, names", [(1, None), (2, 1)])
+    def test_wisc_units_are_the_kernel_inputs(self, max_dom, names):
+        spec = parse_instance_spec((SPECS / "staged.json").read_text())
+        ctx = _context(spec.text, json.dumps({"max_dom": max_dom}))
+        inst = ctx["inst"]
+        found, inputs, pools = set(), 0, {}
+        for base in inst.sites:
+            pools[base] = _staged_name_pool(ctx, base)[:names]
+            for swap in inst.sites:
+                if swap <= base:
+                    continue
+                for yi, (_, y) in enumerate(pools[base]):
+                    for qi, q in enumerate(ctx["conditions"]):
+                        for si, support in enumerate(ctx["supports"]):
+                            inputs += 1
+                            try:
+                                wisc_kernel(inst, base, y, swap, q, support)
+                            except FiberExhausted:
+                                continue
+                            found.add((base, swap, yi, qi, si))
+        assert found and (max_dom == 1 or len(found) < inputs)
+        emitted = {u for u in _gen_wisc(ctx) if u[2] < len(pools[u[0]])}
+        assert emitted == found

@@ -6,7 +6,7 @@ import pytest
 from symext import (Condition, GenericFilter, InvalidInstance, Poset,
                     build_instance, build_staged_instance, canonical_family,
                     chain_family, check_name, downset_embedding, generic_filters,
-                    in_hs_stage, in_stage, interpret, is_hs, iter_conditions,
+                    in_stage, interpret, is_hs, iter_conditions,
                     least_value_name, make_name, name_cells, name_stage, ordinal,
                     random_poset, stage_group_generators, stage_restrict)
 
@@ -160,11 +160,11 @@ class TestStaged:
         pool = [family.rows[(0, 0)], family.sites[0],
                 check_name(staged, ordinal(2))]
         for nm in pool:
-            assert in_hs_stage(staged, nm, 0)
-            assert in_hs_stage(staged, nm, 1)
+            assert is_hs(staged, nm, max_site=0)
+            assert is_hs(staged, nm, max_site=1)
         # stage-1 names are not in the stage-0 class
-        assert not in_hs_stage(staged, family.rows[(1, 0)], 0)
-        assert in_hs_stage(staged, family.rows[(1, 0)], 1)
+        assert not is_hs(staged, family.rows[(1, 0)], max_site=0)
+        assert is_hs(staged, family.rows[(1, 0)], max_site=1)
 
     def test_interpretation_agrees_on_shared_cells(self, staged_pair):
         # two filters agreeing on stage-0 cells interpret stage-0 names alike

@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from symext import (Condition, FiberExhausted, StageViolation, check_name,
-                    forces, iter_conditions, min_onto_check, ordinal,
-                    swap_kernel, swap_partner, wisc_kernel)
+from symext import (Condition, FiberExhausted, InvalidInstance, StageViolation,
+                    check_name, forces, iter_conditions, min_onto_check,
+                    ordinal, swap_kernel, swap_partner, wisc_kernel)
 from symext.forcing import Eq
 from symext.instances import least_value_name
 
@@ -30,6 +30,11 @@ class TestSwapPartner:
         inst, _ = swap_scale
         with pytest.raises(ValueError):
             swap_partner(inst, Condition.top(inst), {("a", 0)}, "a", 0)
+
+    def test_unknown_site_rejected(self, swap_scale, staged_pair):
+        for inst, site in ((swap_scale[0], "z"), (staged_pair[0], 5)):
+            with pytest.raises(InvalidInstance):
+                swap_partner(inst, Condition.top(inst), (), site, 0)
 
 
 class TestSwapKernel:
