@@ -19,6 +19,11 @@ Each check unit emits one JSON object per line with the fields suite,
 instance (a content hash), params, verdict, witness (failures only) and
 elapsed; the exit status is 0 exactly when every verdict passes.  Reruns
 of the same spec are byte-identical apart from the elapsed fields.
+
+Lines are written as each unit finishes (with --jobs, as each chunk of
+units comes back), so memory does not grow with the unit count.  An
+engine error in the middle of a suite therefore leaves that suite's
+earlier lines on stdout; the exit status is still 2.
 """
 
 from __future__ import annotations
@@ -165,7 +170,7 @@ def _resolve_name(ctx, node):
             return set_name(inst, [_resolve_name(ctx, t) for t in node[1:]])
         raise ParseError(f"unknown name constructor {head!r}")
     parts = str(node).split(":")
-    site_of = (int if ctx["kind"] == "staged" else str)
+    site_of = ctx["site_of"].__getitem__
     try:
         if parts[0] == "ord" and len(parts) == 2:
             return check_name(inst, ordinal(int(parts[1])))
@@ -174,7 +179,7 @@ def _resolve_name(ctx, node):
         if parts[0] == "site" and len(parts) == 2:
             return family.sites[site_of(parts[1])]
         if parts[0] == "region" and len(parts) == 2 and ctx["kind"] == "flat":
-            sites = frozenset(s for s in parts[1].split("+") if s)
+            sites = frozenset(site_of(s) for s in parts[1].split("+") if s)
             return family.regions[sites]
         if parts[0] == "least" and len(parts) == 3 and ctx["kind"] == "flat":
             return family.least[(site_of(parts[1]), int(parts[2]))]
@@ -182,6 +187,8 @@ def _resolve_name(ctx, node):
             return family.graph
     except KeyError:
         raise ParseError(f"name term {node!r} is outside the instance") from None
+    except ValueError as exc:
+        raise ParseError(f"name term {node!r}: {exc}") from None
     raise ParseError(f"unknown name term {node!r}")
 
 
@@ -258,6 +265,8 @@ def _context(spec_text: str, overrides_text: str) -> dict:
         "inst": inst,
         "family": family,
         "names": dict(family.members()),
+        # a site's text in labels and name terms -> the site itself
+        "site_of": {str(z): z for z in inst.sites},
         "max_dom": opt("max_dom", 2),
         "max_support": opt("max_support", inst.support_cutoff),
         "seed": opt("seed", 0),
@@ -400,8 +409,7 @@ def _run_hs(ctx, label):
     kind = label.split(":")[0]
     if kind in ("row", "least"):
         parts = label.split(":")
-        site = int(parts[1]) if ctx["kind"] == "staged" else parts[1]
-        expected = frozenset({(site, int(parts[2]))})
+        expected = frozenset({(ctx["site_of"][parts[1]], int(parts[2]))})
         ok = found == expected and hereditarily
     elif kind == "site":
         ok = found == frozenset() and hereditarily
@@ -533,12 +541,11 @@ SUITES = {
 }
 
 
-def _run_slice(spec_text, overrides_text, suite, lo, hi):
-    ctx = _context(spec_text, overrides_text)
-    gen, run = SUITES[suite]
-    units = gen(ctx)
-    lines = []
-    for unit in units[lo:hi]:
+def _run_slice(ctx, suite, units):
+    """Run the units in order and yield each one's report line as soon
+    as it has run."""
+    run = SUITES[suite][1]
+    for unit in units:
         start = time.monotonic()
         params, ok, witness = run(ctx, unit)
         elapsed = time.monotonic() - start
@@ -547,8 +554,14 @@ def _run_slice(spec_text, overrides_text, suite, lo, hi):
         if witness is not None:
             line["witness"] = witness
         line["elapsed"] = round(elapsed, 6)
-        lines.append(line)
-    return lines
+        yield line
+
+
+def _run_chunk(args):
+    """A --jobs worker: units lo..hi of one suite, as one list of lines."""
+    spec_text, overrides_text, suite, lo, hi = args
+    ctx = _context(spec_text, overrides_text)
+    return list(_run_slice(ctx, suite, SUITES[suite][0](ctx)[lo:hi]))
 
 
 def run_checks(spec: InstanceSpec, suite: str = "all", jobs: int = 1,
@@ -595,22 +608,21 @@ def run_checks(spec: InstanceSpec, suite: str = "all", jobs: int = 1,
                       for lo in range(0, total, step)]
             workers = min(jobs, len(chunks), os.cpu_count() or 1)
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = pool.map(_run_slice_star, chunks)
-                for lines in results:
-                    for line in lines:
-                        if line["verdict"] != "pass":
-                            failed = True
-                        print(json.dumps(line), file=out)
+                lines = itertools.chain.from_iterable(pool.map(_run_chunk, chunks))
+                failed = _write_lines(lines, out) or failed
         else:
-            for line in _run_slice(spec.text, overrides_text, name, 0, total):
-                if line["verdict"] != "pass":
-                    failed = True
-                print(json.dumps(line), file=out)
+            failed = _write_lines(_run_slice(ctx, name, units), out) or failed
     return 1 if failed else 0
 
 
-def _run_slice_star(args):
-    return _run_slice(*args)
+def _write_lines(lines, out) -> bool:
+    """Print each line as it arrives; True when any verdict is not pass."""
+    failed = False
+    for line in lines:
+        if line["verdict"] != "pass":
+            failed = True
+        print(json.dumps(line), file=out)
+    return failed
 
 
 def main(argv=None) -> int:

@@ -25,12 +25,10 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .errors import InvalidInstance, MismatchedInstance
 
-Site = Union[str, int]
-Pair = tuple  # (site, fiber)
 Cell = tuple  # (site, fiber, slot)
 
 
@@ -333,6 +331,19 @@ class Condition:
         self._hash = hash((inst, items))
 
     @classmethod
+    def _trusted(cls, inst, assignment: dict) -> "Condition":
+        """Build from a cell -> bit dict the caller has already checked:
+        every cell in the instance, every bit 0 or 1, the domain within
+        the limits.  The dict becomes the condition's own map."""
+        self = cls.__new__(cls)
+        items = tuple(sorted(assignment.items()))
+        self.inst = inst
+        self.items = items
+        self._map = assignment
+        self._hash = hash((inst, items))
+        return self
+
+    @classmethod
     def top(cls, inst):
         return cls(inst)
 
@@ -410,9 +421,10 @@ def compatible(p: Condition, q: Condition) -> Compat:
             return Compat(False, conflict=cell)
     merged = dict(large._map)
     merged.update(small._map)
-    if p.inst.condition_violation(tuple(merged.items())) is not None:
+    if p.inst.condition_violation(merged.items()) is not None:
         return Compat(True, witness=None, cutoff_exceeded=True)
-    return Compat(True, witness=Condition(p.inst, merged))
+    # both sides are valid conditions and the union meets the limits
+    return Compat(True, witness=Condition._trusted(p.inst, merged))
 
 
 class GenericFilter:

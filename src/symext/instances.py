@@ -155,7 +155,9 @@ def _verified_family(inst: Instance):
     for label, nm in family.members():
         if not is_hs(inst, nm):
             raise InvalidInstance(f"canonical name {label} is not hereditarily symmetric")
-    return inst, family
+    # the family's own instance: rebuilding an equal instance then hands
+    # out the same object, so instance checks stay identity checks
+    return family.inst, family
 
 
 def build_instance(poset: Poset, fibers: int, slots: int, support_cutoff: int,

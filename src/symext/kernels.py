@@ -10,7 +10,8 @@ tie-breaking, so identical inputs give identical reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 from .core import Condition, compatible, iter_conditions, _same_instance
 from .errors import FiberExhausted, StageViolation
@@ -25,15 +26,29 @@ SCOPE = ("verifies the finite combinatorial step only (stabilizer membership, "
          "infinite cardinalities is asserted")
 
 
-@dataclass(frozen=True, eq=False)
 class KernelReport:
-    kernel: str
-    inputs: dict
-    chosen: dict
-    checks: dict
-    witness: dict
-    verdict: bool
-    scope: str = SCOPE
+    """A kernel's verdict, its sub-checks and its chosen fibers, computed
+    on every run; inputs and witness are built from the two given
+    callables only when first read (a passing unit never reads them)."""
+
+    scope = SCOPE
+
+    def __init__(self, kernel: str, chosen: dict, checks: dict, verdict: bool,
+                 inputs: Callable[[], dict], witness: Callable[[], dict]):
+        self.kernel = kernel
+        self.chosen = chosen
+        self.checks = checks
+        self.verdict = verdict
+        self._inputs = inputs
+        self._witness = witness
+
+    @cached_property
+    def inputs(self) -> dict:
+        return self._inputs()
+
+    @cached_property
+    def witness(self) -> dict:
+        return self._witness()
 
     def __bool__(self):
         return self.verdict
@@ -52,6 +67,20 @@ class KernelReport:
 
 def _cond_obj(cond: Condition) -> list:
     return [list(cell) + [bit] for cell, bit in cond.items]
+
+
+def _cycles_obj(pi: FiberPermutation) -> list:
+    return [[list(p) for p in c] for c in pi.cycles()]
+
+
+def _merge_obj(moved_q: Condition, comp) -> dict:
+    """The witness fields both swap kernels share: the relabelled
+    condition and the outcome of merging it with the original."""
+    return {
+        "relabeled_condition": _cond_obj(moved_q),
+        "merged": _cond_obj(comp.witness) if comp.witness is not None else None,
+        "cutoff_exceeded": comp.cutoff_exceeded,
+    }
 
 
 def partner(inst, support, site, fiber, occupied) -> Optional[int]:
@@ -105,21 +134,16 @@ def swap_kernel(inst, q: Condition, support, site, fiber, names=None) -> KernelR
         "names_fixed": all(fixed.values()),
         "conditions_compatible": comp.ok,
     }
-    witness = {
-        "cycles": [[list(p) for p in c] for c in pi.cycles()],
-        "names_fixed": fixed,
-        "relabeled_condition": _cond_obj(moved_q),
-        "merged": _cond_obj(comp.witness) if comp.witness is not None else None,
-        "cutoff_exceeded": comp.cutoff_exceeded,
-    }
     return KernelReport(
         kernel="swap",
-        inputs={"condition": _cond_obj(q), "support": sorted(map(list, support)),
-                "site": site, "fiber": fiber},
         chosen={"partner": mate},
         checks=checks,
-        witness=witness,
         verdict=all(checks.values()),
+        inputs=lambda: {"condition": _cond_obj(q),
+                        "support": sorted(map(list, support)),
+                        "site": site, "fiber": fiber},
+        witness=lambda: {"cycles": _cycles_obj(pi), "names_fixed": fixed,
+                         **_merge_obj(moved_q, comp)},
     )
 
 
@@ -167,22 +191,15 @@ def wisc_kernel(staged, base_stage: int, y: Name, swap_stage: int,
         "permutation_in_stabilizer": in_fix(pi, support),
         "conditions_compatible": comp.ok,
     }
-    verdict = name_fixed and checks["permutation_in_stabilizer"] and comp.ok
-    witness = {
-        "cycles": [[list(p) for p in c] for c in pi.cycles()],
-        "relabeled_condition": _cond_obj(moved_q),
-        "merged": _cond_obj(comp.witness) if comp.witness is not None else None,
-        "cutoff_exceeded": comp.cutoff_exceeded,
-    }
     return KernelReport(
         kernel="wisc",
-        inputs={"base_stage": base_stage, "swap_stage": swap_stage,
-                "name_rank": y.rank, "condition": _cond_obj(q),
-                "support": sorted(map(list, support))},
         chosen={"first_fiber": first, "second_fiber": second},
         checks=checks,
-        witness=witness,
-        verdict=verdict,
+        verdict=name_fixed and checks["permutation_in_stabilizer"] and comp.ok,
+        inputs=lambda: {"base_stage": base_stage, "swap_stage": swap_stage,
+                        "name_rank": y.rank, "condition": _cond_obj(q),
+                        "support": sorted(map(list, support))},
+        witness=lambda: {"cycles": _cycles_obj(pi), **_merge_obj(moved_q, comp)},
     )
 
 

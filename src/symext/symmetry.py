@@ -27,6 +27,9 @@ from .errors import InvalidInstance
 from .names import Name, make_name, name_cells, set_name
 
 
+_TRANSPOSITIONS: dict = {}
+
+
 class FiberPermutation:
     """A finitely-supported, site-preserving permutation of (site, fiber)
     pairs, stored as its moved-pair mapping."""
@@ -69,7 +72,14 @@ class FiberPermutation:
 
     @classmethod
     def transposition(cls, inst, site, a, b):
-        return cls(inst, {(site, a): (site, b), (site, b): (site, a)})
+        """The swap of fibers a and b at the site, built and validated
+        once per (inst, site, a, b) and shared with (inst, site, b, a);
+        an invalid one raises every time."""
+        pi = _TRANSPOSITIONS.get((inst, site, a, b))
+        if pi is None:
+            pi = cls(inst, {(site, a): (site, b), (site, b): (site, a)})
+            _TRANSPOSITIONS[(inst, site, a, b)] = _TRANSPOSITIONS[(inst, site, b, a)] = pi
+        return pi
 
     @classmethod
     def from_cycles(cls, inst, cycles):
@@ -82,11 +92,6 @@ class FiberPermutation:
 
     def __call__(self, pair):
         return self._map.get(tuple(pair), tuple(pair))
-
-    def apply_cell(self, cell):
-        site, fiber, slot = cell
-        nsite, nfiber = self((site, fiber))
-        return (nsite, nfiber, slot)
 
     def compose(self, other: "FiberPermutation") -> "FiberPermutation":
         """self after other: (self * other)(x) = self(other(x))."""
@@ -137,9 +142,18 @@ class FiberPermutation:
 
 
 def act_condition(pi: FiberPermutation, p: Condition) -> Condition:
-    """Relabel each cell's (site, fiber) by pi, keeping slot and bit."""
+    """Relabel each cell's (site, fiber) by pi, keeping slot and bit.
+
+    pi maps pairs to pairs of the same site, bijectively, so every image
+    cell is in the instance and every per-site count is unchanged: the
+    image needs no re-validation."""
     _same_instance(pi.inst, p.inst)
-    return Condition(p.inst, {pi.apply_cell(cell): bit for cell, bit in p.items})
+    get = pi._map.get
+    image = {}
+    for (site, fiber, slot), bit in p.items:
+        dst = get((site, fiber))
+        image[(site, fiber if dst is None else dst[1], slot)] = bit
+    return Condition._trusted(p.inst, image)
 
 
 _ACT_MEMO: dict = {}
@@ -181,7 +195,8 @@ def act_support(pi: FiberPermutation, support) -> frozenset:
 
 def in_fix(pi: FiberPermutation, support) -> bool:
     """True iff pi fixes every pair of the support pointwise."""
-    support = {tuple(p) for p in support}
+    if not isinstance(support, frozenset):  # check_support's output is one
+        support = {tuple(p) for p in support}
     return all(src not in support for src, _ in pi.moved)
 
 

@@ -4,9 +4,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symext import (FiberExhausted, InvalidInstance, ParseError, in_stage,
-                    iter_conditions, swap_kernel, wisc_kernel)
+from symext import (EngineError, FiberExhausted, InvalidInstance, ParseError,
+                    in_stage, iter_conditions, swap_kernel, wisc_kernel)
 from symext import cli
 from symext.cli import (InstanceSpec, default_formula_pool, main,
                         parse_instance_spec, run_checks, _context, _gen_swap,
@@ -104,6 +106,69 @@ class TestParse:
                                 '"n": "two", "v": 1, "c": 1}')
 
 
+# JSON values of every shape, small: integers stay in a range where no
+# spec builds more than a few dozen cells
+_INTS = st.integers(-1, 3)
+_SCALARS = st.one_of(st.none(), st.booleans(), _INTS, st.just(1.5),
+                     st.text("ab01:", max_size=3))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["elements", "leq", "x"]), inner, max_size=2),
+    max_leaves=6)
+_ELEMENT = st.one_of(_INTS, st.sampled_from(["a", "b", "c"]))
+_OPTIONS = ("max_dom", "max_support", "seed", "posets")
+_LISTS = {
+    "formulas": st.lists(st.sampled_from(["(eq ord:0 ord:0)", "(mem", "row:a:0"]),
+                         max_size=2),
+    "suites": st.lists(st.sampled_from(["hs", "wisc", "x"]), max_size=2),
+}
+
+_KEYS = ("poset", "stages", "n", "v", "c", "d", "formulas", "suites") + _OPTIONS
+
+# well-typed flat and staged objects reach the instance validators
+_FLAT = st.fixed_dictionaries(
+    {"poset": st.fixed_dictionaries({
+        "elements": st.lists(st.sampled_from(["a", "b", "c"]), max_size=3, unique=True)
+        | st.lists(st.integers(0, 2), max_size=3, unique=True)
+        | st.lists(_ELEMENT, max_size=3),
+        "leq": st.lists(st.lists(_ELEMENT, min_size=2, max_size=2), max_size=2)}),
+     "n": _INTS, "v": _INTS, "c": _INTS},
+    optional={"d": _INTS, **{k: _INTS for k in _OPTIONS}, **_LISTS})
+_STAGED = st.fixed_dictionaries(
+    {"stages": st.lists(st.integers(-1, 5), max_size=3), "c": _INTS},
+    optional={**{k: _INTS for k in _OPTIONS}, **_LISTS})
+
+
+@st.composite
+def _one_field_off(draw):
+    """A well-typed spec with at most one field (or poset part, or an
+    unknown key) set to an arbitrary value, so each type check is met
+    with every other field valid."""
+    raw = draw(_FLAT | _STAGED)
+    where = draw(st.sampled_from((None, "elements", "leq", "bogus") + _KEYS))
+    if where in ("elements", "leq"):
+        if "poset" in raw:
+            raw["poset"][where] = draw(_VALUES)
+    elif where is not None:
+        raw[where] = draw(_VALUES | st.lists(_SCALARS, max_size=3))
+    return raw
+
+
+# the third kind is any subset of the keys with any values
+_SPECS = _one_field_off() | st.fixed_dictionaries(
+    {}, optional={key: _VALUES | _INTS for key in _KEYS + ("bogus",)})
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw=_SPECS)
+def test_parser_raises_only_engine_errors(raw):
+    try:
+        parse_instance_spec(json.dumps(raw))
+    except EngineError:
+        pass
+
+
 class TestSuites:
     def test_embedding_three_chain_nine_lines(self):
         text = ('{"poset": {"elements": ["a", "b", "c"], '
@@ -176,6 +241,23 @@ class TestSuites:
         code, lines = run(json.dumps(raw), "forcing-oracle", overrides={"max_dom": 0})
         assert code == 0 and len(lines) == 3
 
+    def test_integer_sites_in_name_terms(self):
+        text = ('{"poset": {"elements": [0, 1], "leq": []}, "n": 2, "v": 2, '
+                '"c": 1, "formulas": ["(mem ord:0 row:0:0)", "(eq least:1:0 ord:0)", '
+                '"(mem row:0:1 region:0+1)", "(eq site:0 site:1)"]}')
+        code, lines = run(text, "forcing-oracle", overrides={"max_dom": 0})
+        assert code == 0 and len(lines) == 4
+        code, lines = run(text, "hs")
+        assert code == 0 and lines and all(l["verdict"] == "pass" for l in lines)
+
+    @pytest.mark.parametrize("term", ["row:a:x", "ord:x", "ord:-1", "row:c:0",
+                                      "site:0", "region:a+c"])
+    def test_bad_name_terms_are_parse_errors(self, term):
+        raw = json.loads(REFERENCE)
+        raw["formulas"] = [f"(mem ord:0 {term})"]
+        with pytest.raises(ParseError, match="name term"):
+            run(json.dumps(raw), "forcing-oracle")
+
     def test_sampled_posets_logged_with_seed(self):
         raw = json.loads(REFERENCE)
         raw["posets"] = 5
@@ -229,6 +311,33 @@ class TestDeterminism:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
         run(REFERENCE, "hs", jobs=1000)
         assert started == [4, 3, 15]
+
+    def test_serial_lines_written_as_each_unit_finishes(self, monkeypatch):
+        out = io.StringIO()
+        seen = []
+
+        def run_unit(ctx, unit):
+            seen.append(out.getvalue().count("\n"))
+            return {"k": unit}, True, None
+
+        monkeypatch.setitem(cli.SUITES, "fake", (lambda ctx: [0, 1, 2, 3], run_unit))
+        assert run_checks(parse_instance_spec(REFERENCE), "fake", out=out) == 0
+        assert seen == [0, 1, 2, 3]
+        assert [json.loads(l)["params"] for l in out.getvalue().splitlines()] == [
+            {"k": k} for k in range(4)]
+
+    def test_engine_error_keeps_earlier_lines(self, monkeypatch):
+        out = io.StringIO()
+
+        def run_unit(ctx, unit):
+            if unit == 2:
+                raise FiberExhausted("unit 2")
+            return {"k": unit}, True, None
+
+        monkeypatch.setitem(cli.SUITES, "fake", (lambda ctx: [0, 1, 2, 3], run_unit))
+        with pytest.raises(FiberExhausted):
+            run_checks(parse_instance_spec(REFERENCE), "fake", out=out)
+        assert len(out.getvalue().splitlines()) == 2
 
     def test_lines_are_json_objects_with_fixed_fields(self):
         _, lines = run(REFERENCE, "normality")

@@ -1,12 +1,56 @@
 import itertools
+import json
 
 import pytest
 
 from symext import (Condition, FiberExhausted, InvalidInstance, StageViolation,
                     check_name, forces, iter_conditions, min_onto_check,
                     ordinal, swap_kernel, swap_partner, wisc_kernel)
+from symext import Poset, build_instance
 from symext.forcing import Eq
 from symext.instances import least_value_name
+
+_SCOPE = ('"scope": "verifies the finite combinatorial step only (stabilizer '
+          'membership, name fixation, condition compatibility); no conclusion '
+          'about infinite cardinalities is asserted"}')
+
+# to_obj() of reports built eagerly, before inputs and witness became lazy:
+# a pass with a merge, a pass past the domain cutoff, a failing name check
+# and a stage-local pass
+PINNED_SWAP = [
+    ('{"kernel": "swap", "inputs": {"condition": [["a", 0, 0, 1], ["b", 0, 0, 1]], '
+     '"support": [["b", 0]], "site": "a", "fiber": 0}, "chosen": {"partner": 1}, '
+     '"checks": {"permutation_in_stabilizer": true, "names_fixed": true, '
+     '"conditions_compatible": true}, "witness": {"cycles": [[["a", 0], ["a", 1]]], '
+     '"names_fixed": {"row:b:0": true, "site:a": true, "site:b": true}, '
+     '"relabeled_condition": [["a", 1, 0, 1], ["b", 0, 0, 1]], '
+     '"merged": [["a", 0, 0, 1], ["a", 1, 0, 1], ["b", 0, 0, 1]], '
+     '"cutoff_exceeded": false}, "verdict": "pass", ' + _SCOPE),
+    ('{"kernel": "swap", "inputs": {"condition": [["a", 0, 0, 1], ["a", 0, 1, 0]], '
+     '"support": [], "site": "a", "fiber": 0}, "chosen": {"partner": 1}, '
+     '"checks": {"permutation_in_stabilizer": true, "names_fixed": true, '
+     '"conditions_compatible": true}, "witness": {"cycles": [[["a", 0], ["a", 1]]], '
+     '"names_fixed": {"site:a": true, "site:b": true}, '
+     '"relabeled_condition": [["a", 1, 0, 1], ["a", 1, 1, 0]], "merged": null, '
+     '"cutoff_exceeded": true}, "verdict": "pass", ' + _SCOPE),
+    ('{"kernel": "swap", "inputs": {"condition": [["a", 0, 1, 0]], "support": [], '
+     '"site": "a", "fiber": 0}, "chosen": {"partner": 1}, '
+     '"checks": {"permutation_in_stabilizer": true, "names_fixed": false, '
+     '"conditions_compatible": true}, "witness": {"cycles": [[["a", 0], ["a", 1]]], '
+     '"names_fixed": {"row:a:0": false}, "relabeled_condition": [["a", 1, 1, 0]], '
+     '"merged": [["a", 0, 1, 0], ["a", 1, 1, 0]], "cutoff_exceeded": false}, '
+     '"verdict": "fail", ' + _SCOPE),
+]
+PINNED_WISC = (
+    '{"kernel": "wisc", "inputs": {"base_stage": 0, "swap_stage": 1, "name_rank": 3, '
+    '"condition": [[0, 2, 1, 0], [1, 0, 0, 1]], "support": [[0, 1]]}, '
+    '"chosen": {"first_fiber": 0, "second_fiber": 1}, "checks": {"name_fixed": true, '
+    '"moved_avoids_name_cells": true, "locality_forms_agree": true, '
+    '"permutation_in_stabilizer": true, "conditions_compatible": true}, '
+    '"witness": {"cycles": [[[1, 0], [1, 1]]], '
+    '"relabeled_condition": [[0, 2, 1, 0], [1, 1, 0, 1]], '
+    '"merged": [[0, 2, 1, 0], [1, 0, 0, 1], [1, 1, 0, 1]], '
+    '"cutoff_exceeded": false}, "verdict": "pass", ' + _SCOPE)
 
 
 class TestSwapPartner:
@@ -148,6 +192,35 @@ class TestWiscKernel:
                         continue
                     assert report.verdict
                     assert report.checks["moved_avoids_name_cells"]
+
+
+class TestReportObjects:
+    def test_swap_to_obj_unchanged(self, swap_scale):
+        inst, family = swap_scale
+        capped, _ = build_instance(Poset.antichain(["a", "b"]), 3, 2, 1, 2)
+        reports = [
+            swap_kernel(inst, Condition(inst, {("a", 0, 0): 1, ("b", 0, 0): 1}),
+                        {("b", 0)}, "a", 0),
+            swap_kernel(capped, Condition(capped, {("a", 0, 0): 1, ("a", 0, 1): 0}),
+                        (), "a", 0),
+            swap_kernel(inst, Condition(inst, {("a", 0, 1): 0}), (), "a", 0,
+                        names=[("row:a:0", family.rows[("a", 0)])]),
+        ]
+        assert [r.verdict for r in reports] == [True, True, False]
+        assert [json.dumps(r.to_obj()) for r in reports] == PINNED_SWAP
+
+    def test_wisc_to_obj_unchanged(self, staged_pair):
+        staged, family = staged_pair
+        q = Condition(staged, {(1, 0, 0): 1, (0, 2, 1): 0})
+        report = wisc_kernel(staged, 0, family.rows[(0, 1)], 1, q, {(0, 1)})
+        assert json.dumps(report.to_obj()) == PINNED_WISC
+
+    def test_inputs_and_witness_built_on_first_read(self, swap_scale):
+        inst, _ = swap_scale
+        report = swap_kernel(inst, Condition(inst, {("a", 0, 0): 1}), (), "a", 0)
+        assert "inputs" not in vars(report) and "witness" not in vars(report)
+        assert report.witness is report.witness
+        assert report.inputs is report.to_obj()["inputs"]
 
 
 class TestMinOnto:

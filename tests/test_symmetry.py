@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from symext import (Condition, FiberPermutation, InvalidInstance, act_condition,
                     act_name, act_support, assemble_sequence, check_name,
+                    compatible,
                     conjugate, conjugation_check, fix_generators,
                     generated_group, generator_closure, in_fix,
                     infer_min_support, is_hs, is_symmetric_under, iter_conditions,
@@ -47,6 +48,52 @@ class TestPermutations:
         pi = FiberPermutation.from_cycles(inst, [[("a", 0), ("a", 1), ("a", 2)]])
         assert pi.cycles() == [[("a", 0), ("a", 1), ("a", 2)]]
         assert FiberPermutation.from_cycles(inst, pi.cycles()) == pi
+
+    def test_transposition_interned(self, reference, staged_pair):
+        for inst, site in ((reference[0], "b"), (staged_pair[0], 1)):
+            pi = FiberPermutation.transposition(inst, site, 0, 1)
+            again = FiberPermutation.transposition(inst, site, 0, 1)
+            assert again == pi and hash(again) == hash(pi)
+            assert again == FiberPermutation(inst, {(site, 0): (site, 1),
+                                                    (site, 1): (site, 0)})
+
+    @pytest.mark.parametrize("site, a, b", [("a", 0, 2), ("a", -1, 0), ("z", 0, 1)])
+    def test_invalid_transposition_raises_every_time(self, reference, site, a, b):
+        inst, _ = reference
+        for _ in range(2):
+            with pytest.raises(InvalidInstance):
+                FiberPermutation.transposition(inst, site, a, b)
+
+
+def _assert_same_condition(got, expected):
+    assert got.items == expected.items
+    assert got == expected and hash(got) == hash(expected)
+    assert got._map == expected._map
+
+
+class TestTrustedConstruction:
+    """act_condition and the merge witness of compatible skip validation;
+    each must equal the validating constructor on the same items."""
+
+    @pytest.mark.parametrize("fixture", ["reference", "staged_pair"])
+    def test_equal_to_validated(self, fixture, request):
+        inst, _ = request.getfixturevalue(fixture)
+        gens = fix_generators(inst, ())
+        assert gens
+        for q in iter_conditions(inst, 3):
+            for pi in gens:
+                moved = act_condition(pi, q)
+                _assert_same_condition(moved, Condition(inst, moved.items))
+                merged = compatible(q, moved).witness
+                if merged is not None:
+                    _assert_same_condition(merged, Condition(inst, merged.items))
+
+    def test_public_constructor_still_validates(self, staged_pair):
+        staged, _ = staged_pair
+        with pytest.raises(InvalidInstance):
+            Condition(staged, {(0, 0, 0): 1, (0, 1, 0): 1, (0, 2, 0): 1})
+        with pytest.raises(InvalidInstance):
+            Condition(staged, {(0, 3, 0): 1})
 
 
 class TestActions:
