@@ -20,10 +20,17 @@ instance (a content hash), params, verdict, witness (failures only) and
 elapsed; the exit status is 0 exactly when every verdict passes.  Reruns
 of the same spec are byte-identical apart from the elapsed fields.
 
-Lines are written as each unit finishes (with --jobs, as each chunk of
-units comes back), so memory does not grow with the unit count.  An
-engine error in the middle of a suite therefore leaves that suite's
-earlier lines on stdout; the exit status is still 2.
+Each suite's units are generated lazily, and lines are written as each
+unit finishes (with --jobs, as each chunk of units comes back), so
+memory does not grow with the unit count; only --jobs counts the units,
+to cut them into chunks.  An engine error in the middle of a suite
+therefore leaves that suite's earlier lines on stdout; the exit status
+is still 2.
+
+The work a suite's units share is done once per index, not once per
+unit: the JSON text of each condition, support, permutation and label,
+the image of each condition and formula under each permutation, and the
+name-independent half of each wisc kernel run (see _slice_context).
 """
 
 from __future__ import annotations
@@ -42,14 +49,16 @@ from typing import Optional
 
 from .core import GenericFilter, Poset, iter_conditions
 from .errors import EngineError, ParseError
-from .forcing import (Eq, Mem, Not, And, check_size, forces, parse_formula,
-                      symmetry_lemma_check)
+from .forcing import (Eq, Mem, Not, And, act_formula, check_size, forces,
+                      lemma_report, parse_formula)
 from .instances import (build_instance, build_staged_instance, chain_family,
                         downset_embedding, in_stage, random_poset)
-from .kernels import _cond_obj, partner, swap_kernel, wisc_kernel
+from .kernels import (_cond_obj, _cycles_obj, partner, swap_kernel, wisc_check,
+                      wisc_swap)
 from .names import check_name, interpret, ordinal, pair_name, set_name
-from .symmetry import (assemble_sequence, conjugation_check, fix_generators,
-                       generator_closure, infer_min_support, is_hs)
+from .symmetry import (act_condition, assemble_sequence, conjugation_check,
+                       fix_generators, generator_closure, infer_min_support,
+                       is_hs)
 
 _FLAT_KEYS = {"poset", "n", "v", "c", "d",
               "max_dom", "max_support", "seed", "posets", "formulas", "suites"}
@@ -271,6 +280,7 @@ def _context(spec_text: str, overrides_text: str) -> dict:
         "max_support": opt("max_support", inst.support_cutoff),
         "seed": opt("seed", 0),
         "posets": opt("posets", 0),
+        "pools": {},    # base stage -> its wisc name pool, see _staged_name_pool
         "hash": hashlib.sha256(
             json.dumps(inst.describe(), sort_keys=True).encode()).hexdigest()[:12],
     }
@@ -302,16 +312,69 @@ def _support_obj(support):
     return sorted(map(list, support))
 
 
+class _Table(dict):
+    """A table whose value for a key is built by build(key) on the first
+    lookup and kept."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+def _slice_context(ctx) -> dict:
+    """A copy of the context for one run of a suite's units, with the
+    tables those units share, each entry built on first use:
+
+    - text: the JSON text of a label or site;
+    - cond_text, support_text, perm_text: the JSON text of a condition,
+      support or permutation, by index;
+    - cond_image: (permutation, condition) -> the index of the image;
+    - formula_image: (permutation, formula) -> the image formula;
+    - wisc_swap: (swap stage, condition, support) -> kernels.wisc_swap.
+
+    The tables end with the slice, so nothing a suite computes outlives
+    it (or leaks into another run of the same spec)."""
+    inst, conds, supports, perms = (ctx["inst"], ctx["conditions"],
+                                    ctx["supports"], ctx["perms"])
+    where = {}
+
+    def image(key):
+        if not where:
+            where.update((c, i) for i, c in enumerate(conds))
+        return where[act_condition(perms[key[0]], conds[key[1]])]
+
+    return {
+        **ctx,
+        "text": _Table(json.dumps),
+        "cond_text": _Table(lambda ci: json.dumps(_cond_obj(conds[ci]))),
+        "support_text": _Table(lambda si: json.dumps(_support_obj(supports[si]))),
+        "perm_text": _Table(lambda pii: json.dumps(_cycles_obj(perms[pii]))),
+        "cond_image": _Table(image),
+        "formula_image": _Table(
+            lambda key: act_formula(perms[key[0]], ctx["pool"][key[1]][1])),
+        "wisc_swap": _Table(
+            lambda key: wisc_swap(inst, key[0], conds[key[1]], supports[key[2]])),
+    }
+
+
 # ------------------------------------------------------------------
-# suites: gen(ctx) -> list of small params; run(ctx, param) -> (params_dict, ok, witness)
+# suites: gen(ctx) -> an iterable of small params, or None when the
+# suite does not apply; run(ctx, param) -> (params, ok, witness), where
+# params is a dict or its JSON text
 
 def _gen_embedding(ctx):
     if ctx["kind"] != "flat":
         return None
-    poset = ctx["inst"].poset
-    units = [("pair", z1, z2) for z1 in poset.elements for z2 in poset.elements]
-    units += [("sample", i) for i in range(ctx["posets"])]
-    return units
+    elements = ctx["inst"].poset.elements
+    return itertools.chain(
+        (("pair", z1, z2) for z1 in elements for z2 in elements),
+        (("sample", i) for i in range(ctx["posets"])))
 
 
 def _run_embedding(ctx, unit):
@@ -334,8 +397,7 @@ def _run_embedding(ctx, unit):
 def _gen_oracle(ctx):
     if ctx["kind"] != "flat":
         return None
-    return [(ci, fi) for ci in range(len(ctx["conditions"]))
-            for fi in range(len(ctx["pool"]))]
+    return itertools.product(range(len(ctx["conditions"])), range(len(ctx["pool"])))
 
 
 def _run_oracle(ctx, unit):
@@ -344,7 +406,8 @@ def _run_oracle(ctx, unit):
     label, phi = ctx["pool"][fi]
     rec = forces(p, phi, "recursive")
     sem = forces(p, phi, "semantic")
-    params = {"condition": _cond_obj(p), "formula": label}
+    params = ('{"condition": ' + ctx["cond_text"][ci]
+              + ', "formula": ' + ctx["text"][label] + '}')
     ok = rec == sem
     return params, ok, (None if ok else {"recursive": rec, "semantic": sem})
 
@@ -352,33 +415,31 @@ def _run_oracle(ctx, unit):
 def _gen_symmetry(ctx):
     if ctx["kind"] != "flat":
         return None
-    return [(pi, ci, fi) for pi in range(len(ctx["perms"]))
-            for ci in range(len(ctx["conditions"]))
-            for fi in range(len(ctx["pool"]))]
+    return itertools.product(range(len(ctx["perms"])), range(len(ctx["conditions"])),
+                             range(len(ctx["pool"])))
 
 
 def _run_symmetry(ctx, unit):
     pii, ci, fi = unit
-    perm = ctx["perms"][pii]
-    p = ctx["conditions"][ci]
+    conds = ctx["conditions"]
     label, phi = ctx["pool"][fi]
-    report = symmetry_lemma_check(perm, p, phi)
-    params = {"permutation": [[list(x) for x in c] for c in perm.cycles()],
-              "condition": _cond_obj(p), "formula": label}
+    report = lemma_report(conds[ci], phi, conds[ctx["cond_image"][pii, ci]],
+                          ctx["formula_image"][pii, fi])
+    params = ('{"permutation": ' + ctx["perm_text"][pii]
+              + ', "condition": ' + ctx["cond_text"][ci]
+              + ', "formula": ' + ctx["text"][label] + '}')
     return params, report.equal, report.witness
 
 
 def _swap_admissible(ctx):
     inst = ctx["inst"]
-    units = []
     for qi, q in enumerate(ctx["conditions"]):
         occupied = {z: q.touched_fibers(z) for z in inst.sites}
         for si, support in enumerate(ctx["supports"]):
             for z, a in inst.pairs:
                 if ((z, a) not in support
                         and partner(inst, support, z, a, occupied[z]) is not None):
-                    units.append((qi, si, z, a))
-    return units
+                    yield qi, si, z, a
 
 
 def _gen_swap(ctx):
@@ -389,16 +450,16 @@ def _gen_swap(ctx):
 
 def _run_swap(ctx, unit):
     qi, si, z, a = unit
-    q = ctx["conditions"][qi]
-    support = ctx["supports"][si]
-    report = swap_kernel(ctx["inst"], q, support, z, a)
-    params = {"condition": _cond_obj(q), "support": _support_obj(support),
-              "site": z, "fiber": a, "partner": report.chosen["partner"]}
+    report = swap_kernel(ctx["inst"], ctx["conditions"][qi], ctx["supports"][si], z, a)
+    params = ('{"condition": ' + ctx["cond_text"][qi]
+              + ', "support": ' + ctx["support_text"][si]
+              + ', "site": ' + ctx["text"][z]
+              + f', "fiber": {a}, "partner": {report.chosen["partner"]}}}')
     return params, report.verdict, (None if report.verdict else report.to_obj())
 
 
 def _gen_hs(ctx):
-    return list(ctx["names"])
+    return iter(ctx["names"])
 
 
 def _run_hs(ctx, label):
@@ -421,12 +482,12 @@ def _run_hs(ctx, label):
 
 
 def _gen_normality(ctx):
-    units = [("conj", pi, si) for pi in range(len(ctx["perms"]))
-             for si in range(len(ctx["supports"]))]
-    for k in (1, 2):
-        for combo in itertools.combinations(range(len(ctx["members"])), k):
-            units.append(("assemble",) + combo)
-    return units
+    members = range(len(ctx["members"]))
+    return itertools.chain(
+        itertools.product(("conj",), range(len(ctx["perms"])),
+                          range(len(ctx["supports"]))),
+        (("assemble",) + combo for k in (1, 2)
+         for combo in itertools.combinations(members, k)))
 
 
 def _run_normality(ctx, unit):
@@ -451,7 +512,7 @@ def _run_normality(ctx, unit):
 def _staged_name_pool(ctx, base_stage):
     """The labeled names living at the base stage, built once per stage
     and kept in the context."""
-    pools = ctx.setdefault("_pools", {})
+    pools = ctx["pools"]
     pool = pools.get(base_stage)
     if pool is None:
         inst = ctx["inst"]
@@ -465,6 +526,10 @@ def _staged_name_pool(ctx, base_stage):
 def _gen_wisc(ctx):
     if ctx["kind"] != "staged":
         return None
+    return _wisc_units(ctx)
+
+
+def _wisc_units(ctx):
     inst = ctx["inst"]
     admissible = {}     # swap stage -> (qi, si) on which the kernel finds fibers
     for swap in inst.sites[1:]:
@@ -476,25 +541,23 @@ def _gen_wisc(ctx):
                 if (first is not None
                         and partner(inst, support, swap, first, occupied) is not None):
                     admissible[swap].append((qi, si))
-    units = []
     for base in inst.sites:
         pool = _staged_name_pool(ctx, base)
         for swap in inst.sites:
             if swap > base:
-                units.extend((base, swap, yi, qi, si) for yi in range(len(pool))
-                             for qi, si in admissible[swap])
-    return units
+                for yi in range(len(pool)):
+                    for qi, si in admissible[swap]:
+                        yield base, swap, yi, qi, si
 
 
 def _run_wisc(ctx, unit):
     base, swap, yi, qi, si = unit
-    pool = _staged_name_pool(ctx, base)
-    label, y = pool[yi]
-    q = ctx["conditions"][qi]
-    support = ctx["supports"][si]
-    report = wisc_kernel(ctx["inst"], base, y, swap, q, support)
-    params = {"base_stage": base, "swap_stage": swap, "name": label,
-              "condition": _cond_obj(q), "support": _support_obj(support)}
+    label, y = _staged_name_pool(ctx, base)[yi]
+    report = wisc_check(ctx["inst"], base, y, swap, ctx["conditions"][qi],
+                        ctx["supports"][si], ctx["wisc_swap"][swap, qi, si])
+    params = (f'{{"base_stage": {base}, "swap_stage": {swap}, "name": '
+              + ctx["text"][label] + ', "condition": ' + ctx["cond_text"][qi]
+              + ', "support": ' + ctx["support_text"][si] + '}')
     return params, report.verdict, (None if report.verdict else report.to_obj())
 
 
@@ -502,9 +565,8 @@ def _gen_chains(ctx):
     if ctx["kind"] != "staged":
         return None
     k = len(ctx["inst"].sites)
-    units = [("entries", b) for b in range(k - 1)]
-    units += [("interp", i) for i in range(16)]
-    return units
+    return itertools.chain((("entries", b) for b in range(k - 1)),
+                           (("interp", i) for i in range(16)))
 
 
 def _run_chains(ctx, unit):
@@ -542,26 +604,33 @@ SUITES = {
 
 
 def _run_slice(ctx, suite, units):
-    """Run the units in order and yield each one's report line as soon
-    as it has run."""
+    """Run the units in order over one slice context and yield each
+    one's verdict and report line (JSON text, the fields in a fixed
+    order) as soon as it has run."""
     run = SUITES[suite][1]
+    ctx = _slice_context(ctx)
+    head = ('{"suite": ' + json.dumps(suite)
+            + ', "instance": ' + json.dumps(ctx["hash"]) + ', "params": ')
     for unit in units:
         start = time.monotonic()
         params, ok, witness = run(ctx, unit)
         elapsed = time.monotonic() - start
-        line = {"suite": suite, "instance": ctx["hash"], "params": params,
-                "verdict": "pass" if ok else "fail"}
-        if witness is not None:
-            line["witness"] = witness
-        line["elapsed"] = round(elapsed, 6)
-        yield line
+        if not isinstance(params, str):
+            params = json.dumps(params)
+        verdict = '"pass"' if ok else '"fail"'
+        witness = "" if witness is None else ', "witness": ' + json.dumps(witness)
+        # repr of a float is its JSON text
+        yield ok, (f'{head}{params}, "verdict": {verdict}{witness}, '
+                   f'"elapsed": {round(elapsed, 6)!r}}}')
 
 
 def _run_chunk(args):
-    """A --jobs worker: units lo..hi of one suite, as one list of lines."""
+    """A --jobs worker: units lo..hi of one suite, as one list of
+    (verdict, line) pairs."""
     spec_text, overrides_text, suite, lo, hi = args
     ctx = _context(spec_text, overrides_text)
-    return list(_run_slice(ctx, suite, SUITES[suite][0](ctx)[lo:hi]))
+    units = itertools.islice(SUITES[suite][0](ctx), lo, hi)
+    return list(_run_slice(ctx, suite, units))
 
 
 def run_checks(spec: InstanceSpec, suite: str = "all", jobs: int = 1,
@@ -601,8 +670,9 @@ def run_checks(spec: InstanceSpec, suite: str = "all", jobs: int = 1,
                               "elapsed": 0.0}), file=out)
             failed = True
             continue
-        total = len(units)
-        if jobs > 1 and total > 1:
+        # only --jobs needs the unit count, to cut the units into chunks
+        total = sum(1 for _ in SUITES[name][0](ctx)) if jobs > 1 else 0
+        if total > 1:
             step = -(-total // jobs)
             chunks = [(spec.text, overrides_text, name, lo, min(lo + step, total))
                       for lo in range(0, total, step)]
@@ -616,12 +686,12 @@ def run_checks(spec: InstanceSpec, suite: str = "all", jobs: int = 1,
 
 
 def _write_lines(lines, out) -> bool:
-    """Print each line as it arrives; True when any verdict is not pass."""
+    """Write each (verdict, line) pair's line as it arrives; True when
+    any verdict is not pass."""
     failed = False
-    for line in lines:
-        if line["verdict"] != "pass":
-            failed = True
-        print(json.dumps(line), file=out)
+    for ok, line in lines:
+        failed = failed or not ok
+        out.write(line + "\n")
     return failed
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import Condition, compatible, iter_conditions, _same_instance
 from .errors import FiberExhausted, StageViolation
@@ -98,7 +98,11 @@ def swap_partner(inst, q: Condition, support, site, fiber) -> int:
     """The partner of (site, fiber) for the swap kernel: no cell of its
     row may be in q's domain."""
     _same_instance(inst, q.inst)
-    support = check_support(inst, support)
+    return _swap_mate(inst, q, check_support(inst, support), site, fiber)
+
+
+def _swap_mate(inst, q: Condition, support: frozenset, site, fiber) -> int:
+    """swap_partner on a support that check_support has returned."""
     if (site, fiber) in support:
         raise ValueError(f"target pair {(site, fiber)!r} must avoid the support")
     b = partner(inst, support, site, fiber, q.touched_fibers(site))
@@ -119,7 +123,8 @@ def swap_kernel(inst, q: Condition, support, site, fiber, names=None) -> KernelR
     names of the support pairs plus every site name.
     """
     support = check_support(inst, support)
-    mate = swap_partner(inst, q, support, site, fiber)
+    _same_instance(inst, q.inst)
+    mate = _swap_mate(inst, q, support, site, fiber)
     pi = FiberPermutation.transposition(inst, site, fiber, mate)
     if names is None:
         family = canonical_family(inst)
@@ -147,6 +152,86 @@ def swap_kernel(inst, q: Condition, support, site, fiber, names=None) -> KernelR
     )
 
 
+class WiscSwap(NamedTuple):
+    """The half of a wisc kernel run that does not depend on the name:
+    the two fibers of the transposition, whether it fixes the support
+    pointwise, and whether it carries the condition to a compatible one."""
+
+    first: int
+    second: int
+    in_stabilizer: bool
+    compatible: bool
+
+
+def wisc_swap(staged, swap_stage: int, q: Condition, support) -> WiscSwap:
+    """Choose the fibers of the wisc transposition at the swap stage (the
+    first least outside the support, the second additionally with a row
+    untouched by q) and run the two checks that depend only on them."""
+    _same_instance(staged, q.inst)
+    return _wisc_swap(staged, swap_stage, q, check_support(staged, support))
+
+
+def _wisc_swap(staged, swap_stage: int, q: Condition, support: frozenset) -> WiscSwap:
+    """wisc_swap on a support that check_support has returned."""
+    if swap_stage not in staged.site_index:
+        raise ValueError(f"swap stage {swap_stage!r} is not a stage of the instance")
+    first = partner(staged, support, swap_stage, None, ())
+    if first is None:
+        raise FiberExhausted(f"every fiber of stage {swap_stage} is in the support")
+    second = partner(staged, support, swap_stage, first,
+                     q.touched_fibers(swap_stage))
+    if second is None:
+        raise FiberExhausted(
+            f"no spare fiber at stage {swap_stage}: every other fiber is in "
+            "the support or touched by the condition")
+    pi = FiberPermutation.transposition(staged, swap_stage, first, second)
+    return WiscSwap(first, second, in_fix(pi, support),
+                    compatible(q, act_condition(pi, q)).ok)
+
+
+def wisc_check(staged, base_stage: int, y: Name, swap_stage: int,
+               q: Condition, support, swap: WiscSwap) -> KernelReport:
+    """The half of a wisc kernel run that depends on the name: given the
+    swap wisc_swap found for (swap_stage, q, support), check that y lives
+    at the base stage, below the swap stage, and is fixed by the
+    transposition, and assemble the report.  The witness rebuilds the
+    relabelled condition and its merge when it is first read."""
+    if not in_stage(y, base_stage):
+        raise StageViolation(
+            f"name uses cells above stage {base_stage}")
+    if swap_stage <= base_stage:
+        raise ValueError("swap stage must lie strictly above the base stage")
+    pi = FiberPermutation.transposition(staged, swap_stage, swap.first, swap.second)
+    name_fixed = act_name(pi, y) is y
+    moved = {src for src, _ in pi.moved}
+    disjoint = not (moved & {(c[0], c[1]) for c in name_cells(y)})
+    checks = {
+        "name_fixed": name_fixed,
+        "moved_avoids_name_cells": disjoint,
+        # disjointness must imply literal fixation; a violation is a bug
+        # in the lifted action, not a property of the inputs
+        "locality_forms_agree": name_fixed or not disjoint,
+        "permutation_in_stabilizer": swap.in_stabilizer,
+        "conditions_compatible": swap.compatible,
+    }
+
+    def witness():
+        moved_q = act_condition(pi, q)
+        return {"cycles": _cycles_obj(pi),
+                **_merge_obj(moved_q, compatible(q, moved_q))}
+
+    return KernelReport(
+        kernel="wisc",
+        chosen={"first_fiber": swap.first, "second_fiber": swap.second},
+        checks=checks,
+        verdict=name_fixed and swap.in_stabilizer and swap.compatible,
+        inputs=lambda: {"base_stage": base_stage, "swap_stage": swap_stage,
+                        "name_rank": y.rank, "condition": _cond_obj(q),
+                        "support": sorted(map(list, support))},
+        witness=witness,
+    )
+
+
 def wisc_kernel(staged, base_stage: int, y: Name, swap_stage: int,
                 q: Condition, support) -> KernelReport:
     """The stage-local swap step: the name y must live at the base stage;
@@ -159,48 +244,14 @@ def wisc_kernel(staged, base_stage: int, y: Name, swap_stage: int,
     and structurally (the moved pairs avoid every pair mentioned in y's
     closure); the two must agree here, and the verdict uses the literal
     form.
+
+    This is wisc_check after wisc_swap; a caller running many names
+    against one (swap_stage, q, support) can run wisc_swap once.
     """
     _same_instance(staged, q.inst)
     support = check_support(staged, support)
-    if not in_stage(y, base_stage):
-        raise StageViolation(
-            f"name uses cells above stage {base_stage}")
-    if swap_stage <= base_stage or swap_stage not in staged.site_index:
-        raise ValueError("swap stage must lie strictly above the base stage")
-    first = partner(staged, support, swap_stage, None, ())
-    if first is None:
-        raise FiberExhausted(f"every fiber of stage {swap_stage} is in the support")
-    second = partner(staged, support, swap_stage, first,
-                     q.touched_fibers(swap_stage))
-    if second is None:
-        raise FiberExhausted(
-            f"no spare fiber at stage {swap_stage}: every other fiber is in "
-            "the support or touched by the condition")
-    pi = FiberPermutation.transposition(staged, swap_stage, first, second)
-    name_fixed = act_name(pi, y) is y
-    moved = {src for src, _ in pi.moved}
-    disjoint = not (moved & {(c[0], c[1]) for c in name_cells(y)})
-    moved_q = act_condition(pi, q)
-    comp = compatible(q, moved_q)
-    checks = {
-        "name_fixed": name_fixed,
-        "moved_avoids_name_cells": disjoint,
-        # disjointness must imply literal fixation; a violation is a bug
-        # in the lifted action, not a property of the inputs
-        "locality_forms_agree": name_fixed or not disjoint,
-        "permutation_in_stabilizer": in_fix(pi, support),
-        "conditions_compatible": comp.ok,
-    }
-    return KernelReport(
-        kernel="wisc",
-        chosen={"first_fiber": first, "second_fiber": second},
-        checks=checks,
-        verdict=name_fixed and checks["permutation_in_stabilizer"] and comp.ok,
-        inputs=lambda: {"base_stage": base_stage, "swap_stage": swap_stage,
-                        "name_rank": y.rank, "condition": _cond_obj(q),
-                        "support": sorted(map(list, support))},
-        witness=lambda: {"cycles": _cycles_obj(pi), **_merge_obj(moved_q, comp)},
-    )
+    return wisc_check(staged, base_stage, y, swap_stage, q, support,
+                      _wisc_swap(staged, swap_stage, q, support))
 
 
 @dataclass(frozen=True, eq=False)

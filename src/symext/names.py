@@ -209,11 +209,6 @@ def name_closure(x: Name) -> Iterator[Name]:
             stack.append(sub)
 
 
-def name_conditions(x: Name) -> set:
-    """Every condition occurring hereditarily in x."""
-    return {cond for nm in name_closure(x) for cond, _ in nm.entries}
-
-
 def name_cells(x: Name) -> frozenset:
     """Every cell mentioned by a condition hereditarily in x; computed
     once per name and kept on it."""

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symext import (EngineError, FiberExhausted, InvalidInstance, ParseError,
-                    in_stage, iter_conditions, swap_kernel, wisc_kernel)
-from symext import cli
+from symext import (Compat, EngineError, FiberExhausted, InvalidInstance,
+                    ParseError, in_stage, iter_conditions, swap_kernel,
+                    symmetry_lemma_check, wisc_kernel)
+from symext import cli, kernels
 from symext.cli import (InstanceSpec, default_formula_pool, main,
                         parse_instance_spec, run_checks, _context, _gen_swap,
-                        _gen_wisc, _staged_name_pool)
+                        _gen_symmetry, _gen_wisc, _slice_context,
+                        _staged_name_pool)
 
 REFERENCE = ('{"poset": {"elements": ["a", "b"], "leq": []}, '
              '"n": 2, "v": 2, "c": 1, "d": 8}')
@@ -49,12 +51,16 @@ MALFORMED = [
 ]
 
 
-def run(spec_text, suite, overrides=None, jobs=1):
-    spec = parse_instance_spec(spec_text)
+def run_text(spec_text, suite, overrides=None, jobs=1):
     out = io.StringIO()
-    code = run_checks(spec, suite, jobs=jobs, overrides=overrides, out=out)
-    lines = [json.loads(line) for line in out.getvalue().splitlines()]
-    return code, lines
+    code = run_checks(parse_instance_spec(spec_text), suite, jobs=jobs,
+                      overrides=overrides, out=out)
+    return code, out.getvalue().splitlines()
+
+
+def run(spec_text, suite, overrides=None, jobs=1):
+    code, lines = run_text(spec_text, suite, overrides, jobs)
+    return code, [json.loads(line) for line in lines]
 
 
 class TestParse:
@@ -278,11 +284,14 @@ class TestDeterminism:
         assert first == second
 
     def test_jobs_preserve_order(self):
-        _, seq = run(REFERENCE, "swap", overrides={"max_dom": 1})
-        _, par = run(REFERENCE, "swap", overrides={"max_dom": 1}, jobs=3)
-        for line in seq + par:
-            line.pop("elapsed")
-        assert seq == par
+        # each worker slices the lazily generated units of its chunk
+        for text, suite in ((REFERENCE, "swap"), (REFERENCE, "symmetry-lemma"),
+                            (REFERENCE, "forcing-oracle"), (STAGED, "wisc")):
+            _, seq = run(text, suite, overrides={"max_dom": 1})
+            _, par = run(text, suite, overrides={"max_dom": 1}, jobs=3)
+            for line in seq + par:
+                line.pop("elapsed")
+            assert seq and seq == par
 
     def test_workers_bounded_by_chunks_and_cpus(self, monkeypatch):
         started = []
@@ -475,3 +484,91 @@ class TestPartnerRule:
         assert found and (max_dom == 1 or len(found) < inputs)
         emitted = {u for u in _gen_wisc(ctx) if u[2] < len(pools[u[0]])}
         assert emitted == found
+
+
+def _fail_every_merge(p, q):
+    return Compat(False, conflict=p.items[0][0] if p.items else None)
+
+
+class TestHoistedPath:
+    """The CLI builds permutation images, wisc swap steps and JSON text
+    once per index; every line must still say what the public one-shot
+    checks say about its unit."""
+
+    def test_symmetry_lines_match_the_one_shot_check(self):
+        spec = parse_instance_spec((SPECS / "reference.json").read_text())
+        ctx = _context(spec.text, json.dumps({"max_dom": 1}))
+        code, lines = run(spec.text, "symmetry-lemma", overrides={"max_dom": 1})
+        units = list(_gen_symmetry(ctx))
+        assert code == 0 and len(lines) == len(units) == 4 * 17 * 21
+        for line, (pii, ci, fi) in zip(lines, units):
+            perm, p = ctx["perms"][pii], ctx["conditions"][ci]
+            label, phi = ctx["pool"][fi]
+            report = symmetry_lemma_check(perm, p, phi)
+            assert line["verdict"] == ("pass" if report.equal else "fail")
+            assert line["params"] == {
+                "permutation": [[list(x) for x in c] for c in perm.cycles()],
+                "condition": kernels._cond_obj(p), "formula": label}
+
+    def test_wisc_lines_match_the_one_shot_kernel(self):
+        spec = parse_instance_spec((SPECS / "staged.json").read_text())
+        ctx = _context(spec.text, json.dumps({"max_dom": 1}))
+        code, lines = run(spec.text, "wisc", overrides={"max_dom": 1})
+        units = list(_gen_wisc(ctx))
+        assert code == 0 and len(lines) == len(units) > 0
+        steps = _slice_context(ctx)["wisc_swap"]
+        for line, (base, swap, yi, qi, si) in zip(lines, units):
+            label, y = _staged_name_pool(ctx, base)[yi]
+            q, support = ctx["conditions"][qi], ctx["supports"][si]
+            report = wisc_kernel(ctx["inst"], base, y, swap, q, support)
+            step = steps[swap, qi, si]
+            assert line["verdict"] == ("pass" if report.verdict else "fail")
+            assert report.chosen == {"first_fiber": step.first,
+                                     "second_fiber": step.second}
+            assert line["params"] == {
+                "base_stage": base, "swap_stage": swap, "name": label,
+                "condition": kernels._cond_obj(q),
+                "support": sorted(map(list, support))}
+
+    def test_failing_wisc_witness_matches_the_one_shot_kernel(self, monkeypatch):
+        monkeypatch.setattr(kernels, "compatible", _fail_every_merge)
+        spec = parse_instance_spec((SPECS / "staged.json").read_text())
+        ctx = _context(spec.text, json.dumps({"max_dom": 1}))
+        code, lines = run(spec.text, "wisc", overrides={"max_dom": 1})
+        assert code == 1 and lines
+        for line, (base, swap, yi, qi, si) in zip(lines, _gen_wisc(ctx)):
+            _, y = _staged_name_pool(ctx, base)[yi]
+            report = wisc_kernel(ctx["inst"], base, y, swap, ctx["conditions"][qi],
+                                 ctx["supports"][si])
+            assert line["verdict"] == "fail" and not report.verdict
+            assert line["witness"] == json.loads(json.dumps(report.to_obj()))
+            assert line["witness"]["witness"]["merged"] is None
+
+
+class TestEncoding:
+    """Lines are assembled from JSON fragments; each must be exactly the
+    text json.dumps gives for the object it encodes."""
+
+    @staticmethod
+    def assert_canonical(lines):
+        assert lines
+        for line in lines:
+            assert line == json.dumps(json.loads(line))
+
+    @pytest.mark.parametrize("name", ["reference.json", "staged.json"])
+    def test_shipped_specs(self, name):
+        code, lines = run_text((SPECS / name).read_text(), "all", {"max_dom": 1})
+        assert code == 0
+        self.assert_canonical(lines)
+
+    def test_failing_lines(self, monkeypatch):
+        monkeypatch.setattr(kernels, "compatible", _fail_every_merge)
+        code, lines = run_text(STAGED, "wisc", {"max_dom": 0})
+        assert code == 1 and all('"witness": ' in line for line in lines)
+        self.assert_canonical(lines)
+
+    @pytest.mark.parametrize("suite", ["nonsense", "wisc"])
+    def test_unknown_and_inapplicable_suite_lines(self, suite):
+        code, lines = run_text(REFERENCE, suite)
+        assert code == 1 and len(lines) == 1
+        self.assert_canonical(lines)

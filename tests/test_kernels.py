@@ -4,11 +4,13 @@ import json
 import pytest
 
 from symext import (Condition, FiberExhausted, InvalidInstance, StageViolation,
-                    check_name, forces, iter_conditions, min_onto_check,
-                    ordinal, swap_kernel, swap_partner, wisc_kernel)
-from symext import Poset, build_instance
+                    check_name, check_support, forces, iter_conditions,
+                    min_onto_check, ordinal, swap_kernel, swap_partner,
+                    wisc_kernel)
+from symext import Poset, build_instance, kernels
 from symext.forcing import Eq
 from symext.instances import least_value_name
+from symext.kernels import wisc_swap
 
 _SCOPE = ('"scope": "verifies the finite combinatorial step only (stabilizer '
           'membership, name fixation, condition compatibility); no conclusion '
@@ -82,6 +84,29 @@ class TestSwapPartner:
 
 
 class TestSwapKernel:
+    def test_support_checked_once_per_run(self, swap_scale, monkeypatch):
+        inst, _ = swap_scale
+        calls = []
+
+        def counting(inst, support):
+            calls.append(support)
+            return check_support(inst, support)
+
+        monkeypatch.setattr(kernels, "check_support", counting)
+        runs = 0
+        for q in iter_conditions(inst, 1):
+            for support in ((), [("b", 0)], {("a", 2)}):
+                runs += 1
+                try:
+                    swap_kernel(inst, q, support, "a", 0)
+                except FiberExhausted:
+                    pass
+        assert len(calls) == runs
+        # swap_partner still validates the support it is given
+        with pytest.raises(InvalidInstance):
+            swap_partner(inst, Condition.top(inst), {("z", 0)}, "a", 0)
+        assert len(calls) == runs + 1
+
     def test_reported_example(self, swap_scale):
         inst, _ = swap_scale
         q = Condition(inst, {("a", 0, 0): 1, ("b", 0, 0): 1})
@@ -178,6 +203,16 @@ class TestWiscKernel:
         support = frozenset({(1, 3)})
         with pytest.raises(FiberExhausted):
             wisc_kernel(staged, 0, family.rows[(0, 0)], 1, q, support)
+
+    def test_swap_half_raises_like_the_kernel(self, staged_pair):
+        staged, _ = staged_pair
+        q = Condition(staged, {(1, 1, 0): 1, (1, 2, 0): 1})
+        with pytest.raises(FiberExhausted):
+            wisc_swap(staged, 1, q, {(1, 3)})
+        with pytest.raises(ValueError):
+            wisc_swap(staged, 2, Condition.top(staged), ())
+        with pytest.raises(InvalidInstance):
+            wisc_swap(staged, 1, Condition.top(staged), {(1, 9)})
 
     def test_mini_exhaustive(self, staged_pair):
         staged, family = staged_pair
