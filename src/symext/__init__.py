@@ -15,8 +15,8 @@ from .instances import (build_instance, build_staged_instance, canonical_family,
 from .kernels import (KernelReport, MinOntoReport, min_onto_check, swap_kernel,
                       swap_partner, wisc_kernel)
 from .names import (HF, EMPTY_HF, EMPTY_NAME, Name, check_name, hf, interpret,
-                    kuratowski, make_name, name_cells, name_closure, ordinal,
-                    pair_name, set_name)
+                    kuratowski, make_name, name_cells, ordinal, pair_name,
+                    set_name)
 from .symmetry import (AssembleReport, ConjugationReport, FiberPermutation,
                        act_condition, act_name, act_support, assemble_sequence,
                        check_support, conjugate, conjugation_check,

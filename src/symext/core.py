@@ -350,9 +350,6 @@ class Condition:
     def value(self, cell):
         return self._map.get(tuple(cell))
 
-    def domain(self) -> tuple:
-        return tuple(cell for cell, _ in self.items)
-
     def touched_fibers(self, site) -> frozenset:
         return frozenset(f for (s, f, _), _ in self.items if s == site)
 

@@ -22,14 +22,16 @@ Two independent modes are implemented:
   componentwise.  Induction terminates because the rank sum drops at
   every atomic step.
 
-Density below p is evaluated over the whole condition lattice of the
-instance by two monotone sweeps (does some extension land in the set;
-does that hold below every extension), which is the same relation as the
-literal double loop but linear in the lattice.  No appeal to generic
-filters is made anywhere on this path, and the semantic path never reads
-the lattice tables, so the two modes stay genuinely independent; their
-agreement (exact when conditions may grow total) is an acceptance
-criterion, not an assumption.
+Each recursive table is one int over the 3^cells condition codes (bit
+c set iff the condition coded c is in the set).  Density below p is
+evaluated for every p at once by two zeta transforms over the code
+lattice (which codes have an extension in the set; which have an
+extension that has none), the same relation as the literal double loop
+at a few shift-and-mask passes per cell.  No appeal to generic filters is made
+anywhere on this path, and the semantic path never reads the code
+tables, so the two modes stay genuinely independent; their agreement
+(exact when conditions may grow total) is an acceptance criterion, not
+an assumption.
 
 Both modes check that a formula's names belong to the condition's
 instance once, when its mask or table is first built in that instance's
@@ -131,7 +133,7 @@ def eval_formula(phi: Formula, filt: GenericFilter) -> bool:
     raise TypeError(f"not a formula: {phi!r}")
 
 
-_SPACE_LIMIT = 600_000
+_SPACE_CELLS = 12
 # At the semantic limit, 14 cells, enumerating the 16,384 filters took
 # 0.09 s, and the truth masks of the CLI's 20-formula default pool 3.6 s
 # and 56 MB more peak memory (2-CPU machine, CPython 3.11); both about
@@ -143,10 +145,11 @@ def check_size(inst, *modes) -> None:
     """Raise InvalidInstance, with the cost, when the instance is too
     large for one of the forcing modes named ("recursive", "semantic")."""
     n = len(inst.cells)
-    if "recursive" in modes and 3 ** n > _SPACE_LIMIT:
+    if "recursive" in modes and n > _SPACE_CELLS:
         raise InvalidInstance(
-            f"recursive forcing tables need 3^cells <= {_SPACE_LIMIT}; "
-            f"instance has {n} cells")
+            f"recursive forcing tables hold 3^cells codes, at most "
+            f"3^{_SPACE_CELLS} = {3 ** _SPACE_CELLS}; instance has {n} "
+            f"cells (3^{n} codes)")
     if "semantic" in modes and n > _FILTER_CELLS:
         raise InvalidInstance(
             f"semantic forcing enumerates 2^cells generic filters, at most "
@@ -156,7 +159,8 @@ def check_size(inst, *modes) -> None:
 
 # The recursive mode works on an integer encoding of the condition
 # lattice: cell i carries trit 0 (unset), 1 (bit 0) or 2 (bit 1), so a
-# condition is a base-3 code and extension is digitwise refinement.
+# condition is a base-3 code and extension is digitwise refinement.  A
+# set of codes is one int, bit c set iff code c is in the set.
 
 _SPACES: dict = {}
 
@@ -164,56 +168,38 @@ _SPACES: dict = {}
 class _Space:
     def __init__(self, inst):
         check_size(inst, "recursive")
-        cells = inst.cells
-        n = len(cells)
-        size = 3 ** n
+        size = 3 ** len(inst.cells)
         self.inst = inst
-        self.cells = cells
-        self.n = n
-        self.size = size
-        self.pow3 = [3 ** i for i in range(n)]
-
-        valid = bytearray(size)
-        by_dom = [[] for _ in range(n + 1)]
-        for code in range(size):
-            items = self._items_of(code)
-            if inst.condition_violation(items) is None:
-                valid[code] = 1
-                by_dom[len(items)].append(code)
-        self.valid = valid
-        # children first: larger domains are processed before smaller ones
-        desc = []
-        for k in range(n, -1, -1):
-            desc.extend(by_dom[k])
-        self.codes_desc = desc
-
-        onestep = {}
-        for code in desc:
-            kids = []
-            rem = code
-            for i in range(n):
-                if rem % 3 == 0:
-                    for t in (1, 2):
-                        child = code + t * self.pow3[i]
-                        if valid[child]:
-                            kids.append(child)
-                rem //= 3
-            onestep[code] = tuple(kids)
-        self.onestep = onestep
-        self._upsets: dict = {}
+        self.pow3 = [3 ** i for i in range(len(inst.cells))]
+        # zero[i]: the codes whose trit i is 0, a run of 3^i ones every
+        # 3^(i+1) bits, repeated by doubling
+        self.zero = []
+        full = (1 << size) - 1
+        for p in self.pow3:
+            mask, length = (1 << p) - 1, 3 * p
+            while length < size:
+                mask |= mask << length
+                length *= 2
+            self.zero.append(mask & full)
+        # The limits bound set cells on prefixes of the site order, so on
+        # prefixes of the cells: counts[s] holds the codes over the cells
+        # so far with s set trits that meet every limit ending there.
+        per_site = [f * s for f, s in zip(inst.fiber_counts, inst.slot_counts)]
+        ends = {sum(per_site[:k]): bound for k, bound in inst.limits}
+        counts = [1]
+        for i, p in enumerate(self.pow3):
+            counts = [a | (b | b << p) << p
+                      for a, b in zip(counts + [0], [0] + counts)]
+            bound = ends.get(i + 1)
+            if bound is not None:
+                del counts[bound + 1:]
+        self.valid = 0
+        for mask in counts:
+            self.valid |= mask
         self._eq: dict = {}
         self._mem: dict = {}
         self._rec: dict = {}
         self._codes: dict = {}
-
-    def _items_of(self, code):
-        items = []
-        for i in range(self.n):
-            t = code % 3
-            code //= 3
-            if t:
-                items.append((self.cells[i], t - 1))
-        return tuple(items)
 
     def code_of(self, cond: Condition) -> int:
         code = self._codes.get(cond)
@@ -224,85 +210,56 @@ class _Space:
             self._codes[cond] = code
         return code
 
-    def upset(self, code: int) -> tuple:
-        """Every valid condition extending the one encoded."""
-        cached = self._upsets.get(code)
-        if cached is not None:
-            return cached
-        acc = [code]
-        rem = code
-        for i in range(self.n):
-            if rem % 3 == 0:
-                p = self.pow3[i]
-                acc.extend([c + t * p for c in acc for t in (1, 2)])
-            rem //= 3
-        result = tuple(c for c in acc if self.valid[c])
-        self._upsets[code] = result
-        return result
+    def up(self, x: int) -> int:
+        """The codes with some extension in x: the zeta transform over
+        the trit lattice (Bjorklund, Husfeldt, Kaski, Koivisto, "Fourier
+        meets Mobius", STOC 2007), one pass per cell."""
+        for p, zero in zip(self.pow3, self.zero):
+            x |= (x >> p | x >> 2 * p) & zero
+        return x
 
-    def _dense_below(self, member: bytearray) -> bytearray:
-        """For each p: is the encoded set dense below p (every extension
-        of p has an extension inside the set)."""
-        size = self.size
-        reach = bytearray(size)
-        dense = bytearray(size)
-        onestep = self.onestep
-        for c in self.codes_desc:
-            kids = onestep[c]
-            r = member[c]
-            if not r:
-                for k in kids:
-                    if reach[k]:
-                        r = 1
-                        break
-            reach[c] = r
-            if r:
-                d = 1
-                for k in kids:
-                    if not dense[k]:
-                        d = 0
-                        break
-                dense[c] = d
-        return dense
+    def above(self, cond: Condition) -> int:
+        """The valid codes extending cond."""
+        mask = self.valid
+        index = self.inst.cell_index
+        for cell, bit in cond.items:
+            i = index[cell]
+            mask &= self.zero[i] << (bit + 1) * self.pow3[i]
+        return mask
 
-    def eq_table(self, x: Name, y: Name) -> bytearray:
+    def dense(self, member: int) -> int:
+        """The p below which member is dense: every valid extension of p
+        has a valid extension in member."""
+        valid = self.valid
+        return valid & ~self.up(valid & ~self.up(valid & member))
+
+    def eq_table(self, x: Name, y: Name) -> int:
         if y.key < x.key:
             x, y = y, x
         key = (x, y)
         cached = self._eq.get(key)
         if cached is not None:
             return cached
-        result = bytearray([1]) * self.size
+        result = self.valid
         for a, b in ((x, y), (y, x)):
             for cond, sub in a.entries:
-                memt = self.mem_table(sub, b)
-                member = bytearray([1]) * self.size
-                for q in self.upset(self.code_of(cond)):
-                    if not memt[q]:
-                        member[q] = 0
-                dense = self._dense_below(member)
-                for i in range(self.size):
-                    if not dense[i]:
-                        result[i] = 0
+                result &= self.dense(~self.above(cond) | self.mem_table(sub, b))
         self._eq[key] = result
         return result
 
-    def mem_table(self, x: Name, y: Name) -> bytearray:
+    def mem_table(self, x: Name, y: Name) -> int:
         key = (x, y)
         cached = self._mem.get(key)
         if cached is not None:
             return cached
-        member = bytearray(self.size)
+        member = 0
         for cond, sub in y.entries:
-            eqt = self.eq_table(x, sub)
-            for q in self.upset(self.code_of(cond)):
-                if eqt[q]:
-                    member[q] = 1
-        result = self._dense_below(member)
+            member |= self.above(cond) & self.eq_table(x, sub)
+        result = self.dense(member)
         self._mem[key] = result
         return result
 
-    def rec_table(self, phi: Formula) -> bytearray:
+    def rec_table(self, phi: Formula) -> int:
         cached = self._rec.get(phi)
         if cached is not None:
             return cached
@@ -311,16 +268,9 @@ class _Space:
         elif isinstance(phi, Mem):
             result = self.mem_table(phi.left, phi.right)
         elif isinstance(phi, Not):
-            body = self.rec_table(phi.body)
-            result = bytearray(self.size)
-            onestep = self.onestep
-            for c in self.codes_desc:
-                if not body[c] and all(result[k] for k in onestep[c]):
-                    result[c] = 1
+            result = self.valid & ~self.up(self.rec_table(phi.body))
         elif isinstance(phi, And):
-            left = self.rec_table(phi.left)
-            right = self.rec_table(phi.right)
-            result = bytearray(a and b for a, b in zip(left, right))
+            result = self.rec_table(phi.left) & self.rec_table(phi.right)
         else:
             raise TypeError(f"not a formula: {phi!r}")
         self._rec[phi] = result
@@ -404,7 +354,7 @@ def forces(p: Condition, phi: Formula, mode: str = "semantic") -> bool:
         if table is None:
             _check_formula(sp.inst, phi)
             table = sp.rec_table(phi)
-        return bool(table[sp.code_of(p)])
+        return bool(table >> sp.code_of(p) & 1)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -20,7 +20,7 @@ lives on the name itself and is bounded by the name registry.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .core import Condition, GenericFilter, _same_instance
 from .errors import MismatchedInstance
@@ -193,20 +193,6 @@ def interpret(x: Name, filt: GenericFilter) -> HF:
                for cond, sub in x.entries if filt.contains(cond))
     _INTERPRET_MEMO[key] = value
     return value
-
-
-def name_closure(x: Name) -> Iterator[Name]:
-    """x together with every hereditary subname, each once."""
-    seen = set()
-    stack = [x]
-    while stack:
-        nm = stack.pop()
-        if id(nm) in seen:
-            continue
-        seen.add(id(nm))
-        yield nm
-        for _, sub in nm.entries:
-            stack.append(sub)
 
 
 def name_cells(x: Name) -> frozenset:

@@ -110,3 +110,66 @@ def naive_name_cells(name):
             cells.update(cell for cell, _ in cond.items)
             stack.append(sub)
     return frozenset(cells)
+
+
+def naive_conditions(inst):
+    """Every condition of the instance, as a frozenset of (cell, bit)
+    items, found by listing all partial assignments."""
+    out = []
+    for k in range(len(inst.cells) + 1):
+        for combo in itertools.combinations(inst.cells, k):
+            for bits in itertools.product((0, 1), repeat=k):
+                items = tuple(zip(combo, bits))
+                if inst.condition_violation(items) is None:
+                    out.append(frozenset(items))
+    return out
+
+
+def naive_recursive_forces(inst, p, phi, memo=None):
+    """The textbook forcing recursion over an explicit condition list,
+    with "D is dense below p" read literally: every q extending p has
+    some r extending q in D.  A condition extends another when its items
+    include the other's.  Pass one memo dict to share work between calls
+    on the same instance."""
+    memo = {} if memo is None else memo
+    conds = memo.get("conditions")
+    if conds is None:
+        conds = memo["conditions"] = naive_conditions(inst)
+
+    def below(p):
+        key = ("below", p)
+        if key not in memo:
+            memo[key] = [q for q in conds if p <= q]
+        return memo[key]
+
+    def dense_below(p, in_set):
+        return all(any(in_set(r) for r in below(q)) for q in below(p))
+
+    def f_eq(p, x, y):
+        key = ("eq", p, x, y)
+        if key not in memo:
+            memo[key] = all(
+                dense_below(p, lambda q: not frozenset(r.items) <= q or f_mem(q, z, b))
+                for a, b in ((x, y), (y, x))
+                for r, z in a.entries)
+        return memo[key]
+
+    def f_mem(p, x, y):
+        key = ("mem", p, x, y)
+        if key not in memo:
+            memo[key] = dense_below(p, lambda q: any(
+                frozenset(r.items) <= q and f_eq(q, x, z) for r, z in y.entries))
+        return memo[key]
+
+    def f(p, phi):
+        if isinstance(phi, Eq):
+            return f_eq(p, phi.left, phi.right)
+        if isinstance(phi, Mem):
+            return f_mem(p, phi.left, phi.right)
+        if isinstance(phi, Not):
+            return not any(f(q, phi.body) for q in below(p))
+        if isinstance(phi, And):
+            return f(p, phi.left) and f(p, phi.right)
+        raise TypeError(phi)
+
+    return f(frozenset(p.items), phi)

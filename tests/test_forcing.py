@@ -1,19 +1,23 @@
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
 from symext import (And, Condition, Eq, FiberPermutation, GenericFilter,
-                    InvalidInstance, Mem, MismatchedInstance, Not, ParseError,
-                    act_condition, act_formula, check_name, eval_formula,
+                    Instance, InvalidInstance, Mem, MismatchedInstance, Not,
+                    ParseError, Poset, act_condition, act_formula,
+                    build_instance, canonical_family, check_name, eval_formula,
                     extends, forces, format_formula, forcing, generic_filters,
                     generator_closure, fix_generators, iter_conditions,
-                    ordinal, parse_formula, symmetry_lemma_check)
+                    ordinal, parse_formula, row_name, site_name,
+                    symmetry_lemma_check)
 from symext.cli import default_formula_pool
 from symext.forcing import (_FILTER_SPACES, _filter_space, _separating_filter,
                             _space)
 from symext.names import EMPTY_NAME
 
-from _oracles import naive_eval, naive_forces, total_assignments
+from _oracles import (naive_eval, naive_forces, naive_recursive_forces,
+                      total_assignments)
 
 
 def small_pool(inst, family):
@@ -229,11 +233,84 @@ class TestFilterSpace:
                 forces(Condition.top(other), phi, mode)
 
 
+def reference_cut():
+    """The reference poset with domain cutoff 3."""
+    return build_instance(Poset.antichain(["a", "b"]), 2, 2, 1, 3)[0]
+
+
+def two_limits():
+    """8 cells on two sites: at most 2 set on site a, 3 in all."""
+    return Instance("flat", Poset.antichain(["a", "b"]), (2, 2), (2, 2), 1,
+                    ((1, 2), (2, 3)), (2, 2))
+
+
+def three_uneven_limits():
+    """Sites of 2, 2 and 3 cells, one limit ending after each."""
+    return Instance("flat", Poset.antichain(["a", "b", "c"]), (1, 2, 3),
+                    (2, 1, 1), 1, ((1, 1), (2, 2), (3, 3)), (1, 2, 3))
+
+
+def staged_single():
+    """One stage of size 3: at most 2 of its 9 cells set."""
+    return Instance.staged((3,), 1)
+
+
+def row_pool(inst):
+    """small_pool over the row and site names of any instance."""
+    names = SimpleNamespace(
+        rows={(z, a): row_name(inst, z, a) for z, a in inst.pairs},
+        sites={z: site_name(inst, z) for z in inst.sites})
+    return small_pool(inst, names)
+
+
+def code_items(inst, code):
+    items = []
+    for cell in inst.cells:
+        code, trit = divmod(code, 3)
+        if trit:
+            items.append((cell, trit - 1))
+    return tuple(items)
+
+
+class TestRecursiveSpace:
+    @pytest.mark.parametrize("build", [reference_cut, two_limits])
+    def test_matches_naive_recursion_on_cutoff_instances(self, build):
+        # mode agreement holds only where conditions may grow total, so a
+        # cut-off lattice needs this reference of its own
+        inst = build()
+        family = canonical_family(inst)
+        pool = small_pool(inst, family) + [
+            phi for _, phi in default_formula_pool({"inst": inst, "family": family})]
+        memo = {}
+        for p in iter_conditions(inst):
+            for phi in pool:
+                assert forces(p, phi, "recursive") == \
+                    naive_recursive_forces(inst, p, phi, memo), (p.items, phi)
+
+    @pytest.mark.parametrize(
+        "build", [reference_cut, two_limits, three_uneven_limits, staged_single])
+    def test_valid_codes_are_the_conditions(self, build):
+        inst = build()
+        sp = _space(inst)
+        for code in range(3 ** len(inst.cells)):
+            ok = inst.condition_violation(code_items(inst, code)) is None
+            assert bool(sp.valid >> code & 1) == ok, code_items(inst, code)
+        for phi in row_pool(inst):
+            forces(Condition.top(inst), phi, "recursive")
+        tables = [*sp._eq.values(), *sp._mem.values(), *sp._rec.values()]
+        assert tables
+        for table in tables:
+            assert table & ~sp.valid == 0
+
+
 class TestSpaceGuards:
-    def test_large_instance_rejected_for_recursive_mode(self, staged_pair):
-        staged, _ = staged_pair
-        with pytest.raises(InvalidInstance):
-            _space(staged)
+    @pytest.mark.parametrize("build, match", [
+        (lambda: Instance.staged((3, 4), 1), r"25 cells \(3\^25 codes\)"),
+        (lambda: Instance.flat(Poset.antichain(["a"]), 13, 1, 1), r"13 cells"),
+    ], ids=["staged-25", "flat-13"])
+    def test_large_instance_rejected_for_recursive_mode(self, build, match):
+        with pytest.raises(InvalidInstance, match=match):
+            _space(build())
 
     def test_large_instance_rejected_for_semantic_mode(self, staged_pair, monkeypatch):
         staged, _ = staged_pair
