@@ -36,6 +36,7 @@ name-independent half of each wisc kernel run (see _slice_context).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -66,6 +67,9 @@ _STAGED_KEYS = {"stages", "c",
                 "max_dom", "max_support", "seed", "posets", "formulas", "suites"}
 _POSET_KEYS = {"elements", "leq"}
 _INT_OPTIONS = ("max_dom", "max_support", "seed", "posets")
+# the largest k of an ord:k name term: four ord:64 formulas take 3 s on
+# the reference spec, one ord:1000 formula 20 s on a 1-site spec
+_MAX_ORDINAL = 64
 
 FLAT_SUITES = ("embedding", "hs", "normality", "forcing-oracle",
                "symmetry-lemma", "swap")
@@ -79,11 +83,6 @@ class InstanceSpec:
     kind: str            # "flat" | "staged"
     text: str            # canonical JSON of the raw spec
     raw: dict
-
-    @property
-    def options(self) -> dict:
-        return {k: self.raw.get(k) for k in
-                ("max_dom", "max_support", "seed", "posets", "formulas", "suites")}
 
 
 def _is_int(value) -> bool:
@@ -142,6 +141,7 @@ def parse_instance_spec(text: str) -> InstanceSpec:
     for key in required + optional:
         if not _is_int(raw.get(key)):
             raise ParseError(f"spec field {key!r} must be an integer")
+    _check_counts(raw)
     for key in ("suites", "formulas"):
         if raw.get(key) is not None and not _is_str_list(raw[key]):
             raise ParseError(f"{key!r} must be a list of strings")
@@ -150,16 +150,21 @@ def parse_instance_spec(text: str) -> InstanceSpec:
     return spec
 
 
+def _check_counts(options: dict) -> None:
+    """Reject a negative bound or sample count, on which the suites
+    reading it would silently run no units."""
+    for key in ("max_dom", "max_support", "posets"):
+        if options.get(key) is not None and options[key] < 0:
+            raise ParseError(f"{key!r} must be non-negative, got {options[key]}")
+
+
 def _build_objects(spec: InstanceSpec):
     if spec.kind == "flat":
         raw = spec.raw
         poset = Poset.from_pairs(raw["poset"].get("elements", ()),
                                  [tuple(p) for p in raw["poset"].get("leq", ())])
-        inst, family = build_instance(poset, raw["n"], raw["v"], raw["c"],
-                                      raw.get("d"))
-        return inst, family
-    staged, family = build_staged_instance(spec.raw["stages"], spec.raw["c"])
-    return staged, family
+        return build_instance(poset, raw["n"], raw["v"], raw["c"], raw.get("d"))
+    return build_staged_instance(spec.raw["stages"], spec.raw["c"])
 
 
 # ------------------------------------------------------------------
@@ -182,7 +187,10 @@ def _resolve_name(ctx, node):
     site_of = ctx["site_of"].__getitem__
     try:
         if parts[0] == "ord" and len(parts) == 2:
-            return check_name(inst, ordinal(int(parts[1])))
+            k = int(parts[1])
+            if k > _MAX_ORDINAL:
+                raise ValueError(f"ordinal {k} is above the bound {_MAX_ORDINAL}")
+            return check_name(inst, ordinal(k))
         if parts[0] == "row" and len(parts) == 3:
             return family.rows[(site_of(parts[1]), int(parts[2]))]
         if parts[0] == "site" and len(parts) == 2:
@@ -246,16 +254,12 @@ def default_formula_pool(ctx) -> list:
 
 
 # ------------------------------------------------------------------
-# per-process context
+# per-process context: one entry, so a run's suites and its --jobs
+# workers (forked after the parent built it) share it, and the previous
+# spec's instance is freed when the next one is built
 
-_CTX_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=1)
 def _context(spec_text: str, overrides_text: str) -> dict:
-    key = (spec_text, overrides_text)
-    ctx = _CTX_CACHE.get(key)
-    if ctx is not None:
-        return ctx
     raw = json.loads(spec_text)
     overrides = json.loads(overrides_text)
     spec = InstanceSpec("staged" if "stages" in raw else "flat", spec_text, raw)
@@ -296,7 +300,6 @@ def _context(spec_text: str, overrides_text: str) -> dict:
     ctx["supports"] = _supports(inst, ctx["max_support"])
     ctx["members"] = [label for label in ctx["names"]
                       if label.split(":")[0] in ("row", "site")]
-    _CTX_CACHE[key] = ctx
     return ctx
 
 
@@ -638,6 +641,7 @@ def run_checks(spec: InstanceSpec, suite: str = "all", jobs: int = 1,
     """Run a suite (or every applicable one) and stream JSON lines; the
     return value is the process exit status."""
     out = out or sys.stdout
+    _check_counts(overrides or {})
     overrides_text = json.dumps(overrides or {}, sort_keys=True)
     if suite == "all":
         wanted = spec.raw.get("suites")

@@ -108,6 +108,25 @@ class Poset:
         return f"Poset({list(self.elements)!r}, {strict!r})"
 
 
+class Store:
+    """Everything built for one instance: the name registry and the memos
+    of names, supports, the group action and the forcing modes.  It lives
+    on the instance and is freed with it; its keys leave the instance out."""
+
+    def __init__(self):
+        self.names = {}           # make_name: entries -> the interned Name
+        self.checks = {}          # check_name: HF -> Name
+        self.interpret = {}       # interpret: (Name, GenericFilter) -> HF
+        self.transpositions = {}  # (site, a, b) -> FiberPermutation
+        self.act = {}             # act_name: (FiberPermutation, Name) -> Name
+        self.support = {}         # infer_min_support: (Name, max_site) -> support
+        self.hs = {}              # is_hs: (Name, max_site) -> bool
+        self.stage = {}           # name_stage: Name -> stage
+        self.family = None        # canonical_family
+        self.space = None         # forcing._Space
+        self.filter_space = None  # forcing._FilterSpace
+
+
 @dataclass(frozen=True)
 class Instance:
     """The ambient context of a forcing poset.
@@ -121,7 +140,8 @@ class Instance:
 
     Build instances with `flat` or `staged`, which hold the two
     validators; kind records which one, and selects the shape of
-    describe().
+    describe().  store holds what is built for the instance; equality,
+    hash, repr and describe() ignore it.
     """
 
     kind: str
@@ -139,7 +159,8 @@ class Instance:
             raise InvalidInstance("support cutoff must be positive")
         if min(bound for _, bound in self.limits) < 1:
             raise InvalidInstance("domain cutoff must be positive")
-        # the dataclass hash, computed once: instances key every memo
+        # the dataclass hash, computed once: conditions, filters and
+        # permutations hash their instance on construction
         object.__setattr__(self, "_hash", hash((
             self.kind, self.poset, self.fiber_counts, self.slot_counts,
             self.support_cutoff, self.limits, self.moved_bounds)))
@@ -196,6 +217,10 @@ class Instance:
 
     def __hash__(self):
         return self._hash
+
+    @cached_property
+    def store(self) -> Store:
+        return Store()
 
     @property
     def sites(self) -> tuple:

@@ -162,9 +162,6 @@ def check_size(inst, *modes) -> None:
 # condition is a base-3 code and extension is digitwise refinement.  A
 # set of codes is one int, bit c set iff code c is in the set.
 
-_SPACES: dict = {}
-
-
 class _Space:
     def __init__(self, inst):
         check_size(inst, "recursive")
@@ -278,14 +275,9 @@ class _Space:
 
 
 def _space(inst) -> _Space:
-    sp = _SPACES.get(inst)
-    if sp is None:
-        sp = _Space(inst)
-        _SPACES[inst] = sp
-    return sp
-
-
-_FILTER_SPACES: dict = {}
+    if inst.store.space is None:
+        inst.store.space = _Space(inst)
+    return inst.store.space
 
 
 class _FilterSpace:
@@ -336,11 +328,9 @@ class _FilterSpace:
 
 
 def _filter_space(inst) -> _FilterSpace:
-    fs = _FILTER_SPACES.get(inst)
-    if fs is None:
-        fs = _FilterSpace(inst)
-        _FILTER_SPACES[inst] = fs
-    return fs
+    if inst.store.filter_space is None:
+        inst.store.filter_space = _FilterSpace(inst)
+    return inst.store.filter_space
 
 
 def forces(p: Condition, phi: Formula, mode: str = "semantic") -> bool:

@@ -118,17 +118,13 @@ class NameFamily:
             yield f"least:{pair[0]}:{pair[1]}", nm
 
 
-_FAMILIES: dict = {}
-
-
 def canonical_family(inst: Instance) -> NameFamily:
     """Row, site and graph names; on a flat instance also the region name
     of every site subset and the least name of every row.  Row names of
     a staged instance use stage-local cells only, so each lives in its
     stage's condition poset."""
-    fam = _FAMILIES.get(inst)
-    if fam is not None:
-        return fam
+    if inst.store.family is not None:
+        return inst.store.family
     flat = inst.kind == "flat"
     if flat and len(inst.sites) > 10:
         raise InvalidInstance("canonical family builds all region names; "
@@ -143,9 +139,9 @@ def canonical_family(inst: Instance) -> NameFamily:
                 regions[frozenset(combo)] = region_name(inst, combo)
         least = {(z, a): least_value_name(inst, z, a) for z in inst.sites
                  for a in range(inst.fiber_count(z))}
-    fam = NameFamily(inst, rows, sites, regions, graph_name(inst), least)
-    _FAMILIES[inst] = fam
-    return fam
+    inst.store.family = NameFamily(inst, rows, sites, regions,
+                                   graph_name(inst), least)
+    return inst.store.family
 
 
 def _verified_family(inst: Instance):
@@ -155,9 +151,7 @@ def _verified_family(inst: Instance):
     for label, nm in family.members():
         if not is_hs(inst, nm):
             raise InvalidInstance(f"canonical name {label} is not hereditarily symmetric")
-    # the family's own instance: rebuilding an equal instance then hands
-    # out the same object, so instance checks stay identity checks
-    return family.inst, family
+    return inst, family
 
 
 def build_instance(poset: Poset, fibers: int, slots: int, support_cutoff: int,
@@ -182,11 +176,14 @@ def stage_restrict(cond: Condition, stage: int) -> Condition:
 
 def name_stage(x: Name) -> Optional[int]:
     """The least stage whose condition poset contains every condition in
-    the name's closure; None when the name has no cells at all."""
-    cells = name_cells(x)
-    if not cells:
+    the name's closure; None when the name has no cells at all.  Kept
+    in the instance's store."""
+    if x.inst is None:
         return None
-    return max(cell[0] for cell in cells)
+    memo = x.inst.store.stage
+    if x not in memo:
+        memo[x] = max((cell[0] for cell in name_cells(x)), default=None)
+    return memo[x]
 
 
 def in_stage(x: Name, stage: int) -> bool:

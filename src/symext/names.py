@@ -6,11 +6,12 @@ the group action can detect literal fixation cheaply.  Interpretation by
 a generic filter lands in HF, the type of hereditarily finite sets,
 which is interned the same way and therefore extensional by identity.
 
-The interning registries are plain dicts used as pure caches (same input
-gives the same handle).  Under CPython's GIL lookup-or-insert is safe
-enough for the concurrent reads our sweeps do; a build that wants true
-parallel construction should confine interning to one worker per
-process, which multiprocessing gives us for free.
+Names are interned per instance: the registry and the check-name and
+interpretation memos live in the instance's store and are freed with
+it.  HF sets belong to no instance, so their registry is global.  The
+empty name is shared by every instance.  Interning is a pure cache
+(same input, same handle); parallel runs use worker processes, each
+with its own copy, so no registry is shared between threads.
 
 Each name also carries the memo of its hereditary cell set, filled by
 the first `name_cells` call.  That is safe because names are interned
@@ -98,10 +99,18 @@ class Name:
     rank is 1 + the largest subname rank (0 for the empty name); key is a
     structural sort key; inst is the owning instance, or None for the
     empty name, which is shared by every instance; _cells is the memo
-    of name_cells, None until first asked.
+    of name_cells, None until first asked.  Build names with make_name,
+    which interns them.
     """
 
     __slots__ = ("entries", "rank", "key", "inst", "_cells")
+
+    def __init__(self, entries: tuple, inst):
+        self.entries = entries
+        self.rank = 0 if not entries else 1 + max(s.rank for _, s in entries)
+        self.key = (self.rank, tuple((c.items, s.key) for c, s in entries))
+        self.inst = inst
+        self._cells = None
 
     def __repr__(self):
         return f"Name(rank={self.rank}, entries={len(self.entries)})"
@@ -111,12 +120,12 @@ class Name:
                 for cond, sub in self.entries]
 
 
-_NAME_REGISTRY: dict = {}
+EMPTY_NAME = Name((), None)
 
 
 def make_name(entries: Iterable[tuple]) -> Name:
     """The name with the given (condition, name) entries, deduplicated and
-    canonically ordered."""
+    canonically ordered, interned in its instance's store."""
     inst = None
     canon = {}
     for cond, sub in entries:
@@ -129,34 +138,23 @@ def make_name(entries: Iterable[tuple]) -> Name:
         if sub.inst is not None and sub.inst is not inst and sub.inst != inst:
             raise MismatchedInstance("subname belongs to a different instance")
         canon[(cond, sub)] = None
+    if inst is None:
+        return EMPTY_NAME
     ordered = tuple(sorted(canon, key=lambda e: (e[0].items, e[1].key)))
-    cached = _NAME_REGISTRY.get(ordered)
-    if cached is not None:
-        return cached
-    obj = object.__new__(Name)
-    obj.entries = ordered
-    obj.rank = 0 if not ordered else 1 + max(s.rank for _, s in ordered)
-    obj.key = (obj.rank, tuple((c.items, s.key) for c, s in ordered))
-    obj.inst = inst
-    obj._cells = None
-    _NAME_REGISTRY[ordered] = obj
+    registry = inst.store.names
+    obj = registry.get(ordered)
+    if obj is None:
+        obj = registry[ordered] = Name(ordered, inst)
     return obj
-
-
-EMPTY_NAME = make_name(())
-
-_CHECK_MEMO: dict = {}
 
 
 def check_name(inst, x: HF) -> Name:
     """The canonical name whose interpretation is x under every filter."""
-    key = (inst, x)
-    cached = _CHECK_MEMO.get(key)
-    if cached is not None:
-        return cached
-    top = Condition.top(inst)
-    result = make_name((top, check_name(inst, e)) for e in x)
-    _CHECK_MEMO[key] = result
+    memo = inst.store.checks
+    result = memo.get(x)
+    if result is None:
+        top = Condition.top(inst)
+        result = memo[x] = make_name((top, check_name(inst, e)) for e in x)
     return result
 
 
@@ -177,21 +175,17 @@ def pair_name(inst, x: Name, y: Name) -> Name:
     return set_name(inst, [set_name(inst, [x]), set_name(inst, [x, y])])
 
 
-_INTERPRET_MEMO: dict = {}
-
-
 def interpret(x: Name, filt: GenericFilter) -> HF:
     """Evaluate x by the filter: the set of interpretations of subnames
     whose condition lies in the filter, extensionally normalized."""
     if x.inst is not None:
         _same_instance(x.inst, filt.inst)
+    memo = filt.inst.store.interpret
     key = (x, filt)
-    cached = _INTERPRET_MEMO.get(key)
-    if cached is not None:
-        return cached
-    value = hf(interpret(sub, filt)
-               for cond, sub in x.entries if filt.contains(cond))
-    _INTERPRET_MEMO[key] = value
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = hf(interpret(sub, filt)
+                               for cond, sub in x.entries if filt.contains(cond))
     return value
 
 

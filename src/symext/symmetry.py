@@ -27,9 +27,6 @@ from .errors import InvalidInstance
 from .names import Name, make_name, name_cells, set_name
 
 
-_TRANSPOSITIONS: dict = {}
-
-
 class FiberPermutation:
     """A finitely-supported, site-preserving permutation of (site, fiber)
     pairs, stored as its moved-pair mapping."""
@@ -73,12 +70,13 @@ class FiberPermutation:
     @classmethod
     def transposition(cls, inst, site, a, b):
         """The swap of fibers a and b at the site, built and validated
-        once per (inst, site, a, b) and shared with (inst, site, b, a);
-        an invalid one raises every time."""
-        pi = _TRANSPOSITIONS.get((inst, site, a, b))
+        once per (site, a, b) in the instance's store and shared with
+        (site, b, a); an invalid one raises every time."""
+        interned = inst.store.transpositions
+        pi = interned.get((site, a, b))
         if pi is None:
             pi = cls(inst, {(site, a): (site, b), (site, b): (site, a)})
-            _TRANSPOSITIONS[(inst, site, a, b)] = _TRANSPOSITIONS[(inst, site, b, a)] = pi
+            interned[site, a, b] = interned[site, b, a] = pi
         return pi
 
     @classmethod
@@ -156,9 +154,6 @@ def act_condition(pi: FiberPermutation, p: Condition) -> Condition:
     return Condition._trusted(p.inst, image)
 
 
-_ACT_MEMO: dict = {}
-
-
 def act_name(pi: FiberPermutation, x: Name) -> Name:
     """The lifted action on names: relabel every condition, recursively."""
     if x.inst is None:
@@ -166,13 +161,12 @@ def act_name(pi: FiberPermutation, x: Name) -> Name:
     _same_instance(pi.inst, x.inst)
     if pi.is_identity:
         return x
+    memo = x.inst.store.act
     key = (pi, x)
-    cached = _ACT_MEMO.get(key)
-    if cached is not None:
-        return cached
-    result = make_name((act_condition(pi, cond), act_name(pi, sub))
-                       for cond, sub in x.entries)
-    _ACT_MEMO[key] = result
+    result = memo.get(key)
+    if result is None:
+        result = memo[key] = make_name((act_condition(pi, cond), act_name(pi, sub))
+                                       for cond, sub in x.entries)
     return result
 
 
@@ -224,9 +218,6 @@ def is_symmetric_under(inst, x: Name, support, max_site=None) -> bool:
                for g in fix_generators(inst, support, max_site))
 
 
-_SUPPORT_MEMO: dict = {}
-
-
 def infer_min_support(inst, x: Name, max_site=None) -> Optional[frozenset]:
     """The least support of x, or None if nothing within the cutoff works.
 
@@ -240,9 +231,10 @@ def infer_min_support(inst, x: Name, max_site=None) -> Optional[frozenset]:
     support and the stabilizer generators use sites up to it only, and a
     name with a cell above it has no support.
     """
-    key = (inst, x, max_site)
-    if key in _SUPPORT_MEMO:
-        return _SUPPORT_MEMO[key]
+    memo = inst.store.support
+    key = (x, max_site)
+    if key in memo:
+        return memo[key]
     own = {(cell[0], cell[1]) for cell in name_cells(x)}
     candidates = ()
     if max_site is None or all(site <= max_site for site, _ in own):
@@ -253,11 +245,8 @@ def infer_min_support(inst, x: Name, max_site=None) -> Optional[frozenset]:
                                 key=lambda c: (sum(1 for p in c if p not in own), c)))
     result = next((frozenset(combo) for combo in candidates
                    if is_symmetric_under(inst, x, combo, max_site)), None)
-    _SUPPORT_MEMO[key] = result
+    memo[key] = result
     return result
-
-
-_HS_MEMO: dict = {}
 
 
 def is_hs(inst, x: Name, max_site=None) -> bool:
@@ -265,13 +254,12 @@ def is_hs(inst, x: Name, max_site=None) -> bool:
     does every hereditary subname.  With max_site given this is
     membership in that stage's hereditarily symmetric class (see
     infer_min_support)."""
-    key = (inst, x, max_site)
-    if key in _HS_MEMO:
-        return _HS_MEMO[key]
-    ok = infer_min_support(inst, x, max_site) is not None and all(
-        is_hs(inst, sub, max_site) for _, sub in x.entries)
-    _HS_MEMO[key] = ok
-    return ok
+    memo = inst.store.hs
+    key = (x, max_site)
+    if key not in memo:
+        memo[key] = infer_min_support(inst, x, max_site) is not None and all(
+            is_hs(inst, sub, max_site) for _, sub in x.entries)
+    return memo[key]
 
 
 def generator_closure(gens: Iterable[FiberPermutation], max_len: int) -> list:

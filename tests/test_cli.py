@@ -24,7 +24,8 @@ FLAT_FIELDS = '"poset": {"elements": ["a", "b"], "leq": []}, "n": 2, "v": 2'
 
 # every spec here must exit 2 with a message: wrong container types,
 # JSON booleans where an integer is expected, a non-integer max_dom,
-# ill-typed poset elements and relation pairs
+# ill-typed poset elements and relation pairs, an ordinal past the
+# bound, negative bounds and sample counts
 MALFORMED = [
     '{"poset": {"elements": ["a", 1], "leq": []}, "n": 2, "v": 2, "c": 1}',
     '{"poset": {"elements": ["a", "b"], "leq": [["a"]]}, "n": 2, "v": 2, "c": 1}',
@@ -48,6 +49,12 @@ MALFORMED = [
     '{%s, "c": 1, "max_support": true}' % FLAT_FIELDS,
     '{%s, "c": 1, "seed": false}' % FLAT_FIELDS,
     '{%s, "c": 1, "posets": true}' % FLAT_FIELDS,
+    '{%s, "c": 1, "formulas": ["(mem ord:0 ord:100000)"]}' % FLAT_FIELDS,
+    '{%s, "c": 1, "max_dom": -1}' % FLAT_FIELDS,
+    '{%s, "c": 1, "max_support": -1}' % FLAT_FIELDS,
+    '{%s, "c": 1, "posets": -1}' % FLAT_FIELDS,
+    '{"stages": [3, 4], "c": 1, "max_dom": -1}',
+    '{"stages": [3, 4], "c": 1, "max_support": -2}',
 ]
 
 
@@ -256,8 +263,8 @@ class TestSuites:
         code, lines = run(text, "hs")
         assert code == 0 and lines and all(l["verdict"] == "pass" for l in lines)
 
-    @pytest.mark.parametrize("term", ["row:a:x", "ord:x", "ord:-1", "row:c:0",
-                                      "site:0", "region:a+c"])
+    @pytest.mark.parametrize("term", ["row:a:x", "ord:x", "ord:-1", "ord:100000",
+                                      "row:c:0", "site:0", "region:a+c"])
     def test_bad_name_terms_are_parse_errors(self, term):
         raw = json.loads(REFERENCE)
         raw["formulas"] = [f"(mem ord:0 {term})"]
@@ -405,6 +412,15 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--jobs" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--max-dom", "--max-support"])
+    def test_negative_bound_flags_rejected(self, flag, tmp_path, capsys):
+        path = tmp_path / "ref.json"
+        path.write_text(REFERENCE)
+        assert main(["--spec", str(path), flag, "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be non-negative" in captured.err
 
     def test_flag_overrides(self, tmp_path, capsys):
         path = tmp_path / "ref.json"

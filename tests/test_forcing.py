@@ -12,8 +12,7 @@ from symext import (And, Condition, Eq, FiberPermutation, GenericFilter,
                     ordinal, parse_formula, row_name, site_name,
                     symmetry_lemma_check)
 from symext.cli import default_formula_pool
-from symext.forcing import (_FILTER_SPACES, _filter_space, _separating_filter,
-                            _space)
+from symext.forcing import _filter_space, _separating_filter, _space
 from symext.names import EMPTY_NAME
 
 from _oracles import (naive_eval, naive_forces, naive_recursive_forces,
@@ -322,7 +321,7 @@ class TestSpaceGuards:
         phi = Eq(EMPTY_NAME, EMPTY_NAME)
         with pytest.raises(InvalidInstance, match=r"25 cells \(2\^25 filters\)"):
             forces(Condition.top(staged), phi, "semantic")
-        assert staged not in _FILTER_SPACES
+        assert staged.store.filter_space is None
 
     def test_act_formula_structure(self, reference):
         inst, family = reference

@@ -141,6 +141,12 @@ class TestStaged:
             assert all(cell[0] == 0 for cell in cells)
             assert name_stage(family.rows[(0, a)]) == 0
         assert name_stage(family.sites[1]) == 1
+        # the stored stage is the max stage over the name's cells, on the
+        # first call and on every later one
+        for _ in range(2):
+            for label, nm in family.members():
+                expected = max((cell[0] for cell in name_cells(nm)), default=None)
+                assert name_stage(nm) == expected, label
 
     def test_stage_restrict_drops_later_cells(self, staged_pair):
         staged, _ = staged_pair
