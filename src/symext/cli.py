@@ -10,10 +10,10 @@ A staged instance:
 
     {"stages": [3, 4], "c": 1}
 
-Optional keys: "max_dom", "max_support", "seed", "posets" (sampled
-posets for the embedding suite), "formulas" (prefix-syntax strings
-replacing the default pool), "suites" (default selection for --suite
-all).  Unknown keys are rejected.
+Optional keys: "max_dom", "max_support", "seed", "suites" (default
+selection for --suite all), and on a flat spec only "posets" (sampled
+posets for the embedding suite) and "formulas" (prefix-syntax strings
+replacing the default pool).  Unknown keys are rejected.
 
 Each check unit emits one JSON object per line with the fields suite,
 instance (a content hash), params, verdict, witness (failures only) and
@@ -29,8 +29,14 @@ is still 2.
 
 The work a suite's units share is done once per index, not once per
 unit: the JSON text of each condition, support, permutation and label,
-the image of each condition and formula under each permutation, and the
-name-independent half of each wisc kernel run (see _slice_context).
+the image of each condition and formula under each permutation, the
+name-independent half of each wisc kernel run, and the forcing verdicts
+of each formula over all conditions as one bit vector per mode, from
+which the forcing-oracle and symmetry-lemma suites read a unit's verdict
+as one bit of a per-formula (or per-permutation-and-formula) fail mask;
+only a failing unit runs the one-shot check to build its witness (see
+_slice_context).  A unit's elapsed time includes any shared table it is
+the first to need.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from typing import Optional
 from .core import GenericFilter, Poset, iter_conditions
 from .errors import EngineError, ParseError
 from .forcing import (Eq, Mem, Not, And, act_formula, check_size, forces,
-                      lemma_report, parse_formula)
+                      forcing_vector, lemma_report, parse_formula)
 from .instances import (build_instance, build_staged_instance, chain_family,
                         downset_embedding, in_stage, random_poset)
 from .kernels import (_cond_obj, _cycles_obj, partner, swap_kernel, wisc_check,
@@ -63,8 +69,7 @@ from .symmetry import (act_condition, assemble_sequence, conjugation_check,
 
 _FLAT_KEYS = {"poset", "n", "v", "c", "d",
               "max_dom", "max_support", "seed", "posets", "formulas", "suites"}
-_STAGED_KEYS = {"stages", "c",
-                "max_dom", "max_support", "seed", "posets", "formulas", "suites"}
+_STAGED_KEYS = {"stages", "c", "max_dom", "max_support", "seed", "suites"}
 _POSET_KEYS = {"elements", "leq"}
 _INT_OPTIONS = ("max_dom", "max_support", "seed", "posets")
 # the largest k of an ord:k name term: four ord:64 formulas take 3 s on
@@ -337,20 +342,44 @@ def _slice_context(ctx) -> dict:
     - text: the JSON text of a label or site;
     - cond_text, support_text, perm_text: the JSON text of a condition,
       support or permutation, by index;
-    - cond_image: (permutation, condition) -> the index of the image;
+    - cond_images: permutation -> the index of each condition's image;
     - formula_image: (permutation, formula) -> the image formula;
+    - vector: (formula, mode) -> forcing_vector over the conditions;
+    - oracle_fail: formula -> the conditions where the two modes
+      disagree on it (recursive vector ^ semantic vector);
+    - lemma_fail: (permutation, formula) -> the conditions where the
+      symmetry lemma fails, as a bit mask over the conditions;
     - wisc_swap: (swap stage, condition, support) -> kernels.wisc_swap.
 
     The tables end with the slice, so nothing a suite computes outlives
     it (or leaks into another run of the same spec)."""
     inst, conds, supports, perms = (ctx["inst"], ctx["conditions"],
                                     ctx["supports"], ctx["perms"])
+    pool = ctx.get("pool")
     where = {}
 
-    def image(key):
+    def images(pii):
         if not where:
             where.update((c, i) for i, c in enumerate(conds))
-        return where[act_condition(perms[key[0]], conds[key[1]])]
+        return [where[act_condition(perms[pii], c)] for c in conds]
+
+    cond_images = _Table(images)
+    formula_image = _Table(lambda key: act_formula(perms[key[0]], pool[key[1]][1]))
+    vector = _Table(lambda key: forcing_vector(conds, *key))
+
+    def oracle_fail(fi):
+        phi = pool[fi][1]
+        return vector[phi, "recursive"] ^ vector[phi, "semantic"]
+
+    def lemma_fail(key):
+        # the verdict of lemma_report: the two sides differ in a mode, or
+        # the modes differ on the left side
+        pii, fi = key
+        phi, image_phi = pool[fi][1], formula_image[key]
+        ls, lr = vector[phi, "semantic"], vector[phi, "recursive"]
+        rs = _pull_back(vector[image_phi, "semantic"], cond_images[pii])
+        rr = _pull_back(vector[image_phi, "recursive"], cond_images[pii])
+        return (ls ^ rs) | (lr ^ rr) | (ls ^ lr)
 
     return {
         **ctx,
@@ -358,12 +387,20 @@ def _slice_context(ctx) -> dict:
         "cond_text": _Table(lambda ci: json.dumps(_cond_obj(conds[ci]))),
         "support_text": _Table(lambda si: json.dumps(_support_obj(supports[si]))),
         "perm_text": _Table(lambda pii: json.dumps(_cycles_obj(perms[pii]))),
-        "cond_image": _Table(image),
-        "formula_image": _Table(
-            lambda key: act_formula(perms[key[0]], ctx["pool"][key[1]][1])),
+        "cond_images": cond_images,
+        "formula_image": formula_image,
+        "vector": vector,
+        "oracle_fail": _Table(oracle_fail),
+        "lemma_fail": _Table(lemma_fail),
         "wisc_swap": _Table(
             lambda key: wisc_swap(inst, key[0], conds[key[1]], supports[key[2]])),
     }
+
+
+def _pull_back(vector: int, image: list) -> int:
+    """The bit vector whose bit i is bit image[i] of vector."""
+    bits = format(vector, f"0{len(image)}b")[::-1]
+    return int("".join(bits[j] for j in reversed(image)), 2)
 
 
 # ------------------------------------------------------------------
@@ -405,12 +442,14 @@ def _gen_oracle(ctx):
 
 def _run_oracle(ctx, unit):
     ci, fi = unit
-    p = ctx["conditions"][ci]
-    label, phi = ctx["pool"][fi]
-    rec = forces(p, phi, "recursive")
-    sem = forces(p, phi, "semantic")
+    label = ctx["pool"][fi][0]
     params = ('{"condition": ' + ctx["cond_text"][ci]
               + ', "formula": ' + ctx["text"][label] + '}')
+    if not ctx["oracle_fail"][fi] >> ci & 1:
+        return params, True, None
+    p, phi = ctx["conditions"][ci], ctx["pool"][fi][1]
+    rec = forces(p, phi, "recursive")
+    sem = forces(p, phi, "semantic")
     ok = rec == sem
     return params, ok, (None if ok else {"recursive": rec, "semantic": sem})
 
@@ -424,13 +463,15 @@ def _gen_symmetry(ctx):
 
 def _run_symmetry(ctx, unit):
     pii, ci, fi = unit
-    conds = ctx["conditions"]
     label, phi = ctx["pool"][fi]
-    report = lemma_report(conds[ci], phi, conds[ctx["cond_image"][pii, ci]],
-                          ctx["formula_image"][pii, fi])
     params = ('{"permutation": ' + ctx["perm_text"][pii]
               + ', "condition": ' + ctx["cond_text"][ci]
               + ', "formula": ' + ctx["text"][label] + '}')
+    if not ctx["lemma_fail"][pii, fi] >> ci & 1:
+        return params, True, None
+    conds = ctx["conditions"]
+    report = lemma_report(conds[ci], phi, conds[ctx["cond_images"][pii][ci]],
+                          ctx["formula_image"][pii, fi])
     return params, report.equal, report.witness
 
 

@@ -33,7 +33,15 @@ tables, so the two modes stay genuinely independent; their agreement
 (exact when conditions may grow total) is an acceptance criterion, not
 an assumption.
 
-Both modes check that a formula's names belong to the condition's
+`forcing_vector(conds, phi, mode)` decides phi at a whole list of
+conditions of one instance at once: it looks up phi's truth mask (or
+recursive table) once and returns an int whose bit i is set iff
+conds[i] forces phi (semantic: ext(p) & ~truth(phi) == 0; recursive:
+the bit of p's code in the table).  The two branches share no helper.
+`forces(p, phi, mode)` is its one-condition case, so each mode has a
+single lookup path.
+
+Both modes check that a formula's names belong to the conditions'
 instance once, when its mask or table is first built in that instance's
 space; a later hit in the same space implies the check passed.
 
@@ -44,7 +52,7 @@ run as an explicit finite enumeration by the kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .core import Condition, GenericFilter, generic_filters, _same_instance
 from .errors import InvalidInstance, MismatchedInstance, ParseError
@@ -333,19 +341,44 @@ def _filter_space(inst) -> _FilterSpace:
     return inst.store.filter_space
 
 
-def forces(p: Condition, phi: Formula, mode: str = "semantic") -> bool:
-    """Decide whether p forces phi, in the requested mode."""
+def forcing_vector(conds: Sequence[Condition], phi: Formula,
+                   mode: str = "semantic") -> int:
+    """The forcing verdicts of phi over a list of conditions, in the
+    requested mode: bit i is set iff conds[i] forces phi.  The conditions
+    must belong to one instance; phi's mask or table is looked up once."""
+    if mode not in ("semantic", "recursive"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if not conds:
+        return 0
+    inst = conds[0].inst
+    for p in conds:
+        if p.inst is not inst:
+            _same_instance(inst, p.inst)
+    vector = 0
     if mode == "semantic":
-        fs = _filter_space(p.inst)
-        return not fs.ext(p) & ~fs.truth(phi)
-    if mode == "recursive":
-        sp = _space(p.inst)
+        fs = _filter_space(inst)
+        bad = fs.full & ~fs.truth(phi)
+        ext = fs.ext
+        for i, p in enumerate(conds):
+            if not ext(p) & bad:
+                vector |= 1 << i
+    else:
+        sp = _space(inst)
         table = sp._rec.get(phi)
         if table is None:
-            _check_formula(sp.inst, phi)
+            _check_formula(inst, phi)
             table = sp.rec_table(phi)
-        return bool(table >> sp.code_of(p) & 1)
-    raise ValueError(f"unknown mode {mode!r}")
+        code_of = sp.code_of
+        for i, p in enumerate(conds):
+            if table >> code_of(p) & 1:
+                vector |= 1 << i
+    return vector
+
+
+def forces(p: Condition, phi: Formula, mode: str = "semantic") -> bool:
+    """Decide whether p forces phi, in the requested mode: the
+    one-condition case of forcing_vector."""
+    return bool(forcing_vector((p,), phi, mode))
 
 
 def _separating_filter(p: Condition, phi: Formula) -> Optional[GenericFilter]:

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symext import (Compat, EngineError, FiberExhausted, InvalidInstance,
-                    ParseError, in_stage, iter_conditions, swap_kernel,
+                    ParseError, forces, in_stage, iter_conditions, swap_kernel,
                     symmetry_lemma_check, wisc_kernel)
-from symext import cli, kernels
+from symext import cli, forcing, kernels
 from symext.cli import (InstanceSpec, default_formula_pool, main,
-                        parse_instance_spec, run_checks, _context, _gen_swap,
-                        _gen_symmetry, _gen_wisc, _slice_context,
+                        parse_instance_spec, run_checks, _context, _gen_oracle,
+                        _gen_swap, _gen_symmetry, _gen_wisc, _slice_context,
                         _staged_name_pool)
 
 REFERENCE = ('{"poset": {"elements": ["a", "b"], "leq": []}, '
@@ -25,7 +25,8 @@ FLAT_FIELDS = '"poset": {"elements": ["a", "b"], "leq": []}, "n": 2, "v": 2'
 # every spec here must exit 2 with a message: wrong container types,
 # JSON booleans where an integer is expected, a non-integer max_dom,
 # ill-typed poset elements and relation pairs, an ordinal past the
-# bound, negative bounds and sample counts
+# bound, negative bounds and sample counts, flat-only keys on a staged
+# spec
 MALFORMED = [
     '{"poset": {"elements": ["a", 1], "leq": []}, "n": 2, "v": 2, "c": 1}',
     '{"poset": {"elements": ["a", "b"], "leq": [["a"]]}, "n": 2, "v": 2, "c": 1}',
@@ -55,6 +56,8 @@ MALFORMED = [
     '{%s, "c": 1, "posets": -1}' % FLAT_FIELDS,
     '{"stages": [3, 4], "c": 1, "max_dom": -1}',
     '{"stages": [3, 4], "c": 1, "max_support": -2}',
+    '{"stages": [3, 4], "c": 1, "formulas": ["(bogus", "(mem ord:0 ord:100000)"], '
+    '"posets": 3, "suites": ["chains"]}',
 ]
 
 
@@ -150,7 +153,8 @@ _FLAT = st.fixed_dictionaries(
     optional={"d": _INTS, **{k: _INTS for k in _OPTIONS}, **_LISTS})
 _STAGED = st.fixed_dictionaries(
     {"stages": st.lists(st.integers(-1, 5), max_size=3), "c": _INTS},
-    optional={**{k: _INTS for k in _OPTIONS}, **_LISTS})
+    optional={**{k: _INTS for k in _OPTIONS if k != "posets"},
+              "suites": _LISTS["suites"]})
 
 
 @st.composite
@@ -506,6 +510,29 @@ def _fail_every_merge(p, q):
     return Compat(False, conflict=p.items[0][0] if p.items else None)
 
 
+class _FirstCellBlindSpace(forcing._FilterSpace):
+    """A semantic space in which no filter contains a condition setting
+    the instance's first cell, so such a condition forces every formula:
+    semantic mode then disagrees with recursive mode, and is no longer
+    invariant under the permutations that move that cell."""
+
+    def ext(self, cond):
+        if any(cell == self.inst.cells[0] for cell, _ in cond.items):
+            return 0
+        return super().ext(cond)
+
+
+def _blind_semantic_mode(monkeypatch):
+    spaces = {}
+
+    def blind_space(inst):
+        if inst not in spaces:
+            spaces[inst] = _FirstCellBlindSpace(inst)
+        return spaces[inst]
+
+    monkeypatch.setattr(forcing, "_filter_space", blind_space)
+
+
 class TestHoistedPath:
     """The CLI builds permutation images, wisc swap steps and JSON text
     once per index; every line must still say what the public one-shot
@@ -525,6 +552,52 @@ class TestHoistedPath:
             assert line["params"] == {
                 "permutation": [[list(x) for x in c] for c in perm.cycles()],
                 "condition": kernels._cond_obj(p), "formula": label}
+
+    def test_oracle_lines_match_the_one_shot_check(self):
+        spec = parse_instance_spec((SPECS / "reference.json").read_text())
+        ctx = _context(spec.text, json.dumps({"max_dom": 1}))
+        code, lines = run(spec.text, "forcing-oracle", overrides={"max_dom": 1})
+        units = list(_gen_oracle(ctx))
+        assert code == 0 and len(lines) == len(units) == 17 * 21
+        for line, (ci, fi) in zip(lines, units):
+            p = ctx["conditions"][ci]
+            label, phi = ctx["pool"][fi]
+            ok = forces(p, phi, "recursive") == forces(p, phi, "semantic")
+            assert line["verdict"] == ("pass" if ok else "fail")
+            assert line["params"] == {"condition": kernels._cond_obj(p),
+                                      "formula": label}
+
+    def test_failing_symmetry_lines_match_the_one_shot_check(self, monkeypatch):
+        _blind_semantic_mode(monkeypatch)
+        spec = parse_instance_spec((SPECS / "reference.json").read_text())
+        ctx = _context(spec.text, json.dumps({"max_dom": 1}))
+        code, lines = run(spec.text, "symmetry-lemma", overrides={"max_dom": 1})
+        units = list(_gen_symmetry(ctx))
+        assert code == 1 and len(lines) == len(units)
+        separated = 0
+        for line, (pii, ci, fi) in zip(lines, units):
+            report = symmetry_lemma_check(ctx["perms"][pii], ctx["conditions"][ci],
+                                          ctx["pool"][fi][1])
+            assert line["verdict"] == ("pass" if report.equal else "fail")
+            assert line.get("witness") == json.loads(json.dumps(report.witness))
+            separated += "separating_filter" in line.get("witness", {})
+        assert 0 < separated < sum(line["verdict"] == "fail" for line in lines)
+        assert any(line["verdict"] == "pass" for line in lines)
+
+    def test_failing_oracle_lines_match_the_one_shot_check(self, monkeypatch):
+        _blind_semantic_mode(monkeypatch)
+        spec = parse_instance_spec((SPECS / "reference.json").read_text())
+        ctx = _context(spec.text, json.dumps({"max_dom": 1}))
+        code, lines = run(spec.text, "forcing-oracle", overrides={"max_dom": 1})
+        units = list(_gen_oracle(ctx))
+        assert code == 1 and len(lines) == len(units)
+        for line, (ci, fi) in zip(lines, units):
+            p, phi = ctx["conditions"][ci], ctx["pool"][fi][1]
+            rec, sem = forces(p, phi, "recursive"), forces(p, phi, "semantic")
+            assert line["verdict"] == ("pass" if rec == sem else "fail")
+            assert line.get("witness") == (
+                None if rec == sem else {"recursive": rec, "semantic": sem})
+        assert any(line["verdict"] == "pass" for line in lines)
 
     def test_wisc_lines_match_the_one_shot_kernel(self):
         spec = parse_instance_spec((SPECS / "staged.json").read_text())

@@ -7,10 +7,10 @@ from symext import (And, Condition, Eq, FiberPermutation, GenericFilter,
                     Instance, InvalidInstance, Mem, MismatchedInstance, Not,
                     ParseError, Poset, act_condition, act_formula,
                     build_instance, canonical_family, check_name, eval_formula,
-                    extends, forces, format_formula, forcing, generic_filters,
-                    generator_closure, fix_generators, iter_conditions,
-                    ordinal, parse_formula, row_name, site_name,
-                    symmetry_lemma_check)
+                    extends, forces, forcing_vector, format_formula, forcing,
+                    generic_filters, generator_closure, fix_generators,
+                    iter_conditions, ordinal, parse_formula, row_name,
+                    site_name, symmetry_lemma_check)
 from symext.cli import default_formula_pool
 from symext.forcing import _filter_space, _separating_filter, _space
 from symext.names import EMPTY_NAME
@@ -230,6 +230,50 @@ class TestFilterSpace:
         for _ in range(2):
             with pytest.raises(MismatchedInstance):
                 forces(Condition.top(other), phi, mode)
+
+
+class TestForcingVector:
+    """forcing_vector must give, bit for bit, what forces gives at each
+    condition, in both modes."""
+
+    @staticmethod
+    def assert_matches_forces(conds, pool):
+        for phi in pool:
+            for mode in ("semantic", "recursive"):
+                vector = forcing_vector(conds, phi, mode)
+                assert vector >> len(conds) == 0
+                assert [bool(vector >> i & 1) for i in range(len(conds))] == \
+                    [forces(p, phi, mode) for p in conds], (phi, mode)
+
+    def test_reference_pool_images_and_nesting(self, reference):
+        inst, family = reference
+        pool = [phi for _, phi in default_formula_pool({"inst": inst, "family": family})]
+        perms = generator_closure(fix_generators(inst, ()), 3)
+        images = {act_formula(pi, phi) for pi in perms for phi in pool}
+        nested = [Not(And(pool[0], Not(pool[6]))), And(Not(pool[1]), Not(Not(pool[7])))]
+        assert len(images - set(pool)) > 0
+        self.assert_matches_forces(list(iter_conditions(inst, 2)),
+                                   pool + sorted(images - set(pool), key=repr) + nested)
+
+    def test_staged_single_stage(self):
+        inst = staged_single()
+        self.assert_matches_forces(list(iter_conditions(inst)), row_pool(inst))
+
+    @pytest.mark.parametrize("mode", ["semantic", "recursive"])
+    def test_empty_list_and_mixed_instances(self, mode, reference, tiny):
+        inst, family = reference
+        other, _ = tiny
+        phi = Mem(check_name(inst, ordinal(0)), family.rows[("a", 0)])
+        assert forcing_vector([], phi, mode) == 0
+        with pytest.raises(MismatchedInstance):
+            forcing_vector([Condition.top(inst), Condition.top(other)], phi, mode)
+
+    def test_unknown_mode(self, reference):
+        inst, _ = reference
+        phi = Eq(EMPTY_NAME, EMPTY_NAME)
+        for conds in ([], [Condition.top(inst)]):
+            with pytest.raises(ValueError, match="unknown mode"):
+                forcing_vector(conds, phi, "bogus")
 
 
 def reference_cut():
