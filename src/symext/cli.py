@@ -27,6 +27,15 @@ to cut them into chunks.  An engine error in the middle of a suite
 therefore leaves that suite's earlier lines on stdout; the exit status
 is still 2.
 
+A run reads everything from one context (see _context), with two
+lifetimes.  The instance and its canonical family live per spec text
+per process: the run, and its --jobs workers forked after it, reuse the
+ones parse_instance_spec validated.  Every other field lives for one
+run_checks call (or --jobs chunk) and is built on its first read, so a
+suite that never reads the conditions, permutations or supports never
+enumerates them; only the formula pool is built eagerly, since a bad
+formula is a spec error and must stop the run before its first line.
+
 The work a suite's units share is done once per index, not once per
 unit: the JSON text of each condition, support, permutation and label,
 the image of each condition and formula under each permutation, the
@@ -34,9 +43,8 @@ name-independent half of each wisc kernel run, and the forcing verdicts
 of each formula over all conditions as one bit vector per mode, from
 which the forcing-oracle and symmetry-lemma suites read a unit's verdict
 as one bit of a per-formula (or per-permutation-and-formula) fail mask;
-only a failing unit runs the one-shot check to build its witness (see
-_slice_context).  A unit's elapsed time includes any shared table it is
-the first to need.
+only a failing unit runs the one-shot check to build its witness.  A
+unit's elapsed time includes any shared table it is the first to need.
 """
 
 from __future__ import annotations
@@ -75,6 +83,11 @@ _INT_OPTIONS = ("max_dom", "max_support", "seed", "posets")
 # the largest k of an ord:k name term: four ord:64 formulas take 3 s on
 # the reference spec, one ord:1000 formula 20 s on a 1-site spec
 _MAX_ORDINAL = 64
+# the deepest parenthesis nesting of a formula, connectives and name
+# terms together: a (not ...) or (set ...) tower 325 deep still runs the
+# forcing suites, one 330 deep overflows Python's recursion limit; the
+# margin is for the caller's own frames
+_MAX_NESTING = 256
 
 FLAT_SUITES = ("embedding", "hs", "normality", "forcing-oracle",
                "symmetry-lemma", "swap")
@@ -123,6 +136,8 @@ def parse_instance_spec(text: str) -> InstanceSpec:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise ParseError("spec JSON is nested too deeply") from None
     if not isinstance(raw, dict):
         raise ParseError("spec must be a JSON object")
     if "stages" in raw:
@@ -151,7 +166,7 @@ def parse_instance_spec(text: str) -> InstanceSpec:
         if raw.get(key) is not None and not _is_str_list(raw[key]):
             raise ParseError(f"{key!r} must be a list of strings")
     spec = InstanceSpec(kind, json.dumps(raw, sort_keys=True), raw)
-    _build_objects(spec)  # run the instance validator now
+    _objects(spec.text)  # run the instance validator now
     return spec
 
 
@@ -163,13 +178,16 @@ def _check_counts(options: dict) -> None:
             raise ParseError(f"{key!r} must be non-negative, got {options[key]}")
 
 
-def _build_objects(spec: InstanceSpec):
-    if spec.kind == "flat":
-        raw = spec.raw
-        poset = Poset.from_pairs(raw["poset"].get("elements", ()),
-                                 [tuple(p) for p in raw["poset"].get("leq", ())])
-        return build_instance(poset, raw["n"], raw["v"], raw["c"], raw.get("d"))
-    return build_staged_instance(spec.raw["stages"], spec.raw["c"])
+@functools.lru_cache(maxsize=1)
+def _objects(spec_text: str):
+    """The (instance, canonical family) of a spec's canonical text; one
+    entry, so the previous spec's instance is freed with the next build."""
+    raw = json.loads(spec_text)
+    if "stages" in raw:
+        return build_staged_instance(raw["stages"], raw["c"])
+    poset = Poset.from_pairs(raw["poset"].get("elements", ()),
+                             [tuple(p) for p in raw["poset"].get("leq", ())])
+    return build_instance(poset, raw["n"], raw["v"], raw["c"], raw.get("d"))
 
 
 # ------------------------------------------------------------------
@@ -212,6 +230,16 @@ def _resolve_name(ctx, node):
     except ValueError as exc:
         raise ParseError(f"name term {node!r}: {exc}") from None
     raise ParseError(f"unknown name term {node!r}")
+
+
+def _parse(ctx, text):
+    """A formula of the spec's pool, its name terms resolved in ctx."""
+    deepest = max(itertools.accumulate((ch == "(") - (ch == ")") for ch in text),
+                  default=0)
+    if deepest > _MAX_NESTING:
+        raise ParseError(f"formula nests {deepest} deep, above the bound "
+                         f"{_MAX_NESTING}")
+    return parse_formula(text, lambda node: _resolve_name(ctx, node))
 
 
 def default_formula_pool(ctx) -> list:
@@ -259,66 +287,7 @@ def default_formula_pool(ctx) -> list:
 
 
 # ------------------------------------------------------------------
-# per-process context: one entry, so a run's suites and its --jobs
-# workers (forked after the parent built it) share it, and the previous
-# spec's instance is freed when the next one is built
-
-@functools.lru_cache(maxsize=1)
-def _context(spec_text: str, overrides_text: str) -> dict:
-    raw = json.loads(spec_text)
-    overrides = json.loads(overrides_text)
-    spec = InstanceSpec("staged" if "stages" in raw else "flat", spec_text, raw)
-    inst, family = _build_objects(spec)
-
-    def opt(name, default):
-        if overrides.get(name) is not None:
-            return overrides[name]
-        if raw.get(name) is not None:
-            return raw[name]
-        return default
-
-    ctx = {
-        "kind": spec.kind,
-        "spec": spec,
-        "inst": inst,
-        "family": family,
-        "names": dict(family.members()),
-        # a site's text in labels and name terms -> the site itself
-        "site_of": {str(z): z for z in inst.sites},
-        "max_dom": opt("max_dom", 2),
-        "max_support": opt("max_support", inst.support_cutoff),
-        "seed": opt("seed", 0),
-        "posets": opt("posets", 0),
-        "pools": {},    # base stage -> its wisc name pool, see _staged_name_pool
-        "hash": hashlib.sha256(
-            json.dumps(inst.describe(), sort_keys=True).encode()).hexdigest()[:12],
-    }
-    formulas = opt("formulas", None)
-    if spec.kind == "flat":
-        if formulas:
-            ctx["pool"] = [(text, parse_formula(text, lambda n: _resolve_name(ctx, n)))
-                           for text in formulas]
-        else:
-            ctx["pool"] = default_formula_pool(ctx)
-    ctx["conditions"] = list(iter_conditions(inst, ctx["max_dom"]))
-    ctx["perms"] = generator_closure(fix_generators(inst, ()), 3)
-    ctx["supports"] = _supports(inst, ctx["max_support"])
-    ctx["members"] = [label for label in ctx["names"]
-                      if label.split(":")[0] in ("row", "site")]
-    return ctx
-
-
-def _supports(inst, max_support):
-    out = []
-    bound = min(max_support, inst.support_cutoff)
-    for k in range(bound + 1):
-        out.extend(frozenset(c) for c in itertools.combinations(inst.pairs, k))
-    return out
-
-
-def _support_obj(support):
-    return sorted(map(list, support))
-
+# the run context
 
 class _Table(dict):
     """A table whose value for a key is built by build(key) on the first
@@ -335,66 +304,119 @@ class _Table(dict):
         return value
 
 
-def _slice_context(ctx) -> dict:
-    """A copy of the context for one run of a suite's units, with the
-    tables those units share, each entry built on first use:
+def _context(spec_text: str, overrides_text: str) -> _Table:
+    """A fresh context for one run (or --jobs chunk): the instance (see
+    _objects), the options and the formula pool, and the fields of
+    _FIELDS, each built on its first lookup, so nothing a suite computes
+    leaks into another run of the same spec."""
+    raw = json.loads(spec_text)
+    overrides = json.loads(overrides_text)
+    inst, family = _objects(spec_text)
 
-    - text: the JSON text of a label or site;
-    - cond_text, support_text, perm_text: the JSON text of a condition,
-      support or permutation, by index;
-    - cond_images: permutation -> the index of each condition's image;
-    - formula_image: (permutation, formula) -> the image formula;
-    - vector: (formula, mode) -> forcing_vector over the conditions;
-    - oracle_fail: formula -> the conditions where the two modes
-      disagree on it (recursive vector ^ semantic vector);
-    - lemma_fail: (permutation, formula) -> the conditions where the
-      symmetry lemma fails, as a bit mask over the conditions;
-    - wisc_swap: (swap stage, condition, support) -> kernels.wisc_swap.
+    def opt(name, default):
+        for source in (overrides, raw):
+            if source.get(name) is not None:
+                return source[name]
+        return default
 
-    The tables end with the slice, so nothing a suite computes outlives
-    it (or leaks into another run of the same spec)."""
-    inst, conds, supports, perms = (ctx["inst"], ctx["conditions"],
-                                    ctx["supports"], ctx["perms"])
-    pool = ctx.get("pool")
-    where = {}
+    ctx = _Table(lambda field: _FIELDS[field](ctx))
+    ctx.update(kind="staged" if "stages" in raw else "flat", inst=inst,
+               family=family, max_dom=opt("max_dom", 2),
+               max_support=opt("max_support", inst.support_cutoff),
+               seed=opt("seed", 0), posets=opt("posets", 0))
+    if ctx["kind"] == "flat":
+        # eager: a bad formula is a spec error, reported before any line
+        formulas = opt("formulas", None)
+        ctx["pool"] = ([(text, _parse(ctx, text)) for text in formulas]
+                       if formulas else default_formula_pool(ctx))
+    return ctx
 
-    def images(pii):
-        if not where:
-            where.update((c, i) for i, c in enumerate(conds))
-        return [where[act_condition(perms[pii], c)] for c in conds]
 
-    cond_images = _Table(images)
-    formula_image = _Table(lambda key: act_formula(perms[key[0]], pool[key[1]][1]))
-    vector = _Table(lambda key: forcing_vector(conds, *key))
+def _supports(inst, max_support):
+    bound = min(max_support, inst.support_cutoff)
+    return [frozenset(c) for k in range(bound + 1)
+            for c in itertools.combinations(inst.pairs, k)]
 
-    def oracle_fail(fi):
-        phi = pool[fi][1]
-        return vector[phi, "recursive"] ^ vector[phi, "semantic"]
 
-    def lemma_fail(key):
-        # the verdict of lemma_report: the two sides differ in a mode, or
-        # the modes differ on the left side
-        pii, fi = key
-        phi, image_phi = pool[fi][1], formula_image[key]
-        ls, lr = vector[phi, "semantic"], vector[phi, "recursive"]
-        rs = _pull_back(vector[image_phi, "semantic"], cond_images[pii])
-        rr = _pull_back(vector[image_phi, "recursive"], cond_images[pii])
-        return (ls ^ rs) | (lr ^ rr) | (ls ^ lr)
+def _support_obj(support):
+    return sorted(map(list, support))
 
-    return {
-        **ctx,
-        "text": _Table(json.dumps),
-        "cond_text": _Table(lambda ci: json.dumps(_cond_obj(conds[ci]))),
-        "support_text": _Table(lambda si: json.dumps(_support_obj(supports[si]))),
-        "perm_text": _Table(lambda pii: json.dumps(_cycles_obj(perms[pii]))),
-        "cond_images": cond_images,
-        "formula_image": formula_image,
-        "vector": vector,
-        "oracle_fail": _Table(oracle_fail),
-        "lemma_fail": _Table(lemma_fail),
-        "wisc_swap": _Table(
-            lambda key: wisc_swap(inst, key[0], conds[key[1]], supports[key[2]])),
-    }
+
+def _per_key(build):
+    """A field holding a _Table whose entry for a key is build(ctx, key)."""
+    return lambda ctx: _Table(lambda key: build(ctx, key))
+
+
+def _cond_images(ctx, pii):
+    where, perm = ctx["cond_index"], ctx["perms"][pii]
+    return [where[act_condition(perm, c)] for c in ctx["conditions"]]
+
+
+def _oracle_fail(ctx, fi):
+    phi, vector = ctx["pool"][fi][1], ctx["vector"]
+    return vector[phi, "recursive"] ^ vector[phi, "semantic"]
+
+
+def _lemma_fail(ctx, key):
+    # the verdict of lemma_report: the two sides differ in a mode, or
+    # the modes differ on the left side
+    pii, fi = key
+    vector, image = ctx["vector"], ctx["cond_images"][pii]
+    phi, image_phi = ctx["pool"][fi][1], ctx["formula_image"][key]
+    ls, lr = vector[phi, "semantic"], vector[phi, "recursive"]
+    rs = _pull_back(vector[image_phi, "semantic"], image)
+    rr = _pull_back(vector[image_phi, "recursive"], image)
+    return (ls ^ rs) | (lr ^ rr) | (ls ^ lr)
+
+
+def _wisc_pool(ctx, base):
+    """The labeled names living at the base stage."""
+    inst = ctx["inst"]
+    pool = [(f"ord:{k}", check_name(inst, ordinal(k))) for k in range(2)]
+    return pool + [(label, nm) for label, nm in ctx["names"].items()
+                   if label != "graph" and in_stage(nm, base)]
+
+
+# field -> build(ctx), run on its first lookup; a _per_key field is a
+# _Table from a key (an index, or a tuple of them) to an entry
+_FIELDS = {
+    "hash": lambda ctx: hashlib.sha256(json.dumps(
+        ctx["inst"].describe(), sort_keys=True).encode()).hexdigest()[:12],
+    # a site's text in labels and name terms -> the site itself
+    "site_of": lambda ctx: {str(z): z for z in ctx["inst"].sites},
+    "names": lambda ctx: dict(ctx["family"].members()),
+    "members": lambda ctx: [label for label in ctx["names"]
+                            if label.split(":")[0] in ("row", "site")],
+    "conditions": lambda ctx: list(iter_conditions(ctx["inst"], ctx["max_dom"])),
+    "cond_index": lambda ctx: {c: i for i, c in enumerate(ctx["conditions"])},
+    "perms": lambda ctx: generator_closure(fix_generators(ctx["inst"], ()), 3),
+    "supports": lambda ctx: _supports(ctx["inst"], ctx["max_support"]),
+    "chain": lambda ctx: chain_family(ctx["inst"]),
+    "downsets": lambda ctx: downset_embedding(ctx["inst"].poset),
+    # the JSON text of a label or site, and of a condition, support or
+    # permutation by index
+    "text": lambda ctx: _Table(json.dumps),
+    "cond_text": _per_key(lambda ctx, ci: json.dumps(_cond_obj(ctx["conditions"][ci]))),
+    "support_text": _per_key(
+        lambda ctx, si: json.dumps(_support_obj(ctx["supports"][si]))),
+    "perm_text": _per_key(lambda ctx, pii: json.dumps(_cycles_obj(ctx["perms"][pii]))),
+    # permutation -> the index of each condition's image
+    "cond_images": _per_key(_cond_images),
+    # (permutation, formula) -> the image formula
+    "formula_image": _per_key(
+        lambda ctx, key: act_formula(ctx["perms"][key[0]], ctx["pool"][key[1]][1])),
+    # (formula, mode) -> forcing_vector over the conditions
+    "vector": _per_key(lambda ctx, key: forcing_vector(ctx["conditions"], *key)),
+    # formula -> the conditions (a bit mask) where the two modes disagree
+    "oracle_fail": _per_key(_oracle_fail),
+    # (permutation, formula) -> the conditions where the lemma fails
+    "lemma_fail": _per_key(_lemma_fail),
+    # (swap stage, condition, support) -> kernels.wisc_swap
+    "wisc_swap": _per_key(lambda ctx, key: wisc_swap(
+        ctx["inst"], key[0], ctx["conditions"][key[1]], ctx["supports"][key[2]])),
+    # base stage -> the wisc suite's name pool
+    "wisc_pool": _per_key(_wisc_pool),
+}
 
 
 def _pull_back(vector: int, image: list) -> int:
@@ -420,9 +442,8 @@ def _gen_embedding(ctx):
 def _run_embedding(ctx, unit):
     if unit[0] == "pair":
         _, z1, z2 = unit
-        poset = ctx["inst"].poset
-        down = downset_embedding(poset)
-        ok = poset.leq(z1, z2) == (down[z1] <= down[z2])
+        down = ctx["downsets"]
+        ok = ctx["inst"].poset.leq(z1, z2) == (down[z1] <= down[z2])
         return {"pair": [z1, z2]}, ok, None
     _, i = unit
     rng = random.Random(f"{ctx['seed']}:{i}")
@@ -487,9 +508,7 @@ def _swap_admissible(ctx):
 
 
 def _gen_swap(ctx):
-    if ctx["kind"] != "flat":
-        return None
-    return _swap_admissible(ctx)
+    return _swap_admissible(ctx) if ctx["kind"] == "flat" else None
 
 
 def _run_swap(ctx, unit):
@@ -553,24 +572,8 @@ def _run_normality(ctx, unit):
     return params, ok, None
 
 
-def _staged_name_pool(ctx, base_stage):
-    """The labeled names living at the base stage, built once per stage
-    and kept in the context."""
-    pools = ctx["pools"]
-    pool = pools.get(base_stage)
-    if pool is None:
-        inst = ctx["inst"]
-        pool = [(f"ord:{k}", check_name(inst, ordinal(k))) for k in range(2)]
-        pool += [(label, nm) for label, nm in ctx["names"].items()
-                 if label != "graph" and in_stage(nm, base_stage)]
-        pools[base_stage] = pool
-    return pool
-
-
 def _gen_wisc(ctx):
-    if ctx["kind"] != "staged":
-        return None
-    return _wisc_units(ctx)
+    return _wisc_units(ctx) if ctx["kind"] == "staged" else None
 
 
 def _wisc_units(ctx):
@@ -586,7 +589,7 @@ def _wisc_units(ctx):
                         and partner(inst, support, swap, first, occupied) is not None):
                     admissible[swap].append((qi, si))
     for base in inst.sites:
-        pool = _staged_name_pool(ctx, base)
+        pool = ctx["wisc_pool"][base]
         for swap in inst.sites:
             if swap > base:
                 for yi in range(len(pool)):
@@ -596,7 +599,7 @@ def _wisc_units(ctx):
 
 def _run_wisc(ctx, unit):
     base, swap, yi, qi, si = unit
-    label, y = _staged_name_pool(ctx, base)[yi]
+    label, y = ctx["wisc_pool"][base][yi]
     report = wisc_check(ctx["inst"], base, y, swap, ctx["conditions"][qi],
                         ctx["supports"][si], ctx["wisc_swap"][swap, qi, si])
     params = (f'{{"base_stage": {base}, "swap_stage": {swap}, "name": '
@@ -614,8 +617,7 @@ def _gen_chains(ctx):
 
 
 def _run_chains(ctx, unit):
-    staged = ctx["inst"]
-    chain = chain_family(staged)
+    staged, chain = ctx["inst"], ctx["chain"]
     if unit[0] == "entries":
         b = unit[1]
         inner, outer = set(chain[b + 1].entries), set(chain[b].entries)
@@ -647,12 +649,11 @@ SUITES = {
 }
 
 
-def _run_slice(ctx, suite, units):
-    """Run the units in order over one slice context and yield each
-    one's verdict and report line (JSON text, the fields in a fixed
-    order) as soon as it has run."""
+def _run_units(ctx, suite, units):
+    """Run the units in order and yield each one's verdict and report
+    line (JSON text, the fields in a fixed order) as soon as it has
+    run."""
     run = SUITES[suite][1]
-    ctx = _slice_context(ctx)
     head = ('{"suite": ' + json.dumps(suite)
             + ', "instance": ' + json.dumps(ctx["hash"]) + ', "params": ')
     for unit in units:
@@ -674,7 +675,7 @@ def _run_chunk(args):
     spec_text, overrides_text, suite, lo, hi = args
     ctx = _context(spec_text, overrides_text)
     units = itertools.islice(SUITES[suite][0](ctx), lo, hi)
-    return list(_run_slice(ctx, suite, units))
+    return list(_run_units(ctx, suite, units))
 
 
 def run_checks(spec: InstanceSpec, suite: str = "all", jobs: int = 1,
@@ -692,10 +693,10 @@ def run_checks(spec: InstanceSpec, suite: str = "all", jobs: int = 1,
             FLAT_SUITES if spec.kind == "flat" else STAGED_SUITES)
     else:
         suites = (suite,)
+    ctx = _context(spec.text, overrides_text)
     if spec.kind == "flat" and {"forcing-oracle", "symmetry-lemma"} & set(suites):
         # both suites run both forcing modes: reject before any output
-        check_size(_context(spec.text, overrides_text)["inst"],
-                   "recursive", "semantic")
+        check_size(ctx["inst"], "recursive", "semantic")
     failed = False
     for name in suites:
         if name not in SUITES:
@@ -705,7 +706,6 @@ def run_checks(spec: InstanceSpec, suite: str = "all", jobs: int = 1,
                               "elapsed": 0.0}), file=out)
             failed = True
             continue
-        ctx = _context(spec.text, overrides_text)
         units = SUITES[name][0](ctx)
         if units is None:
             print(json.dumps({"suite": name, "instance": ctx["hash"], "params": {},
@@ -726,7 +726,7 @@ def run_checks(spec: InstanceSpec, suite: str = "all", jobs: int = 1,
                 lines = itertools.chain.from_iterable(pool.map(_run_chunk, chunks))
                 failed = _write_lines(lines, out) or failed
         else:
-            failed = _write_lines(_run_slice(ctx, name, units), out) or failed
+            failed = _write_lines(_run_units(ctx, name, units), out) or failed
     return 1 if failed else 0
 
 
@@ -763,7 +763,7 @@ def main(argv=None) -> int:
     try:
         with open(args.spec, encoding="utf-8") as fh:
             spec = parse_instance_spec(fh.read())
-    except (OSError, EngineError) as exc:
+    except (OSError, UnicodeDecodeError, EngineError) as exc:
         print(f"symext: {exc}", file=sys.stderr)
         return 2
     overrides = {k: v for k, v in (("max_dom", args.max_dom),

@@ -1,3 +1,4 @@
+import collections
 import io
 import itertools
 import json
@@ -13,8 +14,7 @@ from symext import (Compat, EngineError, FiberExhausted, InvalidInstance,
 from symext import cli, forcing, kernels
 from symext.cli import (InstanceSpec, default_formula_pool, main,
                         parse_instance_spec, run_checks, _context, _gen_oracle,
-                        _gen_swap, _gen_symmetry, _gen_wisc, _slice_context,
-                        _staged_name_pool)
+                        _gen_swap, _gen_symmetry, _gen_wisc)
 
 REFERENCE = ('{"poset": {"elements": ["a", "b"], "leq": []}, '
              '"n": 2, "v": 2, "c": 1, "d": 8}')
@@ -26,7 +26,8 @@ FLAT_FIELDS = '"poset": {"elements": ["a", "b"], "leq": []}, "n": 2, "v": 2'
 # JSON booleans where an integer is expected, a non-integer max_dom,
 # ill-typed poset elements and relation pairs, an ordinal past the
 # bound, negative bounds and sample counts, flat-only keys on a staged
-# spec
+# spec, a file that is not UTF-8, JSON nested past Python's recursion
+# limit, and formulas nested past the bound on formula nesting
 MALFORMED = [
     '{"poset": {"elements": ["a", 1], "leq": []}, "n": 2, "v": 2, "c": 1}',
     '{"poset": {"elements": ["a", "b"], "leq": [["a"]]}, "n": 2, "v": 2, "c": 1}',
@@ -58,6 +59,14 @@ MALFORMED = [
     '{"stages": [3, 4], "c": 1, "max_support": -2}',
     '{"stages": [3, 4], "c": 1, "formulas": ["(bogus", "(mem ord:0 ord:100000)"], '
     '"posets": 3, "suites": ["chains"]}',
+    pytest.param(b'{"stages": [3, 4], "c": 1, "seed": "\xff"}', id="not-utf-8"),
+    pytest.param("[" * 100_000 + "]" * 100_000, id="json-nested-100000"),
+    pytest.param('{%s, "c": 1, "formulas": ["%s"]}' % (
+        FLAT_FIELDS, "(not " * 400 + "(eq ord:0 ord:0)" + ")" * 400),
+        id="not-nested-400"),
+    pytest.param('{%s, "c": 1, "formulas": ["%s"]}' % (
+        FLAT_FIELDS, "(eq " + "(set " * 400 + "row:a:0" + ")" * 400 + " ord:0)"),
+        id="set-nested-400"),
 ]
 
 
@@ -275,6 +284,16 @@ class TestSuites:
         with pytest.raises(ParseError, match="name term"):
             run(json.dumps(raw), "forcing-oracle")
 
+    def test_formulas_at_the_nesting_bound_run(self):
+        depth = cli._MAX_NESTING - 1
+        raw = json.loads(REFERENCE)
+        raw["formulas"] = [
+            "(not " * depth + "(eq ord:0 ord:0)" + ")" * depth,
+            "(eq " + "(set " * depth + "row:a:0" + ")" * depth + " ord:0)"]
+        for suite in ("forcing-oracle", "symmetry-lemma"):
+            code, lines = run(json.dumps(raw), suite, overrides={"max_dom": 1})
+            assert code == 0 and lines
+
     def test_sampled_posets_logged_with_seed(self):
         raw = json.loads(REFERENCE)
         raw["posets"] = 5
@@ -388,7 +407,10 @@ class TestMain:
     @pytest.mark.parametrize("text", MALFORMED)
     def test_malformed_spec_exits_2_without_traceback(self, text, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text(text)
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
         assert main(["--spec", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -450,9 +472,64 @@ class TestStagedNamePool:
         spec = parse_instance_spec((SPECS / "staged.json").read_text())
         ctx = _context(spec.text, "{}")
         for base in ctx["inst"].sites:
-            pool = _staged_name_pool(ctx, base)
-            assert _staged_name_pool(ctx, base) is pool
+            pool = ctx["wisc_pool"][base]
+            assert ctx["wisc_pool"][base] is pool
             assert pool and all(in_stage(nm, base) for _, nm in pool)
+
+
+class TestRunContext:
+    """A run's context builds each field the first time a suite reads
+    it, and keeps it for that run only; the instance alone is kept per
+    spec text."""
+
+    def test_suites_that_read_no_conditions_build_none(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built a field no selected suite reads")
+
+        for builder in ("generator_closure", "iter_conditions", "_supports"):
+            monkeypatch.setattr(cli, builder, refuse)
+        code, lines = run('{"stages": [3, 4], "c": 1, "suites": ["hs", "chains"]}',
+                          "all")
+        assert code == 0
+        assert {l["suite"] for l in lines} == {"hs", "chains"}
+
+    def test_chains_on_a_wide_stage(self):
+        # an eager permutation closure took 23 s and 323 MB on this spec
+        code, lines = run('{"stages": [3, 16], "c": 1}', "chains")
+        for line in lines:
+            line.pop("elapsed")
+        head = {"suite": "chains", "instance": "4b2cd94425cc"}
+        assert code == 0
+        assert lines == (
+            [dict(head, params={"link": [1, 0]}, verdict="pass")]
+            + [dict(head, params={"sample": i, "seed": 0}, verdict="pass")
+               for i in range(16)])
+
+    def test_forcing_vectors_built_once_per_run(self, monkeypatch):
+        built = collections.Counter()
+
+        def counted(conds, phi, mode):
+            built[phi, mode] += 1
+            return forcing.forcing_vector(conds, phi, mode)
+
+        monkeypatch.setattr(cli, "forcing_vector", counted)
+        text = (SPECS / "reference.json").read_text()
+        for runs in (1, 2):
+            assert run_text(text, "all", {"max_dom": 1})[0] == 0
+            assert len(built) == 80 and set(built.values()) == {runs}
+
+    def test_instance_built_once_per_spec_text(self, monkeypatch):
+        calls, build = [], cli.build_staged_instance
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(cli, "build_staged_instance", counted)
+        cli._objects.cache_clear()
+        for _ in range(2):
+            assert run(STAGED, "hs")[0] == 0
+        assert calls == [([3, 4], 1)]
 
 
 class TestPartnerRule:
@@ -488,7 +565,7 @@ class TestPartnerRule:
         inst = ctx["inst"]
         found, inputs, pools = set(), 0, {}
         for base in inst.sites:
-            pools[base] = _staged_name_pool(ctx, base)[:names]
+            pools[base] = ctx["wisc_pool"][base][:names]
             for swap in inst.sites:
                 if swap <= base:
                     continue
@@ -605,9 +682,9 @@ class TestHoistedPath:
         code, lines = run(spec.text, "wisc", overrides={"max_dom": 1})
         units = list(_gen_wisc(ctx))
         assert code == 0 and len(lines) == len(units) > 0
-        steps = _slice_context(ctx)["wisc_swap"]
+        steps = ctx["wisc_swap"]
         for line, (base, swap, yi, qi, si) in zip(lines, units):
-            label, y = _staged_name_pool(ctx, base)[yi]
+            label, y = ctx["wisc_pool"][base][yi]
             q, support = ctx["conditions"][qi], ctx["supports"][si]
             report = wisc_kernel(ctx["inst"], base, y, swap, q, support)
             step = steps[swap, qi, si]
@@ -626,7 +703,7 @@ class TestHoistedPath:
         code, lines = run(spec.text, "wisc", overrides={"max_dom": 1})
         assert code == 1 and lines
         for line, (base, swap, yi, qi, si) in zip(lines, _gen_wisc(ctx)):
-            _, y = _staged_name_pool(ctx, base)[yi]
+            _, y = ctx["wisc_pool"][base][yi]
             report = wisc_kernel(ctx["inst"], base, y, swap, ctx["conditions"][qi],
                                  ctx["supports"][si])
             assert line["verdict"] == "fail" and not report.verdict
