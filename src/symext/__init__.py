@@ -13,7 +13,7 @@ from .instances import (build_instance, build_staged_instance, canonical_family,
                         row_name, site_name, stage_group_generators,
                         stage_restrict)
 from .kernels import (KernelReport, MinOntoReport, min_onto_check, swap_kernel,
-                      swap_partner, wisc_kernel)
+                      swap_step, wisc_kernel)
 from .names import (HF, EMPTY_HF, EMPTY_NAME, Name, check_name, hf, interpret,
                     kuratowski, make_name, name_cells, ordinal, pair_name,
                     set_name)

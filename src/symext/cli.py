@@ -39,12 +39,13 @@ formula is a spec error and must stop the run before its first line.
 The work a suite's units share is done once per index, not once per
 unit: the JSON text of each condition, support, permutation and label,
 the image of each condition and formula under each permutation, the
-name-independent half of each wisc kernel run, and the forcing verdicts
-of each formula over all conditions as one bit vector per mode, from
-which the forcing-oracle and symmetry-lemma suites read a unit's verdict
-as one bit of a per-formula (or per-permutation-and-formula) fail mask;
-only a failing unit runs the one-shot check to build its witness.  A
-unit's elapsed time includes any shared table it is the first to need.
+wisc kernel's swap step (kernels.swap_step) for each swap stage,
+condition and support, and the forcing verdicts of each formula over
+all conditions as one bit vector per mode, from which the forcing-oracle
+and symmetry-lemma suites read a unit's verdict as one bit of a
+per-formula (or per-permutation-and-formula) fail mask; only a failing
+unit runs the one-shot check to build its witness.  A unit's elapsed
+time includes any shared table it is the first to need.
 """
 
 from __future__ import annotations
@@ -65,11 +66,11 @@ from typing import Optional
 from .core import GenericFilter, Poset, iter_conditions
 from .errors import EngineError, ParseError
 from .forcing import (Eq, Mem, Not, And, act_formula, check_size, forces,
-                      forcing_vector, lemma_report, parse_formula)
+                      forcing_vector, parse_formula, symmetry_lemma_check)
 from .instances import (build_instance, build_staged_instance, chain_family,
                         downset_embedding, in_stage, random_poset)
-from .kernels import (_cond_obj, _cycles_obj, partner, swap_kernel, wisc_check,
-                      wisc_swap)
+from .kernels import (_cond_obj, _cycles_obj, swap_fibers, swap_kernel,
+                      swap_step, wisc_kernel)
 from .names import check_name, interpret, ordinal, pair_name, set_name
 from .symmetry import (act_condition, assemble_sequence, conjugation_check,
                        fix_generators, generator_closure, infer_min_support,
@@ -358,8 +359,9 @@ def _oracle_fail(ctx, fi):
 
 
 def _lemma_fail(ctx, key):
-    # the verdict of lemma_report: the two sides differ in a mode, or
-    # the modes differ on the left side
+    # the verdict of symmetry_lemma_check, read off the vectors: the two
+    # sides differ in a mode, or the modes differ on the left side; a
+    # failing unit runs the check itself for its witness
     pii, fi = key
     vector, image = ctx["vector"], ctx["cond_images"][pii]
     phi, image_phi = ctx["pool"][fi][1], ctx["formula_image"][key]
@@ -411,9 +413,9 @@ _FIELDS = {
     "oracle_fail": _per_key(_oracle_fail),
     # (permutation, formula) -> the conditions where the lemma fails
     "lemma_fail": _per_key(_lemma_fail),
-    # (swap stage, condition, support) -> kernels.wisc_swap
-    "wisc_swap": _per_key(lambda ctx, key: wisc_swap(
-        ctx["inst"], key[0], ctx["conditions"][key[1]], ctx["supports"][key[2]])),
+    # (swap stage, condition, support) -> kernels.swap_step on them
+    "wisc_swap": _per_key(lambda ctx, key: swap_step(
+        ctx["inst"], ctx["conditions"][key[1]], ctx["supports"][key[2]], key[0])),
     # base stage -> the wisc suite's name pool
     "wisc_pool": _per_key(_wisc_pool),
 }
@@ -490,9 +492,7 @@ def _run_symmetry(ctx, unit):
               + ', "formula": ' + ctx["text"][label] + '}')
     if not ctx["lemma_fail"][pii, fi] >> ci & 1:
         return params, True, None
-    conds = ctx["conditions"]
-    report = lemma_report(conds[ci], phi, conds[ctx["cond_images"][pii][ci]],
-                          ctx["formula_image"][pii, fi])
+    report = symmetry_lemma_check(ctx["perms"][pii], ctx["conditions"][ci], phi)
     return params, report.equal, report.witness
 
 
@@ -502,8 +502,7 @@ def _swap_admissible(ctx):
         occupied = {z: q.touched_fibers(z) for z in inst.sites}
         for si, support in enumerate(ctx["supports"]):
             for z, a in inst.pairs:
-                if ((z, a) not in support
-                        and partner(inst, support, z, a, occupied[z]) is not None):
+                if swap_fibers(inst, support, z, a, occupied[z]) is not None:
                     yield qi, si, z, a
 
 
@@ -584,9 +583,7 @@ def _wisc_units(ctx):
         for qi, q in enumerate(ctx["conditions"]):
             occupied = q.touched_fibers(swap)
             for si, support in enumerate(ctx["supports"]):
-                first = partner(inst, support, swap, None, ())
-                if (first is not None
-                        and partner(inst, support, swap, first, occupied) is not None):
+                if swap_fibers(inst, support, swap, None, occupied) is not None:
                     admissible[swap].append((qi, si))
     for base in inst.sites:
         pool = ctx["wisc_pool"][base]
@@ -600,8 +597,8 @@ def _wisc_units(ctx):
 def _run_wisc(ctx, unit):
     base, swap, yi, qi, si = unit
     label, y = ctx["wisc_pool"][base][yi]
-    report = wisc_check(ctx["inst"], base, y, swap, ctx["conditions"][qi],
-                        ctx["supports"][si], ctx["wisc_swap"][swap, qi, si])
+    report = wisc_kernel(ctx["inst"], base, y, swap, ctx["conditions"][qi],
+                         ctx["supports"][si], ctx["wisc_swap"][swap, qi, si])
     params = (f'{{"base_stage": {base}, "swap_stage": {swap}, "name": '
               + ctx["text"][label] + ', "condition": ' + ctx["cond_text"][qi]
               + ', "support": ' + ctx["support_text"][si] + '}')

@@ -410,14 +410,7 @@ class LemmaReport:
 def symmetry_lemma_check(pi: FiberPermutation, p: Condition, phi: Formula) -> LemmaReport:
     """Compare forcing of phi at p with forcing of the relabeled formula
     at the relabeled condition, in both modes."""
-    return lemma_report(p, phi, act_condition(pi, p), act_formula(pi, phi))
-
-
-def lemma_report(p: Condition, phi: Formula, pp: Condition,
-                 pphi: Formula) -> LemmaReport:
-    """The half of symmetry_lemma_check after relabeling: pp and pphi are
-    the images of p and phi under one permutation.  A caller checking
-    many (condition, formula) pairs can build each image once."""
+    pp, pphi = act_condition(pi, p), act_formula(pi, phi)
     ls = forces(p, phi, "semantic")
     rs = forces(pp, pphi, "semantic")
     lr = forces(p, phi, "recursive")

@@ -73,44 +73,73 @@ def _cycles_obj(pi: FiberPermutation) -> list:
     return [[list(p) for p in c] for c in pi.cycles()]
 
 
-def _merge_obj(moved_q: Condition, comp) -> dict:
-    """The witness fields both swap kernels share: the relabelled
-    condition and the outcome of merging it with the original."""
-    return {
-        "relabeled_condition": _cond_obj(moved_q),
-        "merged": _cond_obj(comp.witness) if comp.witness is not None else None,
-        "cutoff_exceeded": comp.cutoff_exceeded,
-    }
-
-
 def partner(inst, support, site, fiber, occupied) -> Optional[int]:
     """The least fiber b != fiber at the site with (site, b) outside the
-    support and b not in occupied; None when there is none.  Both swap
-    kernels choose their fibers by this rule, and the CLI enumerates
-    exactly the inputs on which it finds them."""
+    support and b not in occupied; None when there is none."""
     for b in range(inst.fiber_count(site)):
         if b != fiber and (site, b) not in support and b not in occupied:
             return b
     return None
 
 
-def swap_partner(inst, q: Condition, support, site, fiber) -> int:
-    """The partner of (site, fiber) for the swap kernel: no cell of its
-    row may be in q's domain."""
+def swap_fibers(inst, support, site, fiber, occupied) -> Optional[tuple]:
+    """The two fibers a swap at the site transposes: fiber (when None,
+    the least fiber outside the support) and its mate, the partner of
+    fiber whose index is not in occupied; None when fiber is in the
+    support or either fiber is missing.  Both kernels choose their
+    fibers by this rule, and the CLI enumerates exactly the inputs on
+    which it finds them."""
+    if fiber is None:
+        fiber = partner(inst, support, site, None, ())
+    elif (site, fiber) in support:
+        return None
+    mate = None if fiber is None else partner(inst, support, site, fiber, occupied)
+    return None if mate is None else (fiber, mate)
+
+
+class SwapStep(NamedTuple):
+    """The part of a kernel run that does not depend on the names: the
+    two fibers of the transposition, whether it fixes the support
+    pointwise, and whether it carries the condition to a compatible one."""
+
+    fiber: int
+    mate: int
+    in_stabilizer: bool
+    compatible: bool
+
+
+def swap_step(inst, q: Condition, support, site, fiber=None) -> SwapStep:
+    """Choose the fibers by swap_fibers, the mate with a row untouched by
+    q, and run the two checks that depend only on them; a caller running
+    many names against one (q, support, site, fiber) can run it once."""
     _same_instance(inst, q.inst)
-    return _swap_mate(inst, q, check_support(inst, support), site, fiber)
+    return _swap_step(inst, q, check_support(inst, support), site, fiber)
 
 
-def _swap_mate(inst, q: Condition, support: frozenset, site, fiber) -> int:
-    """swap_partner on a support that check_support has returned."""
+def _swap_step(inst, q: Condition, support: frozenset, site, fiber) -> SwapStep:
+    """swap_step on a support that check_support has returned."""
     if (site, fiber) in support:
         raise ValueError(f"target pair {(site, fiber)!r} must avoid the support")
-    b = partner(inst, support, site, fiber, q.touched_fibers(site))
-    if b is None:
+    fibers = swap_fibers(inst, support, site, fiber, q.touched_fibers(site))
+    if fibers is None:
         raise FiberExhausted(
             f"no spare fiber at site {site!r}: every other fiber is in the "
             "support or touched by the condition")
-    return b
+    pi = FiberPermutation.transposition(inst, site, *fibers)
+    return SwapStep(*fibers, in_fix(pi, support),
+                    compatible(q, act_condition(pi, q)).ok)
+
+
+def _witness(pi: FiberPermutation, q: Condition, **fields) -> dict:
+    """A kernel's witness: the cycles of the transposition, the kernel's
+    own fields, the relabelled condition and the outcome of merging it
+    with q, rebuilt here since only a read witness needs them."""
+    moved_q = act_condition(pi, q)
+    comp = compatible(q, moved_q)
+    return {"cycles": _cycles_obj(pi), **fields,
+            "relabeled_condition": _cond_obj(moved_q),
+            "merged": _cond_obj(comp.witness) if comp.witness is not None else None,
+            "cutoff_exceeded": comp.cutoff_exceeded}
 
 
 def swap_kernel(inst, q: Condition, support, site, fiber, names=None) -> KernelReport:
@@ -124,116 +153,32 @@ def swap_kernel(inst, q: Condition, support, site, fiber, names=None) -> KernelR
     """
     support = check_support(inst, support)
     _same_instance(inst, q.inst)
-    mate = _swap_mate(inst, q, support, site, fiber)
-    pi = FiberPermutation.transposition(inst, site, fiber, mate)
+    step = _swap_step(inst, q, support, site, fiber)
+    pi = FiberPermutation.transposition(inst, site, step.fiber, step.mate)
     if names is None:
         family = canonical_family(inst)
         names = [(f"row:{z}:{a}", family.rows[(z, a)]) for (z, a) in sorted(support)]
         names += [(f"site:{z}", family.sites[z]) for z in inst.sites]
     fixed = {label: act_name(pi, nm) is nm for label, nm in names}
-    in_stab = in_fix(pi, support)
-    moved_q = act_condition(pi, q)
-    comp = compatible(q, moved_q)
     checks = {
-        "permutation_in_stabilizer": in_stab,
+        "permutation_in_stabilizer": step.in_stabilizer,
         "names_fixed": all(fixed.values()),
-        "conditions_compatible": comp.ok,
+        "conditions_compatible": step.compatible,
     }
     return KernelReport(
         kernel="swap",
-        chosen={"partner": mate},
+        chosen={"partner": step.mate},
         checks=checks,
         verdict=all(checks.values()),
         inputs=lambda: {"condition": _cond_obj(q),
                         "support": sorted(map(list, support)),
                         "site": site, "fiber": fiber},
-        witness=lambda: {"cycles": _cycles_obj(pi), "names_fixed": fixed,
-                         **_merge_obj(moved_q, comp)},
-    )
-
-
-class WiscSwap(NamedTuple):
-    """The half of a wisc kernel run that does not depend on the name:
-    the two fibers of the transposition, whether it fixes the support
-    pointwise, and whether it carries the condition to a compatible one."""
-
-    first: int
-    second: int
-    in_stabilizer: bool
-    compatible: bool
-
-
-def wisc_swap(staged, swap_stage: int, q: Condition, support) -> WiscSwap:
-    """Choose the fibers of the wisc transposition at the swap stage (the
-    first least outside the support, the second additionally with a row
-    untouched by q) and run the two checks that depend only on them."""
-    _same_instance(staged, q.inst)
-    return _wisc_swap(staged, swap_stage, q, check_support(staged, support))
-
-
-def _wisc_swap(staged, swap_stage: int, q: Condition, support: frozenset) -> WiscSwap:
-    """wisc_swap on a support that check_support has returned."""
-    if swap_stage not in staged.site_index:
-        raise ValueError(f"swap stage {swap_stage!r} is not a stage of the instance")
-    first = partner(staged, support, swap_stage, None, ())
-    if first is None:
-        raise FiberExhausted(f"every fiber of stage {swap_stage} is in the support")
-    second = partner(staged, support, swap_stage, first,
-                     q.touched_fibers(swap_stage))
-    if second is None:
-        raise FiberExhausted(
-            f"no spare fiber at stage {swap_stage}: every other fiber is in "
-            "the support or touched by the condition")
-    pi = FiberPermutation.transposition(staged, swap_stage, first, second)
-    return WiscSwap(first, second, in_fix(pi, support),
-                    compatible(q, act_condition(pi, q)).ok)
-
-
-def wisc_check(staged, base_stage: int, y: Name, swap_stage: int,
-               q: Condition, support, swap: WiscSwap) -> KernelReport:
-    """The half of a wisc kernel run that depends on the name: given the
-    swap wisc_swap found for (swap_stage, q, support), check that y lives
-    at the base stage, below the swap stage, and is fixed by the
-    transposition, and assemble the report.  The witness rebuilds the
-    relabelled condition and its merge when it is first read."""
-    if not in_stage(y, base_stage):
-        raise StageViolation(
-            f"name uses cells above stage {base_stage}")
-    if swap_stage <= base_stage:
-        raise ValueError("swap stage must lie strictly above the base stage")
-    pi = FiberPermutation.transposition(staged, swap_stage, swap.first, swap.second)
-    name_fixed = act_name(pi, y) is y
-    moved = {src for src, _ in pi.moved}
-    disjoint = not (moved & {(c[0], c[1]) for c in name_cells(y)})
-    checks = {
-        "name_fixed": name_fixed,
-        "moved_avoids_name_cells": disjoint,
-        # disjointness must imply literal fixation; a violation is a bug
-        # in the lifted action, not a property of the inputs
-        "locality_forms_agree": name_fixed or not disjoint,
-        "permutation_in_stabilizer": swap.in_stabilizer,
-        "conditions_compatible": swap.compatible,
-    }
-
-    def witness():
-        moved_q = act_condition(pi, q)
-        return {"cycles": _cycles_obj(pi),
-                **_merge_obj(moved_q, compatible(q, moved_q))}
-
-    return KernelReport(
-        kernel="wisc",
-        chosen={"first_fiber": swap.first, "second_fiber": swap.second},
-        checks=checks,
-        verdict=name_fixed and swap.in_stabilizer and swap.compatible,
-        inputs=lambda: {"base_stage": base_stage, "swap_stage": swap_stage,
-                        "name_rank": y.rank, "condition": _cond_obj(q),
-                        "support": sorted(map(list, support))},
-        witness=witness,
+        witness=lambda: _witness(pi, q, names_fixed=fixed),
     )
 
 
 def wisc_kernel(staged, base_stage: int, y: Name, swap_stage: int,
-                q: Condition, support) -> KernelReport:
+                q: Condition, support, step: Optional[SwapStep] = None) -> KernelReport:
     """The stage-local swap step: the name y must live at the base stage;
     a transposition of two fibers at a strictly later stage is built (the
     first fiber least outside the support, the second additionally with a
@@ -245,13 +190,43 @@ def wisc_kernel(staged, base_stage: int, y: Name, swap_stage: int,
     closure); the two must agree here, and the verdict uses the literal
     form.
 
-    This is wisc_check after wisc_swap; a caller running many names
-    against one (swap_stage, q, support) can run wisc_swap once.
+    step, when given, is swap_step(staged, q, support, swap_stage), which
+    has validated the support: a caller running many names against one
+    (swap_stage, q, support) can run that once.
     """
     _same_instance(staged, q.inst)
-    support = check_support(staged, support)
-    return wisc_check(staged, base_stage, y, swap_stage, q, support,
-                      _wisc_swap(staged, swap_stage, q, support))
+    if swap_stage not in staged.site_index:
+        raise ValueError(f"swap stage {swap_stage!r} is not a stage of the instance")
+    if swap_stage <= base_stage:
+        raise ValueError("swap stage must lie strictly above the base stage")
+    if not in_stage(y, base_stage):
+        raise StageViolation(f"name uses cells above stage {base_stage}")
+    if step is None:
+        support = check_support(staged, support)
+        step = _swap_step(staged, q, support, swap_stage, None)
+    pi = FiberPermutation.transposition(staged, swap_stage, step.fiber, step.mate)
+    name_fixed = act_name(pi, y) is y
+    moved = {src for src, _ in pi.moved}
+    disjoint = not (moved & {(c[0], c[1]) for c in name_cells(y)})
+    checks = {
+        "name_fixed": name_fixed,
+        "moved_avoids_name_cells": disjoint,
+        # disjointness must imply literal fixation; a violation is a bug
+        # in the lifted action, not a property of the inputs
+        "locality_forms_agree": name_fixed or not disjoint,
+        "permutation_in_stabilizer": step.in_stabilizer,
+        "conditions_compatible": step.compatible,
+    }
+    return KernelReport(
+        kernel="wisc",
+        chosen={"first_fiber": step.fiber, "second_fiber": step.mate},
+        checks=checks,
+        verdict=name_fixed and step.in_stabilizer and step.compatible,
+        inputs=lambda: {"base_stage": base_stage, "swap_stage": swap_stage,
+                        "name_rank": y.rank, "condition": _cond_obj(q),
+                        "support": sorted(map(list, support))},
+        witness=lambda: _witness(pi, q),
+    )
 
 
 @dataclass(frozen=True, eq=False)

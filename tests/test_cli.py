@@ -689,8 +689,8 @@ class TestHoistedPath:
             report = wisc_kernel(ctx["inst"], base, y, swap, q, support)
             step = steps[swap, qi, si]
             assert line["verdict"] == ("pass" if report.verdict else "fail")
-            assert report.chosen == {"first_fiber": step.first,
-                                     "second_fiber": step.second}
+            assert report.chosen == {"first_fiber": step.fiber,
+                                     "second_fiber": step.mate}
             assert line["params"] == {
                 "base_stage": base, "swap_stage": swap, "name": label,
                 "condition": kernels._cond_obj(q),

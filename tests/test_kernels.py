@@ -5,12 +5,11 @@ import pytest
 
 from symext import (Condition, FiberExhausted, InvalidInstance, StageViolation,
                     check_name, check_support, forces, iter_conditions,
-                    min_onto_check, ordinal, swap_kernel, swap_partner,
+                    min_onto_check, ordinal, swap_kernel, swap_step,
                     wisc_kernel)
 from symext import Poset, build_instance, kernels
 from symext.forcing import Eq
 from symext.instances import least_value_name
-from symext.kernels import wisc_swap
 
 _SCOPE = ('"scope": "verifies the finite combinatorial step only (stabilizer '
           'membership, name fixation, condition compatibility); no conclusion '
@@ -59,28 +58,28 @@ class TestSwapPartner:
     def test_least_admissible(self, swap_scale):
         inst, _ = swap_scale
         q = Condition(inst, {("a", 0, 0): 1})
-        assert swap_partner(inst, q, {("b", 0)}, "a", 0) == 1
+        assert swap_step(inst, q, {("b", 0)}, "a", 0).mate == 1
 
     def test_exhausted_when_other_rows_occupied(self, reference):
         inst, _ = reference
         q = Condition(inst, {("a", 0, 0): 1, ("a", 1, 0): 1})
         with pytest.raises(FiberExhausted):
-            swap_partner(inst, q, frozenset(), "a", 0)
+            swap_step(inst, q, frozenset(), "a", 0)
 
     def test_support_blocks_a_candidate(self, swap_scale):
         inst, _ = swap_scale
         q = Condition(inst, {("a", 0, 0): 1})
-        assert swap_partner(inst, q, {("a", 1)}, "a", 0) == 2
+        assert swap_step(inst, q, {("a", 1)}, "a", 0).mate == 2
 
     def test_target_pair_must_avoid_support(self, swap_scale):
         inst, _ = swap_scale
         with pytest.raises(ValueError):
-            swap_partner(inst, Condition.top(inst), {("a", 0)}, "a", 0)
+            swap_step(inst, Condition.top(inst), {("a", 0)}, "a", 0)
 
     def test_unknown_site_rejected(self, swap_scale, staged_pair):
         for inst, site in ((swap_scale[0], "z"), (staged_pair[0], 5)):
             with pytest.raises(InvalidInstance):
-                swap_partner(inst, Condition.top(inst), (), site, 0)
+                swap_step(inst, Condition.top(inst), (), site, 0)
 
 
 class TestSwapKernel:
@@ -102,9 +101,9 @@ class TestSwapKernel:
                 except FiberExhausted:
                     pass
         assert len(calls) == runs
-        # swap_partner still validates the support it is given
+        # swap_step still validates the support it is given
         with pytest.raises(InvalidInstance):
-            swap_partner(inst, Condition.top(inst), {("z", 0)}, "a", 0)
+            swap_step(inst, Condition.top(inst), {("z", 0)}, "a", 0)
         assert len(calls) == runs + 1
 
     def test_reported_example(self, swap_scale):
@@ -204,15 +203,25 @@ class TestWiscKernel:
         with pytest.raises(FiberExhausted):
             wisc_kernel(staged, 0, family.rows[(0, 0)], 1, q, support)
 
+    def test_arguments_checked_before_the_fibers(self, staged_pair):
+        # no fiber is left at stage 1, so a kernel choosing its fibers
+        # first would raise FiberExhausted for both
+        staged, family = staged_pair
+        q = Condition(staged, {(1, 1, 0): 1, (1, 2, 0): 1})
+        with pytest.raises(StageViolation):
+            wisc_kernel(staged, 0, family.rows[(1, 0)], 1, q, {(1, 3)})
+        with pytest.raises(ValueError):
+            wisc_kernel(staged, 1, family.rows[(0, 0)], 1, q, {(1, 3)})
+
     def test_swap_half_raises_like_the_kernel(self, staged_pair):
-        staged, _ = staged_pair
+        staged, family = staged_pair
         q = Condition(staged, {(1, 1, 0): 1, (1, 2, 0): 1})
         with pytest.raises(FiberExhausted):
-            wisc_swap(staged, 1, q, {(1, 3)})
+            swap_step(staged, q, {(1, 3)}, 1)
         with pytest.raises(ValueError):
-            wisc_swap(staged, 2, Condition.top(staged), ())
+            wisc_kernel(staged, 0, family.rows[(0, 0)], 2, Condition.top(staged), ())
         with pytest.raises(InvalidInstance):
-            wisc_swap(staged, 1, Condition.top(staged), {(1, 9)})
+            swap_step(staged, Condition.top(staged), {(1, 9)}, 1)
 
     def test_mini_exhaustive(self, staged_pair):
         staged, family = staged_pair
@@ -227,6 +236,23 @@ class TestWiscKernel:
                         continue
                     assert report.verdict
                     assert report.checks["moved_avoids_name_cells"]
+
+    def test_given_step_reports_like_the_one_shot_kernel(self, staged_pair):
+        staged, family = staged_pair
+        pool = [family.rows[(0, a)] for a in range(3)] + [family.sites[0]]
+        supports = [frozenset()] + [frozenset({p}) for p in staged.pairs]
+        compared = 0
+        for q in iter_conditions(staged, 1):
+            for support in supports:
+                try:
+                    step = swap_step(staged, q, support, 1)
+                except FiberExhausted:
+                    continue
+                for y in pool:
+                    assert (wisc_kernel(staged, 0, y, 1, q, support, step=step).to_obj()
+                            == wisc_kernel(staged, 0, y, 1, q, support).to_obj())
+                    compared += 1
+        assert compared
 
 
 class TestReportObjects:
