@@ -38,14 +38,18 @@ formula is a spec error and must stop the run before its first line.
 
 The work a suite's units share is done once per index, not once per
 unit: the JSON text of each condition, support, permutation and label,
-the image of each condition and formula under each permutation, the
-wisc kernel's swap step (kernels.swap_step) for each swap stage,
-condition and support, and the forcing verdicts of each formula over
+the head of each wisc line per (base stage, swap stage, name), the
+image of each condition and formula under each permutation, the wisc
+kernel's swap step (kernels.swap_step) for each swap stage, condition
+and support, and the forcing verdicts of each formula over
 all conditions as one bit vector per mode, from which the forcing-oracle
 and symmetry-lemma suites read a unit's verdict as one bit of a
 per-formula (or per-permutation-and-formula) fail mask; only a failing
-unit runs the one-shot check to build its witness.  A unit's elapsed
-time includes any shared table it is the first to need.
+unit runs the one-shot check to build its witness.  The kernels keep
+their own name checks per (transposition, name) in the instance's
+store, so a wisc unit reads them rather than acting on its name again.
+A unit's elapsed time includes any shared table it is the first to
+need.
 """
 
 from __future__ import annotations
@@ -379,6 +383,13 @@ def _wisc_pool(ctx, base):
                    if label != "graph" and in_stage(nm, base)]
 
 
+def _wisc_head(ctx, key):
+    base, swap, yi = key
+    label = ctx["wisc_pool"][base][yi][0]
+    return (f'{{"base_stage": {base}, "swap_stage": {swap}, "name": '
+            + ctx["text"][label] + ', "condition": ')
+
+
 # field -> build(ctx), run on its first lookup; a _per_key field is a
 # _Table from a key (an index, or a tuple of them) to an entry
 _FIELDS = {
@@ -418,6 +429,9 @@ _FIELDS = {
         ctx["inst"], ctx["conditions"][key[1]], ctx["supports"][key[2]], key[0])),
     # base stage -> the wisc suite's name pool
     "wisc_pool": _per_key(_wisc_pool),
+    # (base stage, swap stage, name) -> a wisc line's params up to the
+    # condition's text
+    "wisc_head": _per_key(_wisc_head),
 }
 
 
@@ -596,11 +610,10 @@ def _wisc_units(ctx):
 
 def _run_wisc(ctx, unit):
     base, swap, yi, qi, si = unit
-    label, y = ctx["wisc_pool"][base][yi]
+    y = ctx["wisc_pool"][base][yi][1]
     report = wisc_kernel(ctx["inst"], base, y, swap, ctx["conditions"][qi],
                          ctx["supports"][si], ctx["wisc_swap"][swap, qi, si])
-    params = (f'{{"base_stage": {base}, "swap_stage": {swap}, "name": '
-              + ctx["text"][label] + ', "condition": ' + ctx["cond_text"][qi]
+    params = (ctx["wisc_head"][base, swap, yi] + ctx["cond_text"][qi]
               + ', "support": ' + ctx["support_text"][si] + '}')
     return params, report.verdict, (None if report.verdict else report.to_obj())
 

@@ -122,6 +122,8 @@ class Store:
         self.support = {}         # infer_min_support: (Name, max_site) -> support
         self.hs = {}              # is_hs: (Name, max_site) -> bool
         self.stage = {}           # name_stage: Name -> stage
+        self.name_checks = {}     # kernels: (transposition, Name) -> (fixed, disjoint)
+        self.swap_names = {}      # swap_kernel: support -> its default (label, Name) list
         self.family = None        # canonical_family
         self.space = None         # forcing._Space
         self.filter_space = None  # forcing._FilterSpace
@@ -432,17 +434,26 @@ def extends(p: Condition, q: Condition) -> bool:
     return all(get(cell) == bit for cell, bit in q.items)
 
 
-def compatible(p: Condition, q: Condition) -> Compat:
-    """Test agreement on the common domain and produce the merge witness."""
-    _same_instance(p.inst, q.inst)
-    small, large = (p, q) if len(p) <= len(q) else (q, p)
+def _conflict(p: Condition, q: Condition) -> Optional[Cell]:
+    """The first cell of the shorter condition on which the two disagree;
+    None when they agree on their common domain (the instance is the
+    caller's to check)."""
+    small, large = (p, q) if len(p.items) <= len(q.items) else (q, p)
     get = large._map.get
     for cell, bit in small.items:
         other = get(cell)
         if other is not None and other != bit:
-            return Compat(False, conflict=cell)
-    merged = dict(large._map)
-    merged.update(small._map)
+            return cell
+    return None
+
+
+def compatible(p: Condition, q: Condition) -> Compat:
+    """Test agreement on the common domain and produce the merge witness."""
+    _same_instance(p.inst, q.inst)
+    cell = _conflict(p, q)
+    if cell is not None:
+        return Compat(False, conflict=cell)
+    merged = {**p._map, **q._map}
     if p.inst.condition_violation(merged.items()) is not None:
         return Compat(True, witness=None, cutoff_exceeded=True)
     # both sides are valid conditions and the union meets the limits

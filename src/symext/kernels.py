@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
-from .core import Condition, compatible, iter_conditions, _same_instance
+from .core import (Condition, compatible, iter_conditions, _conflict,
+                   _same_instance)
 from .errors import FiberExhausted, StageViolation
 from .forcing import Eq, forces
 from .instances import canonical_family, in_stage, least_value_name
@@ -29,7 +30,9 @@ SCOPE = ("verifies the finite combinatorial step only (stabilizer membership, "
 class KernelReport:
     """A kernel's verdict, its sub-checks and its chosen fibers, computed
     on every run; inputs and witness are built from the two given
-    callables only when first read (a passing unit never reads them)."""
+    callables only when first read (a passing unit never reads them).
+    The kernels pass their arguments by position: they build one report
+    per unit, and a call by keyword costs about twice as much."""
 
     scope = SCOPE
 
@@ -113,11 +116,12 @@ def swap_step(inst, q: Condition, support, site, fiber=None) -> SwapStep:
     q, and run the two checks that depend only on them; a caller running
     many names against one (q, support, site, fiber) can run it once."""
     _same_instance(inst, q.inst)
-    return _swap_step(inst, q, check_support(inst, support), site, fiber)
+    return _swap_step(inst, q, check_support(inst, support), site, fiber)[1]
 
 
-def _swap_step(inst, q: Condition, support: frozenset, site, fiber) -> SwapStep:
-    """swap_step on a support that check_support has returned."""
+def _swap_step(inst, q: Condition, support: frozenset, site, fiber) -> tuple:
+    """The transposition and swap_step, on a support that check_support
+    has returned."""
     if (site, fiber) in support:
         raise ValueError(f"target pair {(site, fiber)!r} must avoid the support")
     fibers = swap_fibers(inst, support, site, fiber, q.touched_fibers(site))
@@ -126,8 +130,36 @@ def _swap_step(inst, q: Condition, support: frozenset, site, fiber) -> SwapStep:
             f"no spare fiber at site {site!r}: every other fiber is in the "
             "support or touched by the condition")
     pi = FiberPermutation.transposition(inst, site, *fibers)
-    return SwapStep(*fibers, in_fix(pi, support),
-                    compatible(q, act_condition(pi, q)).ok)
+    # agreement on the common domain decides compatibility; only a
+    # witness needs the merged condition, and _witness builds it
+    return pi, SwapStep(*fibers, in_fix(pi, support),
+                        _conflict(q, act_condition(pi, q)) is None)
+
+
+def _name_checks(pi: FiberPermutation, y: Name) -> tuple:
+    """(pi fixes y literally, pi's moved pairs avoid every pair in y's
+    closure), computed once per (transposition, name) and kept in the
+    instance's store."""
+    table = pi.inst.store.name_checks
+    key = (pi, y)
+    found = table.get(key)
+    if found is None:
+        own = frozenset((c[0], c[1]) for c in name_cells(y))
+        found = table[key] = (act_name(pi, y) is y, in_fix(pi, own))
+    return found
+
+
+def _default_names(inst, support: frozenset) -> list:
+    """swap_kernel's default names: the row names of the support pairs
+    and every site name, built once per support and kept in the store."""
+    table = inst.store.swap_names
+    names = table.get(support)
+    if names is None:
+        family = canonical_family(inst)
+        names = [(f"row:{z}:{a}", family.rows[(z, a)]) for (z, a) in sorted(support)]
+        names += [(f"site:{z}", family.sites[z]) for z in inst.sites]
+        table[support] = names
+    return names
 
 
 def _witness(pi: FiberPermutation, q: Condition, **fields) -> dict:
@@ -146,35 +178,29 @@ def swap_kernel(inst, q: Condition, support, site, fiber, names=None) -> KernelR
     """The fiber-swap step: pick a partner fiber, build the transposition,
     and check that it (i) fixes the support pointwise, (ii) fixes every
     supplied support-anchored name literally, and (iii) carries q to a
-    condition compatible with q, producing the merge witness.
+    condition compatible with q; the merge is built in the witness.
 
     names is a list of (label, Name) pairs; by default the canonical row
     names of the support pairs plus every site name.
     """
     support = check_support(inst, support)
     _same_instance(inst, q.inst)
-    step = _swap_step(inst, q, support, site, fiber)
-    pi = FiberPermutation.transposition(inst, site, step.fiber, step.mate)
+    pi, step = _swap_step(inst, q, support, site, fiber)
     if names is None:
-        family = canonical_family(inst)
-        names = [(f"row:{z}:{a}", family.rows[(z, a)]) for (z, a) in sorted(support)]
-        names += [(f"site:{z}", family.sites[z]) for z in inst.sites]
-    fixed = {label: act_name(pi, nm) is nm for label, nm in names}
+        names = _default_names(inst, support)
+    fixed = {label: _name_checks(pi, nm)[0] for label, nm in names}
     checks = {
         "permutation_in_stabilizer": step.in_stabilizer,
         "names_fixed": all(fixed.values()),
         "conditions_compatible": step.compatible,
     }
-    return KernelReport(
-        kernel="swap",
-        chosen={"partner": step.mate},
-        checks=checks,
-        verdict=all(checks.values()),
-        inputs=lambda: {"condition": _cond_obj(q),
-                        "support": sorted(map(list, support)),
-                        "site": site, "fiber": fiber},
-        witness=lambda: _witness(pi, q, names_fixed=fixed),
-    )
+
+    def inputs():
+        return {"condition": _cond_obj(q), "support": sorted(map(list, support)),
+                "site": site, "fiber": fiber}
+
+    return KernelReport("swap", {"partner": step.mate}, checks, all(checks.values()),
+                        inputs, lambda: _witness(pi, q, names_fixed=fixed))
 
 
 def wisc_kernel(staged, base_stage: int, y: Name, swap_stage: int,
@@ -188,13 +214,15 @@ def wisc_kernel(staged, base_stage: int, y: Name, swap_stage: int,
     Locality is recorded twice: literally (the lifted action returns y)
     and structurally (the moved pairs avoid every pair mentioned in y's
     closure); the two must agree here, and the verdict uses the literal
-    form.
+    form.  Both are computed once per (transposition, name).
 
     step, when given, is swap_step(staged, q, support, swap_stage), which
     has validated the support: a caller running many names against one
     (swap_stage, q, support) can run that once.
     """
     _same_instance(staged, q.inst)
+    if base_stage not in staged.site_index:
+        raise ValueError(f"base stage {base_stage!r} is not a stage of the instance")
     if swap_stage not in staged.site_index:
         raise ValueError(f"swap stage {swap_stage!r} is not a stage of the instance")
     if swap_stage <= base_stage:
@@ -203,11 +231,10 @@ def wisc_kernel(staged, base_stage: int, y: Name, swap_stage: int,
         raise StageViolation(f"name uses cells above stage {base_stage}")
     if step is None:
         support = check_support(staged, support)
-        step = _swap_step(staged, q, support, swap_stage, None)
-    pi = FiberPermutation.transposition(staged, swap_stage, step.fiber, step.mate)
-    name_fixed = act_name(pi, y) is y
-    moved = {src for src, _ in pi.moved}
-    disjoint = not (moved & {(c[0], c[1]) for c in name_cells(y)})
+        pi, step = _swap_step(staged, q, support, swap_stage, None)
+    else:
+        pi = FiberPermutation.transposition(staged, swap_stage, step.fiber, step.mate)
+    name_fixed, disjoint = _name_checks(pi, y)
     checks = {
         "name_fixed": name_fixed,
         "moved_avoids_name_cells": disjoint,
@@ -217,16 +244,16 @@ def wisc_kernel(staged, base_stage: int, y: Name, swap_stage: int,
         "permutation_in_stabilizer": step.in_stabilizer,
         "conditions_compatible": step.compatible,
     }
-    return KernelReport(
-        kernel="wisc",
-        chosen={"first_fiber": step.fiber, "second_fiber": step.mate},
-        checks=checks,
-        verdict=name_fixed and step.in_stabilizer and step.compatible,
-        inputs=lambda: {"base_stage": base_stage, "swap_stage": swap_stage,
-                        "name_rank": y.rank, "condition": _cond_obj(q),
-                        "support": sorted(map(list, support))},
-        witness=lambda: _witness(pi, q),
-    )
+    chosen = {"first_fiber": step.fiber, "second_fiber": step.mate}
+    verdict = name_fixed and step.in_stabilizer and step.compatible
+
+    def inputs():
+        return {"base_stage": base_stage, "swap_stage": swap_stage,
+                "name_rank": y.rank, "condition": _cond_obj(q),
+                "support": sorted(map(list, support))}
+
+    return KernelReport("wisc", chosen, checks, verdict, inputs,
+                        lambda: _witness(pi, q))
 
 
 @dataclass(frozen=True, eq=False)

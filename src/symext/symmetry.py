@@ -144,9 +144,15 @@ def act_condition(pi: FiberPermutation, p: Condition) -> Condition:
 
     pi maps pairs to pairs of the same site, bijectively, so every image
     cell is in the instance and every per-site count is unchanged: the
-    image needs no re-validation."""
+    image needs no re-validation.  When pi moves none of p's pairs the
+    image is p itself."""
     _same_instance(pi.inst, p.inst)
     get = pi._map.get
+    for (site, fiber, _), _ in p.items:
+        if get((site, fiber)) is not None:
+            break
+    else:
+        return p
     image = {}
     for (site, fiber, slot), bit in p.items:
         dst = get((site, fiber))
@@ -155,7 +161,12 @@ def act_condition(pi: FiberPermutation, p: Condition) -> Condition:
 
 
 def act_name(pi: FiberPermutation, x: Name) -> Name:
-    """The lifted action on names: relabel every condition, recursively."""
+    """The lifted action on names: relabel every condition, recursively.
+
+    The image of every entry is computed; when each equals its entry
+    (the condition by ==, the subname by identity, since Name has no
+    __eq__ and names are interned) the image is x itself, and make_name
+    is skipped."""
     if x.inst is None:
         return x
     _same_instance(pi.inst, x.inst)
@@ -165,18 +176,18 @@ def act_name(pi: FiberPermutation, x: Name) -> Name:
     key = (pi, x)
     result = memo.get(key)
     if result is None:
-        result = memo[key] = make_name((act_condition(pi, cond), act_name(pi, sub))
-                                       for cond, sub in x.entries)
+        image = tuple([(act_condition(pi, cond), act_name(pi, sub))
+                       for cond, sub in x.entries])
+        result = memo[key] = x if image == x.entries else make_name(image)
     return result
 
 
 def check_support(inst, support) -> frozenset:
     """Validate a support set against the instance bounds and cutoff."""
-    support = frozenset(tuple(p) for p in support)
-    pair_set = inst.pair_set
-    for p in support:
-        if p not in pair_set:
-            raise InvalidInstance(f"support pair {p!r} outside instance bounds")
+    support = frozenset(map(tuple, support))
+    if not support <= inst.pair_set:
+        p = min(support - inst.pair_set, key=repr)
+        raise InvalidInstance(f"support pair {p!r} outside instance bounds")
     if len(support) > inst.support_cutoff:
         raise InvalidInstance(
             f"support has {len(support)} pairs, cutoff is {inst.support_cutoff}")
@@ -191,7 +202,7 @@ def in_fix(pi: FiberPermutation, support) -> bool:
     """True iff pi fixes every pair of the support pointwise."""
     if not isinstance(support, frozenset):  # check_support's output is one
         support = {tuple(p) for p in support}
-    return all(src not in support for src, _ in pi.moved)
+    return support.isdisjoint(pi._map)
 
 
 def fix_generators(inst, support, max_site=None) -> list:

@@ -587,6 +587,10 @@ def _fail_every_merge(p, q):
     return Compat(False, conflict=p.items[0][0] if p.items else None)
 
 
+def _conflict_everywhere(p, q):
+    return p.inst.cells[0]
+
+
 class _FirstCellBlindSpace(forcing._FilterSpace):
     """A semantic space in which no filter contains a condition setting
     the instance's first cell, so such a condition forces every formula:
@@ -697,6 +701,8 @@ class TestHoistedPath:
                 "support": sorted(map(list, support))}
 
     def test_failing_wisc_witness_matches_the_one_shot_kernel(self, monkeypatch):
+        # the verdict reads the agreement test, the witness the merge
+        monkeypatch.setattr(kernels, "_conflict", _conflict_everywhere)
         monkeypatch.setattr(kernels, "compatible", _fail_every_merge)
         spec = parse_instance_spec((SPECS / "staged.json").read_text())
         ctx = _context(spec.text, json.dumps({"max_dom": 1}))
@@ -728,6 +734,7 @@ class TestEncoding:
         self.assert_canonical(lines)
 
     def test_failing_lines(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_conflict", _conflict_everywhere)
         monkeypatch.setattr(kernels, "compatible", _fail_every_merge)
         code, lines = run_text(STAGED, "wisc", {"max_dom": 0})
         assert code == 1 and all('"witness": ' in line for line in lines)

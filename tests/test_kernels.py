@@ -3,11 +3,12 @@ import json
 
 import pytest
 
-from symext import (Condition, FiberExhausted, InvalidInstance, StageViolation,
-                    check_name, check_support, forces, iter_conditions,
-                    min_onto_check, ordinal, swap_kernel, swap_step,
-                    wisc_kernel)
-from symext import Poset, build_instance, kernels
+from symext import (Condition, FiberExhausted, FiberPermutation, Instance,
+                    InvalidInstance, StageViolation, act_condition, act_name,
+                    canonical_family, check_name, check_support, compatible,
+                    forces, iter_conditions, min_onto_check, ordinal,
+                    swap_kernel, swap_step, wisc_kernel)
+from symext import Poset, build_instance, kernels, symmetry
 from symext.forcing import Eq
 from symext.instances import least_value_name
 
@@ -145,6 +146,34 @@ class TestSwapKernel:
         with pytest.raises(FiberExhausted):
             swap_kernel(inst, q, frozenset(), "a", 0)
 
+    def test_agreement_decides_like_the_merge(self, swap_scale):
+        # swap_step reads compatibility off agreement on the common
+        # domain; the merge of core.compatible must give the same answer
+        inst, _ = swap_scale
+        supports = [frozenset()] + [frozenset({p}) for p in inst.pairs]
+        compared = 0
+        for q in iter_conditions(inst, 1):
+            for support in supports:
+                for (z, a) in inst.pairs:
+                    if (z, a) in support:
+                        continue
+                    try:
+                        step = swap_step(inst, q, support, z, a)
+                    except FiberExhausted:
+                        continue
+                    pi = FiberPermutation.transposition(inst, z, step.fiber, step.mate)
+                    _assert_agreement_is_the_merge_verdict(
+                        step.compatible, q, act_condition(pi, q))
+                    compared += 1
+        assert compared
+        # swap_step's mate is untouched by q, so the space above never
+        # conflicts; a swap of two touched rows does
+        q = Condition(inst, {("a", 0, 0): 1, ("a", 1, 0): 0})
+        moved = act_condition(FiberPermutation.transposition(inst, "a", 0, 1), q)
+        agree = kernels._conflict(q, moved) is None
+        assert not agree
+        _assert_agreement_is_the_merge_verdict(agree, q, moved)
+
     def test_mini_exhaustive(self, swap_scale):
         # every admissible tuple with tiny conditions passes
         inst, _ = swap_scale
@@ -213,6 +242,18 @@ class TestWiscKernel:
         with pytest.raises(ValueError):
             wisc_kernel(staged, 1, family.rows[(0, 0)], 1, q, {(1, 3)})
 
+    def test_base_stage_must_be_a_stage(self, staged_pair):
+        # a name without cells lives at every stage, so only the stage
+        # check can reject it; it runs before the fibers are chosen
+        staged, _ = staged_pair
+        y = check_name(staged, ordinal(1))
+        for base in (-1, 7):
+            with pytest.raises(ValueError, match="base stage"):
+                wisc_kernel(staged, base, y, 0, Condition.top(staged), ())
+        q = Condition(staged, {(1, 1, 0): 1, (1, 2, 0): 1})
+        with pytest.raises(ValueError, match="base stage"):
+            wisc_kernel(staged, -1, y, 1, q, {(1, 3)})
+
     def test_swap_half_raises_like_the_kernel(self, staged_pair):
         staged, family = staged_pair
         q = Condition(staged, {(1, 1, 0): 1, (1, 2, 0): 1})
@@ -253,6 +294,51 @@ class TestWiscKernel:
                             == wisc_kernel(staged, 0, y, 1, q, support).to_obj())
                     compared += 1
         assert compared
+
+
+def _assert_agreement_is_the_merge_verdict(agree, p, r):
+    assert agree == compatible(p, r).ok
+
+
+def _drop_a_moved_cell(pi, p):
+    """act_condition with a fault: the image of p's first moved cell is
+    missing."""
+    image = dict(act_condition(pi, p).items)
+    for (site, fiber, slot), _ in p.items:
+        if (site, fiber) in pi._map:
+            del image[(site, pi((site, fiber))[1], slot)]
+            break
+    return Condition(p.inst, image)
+
+
+class TestMutatedAction:
+    """A fault in the lifted action must fail a check.  Each case builds
+    its instance unverified and fresh, so no memo of the action or the
+    kernels' name checks was filled before the fault is in place."""
+
+    @staticmethod
+    def instances():
+        return (Instance.flat(Poset.antichain(["a", "b"]), 3, 2, 1),
+                Instance.staged((3, 4), 1))
+
+    @staticmethod
+    def checks(flat, staged):
+        swap = swap_kernel(flat, Condition.top(flat), (), "a", 0)
+        # criterion 9 at the swap stage: its site name is fixed by every
+        # transposition there
+        site = canonical_family(staged).sites[1]
+        fixed = [act_name(FiberPermutation.transposition(staged, 1, a, b), site) is site
+                 for a, b in ((0, 1), (1, 3))]
+        return swap.verdict, swap.checks["names_fixed"], fixed
+
+    def test_sound_action_passes(self):
+        assert self.checks(*self.instances()) == (True, True, [True, True])
+
+    def test_dropped_moved_cell_fails(self, monkeypatch):
+        monkeypatch.setattr(symmetry, "act_condition", _drop_a_moved_cell)
+        flat, staged = self.instances()
+        assert not flat.store.name_checks and not staged.store.act
+        assert self.checks(flat, staged) == (False, False, [False, False])
 
 
 class TestReportObjects:

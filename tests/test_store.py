@@ -8,7 +8,8 @@ import tracemalloc
 import weakref
 
 from symext import (Condition, FiberPermutation, Instance, Mem, Poset, act_name,
-                    canonical_family, check_name, forces, is_hs, ordinal)
+                    canonical_family, check_name, forces, is_hs, ordinal,
+                    swap_kernel, wisc_kernel)
 from symext.cli import parse_instance_spec, run_checks
 
 
@@ -54,6 +55,16 @@ def _use(inst):
     assert is_hs(inst, family.sites["a"])
 
 
+def _use_kernels(flat, staged):
+    """Fill the kernels' memos: the default names per support and the
+    name checks per (transposition, name)."""
+    assert swap_kernel(flat, Condition.top(flat), (), flat.sites[0], 0).verdict
+    y = canonical_family(staged).sites[0]
+    assert wisc_kernel(staged, 0, y, 1, Condition.top(staged), ()).verdict
+    assert flat.store.swap_names and flat.store.name_checks
+    assert staged.store.name_checks
+
+
 def test_dropped_instance_is_freed():
     inst = Instance.flat(Poset.antichain(["a", "b"]), 2, 1, 1)
     _use(inst)
@@ -61,3 +72,32 @@ def test_dropped_instance_is_freed():
     del inst
     gc.collect()
     assert ref() is None
+
+
+def test_kernel_memos_are_freed_with_their_instances():
+    flat = Instance.flat(Poset.antichain(["a", "b"]), 2, 1, 1)
+    staged = Instance.staged((3, 4), 1)
+    _use_kernels(flat, staged)
+    refs = [weakref.ref(flat), weakref.ref(staged)]
+    del flat, staged
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_running_the_kernels_on_many_instances_does_not_grow_memory():
+    def use(i):
+        _use_kernels(Instance.flat(Poset.antichain([f"a{i}", f"b{i}"]), 3, 2, 1),
+                     Instance.staged((3, 4 + i % 3), 1))
+
+    tracemalloc.start()
+    try:
+        use(0)
+        gc.collect()
+        baseline = tracemalloc.get_traced_memory()[0]
+        for i in range(1, 21):
+            use(i)
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+    assert growth < 200_000, f"traced memory grew by {growth} bytes"
