@@ -39,17 +39,19 @@ formula is a spec error and must stop the run before its first line.
 The work a suite's units share is done once per index, not once per
 unit: the JSON text of each condition, support, permutation and label,
 the head of each wisc line per (base stage, swap stage, name), the
-image of each condition and formula under each permutation, the wisc
-kernel's swap step (kernels.swap_step) for each swap stage, condition
-and support, and the forcing verdicts of each formula over
-all conditions as one bit vector per mode, from which the forcing-oracle
-and symmetry-lemma suites read a unit's verdict as one bit of a
-per-formula (or per-permutation-and-formula) fail mask; only a failing
-unit runs the one-shot check to build its witness.  The kernels keep
-their own name checks per (transposition, name) in the instance's
-store, so a wisc unit reads them rather than acting on its name again.
-A unit's elapsed time includes any shared table it is the first to
-need.
+image of each condition and formula under each permutation, and the
+forcing verdicts of each formula over all conditions as one bit vector
+per mode, from which the forcing-oracle and symmetry-lemma suites read a
+unit's verdict as one bit of a per-formula (or per-permutation-and-
+formula) fail mask; only a failing unit runs the one-shot check to build
+its witness.  A unit's elapsed time includes any shared table it is the
+first to need.  The wisc suite's unit generator finds the kernel's
+fibers and builds its swap step (kernels.swap_step) in one pass per
+swap stage, for the conditions and supports on which it finds them, and
+each unit carries its step; so no wisc unit's elapsed time includes a
+step.  The kernels keep their own name checks per (transposition, name)
+in the instance's store, so a wisc unit reads them rather than acting
+on its name again.  Only --jobs imports the process pool.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -73,8 +74,8 @@ from .forcing import (Eq, Mem, Not, And, act_formula, check_size, forces,
                       forcing_vector, parse_formula, symmetry_lemma_check)
 from .instances import (build_instance, build_staged_instance, chain_family,
                         downset_embedding, in_stage, random_poset)
-from .kernels import (_cond_obj, _cycles_obj, swap_fibers, swap_kernel,
-                      swap_step, wisc_kernel)
+from .kernels import (_cond_obj, _cycles_obj, _step_on, _support_obj, swap_fibers,
+                      swap_kernel, wisc_kernel)
 from .names import check_name, interpret, ordinal, pair_name, set_name
 from .symmetry import (act_condition, assemble_sequence, conjugation_check,
                        fix_generators, generator_closure, infer_min_support,
@@ -343,10 +344,6 @@ def _supports(inst, max_support):
             for c in itertools.combinations(inst.pairs, k)]
 
 
-def _support_obj(support):
-    return sorted(map(list, support))
-
-
 def _per_key(build):
     """A field holding a _Table whose entry for a key is build(ctx, key)."""
     return lambda ctx: _Table(lambda key: build(ctx, key))
@@ -381,6 +378,21 @@ def _wisc_pool(ctx, base):
     pool = [(f"ord:{k}", check_name(inst, ordinal(k))) for k in range(2)]
     return pool + [(label, nm) for label, nm in ctx["names"].items()
                    if label != "graph" and in_stage(nm, base)]
+
+
+def _wisc_steps(ctx, swap):
+    """(condition, support, swap step) at the swap stage, in that order,
+    for each condition and support on which swap_fibers finds the
+    kernel's fibers; a condition's touched fibers are found once."""
+    inst, supports = ctx["inst"], ctx["supports"]
+    steps = []
+    for qi, q in enumerate(ctx["conditions"]):
+        occupied = q.touched_fibers(swap)
+        for si, support in enumerate(supports):
+            fibers = swap_fibers(inst, support, swap, None, occupied)
+            if fibers is not None:
+                steps.append((qi, si, _step_on(inst, q, support, swap, fibers)))
+    return steps
 
 
 def _wisc_head(ctx, key):
@@ -424,9 +436,8 @@ _FIELDS = {
     "oracle_fail": _per_key(_oracle_fail),
     # (permutation, formula) -> the conditions where the lemma fails
     "lemma_fail": _per_key(_lemma_fail),
-    # (swap stage, condition, support) -> kernels.swap_step on them
-    "wisc_swap": _per_key(lambda ctx, key: swap_step(
-        ctx["inst"], ctx["conditions"][key[1]], ctx["supports"][key[2]], key[0])),
+    # swap stage -> the wisc kernel's swap steps there
+    "wisc_steps": _per_key(_wisc_steps),
     # base stage -> the wisc suite's name pool
     "wisc_pool": _per_key(_wisc_pool),
     # (base stage, swap stage, name) -> a wisc line's params up to the
@@ -590,29 +601,24 @@ def _gen_wisc(ctx):
 
 
 def _wisc_units(ctx):
+    # a unit carries its swap step, built once per (swap stage, condition,
+    # support) before the stage's first unit
     inst = ctx["inst"]
-    admissible = {}     # swap stage -> (qi, si) on which the kernel finds fibers
-    for swap in inst.sites[1:]:
-        admissible[swap] = []
-        for qi, q in enumerate(ctx["conditions"]):
-            occupied = q.touched_fibers(swap)
-            for si, support in enumerate(ctx["supports"]):
-                if swap_fibers(inst, support, swap, None, occupied) is not None:
-                    admissible[swap].append((qi, si))
     for base in inst.sites:
         pool = ctx["wisc_pool"][base]
         for swap in inst.sites:
             if swap > base:
+                steps = ctx["wisc_steps"][swap]
                 for yi in range(len(pool)):
-                    for qi, si in admissible[swap]:
-                        yield base, swap, yi, qi, si
+                    for qi, si, step in steps:
+                        yield base, swap, yi, qi, si, step
 
 
 def _run_wisc(ctx, unit):
-    base, swap, yi, qi, si = unit
+    base, swap, yi, qi, si, step = unit
     y = ctx["wisc_pool"][base][yi][1]
     report = wisc_kernel(ctx["inst"], base, y, swap, ctx["conditions"][qi],
-                         ctx["supports"][si], ctx["wisc_swap"][swap, qi, si])
+                         ctx["supports"][si], step)
     params = (ctx["wisc_head"][base, swap, yi] + ctx["cond_text"][qi]
               + ', "support": ' + ctx["support_text"][si] + '}')
     return params, report.verdict, (None if report.verdict else report.to_obj())
@@ -732,12 +738,19 @@ def run_checks(spec: InstanceSpec, suite: str = "all", jobs: int = 1,
             chunks = [(spec.text, overrides_text, name, lo, min(lo + step, total))
                       for lo in range(0, total, step)]
             workers = min(jobs, len(chunks), os.cpu_count() or 1)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with _process_pool(workers) as pool:
                 lines = itertools.chain.from_iterable(pool.map(_run_chunk, chunks))
                 failed = _write_lines(lines, out) or failed
         else:
             failed = _write_lines(_run_units(ctx, name, units), out) or failed
     return 1 if failed else 0
+
+
+def _process_pool(workers: int):
+    """A pool of worker processes for --jobs; the import is deferred to
+    here, so a serial run does not load multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _write_lines(lines, out) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .core import (Condition, compatible, iter_conditions, _conflict,
                    _same_instance)
@@ -27,31 +27,60 @@ SCOPE = ("verifies the finite combinatorial step only (stabilizer membership, "
          "infinite cardinalities is asserted")
 
 
+# the names of each kernel's reported values, in report order: its
+# checks, its chosen fibers, its inputs and its witness's own fields
+_LAYOUTS = {
+    "swap": (("permutation_in_stabilizer", "names_fixed", "conditions_compatible"),
+             ("partner",),
+             ("condition", "support", "site", "fiber"),
+             ("names_fixed",)),
+    "wisc": (("name_fixed", "moved_avoids_name_cells", "locality_forms_agree",
+              "permutation_in_stabilizer", "conditions_compatible"),
+             ("first_fiber", "second_fiber"),
+             ("base_stage", "swap_stage", "name_rank", "condition", "support"),
+             ()),
+}
+
+
 class KernelReport:
-    """A kernel's verdict, its sub-checks and its chosen fibers, computed
-    on every run; inputs and witness are built from the two given
-    callables only when first read (a passing unit never reads them).
-    The kernels pass their arguments by position: they build one report
-    per unit, and a call by keyword costs about twice as much."""
+    """A kernel's verdict and the values of its sub-checks, chosen fibers,
+    inputs and witness fields, all computed on every run and kept as one
+    flat tuple in the order _LAYOUTS gives for the kernel, with the
+    transposition last.  The dicts checks, chosen, inputs and witness are
+    built from that tuple when first read: a passing unit reads only the
+    verdict, and reading them never reruns a check."""
 
     scope = SCOPE
 
-    def __init__(self, kernel: str, chosen: dict, checks: dict, verdict: bool,
-                 inputs: Callable[[], dict], witness: Callable[[], dict]):
+    def __init__(self, kernel: str, verdict: bool, values: tuple):
         self.kernel = kernel
-        self.chosen = chosen
-        self.checks = checks
         self.verdict = verdict
-        self._inputs = inputs
-        self._witness = witness
+        self._values = values
+
+    def _part(self, k: int) -> dict:
+        """Part k of the kernel's layout: its names with their values."""
+        layout = _LAYOUTS[self.kernel]
+        start = sum(map(len, layout[:k]))
+        return dict(zip(layout[k], self._values[start:start + len(layout[k])]))
+
+    @cached_property
+    def checks(self) -> dict:
+        return self._part(0)
+
+    @cached_property
+    def chosen(self) -> dict:
+        return self._part(1)
 
     @cached_property
     def inputs(self) -> dict:
-        return self._inputs()
+        inputs = self._part(2)
+        inputs["condition"] = _cond_obj(inputs["condition"])
+        inputs["support"] = _support_obj(inputs["support"])
+        return inputs
 
     @cached_property
     def witness(self) -> dict:
-        return self._witness()
+        return _witness(self._values[-1], self._part(2)["condition"], **self._part(3))
 
     def __bool__(self):
         return self.verdict
@@ -70,6 +99,10 @@ class KernelReport:
 
 def _cond_obj(cond: Condition) -> list:
     return [list(cell) + [bit] for cell, bit in cond.items]
+
+
+def _support_obj(support) -> list:
+    return sorted(map(list, support))
 
 
 def _cycles_obj(pi: FiberPermutation) -> list:
@@ -103,12 +136,14 @@ def swap_fibers(inst, support, site, fiber, occupied) -> Optional[tuple]:
 class SwapStep(NamedTuple):
     """The part of a kernel run that does not depend on the names: the
     two fibers of the transposition, whether it fixes the support
-    pointwise, and whether it carries the condition to a compatible one."""
+    pointwise, whether it carries the condition to a compatible one, and
+    the transposition itself."""
 
     fiber: int
     mate: int
     in_stabilizer: bool
     compatible: bool
+    transposition: FiberPermutation
 
 
 def swap_step(inst, q: Condition, support, site, fiber=None) -> SwapStep:
@@ -116,12 +151,11 @@ def swap_step(inst, q: Condition, support, site, fiber=None) -> SwapStep:
     q, and run the two checks that depend only on them; a caller running
     many names against one (q, support, site, fiber) can run it once."""
     _same_instance(inst, q.inst)
-    return _swap_step(inst, q, check_support(inst, support), site, fiber)[1]
+    return _swap_step(inst, q, check_support(inst, support), site, fiber)
 
 
-def _swap_step(inst, q: Condition, support: frozenset, site, fiber) -> tuple:
-    """The transposition and swap_step, on a support that check_support
-    has returned."""
+def _swap_step(inst, q: Condition, support: frozenset, site, fiber) -> SwapStep:
+    """swap_step on a support that check_support has returned."""
     if (site, fiber) in support:
         raise ValueError(f"target pair {(site, fiber)!r} must avoid the support")
     fibers = swap_fibers(inst, support, site, fiber, q.touched_fibers(site))
@@ -129,11 +163,18 @@ def _swap_step(inst, q: Condition, support: frozenset, site, fiber) -> tuple:
         raise FiberExhausted(
             f"no spare fiber at site {site!r}: every other fiber is in the "
             "support or touched by the condition")
+    return _step_on(inst, q, support, site, fibers)
+
+
+def _step_on(inst, q: Condition, support: frozenset, site, fibers: tuple) -> SwapStep:
+    """The swap step on fibers that swap_fibers has chosen for (q, support,
+    site), with support a frozenset of the instance's pairs: for a caller
+    that has already found the fibers."""
     pi = FiberPermutation.transposition(inst, site, *fibers)
     # agreement on the common domain decides compatibility; only a
     # witness needs the merged condition, and _witness builds it
-    return pi, SwapStep(*fibers, in_fix(pi, support),
-                        _conflict(q, act_condition(pi, q)) is None)
+    return SwapStep(*fibers, in_fix(pi, support),
+                    _conflict(q, act_condition(pi, q)) is None, pi)
 
 
 def _name_checks(pi: FiberPermutation, y: Name) -> tuple:
@@ -185,22 +226,15 @@ def swap_kernel(inst, q: Condition, support, site, fiber, names=None) -> KernelR
     """
     support = check_support(inst, support)
     _same_instance(inst, q.inst)
-    pi, step = _swap_step(inst, q, support, site, fiber)
+    step = _swap_step(inst, q, support, site, fiber)
     if names is None:
         names = _default_names(inst, support)
+    pi = step.transposition
     fixed = {label: _name_checks(pi, nm)[0] for label, nm in names}
-    checks = {
-        "permutation_in_stabilizer": step.in_stabilizer,
-        "names_fixed": all(fixed.values()),
-        "conditions_compatible": step.compatible,
-    }
-
-    def inputs():
-        return {"condition": _cond_obj(q), "support": sorted(map(list, support)),
-                "site": site, "fiber": fiber}
-
-    return KernelReport("swap", {"partner": step.mate}, checks, all(checks.values()),
-                        inputs, lambda: _witness(pi, q, names_fixed=fixed))
+    names_fixed = all(fixed.values())
+    return KernelReport("swap", step.in_stabilizer and names_fixed and step.compatible,
+                        (step.in_stabilizer, names_fixed, step.compatible, step.mate,
+                         q, support, site, fiber, fixed, pi))
 
 
 def wisc_kernel(staged, base_stage: int, y: Name, swap_stage: int,
@@ -218,7 +252,8 @@ def wisc_kernel(staged, base_stage: int, y: Name, swap_stage: int,
 
     step, when given, is swap_step(staged, q, support, swap_stage), which
     has validated the support: a caller running many names against one
-    (swap_stage, q, support) can run that once.
+    (swap_stage, q, support) can run that once.  The kernel trusts it,
+    its transposition included.
     """
     _same_instance(staged, q.inst)
     if base_stage not in staged.site_index:
@@ -231,29 +266,14 @@ def wisc_kernel(staged, base_stage: int, y: Name, swap_stage: int,
         raise StageViolation(f"name uses cells above stage {base_stage}")
     if step is None:
         support = check_support(staged, support)
-        pi, step = _swap_step(staged, q, support, swap_stage, None)
-    else:
-        pi = FiberPermutation.transposition(staged, swap_stage, step.fiber, step.mate)
-    name_fixed, disjoint = _name_checks(pi, y)
-    checks = {
-        "name_fixed": name_fixed,
-        "moved_avoids_name_cells": disjoint,
-        # disjointness must imply literal fixation; a violation is a bug
-        # in the lifted action, not a property of the inputs
-        "locality_forms_agree": name_fixed or not disjoint,
-        "permutation_in_stabilizer": step.in_stabilizer,
-        "conditions_compatible": step.compatible,
-    }
-    chosen = {"first_fiber": step.fiber, "second_fiber": step.mate}
-    verdict = name_fixed and step.in_stabilizer and step.compatible
-
-    def inputs():
-        return {"base_stage": base_stage, "swap_stage": swap_stage,
-                "name_rank": y.rank, "condition": _cond_obj(q),
-                "support": sorted(map(list, support))}
-
-    return KernelReport("wisc", chosen, checks, verdict, inputs,
-                        lambda: _witness(pi, q))
+        step = _swap_step(staged, q, support, swap_stage, None)
+    name_fixed, disjoint = _name_checks(step.transposition, y)
+    # disjointness must imply literal fixation (locality_forms_agree); a
+    # violation is a bug in the lifted action, not a property of the inputs
+    return KernelReport("wisc", name_fixed and step.in_stabilizer and step.compatible,
+                        (name_fixed, disjoint, name_fixed or not disjoint,
+                         step.in_stabilizer, step.compatible, step.fiber, step.mate,
+                         base_stage, swap_stage, y.rank, q, support, step.transposition))
 
 
 @dataclass(frozen=True, eq=False)

@@ -330,10 +330,14 @@ def generated_group(gens: Iterable[FiberPermutation], max_size: int = 100000) ->
 
 def conjugate(pi: FiberPermutation, g: FiberPermutation) -> FiberPermutation:
     """pi g pi^-1, built in one step: it maps pi(src) to pi(dst) for every
-    moved pair of g.  (Composing pairwise can pass through an oversized
-    intermediate on staged instances; the conjugate itself always has
-    g's per-stage moved counts.)"""
+    moved pair of g, so the conjugate of a transposition is the interned
+    transposition of the two image pairs.  (Composing pairwise can pass
+    through an oversized intermediate on staged instances; the conjugate
+    itself always has g's per-stage moved counts.)"""
     _same_instance(pi.inst, g.inst)
+    if len(g.moved) == 2:
+        (site, a), (_, b) = pi(g.moved[0][0]), pi(g.moved[1][0])
+        return FiberPermutation.transposition(g.inst, site, a, b)
     return FiberPermutation(g.inst, {pi(src): pi(dst) for src, dst in g.moved})
 
 

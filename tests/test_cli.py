@@ -2,6 +2,9 @@ import collections
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 
 from symext import (Compat, EngineError, FiberExhausted, InvalidInstance,
                     ParseError, forces, in_stage, iter_conditions, swap_kernel,
-                    symmetry_lemma_check, wisc_kernel)
+                    swap_step, symmetry_lemma_check, wisc_kernel)
 from symext import cli, forcing, kernels
 from symext.cli import (InstanceSpec, default_formula_pool, main,
                         parse_instance_spec, run_checks, _context, _gen_oracle,
@@ -339,7 +342,7 @@ class TestDeterminism:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli, "_process_pool", InProcessPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         _, seq = run(REFERENCE, "hs")           # 15 units
         for jobs in (1000, 3):
@@ -350,6 +353,17 @@ class TestDeterminism:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
         run(REFERENCE, "hs", jobs=1000)
         assert started == [4, 3, 15]
+
+    def test_import_loads_no_process_pool(self):
+        # only --jobs > 1 starts workers, so only it imports their modules
+        src = str(Path(__file__).parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        probe = ("import sys, symext.cli; print(sorted(m for m in sys.modules "
+                 "if m.startswith(('multiprocessing', 'concurrent'))))")
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
     def test_serial_lines_written_as_each_unit_finishes(self, monkeypatch):
         out = io.StringIO()
@@ -579,7 +593,7 @@ class TestPartnerRule:
                                 continue
                             found.add((base, swap, yi, qi, si))
         assert found and (max_dom == 1 or len(found) < inputs)
-        emitted = {u for u in _gen_wisc(ctx) if u[2] < len(pools[u[0]])}
+        emitted = {u[:5] for u in _gen_wisc(ctx) if u[2] < len(pools[u[0]])}
         assert emitted == found
 
 
@@ -686,12 +700,11 @@ class TestHoistedPath:
         code, lines = run(spec.text, "wisc", overrides={"max_dom": 1})
         units = list(_gen_wisc(ctx))
         assert code == 0 and len(lines) == len(units) > 0
-        steps = ctx["wisc_swap"]
-        for line, (base, swap, yi, qi, si) in zip(lines, units):
+        for line, (base, swap, yi, qi, si, step) in zip(lines, units):
             label, y = ctx["wisc_pool"][base][yi]
             q, support = ctx["conditions"][qi], ctx["supports"][si]
             report = wisc_kernel(ctx["inst"], base, y, swap, q, support)
-            step = steps[swap, qi, si]
+            assert step == swap_step(ctx["inst"], q, support, swap)
             assert line["verdict"] == ("pass" if report.verdict else "fail")
             assert report.chosen == {"first_fiber": step.fiber,
                                      "second_fiber": step.mate}
@@ -708,7 +721,7 @@ class TestHoistedPath:
         ctx = _context(spec.text, json.dumps({"max_dom": 1}))
         code, lines = run(spec.text, "wisc", overrides={"max_dom": 1})
         assert code == 1 and lines
-        for line, (base, swap, yi, qi, si) in zip(lines, _gen_wisc(ctx)):
+        for line, (base, swap, yi, qi, si, _) in zip(lines, _gen_wisc(ctx)):
             _, y = ctx["wisc_pool"][base][yi]
             report = wisc_kernel(ctx["inst"], base, y, swap, ctx["conditions"][qi],
                                  ctx["supports"][si])

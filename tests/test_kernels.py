@@ -362,6 +362,33 @@ class TestReportObjects:
         report = wisc_kernel(staged, 0, family.rows[(0, 1)], 1, q, {(0, 1)})
         assert json.dumps(report.to_obj()) == PINNED_WISC
 
+    def test_checks_computed_when_called(self, swap_scale, staged_pair, monkeypatch):
+        # the report's dicts are built on first read, but from values the
+        # call computed: with the checks broken afterwards, reading them
+        # still gives the pinned reports
+        inst, family = swap_scale
+        staged, staged_family = staged_pair
+        swap = swap_kernel(inst, Condition(inst, {("a", 0, 1): 0}), (), "a", 0,
+                           names=[("row:a:0", family.rows[("a", 0)])])
+        wisc = wisc_kernel(staged, 0, staged_family.rows[(0, 1)], 1,
+                           Condition(staged, {(1, 0, 0): 1, (0, 2, 1): 0}), {(0, 1)})
+
+        def broken(*args):
+            raise AssertionError("a check ran after the kernel returned")
+
+        for module, attr in ((kernels, "act_name"), (symmetry, "act_name"),
+                             (kernels, "_name_checks"), (kernels, "_conflict")):
+            monkeypatch.setattr(module, attr, broken)
+        assert swap.checks == {"permutation_in_stabilizer": True, "names_fixed": False,
+                               "conditions_compatible": True}
+        assert swap.chosen == {"partner": 1}
+        assert wisc.checks == dict.fromkeys(
+            ("name_fixed", "moved_avoids_name_cells", "locality_forms_agree",
+             "permutation_in_stabilizer", "conditions_compatible"), True)
+        assert wisc.chosen == {"first_fiber": 0, "second_fiber": 1}
+        assert json.dumps(swap.to_obj()) == PINNED_SWAP[2]
+        assert json.dumps(wisc.to_obj()) == PINNED_WISC
+
     def test_inputs_and_witness_built_on_first_read(self, swap_scale):
         inst, _ = swap_scale
         report = swap_kernel(inst, Condition(inst, {("a", 0, 0): 1}), (), "a", 0)

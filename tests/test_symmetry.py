@@ -281,7 +281,12 @@ class TestConjugation:
         inst, _ = swap_scale
         pi = FiberPermutation.from_cycles(inst, [[("a", 0), ("a", 1), ("a", 2)]])
         g = FiberPermutation.transposition(inst, "a", 0, 1)
-        assert conjugate(pi, g) == pi * g * pi.inverse()
+        conj = conjugate(pi, g)
+        assert conj == pi * g * pi.inverse()
+        # a transposition's conjugate is the interned transposition of the
+        # image pairs, here (a 1) (a 2)
+        assert conj is FiberPermutation.transposition(inst, "a", 1, 2)
+        assert conj is FiberPermutation.transposition(inst, "a", 2, 1)
 
     def test_twelve_index_pairs(self):
         # closure words over twelve pairs, every support within cutoff
