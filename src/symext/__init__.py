@@ -23,4 +23,9 @@ from .symmetry import (AssembleReport, ConjugationReport, FiberPermutation,
                        fix_generators, generated_group, generator_closure,
                        in_fix, infer_min_support, is_hs, is_symmetric_under)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _Module
+
+# the public functions and classes; the submodules imported above are
+# not part of the API
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _Module)]

@@ -45,13 +45,15 @@ per mode, from which the forcing-oracle and symmetry-lemma suites read a
 unit's verdict as one bit of a per-formula (or per-permutation-and-
 formula) fail mask; only a failing unit runs the one-shot check to build
 its witness.  A unit's elapsed time includes any shared table it is the
-first to need.  The wisc suite's unit generator finds the kernel's
-fibers and builds its swap step (kernels.swap_step) in one pass per
-swap stage, for the conditions and supports on which it finds them, and
-each unit carries its step; so no wisc unit's elapsed time includes a
-step.  The kernels keep their own name checks per (transposition, name)
-in the instance's store, so a wisc unit reads them rather than acting
-on its name again.  Only --jobs imports the process pool.
+first to need.  One generator (_admissible) enumerates the swap and wisc
+inputs: each (condition, support, target) on which kernels.swap_fibers
+finds the kernels' fibers, with those fibers, a condition's touched
+fibers found once per site.  A swap unit carries its fibers; the wisc
+suite builds each swap step once per (swap stage, condition, support),
+and each wisc unit carries its step.  Both kernels take the step through
+step=, so neither chooses the fibers again, and both keep their name
+checks per (transposition, name) in the instance's store.  Only --jobs
+imports the process pool.
 """
 
 from __future__ import annotations
@@ -380,19 +382,30 @@ def _wisc_pool(ctx, base):
                    if label != "graph" and in_stage(nm, base)]
 
 
+def _admissible(ctx, targets):
+    """(condition, support, site, fiber, fibers) for each condition, each
+    support and each (site, fiber) of targets, in that order, on which
+    swap_fibers finds the kernels' fibers; a condition's touched fibers
+    at a site are found once.  fiber None asks for the least fiber
+    outside the support."""
+    inst, supports = ctx["inst"], ctx["supports"]
+    sites = dict.fromkeys(z for z, _ in targets)
+    for qi, q in enumerate(ctx["conditions"]):
+        occupied = {z: q.touched_fibers(z) for z in sites}
+        for si, support in enumerate(supports):
+            for z, a in targets:
+                fibers = swap_fibers(inst, support, z, a, occupied[z])
+                if fibers is not None:
+                    yield qi, si, z, a, fibers
+
+
 def _wisc_steps(ctx, swap):
     """(condition, support, swap step) at the swap stage, in that order,
-    for each condition and support on which swap_fibers finds the
-    kernel's fibers; a condition's touched fibers are found once."""
-    inst, supports = ctx["inst"], ctx["supports"]
-    steps = []
-    for qi, q in enumerate(ctx["conditions"]):
-        occupied = q.touched_fibers(swap)
-        for si, support in enumerate(supports):
-            fibers = swap_fibers(inst, support, swap, None, occupied)
-            if fibers is not None:
-                steps.append((qi, si, _step_on(inst, q, support, swap, fibers)))
-    return steps
+    for each condition and support on which the kernel finds its
+    fibers."""
+    inst, conditions, supports = ctx["inst"], ctx["conditions"], ctx["supports"]
+    return [(qi, si, _step_on(inst, conditions[qi], supports[si], swap, fibers))
+            for qi, si, _, _, fibers in _admissible(ctx, ((swap, None),))]
 
 
 def _wisc_head(ctx, key):
@@ -453,13 +466,11 @@ def _pull_back(vector: int, image: list) -> int:
 
 
 # ------------------------------------------------------------------
-# suites: gen(ctx) -> an iterable of small params, or None when the
-# suite does not apply; run(ctx, param) -> (params, ok, witness), where
-# params is a dict or its JSON text
+# suites: gen(ctx) -> an iterable of small params; run(ctx, param) ->
+# (params, ok, witness), where params is a dict or its JSON text.  Which
+# suites apply to which kind of instance is FLAT_SUITES/STAGED_SUITES
 
 def _gen_embedding(ctx):
-    if ctx["kind"] != "flat":
-        return None
     elements = ctx["inst"].poset.elements
     return itertools.chain(
         (("pair", z1, z2) for z1 in elements for z2 in elements),
@@ -483,8 +494,6 @@ def _run_embedding(ctx, unit):
 
 
 def _gen_oracle(ctx):
-    if ctx["kind"] != "flat":
-        return None
     return itertools.product(range(len(ctx["conditions"])), range(len(ctx["pool"])))
 
 
@@ -503,8 +512,6 @@ def _run_oracle(ctx, unit):
 
 
 def _gen_symmetry(ctx):
-    if ctx["kind"] != "flat":
-        return None
     return itertools.product(range(len(ctx["perms"])), range(len(ctx["conditions"])),
                              range(len(ctx["pool"])))
 
@@ -521,27 +528,19 @@ def _run_symmetry(ctx, unit):
     return params, report.equal, report.witness
 
 
-def _swap_admissible(ctx):
-    inst = ctx["inst"]
-    for qi, q in enumerate(ctx["conditions"]):
-        occupied = {z: q.touched_fibers(z) for z in inst.sites}
-        for si, support in enumerate(ctx["supports"]):
-            for z, a in inst.pairs:
-                if swap_fibers(inst, support, z, a, occupied[z]) is not None:
-                    yield qi, si, z, a
-
-
 def _gen_swap(ctx):
-    return _swap_admissible(ctx) if ctx["kind"] == "flat" else None
+    return _admissible(ctx, ctx["inst"].pairs)
 
 
 def _run_swap(ctx, unit):
-    qi, si, z, a = unit
-    report = swap_kernel(ctx["inst"], ctx["conditions"][qi], ctx["supports"][si], z, a)
+    qi, si, z, a, fibers = unit
+    inst, q, support = ctx["inst"], ctx["conditions"][qi], ctx["supports"][si]
+    step = _step_on(inst, q, support, z, fibers)
+    report = swap_kernel(inst, q, support, z, a, step=step)
     params = ('{"condition": ' + ctx["cond_text"][qi]
               + ', "support": ' + ctx["support_text"][si]
               + ', "site": ' + ctx["text"][z]
-              + f', "fiber": {a}, "partner": {report.chosen["partner"]}}}')
+              + f', "fiber": {a}, "partner": {step.mate}}}')
     return params, report.verdict, (None if report.verdict else report.to_obj())
 
 
@@ -584,7 +583,7 @@ def _run_normality(ctx, unit):
         perm = ctx["perms"][pii]
         support = ctx["supports"][si]
         report = conjugation_check(inst, perm, support)
-        params = {"permutation": [[list(x) for x in c] for c in perm.cycles()],
+        params = {"permutation": _cycles_obj(perm),
                   "support": _support_obj(support),
                   "image": _support_obj(report.support_image)}
         return params, report.ok, (None if report.ok else {"witness": repr(report.witness)})
@@ -597,10 +596,6 @@ def _run_normality(ctx, unit):
 
 
 def _gen_wisc(ctx):
-    return _wisc_units(ctx) if ctx["kind"] == "staged" else None
-
-
-def _wisc_units(ctx):
     # a unit carries its swap step, built once per (swap stage, condition,
     # support) before the stage's first unit
     inst = ctx["inst"]
@@ -625,8 +620,6 @@ def _run_wisc(ctx, unit):
 
 
 def _gen_chains(ctx):
-    if ctx["kind"] != "staged":
-        return None
     k = len(ctx["inst"].sites)
     return itertools.chain((("entries", b) for b in range(k - 1)),
                            (("interp", i) for i in range(16)))
@@ -701,12 +694,13 @@ def run_checks(spec: InstanceSpec, suite: str = "all", jobs: int = 1,
     out = out or sys.stdout
     _check_counts(overrides or {})
     overrides_text = json.dumps(overrides or {}, sort_keys=True)
+    own, other = ((FLAT_SUITES, STAGED_SUITES) if spec.kind == "flat"
+                  else (STAGED_SUITES, FLAT_SUITES))
     if suite == "all":
         wanted = spec.raw.get("suites")
         if overrides and overrides.get("suites"):
             wanted = overrides["suites"]
-        suites = tuple(wanted) if wanted else (
-            FLAT_SUITES if spec.kind == "flat" else STAGED_SUITES)
+        suites = tuple(wanted) if wanted else own
     else:
         suites = (suite,)
     ctx = _context(spec.text, overrides_text)
@@ -715,24 +709,19 @@ def run_checks(spec: InstanceSpec, suite: str = "all", jobs: int = 1,
         check_size(ctx["inst"], "recursive", "semantic")
     failed = False
     for name in suites:
-        if name not in SUITES:
-            print(json.dumps({"suite": name, "instance": "-", "params": {},
-                              "verdict": "fail",
-                              "witness": {"error": f"unknown suite {name!r}"},
-                              "elapsed": 0.0}), file=out)
+        # a suite listed for the other kind of instance only does not apply
+        if name not in SUITES or (name in other and name not in own):
+            known = name in SUITES
+            error = (f"suite {name!r} does not apply to a {spec.kind} instance"
+                     if known else f"unknown suite {name!r}")
+            print(json.dumps({"suite": name, "instance": ctx["hash"] if known else "-",
+                              "params": {}, "verdict": "fail",
+                              "witness": {"error": error}, "elapsed": 0.0}), file=out)
             failed = True
             continue
-        units = SUITES[name][0](ctx)
-        if units is None:
-            print(json.dumps({"suite": name, "instance": ctx["hash"], "params": {},
-                              "verdict": "fail",
-                              "witness": {"error": f"suite {name!r} does not apply "
-                                          f"to a {spec.kind} instance"},
-                              "elapsed": 0.0}), file=out)
-            failed = True
-            continue
+        gen = SUITES[name][0]
         # only --jobs needs the unit count, to cut the units into chunks
-        total = sum(1 for _ in SUITES[name][0](ctx)) if jobs > 1 else 0
+        total = sum(1 for _ in gen(ctx)) if jobs > 1 else 0
         if total > 1:
             step = -(-total // jobs)
             chunks = [(spec.text, overrides_text, name, lo, min(lo + step, total))
@@ -742,7 +731,7 @@ def run_checks(spec: InstanceSpec, suite: str = "all", jobs: int = 1,
                 lines = itertools.chain.from_iterable(pool.map(_run_chunk, chunks))
                 failed = _write_lines(lines, out) or failed
         else:
-            failed = _write_lines(_run_units(ctx, name, units), out) or failed
+            failed = _write_lines(_run_units(ctx, name, gen(ctx)), out) or failed
     return 1 if failed else 0
 
 

@@ -136,26 +136,24 @@ def swap_fibers(inst, support, site, fiber, occupied) -> Optional[tuple]:
 class SwapStep(NamedTuple):
     """The part of a kernel run that does not depend on the names: the
     two fibers of the transposition, whether it fixes the support
-    pointwise, whether it carries the condition to a compatible one, and
-    the transposition itself."""
+    pointwise, whether it carries the condition to a compatible one, the
+    transposition itself and the validated support it was built on."""
 
     fiber: int
     mate: int
     in_stabilizer: bool
     compatible: bool
     transposition: FiberPermutation
+    support: frozenset
 
 
 def swap_step(inst, q: Condition, support, site, fiber=None) -> SwapStep:
-    """Choose the fibers by swap_fibers, the mate with a row untouched by
-    q, and run the two checks that depend only on them; a caller running
-    many names against one (q, support, site, fiber) can run it once."""
+    """Validate the support, choose the fibers by swap_fibers, the mate
+    with a row untouched by q, and run the two checks that depend only on
+    them; a caller running many names against one (q, support, site,
+    fiber) can run it once and hand it to a kernel as step=."""
     _same_instance(inst, q.inst)
-    return _swap_step(inst, q, check_support(inst, support), site, fiber)
-
-
-def _swap_step(inst, q: Condition, support: frozenset, site, fiber) -> SwapStep:
-    """swap_step on a support that check_support has returned."""
+    support = check_support(inst, support)
     if (site, fiber) in support:
         raise ValueError(f"target pair {(site, fiber)!r} must avoid the support")
     fibers = swap_fibers(inst, support, site, fiber, q.touched_fibers(site))
@@ -174,7 +172,7 @@ def _step_on(inst, q: Condition, support: frozenset, site, fibers: tuple) -> Swa
     # agreement on the common domain decides compatibility; only a
     # witness needs the merged condition, and _witness builds it
     return SwapStep(*fibers, in_fix(pi, support),
-                    _conflict(q, act_condition(pi, q)) is None, pi)
+                    _conflict(q, act_condition(pi, q)) is None, pi, support)
 
 
 def _name_checks(pi: FiberPermutation, y: Name) -> tuple:
@@ -215,7 +213,8 @@ def _witness(pi: FiberPermutation, q: Condition, **fields) -> dict:
             "cutoff_exceeded": comp.cutoff_exceeded}
 
 
-def swap_kernel(inst, q: Condition, support, site, fiber, names=None) -> KernelReport:
+def swap_kernel(inst, q: Condition, support, site, fiber, names=None,
+                step: Optional[SwapStep] = None) -> KernelReport:
     """The fiber-swap step: pick a partner fiber, build the transposition,
     and check that it (i) fixes the support pointwise, (ii) fixes every
     supplied support-anchored name literally, and (iii) carries q to a
@@ -223,13 +222,17 @@ def swap_kernel(inst, q: Condition, support, site, fiber, names=None) -> KernelR
 
     names is a list of (label, Name) pairs; by default the canonical row
     names of the support pairs plus every site name.
+
+    step, when given, is swap_step(inst, q, support, site, fiber), which
+    has validated the support: a caller that has already chosen the
+    fibers can build it once.  The kernel trusts it, its support and
+    transposition included.
     """
-    support = check_support(inst, support)
-    _same_instance(inst, q.inst)
-    step = _swap_step(inst, q, support, site, fiber)
+    if step is None:
+        step = swap_step(inst, q, support, site, fiber)
+    support, pi = step.support, step.transposition
     if names is None:
         names = _default_names(inst, support)
-    pi = step.transposition
     fixed = {label: _name_checks(pi, nm)[0] for label, nm in names}
     names_fixed = all(fixed.values())
     return KernelReport("swap", step.in_stabilizer and names_fixed and step.compatible,
@@ -250,10 +253,10 @@ def wisc_kernel(staged, base_stage: int, y: Name, swap_stage: int,
     closure); the two must agree here, and the verdict uses the literal
     form.  Both are computed once per (transposition, name).
 
-    step, when given, is swap_step(staged, q, support, swap_stage), which
-    has validated the support: a caller running many names against one
-    (swap_stage, q, support) can run that once.  The kernel trusts it,
-    its transposition included.
+    step, when given, is swap_step(staged, q, support, swap_stage), as
+    for swap_kernel: a caller running many names against one (swap_stage,
+    q, support) can run that once.  The kernel trusts it, its support and
+    transposition included.
     """
     _same_instance(staged, q.inst)
     if base_stage not in staged.site_index:
@@ -265,15 +268,15 @@ def wisc_kernel(staged, base_stage: int, y: Name, swap_stage: int,
     if not in_stage(y, base_stage):
         raise StageViolation(f"name uses cells above stage {base_stage}")
     if step is None:
-        support = check_support(staged, support)
-        step = _swap_step(staged, q, support, swap_stage, None)
+        step = swap_step(staged, q, support, swap_stage)
     name_fixed, disjoint = _name_checks(step.transposition, y)
     # disjointness must imply literal fixation (locality_forms_agree); a
     # violation is a bug in the lifted action, not a property of the inputs
     return KernelReport("wisc", name_fixed and step.in_stabilizer and step.compatible,
                         (name_fixed, disjoint, name_fixed or not disjoint,
                          step.in_stabilizer, step.compatible, step.fiber, step.mate,
-                         base_stage, swap_stage, y.rank, q, support, step.transposition))
+                         base_stage, swap_stage, y.rank, q, step.support,
+                         step.transposition))
 
 
 @dataclass(frozen=True, eq=False)

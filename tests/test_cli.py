@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symext import (Compat, EngineError, FiberExhausted, InvalidInstance,
-                    ParseError, forces, in_stage, iter_conditions, swap_kernel,
-                    swap_step, symmetry_lemma_check, wisc_kernel)
+from symext import (Compat, Condition, EngineError, FiberExhausted,
+                    InvalidInstance, ParseError, forces, in_stage,
+                    iter_conditions, swap_kernel, swap_step,
+                    symmetry_lemma_check, wisc_kernel)
 from symext import cli, forcing, kernels
 from symext.cli import (InstanceSpec, default_formula_pool, main,
                         parse_instance_spec, run_checks, _context, _gen_oracle,
@@ -567,7 +568,7 @@ class TestPartnerRule:
                         continue
                     found.add((qi, si, z, a))
         assert 0 < len(found) < inputs
-        assert set(_gen_swap(ctx)) == found
+        assert {u[:4] for u in _gen_swap(ctx)} == found
 
     # At max_dom 1 stage headroom leaves every wisc input admissible; at
     # max_dom 2 a condition can fill the swap stage, so the first pool
@@ -629,9 +630,9 @@ def _blind_semantic_mode(monkeypatch):
 
 
 class TestHoistedPath:
-    """The CLI builds permutation images, wisc swap steps and JSON text
-    once per index; every line must still say what the public one-shot
-    checks say about its unit."""
+    """The CLI builds permutation images, swap fibers, wisc swap steps and
+    JSON text once per index; every line must still say what the public
+    one-shot checks say about its unit."""
 
     def test_symmetry_lines_match_the_one_shot_check(self):
         spec = parse_instance_spec((SPECS / "reference.json").read_text())
@@ -693,6 +694,57 @@ class TestHoistedPath:
             assert line.get("witness") == (
                 None if rec == sem else {"recursive": rec, "semantic": sem})
         assert any(line["verdict"] == "pass" for line in lines)
+
+    def test_swap_lines_match_the_one_shot_kernel(self):
+        spec = parse_instance_spec((SPECS / "reference.json").read_text())
+        ctx = _context(spec.text, json.dumps({"max_dom": 1}))
+        code, lines = run(spec.text, "swap", overrides={"max_dom": 1})
+        units = list(_gen_swap(ctx))
+        assert code == 0 and len(lines) == len(units) > 0
+        for line, (qi, si, z, a, fibers) in zip(lines, units):
+            q, support = ctx["conditions"][qi], ctx["supports"][si]
+            report = swap_kernel(ctx["inst"], q, support, z, a)
+            assert fibers == (a, report.chosen["partner"])
+            assert line["verdict"] == ("pass" if report.verdict else "fail")
+            assert line["params"] == {
+                "condition": kernels._cond_obj(q),
+                "support": sorted(map(list, support)),
+                "site": z, "fiber": a, "partner": report.chosen["partner"]}
+
+    def test_failing_swap_witness_matches_the_one_shot_kernel(self, monkeypatch):
+        # the verdict reads the agreement test, the witness the merge
+        monkeypatch.setattr(kernels, "_conflict", _conflict_everywhere)
+        monkeypatch.setattr(kernels, "compatible", _fail_every_merge)
+        spec = parse_instance_spec((SPECS / "reference.json").read_text())
+        ctx = _context(spec.text, json.dumps({"max_dom": 1}))
+        code, lines = run(spec.text, "swap", overrides={"max_dom": 1})
+        units = list(_gen_swap(ctx))
+        assert code == 1 and len(lines) == len(units) > 0
+        for line, (qi, si, z, a, _) in zip(lines, units):
+            report = swap_kernel(ctx["inst"], ctx["conditions"][qi],
+                                 ctx["supports"][si], z, a)
+            assert line["verdict"] == "fail" and not report.verdict
+            assert line["witness"] == json.loads(json.dumps(report.to_obj()))
+            assert line["witness"]["witness"]["merged"] is None
+
+    def test_swap_run_finds_touched_fibers_once_per_condition_and_site(
+            self, monkeypatch):
+        # the unit generator finds them to choose the fibers, and each
+        # unit carries its fibers, so no kernel call finds them again
+        found, touched = collections.Counter(), Condition.touched_fibers
+
+        def counted(q, site):
+            found[q, site] += 1
+            return touched(q, site)
+
+        monkeypatch.setattr(Condition, "touched_fibers", counted)
+        spec = parse_instance_spec((SPECS / "reference.json").read_text())
+        code, lines = run(spec.text, "swap", overrides={"max_dom": 1})
+        ctx = _context(spec.text, json.dumps({"max_dom": 1}))
+        inst = ctx["inst"]
+        assert code == 0 and len(lines) > len(found)
+        assert set(found) == {(q, z) for q in ctx["conditions"] for z in inst.sites}
+        assert set(found.values()) == {1}
 
     def test_wisc_lines_match_the_one_shot_kernel(self):
         spec = parse_instance_spec((SPECS / "staged.json").read_text())

@@ -1,9 +1,11 @@
 import itertools
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symext
 from symext import (Condition, FiberPermutation, InvalidInstance,
                     MismatchedInstance, Poset, act_condition, build_instance,
                     compatible, extends, generic_filters, iter_conditions)
@@ -202,3 +204,10 @@ def test_compatible_symmetric_sampled(reference, data):
     conds = _conditions(inst)
     p, q = (data.draw(st.sampled_from(conds)) for _ in range(2))
     assert compatible(p, q).ok == compatible(q, p).ok
+
+
+def test_public_api_lists_no_modules():
+    # symext's submodules are importable, but they are not API names
+    modules = [name for name in symext.__all__
+               if isinstance(getattr(symext, name), types.ModuleType)]
+    assert symext.__all__ and not modules

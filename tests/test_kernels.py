@@ -174,6 +174,24 @@ class TestSwapKernel:
         assert not agree
         _assert_agreement_is_the_merge_verdict(agree, q, moved)
 
+    def test_given_step_reports_like_the_one_shot_kernel(self, swap_scale):
+        inst, _ = swap_scale
+        supports = [frozenset()] + [frozenset({p}) for p in inst.pairs]
+        compared = 0
+        for q in iter_conditions(inst, 1):
+            for support in supports:
+                for (z, a) in inst.pairs:
+                    if (z, a) in support:
+                        continue
+                    try:
+                        step = swap_step(inst, q, support, z, a)
+                    except FiberExhausted:
+                        continue
+                    assert (swap_kernel(inst, q, support, z, a, step=step).to_obj()
+                            == swap_kernel(inst, q, support, z, a).to_obj())
+                    compared += 1
+        assert compared
+
     def test_mini_exhaustive(self, swap_scale):
         # every admissible tuple with tiny conditions passes
         inst, _ = swap_scale
