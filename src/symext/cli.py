@@ -72,7 +72,7 @@ from typing import Optional
 
 from .core import GenericFilter, Poset, iter_conditions
 from .errors import EngineError, ParseError
-from .forcing import (Eq, Mem, Not, And, act_formula, check_size, forces,
+from .forcing import (Eq, Mem, Not, And, act_formula, check_size,
                       forcing_vector, parse_formula, symmetry_lemma_check)
 from .instances import (build_instance, build_staged_instance, chain_family,
                         downset_embedding, in_stage, random_poset)
@@ -504,11 +504,10 @@ def _run_oracle(ctx, unit):
               + ', "formula": ' + ctx["text"][label] + '}')
     if not ctx["oracle_fail"][fi] >> ci & 1:
         return params, True, None
-    p, phi = ctx["conditions"][ci], ctx["pool"][fi][1]
-    rec = forces(p, phi, "recursive")
-    sem = forces(p, phi, "semantic")
-    ok = rec == sem
-    return params, ok, (None if ok else {"recursive": rec, "semantic": sem})
+    # the modes differ at ci; the witness is each one's bit
+    phi, vector = ctx["pool"][fi][1], ctx["vector"]
+    return params, False, {mode: bool(vector[phi, mode] >> ci & 1)
+                           for mode in ("recursive", "semantic")}
 
 
 def _gen_symmetry(ctx):

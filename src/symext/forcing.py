@@ -2,15 +2,16 @@
 
 Two independent modes are implemented:
 
-* semantic (the reference): p forces phi iff phi evaluates true in the
+* semantic (the reference): p forces phi iff phi is true in the
   interpretation by every generic filter containing p.  The 2^cells
-  filters of an instance are enumerated once, on the first semantic
-  call, and indexed by their bits read as a binary number with cell 0
-  the most significant (the order `generic_filters` yields them).  Each
-  atomic formula is evaluated once per filter into a truth mask (bit i
-  set iff it holds under filter i), negation and conjunction combine
-  their parts' masks, and each condition gets an extension mask
-  (bit i set iff filter i contains it), so p forces phi iff
+  filters are indexed by their bits read as a binary number, cell 0 the
+  most significant (the order `generic_filters` yields them); a set of
+  filters is one int over the indices, and no filter is ever built.
+  `ext(c)` is the set of filters containing condition c; `part(x)`
+  partitions all filters by the value name x takes, built from the
+  parts of x's subnames and the ext masks of its conditions.  An atom's
+  truth mask is read off the parts of its two sides, negation and
+  conjunction combine their parts' masks, and p forces phi iff
   ext(p) & ~truth(phi) == 0.  An instance with more than
   `_FILTER_CELLS` = 14 cells (2^14 filters) is rejected before anything
   is built;
@@ -27,7 +28,7 @@ c set iff the condition coded c is in the set).  Density below p is
 evaluated for every p at once by two zeta transforms over the code
 lattice (which codes have an extension in the set; which have an
 extension that has none), the same relation as the literal double loop
-at a few shift-and-mask passes per cell.  No appeal to generic filters is made
+at a few shift-and-mask passes per cell.  No filter mask is read
 anywhere on this path, and the semantic path never reads the code
 tables, so the two modes stay genuinely independent; their agreement
 (exact when conditions may grow total) is an acceptance criterion, not
@@ -54,9 +55,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
-from .core import Condition, GenericFilter, generic_filters, _same_instance
-from .errors import InvalidInstance, MismatchedInstance, ParseError
-from .names import Name, interpret
+from .core import Condition, GenericFilter, _same_instance
+from .errors import InvalidInstance, ParseError
+from .names import EMPTY_HF, Name, hf
 from .symmetry import FiberPermutation, act_condition, act_name
 
 
@@ -99,23 +100,11 @@ def formula_names(phi: Formula) -> Iterator[Name]:
         raise TypeError(f"not a formula: {phi!r}")
 
 
-def formula_instance(phi: Formula):
-    inst = None
-    for nm in formula_names(phi):
-        if nm.inst is None:
-            continue
-        if inst is None:
-            inst = nm.inst
-        elif nm.inst is not inst and nm.inst != inst:
-            raise MismatchedInstance("formula names span two instances")
-    return inst
-
-
 def _check_formula(inst, phi: Formula) -> None:
-    """Raise unless every name of phi belongs to inst (or to none)."""
-    owner = formula_instance(phi)
-    if owner is not None:
-        _same_instance(inst, owner)
+    """Raise MismatchedInstance unless phi's names belong to inst (or none)."""
+    for nm in formula_names(phi):
+        if nm.inst is not None:
+            _same_instance(inst, nm.inst)
 
 
 def act_formula(pi: FiberPermutation, phi: Formula) -> Formula:
@@ -128,24 +117,10 @@ def act_formula(pi: FiberPermutation, phi: Formula) -> Formula:
     return And(act_formula(pi, phi.left), act_formula(pi, phi.right))
 
 
-def eval_formula(phi: Formula, filt: GenericFilter) -> bool:
-    """Truth of phi in the interpretation by the filter."""
-    if isinstance(phi, Eq):
-        return interpret(phi.left, filt) is interpret(phi.right, filt)
-    if isinstance(phi, Mem):
-        return interpret(phi.left, filt) in interpret(phi.right, filt)
-    if isinstance(phi, Not):
-        return not eval_formula(phi.body, filt)
-    if isinstance(phi, And):
-        return eval_formula(phi.left, filt) and eval_formula(phi.right, filt)
-    raise TypeError(f"not a formula: {phi!r}")
-
-
 _SPACE_CELLS = 12
-# At the semantic limit, 14 cells, enumerating the 16,384 filters took
-# 0.09 s, and the truth masks of the CLI's 20-formula default pool 3.6 s
-# and 56 MB more peak memory (2-CPU machine, CPython 3.11); both about
-# double with each further cell.
+# At the semantic limit, 14 cells, the truth masks of the CLI's 20-formula
+# default pool took 0.004 s and 0.3 MB (one site, 7 fibers, 2 slots; 2-CPU
+# machine, CPython 3.11); each mask has 2^cells bits.
 _FILTER_CELLS = 14
 
 
@@ -160,7 +135,7 @@ def check_size(inst, *modes) -> None:
             f"cells (3^{n} codes)")
     if "semantic" in modes and n > _FILTER_CELLS:
         raise InvalidInstance(
-            f"semantic forcing enumerates 2^cells generic filters, at most "
+            f"semantic forcing masks hold a bit per generic filter, at most "
             f"2^{_FILTER_CELLS} = {1 << _FILTER_CELLS}; instance has {n} "
             f"cells (2^{n} filters)")
 
@@ -293,8 +268,7 @@ class _FilterSpace:
         check_size(inst, "semantic")
         n = len(inst.cells)
         self.inst = inst
-        self.filters = tuple(generic_filters(inst))
-        full = self.full = (1 << len(self.filters)) - 1
+        full = self.full = (1 << (1 << n)) - 1
         # Cell i is bit n-1-i of the index, so the filters giving it bit 1
         # form runs of 2^(n-1-i) indices, alternating with runs giving 0.
         self._bit_masks = {}
@@ -304,10 +278,10 @@ class _FilterSpace:
             self._bit_masks[cell] = (full ^ ones, ones)
         self._truth: dict = {}
         self._ext: dict = {}
+        self._part: dict = {}
 
     def truth(self, phi: Formula) -> int:
-        """The filters under which phi holds; only atoms are evaluated
-        filter by filter."""
+        """The filters under which phi holds."""
         mask = self._truth.get(phi)
         if mask is None:
             _check_formula(self.inst, phi)
@@ -315,13 +289,42 @@ class _FilterSpace:
                 mask = self.full & ~self.truth(phi.body)
             elif isinstance(phi, And):
                 mask = self.truth(phi.left) & self.truth(phi.right)
+            elif isinstance(phi, Eq):
+                # the classes of a part are disjoint: a sum is their union
+                right = self.part(phi.right)
+                mask = sum(m & right.get(v, 0) for v, m in self.part(phi.left).items())
+            elif isinstance(phi, Mem):
+                left = self.part(phi.left)
+                mask = sum(m & left.get(v, 0)
+                           for u, m in self.part(phi.right).items() for v in u)
             else:
-                mask = 0
-                for i, filt in enumerate(self.filters):
-                    if eval_formula(phi, filt):
-                        mask |= 1 << i
+                raise TypeError(f"not a formula: {phi!r}")
             self._truth[phi] = mask
         return mask
+
+    def part(self, x: Name) -> dict:
+        """Each HF value x takes, mapped to the mask of the filters under
+        which it takes it; entry (c, s) adds s's value to x's under c."""
+        classes = self._part.get(x)
+        if classes is None:
+            classes = {EMPTY_HF: self.full}
+            for cond, sub in x.entries:
+                ext = self.ext(cond)
+                for w, m_w in self.part(sub).items():
+                    m = ext & m_w
+                    if not m:
+                        continue
+                    split = {}
+                    for v, m_v in classes.items():
+                        inside = m_v & m
+                        if inside:
+                            u = hf((*v, w))
+                            split[u] = split.get(u, 0) | inside
+                        if inside != m_v:
+                            split[v] = split.get(v, 0) | m_v ^ inside
+                    classes = split
+            self._part[x] = classes
+        return classes
 
     def ext(self, cond: Condition) -> int:
         """The filters containing cond."""
@@ -388,19 +391,17 @@ def _separating_filter(p: Condition, phi: Formula) -> Optional[GenericFilter]:
     bad = fs.ext(p) & ~fs.truth(phi)
     if not bad:
         return None
-    return fs.filters[(bad & -bad).bit_length() - 1]
+    index = (bad & -bad).bit_length() - 1
+    return GenericFilter(p.inst, map(int, format(index, f"0{len(p.inst.cells)}b")))
 
 
 @dataclass(frozen=True, eq=False)
 class LemmaReport:
-    """Both sides of the equivariance law, in both modes, with a witness
-    when anything disagrees (which would be an engine defect)."""
+    """Whether both sides of the equivariance law agree, in both modes,
+    with a witness when anything disagrees (which would be an engine
+    defect)."""
 
     equal: bool
-    left_semantic: bool
-    right_semantic: bool
-    left_recursive: bool
-    right_recursive: bool
     witness: Optional[dict] = None
 
     def __bool__(self):
@@ -423,7 +424,7 @@ def symmetry_lemma_check(pi: FiberPermutation, p: Condition, phi: Formula) -> Le
             side_cond, side_phi = (pp, pphi) if ls else (p, phi)
             filt = _separating_filter(side_cond, side_phi)
             witness["separating_filter"] = list(filt.bits)
-    return LemmaReport(equal, ls, rs, lr, rr, witness)
+    return LemmaReport(equal, witness)
 
 
 # ------------------------------------------------------------------

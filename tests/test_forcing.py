@@ -6,17 +6,18 @@ import pytest
 from symext import (And, Condition, Eq, FiberPermutation, GenericFilter,
                     Instance, InvalidInstance, Mem, MismatchedInstance, Not,
                     ParseError, Poset, act_condition, act_formula,
-                    build_instance, canonical_family, check_name, eval_formula,
+                    build_instance, canonical_family, check_name, core,
                     extends, forces, forcing_vector, format_formula, forcing,
                     generic_filters, generator_closure, fix_generators,
-                    iter_conditions, ordinal, parse_formula, row_name,
-                    site_name, symmetry_lemma_check)
+                    iter_conditions, make_name, ordinal, pair_name,
+                    parse_formula, row_name, set_name, site_name,
+                    symmetry_lemma_check)
 from symext.cli import default_formula_pool
 from symext.forcing import _filter_space, _separating_filter, _space
 from symext.names import EMPTY_NAME
 
-from _oracles import (naive_eval, naive_forces, naive_recursive_forces,
-                      total_assignments)
+from _oracles import (hf_to_frozen, naive_eval, naive_forces, naive_interpret,
+                      naive_recursive_forces, total_assignments)
 
 
 def small_pool(inst, family):
@@ -123,16 +124,8 @@ class TestProperties:
             filt = GenericFilter.from_assignment(inst, assign)
             members = [p for p in conds if filt.contains(p)]
             for phi in pool:
-                holds = eval_formula(phi, filt)
+                holds = naive_eval(phi, assign)
                 assert holds == any(forces(p, phi, "recursive") for p in members)
-
-    def test_eval_matches_naive(self, tiny):
-        inst, family = tiny
-        pool = small_pool(inst, family)
-        for assign in total_assignments(inst.cells):
-            filt = GenericFilter.from_assignment(inst, assign)
-            for phi in pool:
-                assert eval_formula(phi, filt) == naive_eval(phi, assign)
 
     def test_decided_by_atoms(self, tiny):
         # a total condition forces phi or not-phi
@@ -203,11 +196,12 @@ class TestFilterSpace:
     def test_extension_mask_lists_the_filters_containing_the_condition(self, reference):
         inst, _ = reference
         fs = _filter_space(inst)
-        assert fs.filters == tuple(generic_filters(inst))
+        filters = list(generic_filters(inst))
+        assert fs.full == (1 << len(filters)) - 1
         for p in iter_conditions(inst, 2):
             mask = fs.ext(p)
-            assert [bool(mask >> i & 1) for i in range(len(fs.filters))] == \
-                [filt.contains(p) for filt in fs.filters]
+            assert [bool(mask >> i & 1) for i in range(len(filters))] == \
+                [filt.contains(p) for filt in filters]
 
     def test_separating_filter_is_the_first_failing_filter(self, reference):
         inst, family = reference
@@ -216,7 +210,8 @@ class TestFilterSpace:
         for p in iter_conditions(inst, 1):
             for _, phi in pool:
                 scan = next((filt for filt in generic_filters(inst, p)
-                             if not eval_formula(phi, filt)), None)
+                             if not naive_eval(phi, dict(zip(inst.cells, filt.bits)))),
+                            None)
                 assert _separating_filter(p, phi) == scan
                 unforced += scan is not None
         assert unforced > 0
@@ -230,6 +225,90 @@ class TestFilterSpace:
         for _ in range(2):
             with pytest.raises(MismatchedInstance):
                 forces(Condition.top(other), phi, mode)
+
+
+def nested_names(inst):
+    """Nested set and pair names over the rows of a one-site instance,
+    names whose inner entries carry conditions, and a (set ...) tower."""
+    cells = inst.cells
+    r = [row_name(inst, "a", a) for a in range(inst.fiber_count("a"))]
+    o = [check_name(inst, ordinal(k)) for k in range(3)]
+    p01, p10 = pair_name(inst, r[0], r[1]), pair_name(inst, r[1], r[0])
+    guarded = make_name([(Condition(inst, {cells[0]: 1}), r[1]),
+                         (Condition(inst, {cells[3]: 0, cells[5]: 1}), p01),
+                         (Condition(inst, {cells[1]: 0}), o[1])])
+    tower, cond_tower = [r[0]], [r[0]]
+    for k in range(4):
+        tower.append(set_name(inst, [tower[-1]]))
+        cond_tower.append(make_name([(Condition(inst, {cells[2 * k]: 1}), cond_tower[-1]),
+                                     (Condition.top(inst), r[k + 1])]))
+    return r, o, p01, p10, guarded, tower, cond_tower
+
+
+class TestPartitions:
+    """Semantic truth masks are read off each name's partition of the
+    filters by value; both must match the naive per-assignment
+    interpretation on an instance of 10 cells."""
+
+    @pytest.fixture(scope="class")
+    def ten_cells(self):
+        inst = Instance.flat(Poset.antichain(["a"]), 5, 2, 1)
+        assert len(inst.cells) == 10
+        return inst
+
+    def test_truth_masks_match_naive_eval(self, ten_cells):
+        inst = ten_cells
+        r, o, p01, p10, guarded, tower, cond_tower = nested_names(inst)
+        pool = [Eq(p01, p10), Eq(r[0], r[1]), Mem(o[1], r[0]), Mem(r[1], guarded),
+                Mem(p01, guarded), Mem(o[1], guarded), Mem(tower[2], tower[3]),
+                Eq(tower[3], cond_tower[3]), Mem(cond_tower[2], cond_tower[3]),
+                Mem(cond_tower[3], set_name(inst, [cond_tower[3], p10])),
+                Eq(set_name(inst, [p01, guarded]), set_name(inst, [guarded, p10])),
+                And(Not(Eq(p01, p10)), Mem(tower[1], cond_tower[2]))]
+        fs = _filter_space(inst)
+        masks = [fs.truth(phi) for phi in pool]
+        # all but the two memberships that hold by construction depend on
+        # the filter
+        assert sum(0 < mask < fs.full for mask in masks) == len(pool) - 2
+        for i, assign in enumerate(total_assignments(inst.cells)):
+            for phi, mask in zip(pool, masks):
+                assert bool(mask >> i & 1) == naive_eval(phi, assign), (i, phi)
+
+    def test_each_name_partitions_the_filters_by_its_value(self, ten_cells):
+        inst = ten_cells
+        r, o, p01, p10, guarded, tower, cond_tower = nested_names(inst)
+        fs = _filter_space(inst)
+        names = [*r, *o, p01, p10, guarded, *tower, *cond_tower]
+        parts = [fs.part(x) for x in names]
+        for classes in parts:
+            union = 0
+            for mask in classes.values():
+                assert mask and union & mask == 0
+                union |= mask
+            assert union == fs.full
+        assert max(len(classes) for classes in parts) > 2
+        owner = [{} for _ in names]
+        for classes, where in zip(parts, owner):
+            for v, mask in classes.items():
+                while mask:
+                    where[(mask & -mask).bit_length() - 1] = hf_to_frozen(v)
+                    mask &= mask - 1
+        for i, assign in enumerate(total_assignments(inst.cells)):
+            for x, where in zip(names, owner):
+                assert where[i] == naive_interpret(x, assign)
+
+    def test_semantic_vectors_build_no_filter(self, monkeypatch):
+        # a fresh instance: its filter space and masks are built here
+        inst, family = build_instance(Poset.antichain(["a", "b"]), 2, 2, 1, 8)
+
+        def no_filter(self, *args, **kwargs):
+            raise AssertionError("a generic filter was built")
+
+        monkeypatch.setattr(core.GenericFilter, "__init__", no_filter)
+        conds = list(iter_conditions(inst, 1))
+        for _, phi in default_formula_pool({"inst": inst, "family": family}):
+            forcing_vector(conds, phi, "semantic")
+        assert inst.store.filter_space is not None
 
 
 class TestForcingVector:
@@ -358,10 +437,12 @@ class TestSpaceGuards:
     def test_large_instance_rejected_for_semantic_mode(self, staged_pair, monkeypatch):
         staged, _ = staged_pair
 
-        def no_enumeration(*args, **kwargs):
+        def must_reject(inst, *modes):
+            check_size(inst, *modes)
             raise AssertionError("filter space built for a rejected instance")
 
-        monkeypatch.setattr(forcing, "generic_filters", no_enumeration)
+        check_size = forcing.check_size
+        monkeypatch.setattr(forcing, "check_size", must_reject)
         phi = Eq(EMPTY_NAME, EMPTY_NAME)
         with pytest.raises(InvalidInstance, match=r"25 cells \(2\^25 filters\)"):
             forces(Condition.top(staged), phi, "semantic")
