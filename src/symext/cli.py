@@ -13,7 +13,9 @@ A staged instance:
 Optional keys: "max_dom", "max_support", "seed", "suites" (default
 selection for --suite all), and on a flat spec only "posets" (sampled
 posets for the embedding suite) and "formulas" (prefix-syntax strings
-replacing the default pool).  Unknown keys are rejected.
+replacing the default pool).  Unknown keys are rejected, as is a string
+poset element that cannot be written in a name term.  Either pool is
+text read by forcing.parse_formula, so a formula's label is its text.
 
 Each check unit emits one JSON object per line with the fields suite,
 instance (a content hash), params, verdict, witness (failures only) and
@@ -65,6 +67,7 @@ import itertools
 import json
 import os
 import random
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -72,8 +75,8 @@ from typing import Optional
 
 from .core import GenericFilter, Poset, iter_conditions
 from .errors import EngineError, ParseError
-from .forcing import (Eq, Mem, Not, And, act_formula, check_size,
-                      forcing_vector, parse_formula, symmetry_lemma_check)
+from .forcing import (act_formula, check_size, forcing_vector, parse_formula,
+                      symmetry_lemma_check)
 from .instances import (build_instance, build_staged_instance, chain_family,
                         downset_embedding, in_stage, random_poset)
 from .kernels import (_cond_obj, _cycles_obj, _step_on, _support_obj, swap_fibers,
@@ -91,11 +94,9 @@ _INT_OPTIONS = ("max_dom", "max_support", "seed", "posets")
 # the largest k of an ord:k name term: four ord:64 formulas take 3 s on
 # the reference spec, one ord:1000 formula 20 s on a 1-site spec
 _MAX_ORDINAL = 64
-# the deepest parenthesis nesting of a formula, connectives and name
-# terms together: a (not ...) or (set ...) tower 325 deep still runs the
-# forcing suites, one 330 deep overflows Python's recursion limit; the
-# margin is for the caller's own frames
-_MAX_NESTING = 256
+# a string site is written bare in labels and name terms (row:a:0,
+# region:a+b), so it must be one token without a separator
+_SITE_TEXT = re.compile(r"[^\s():+]+")
 
 FLAT_SUITES = ("embedding", "hs", "normality", "forcing-oracle",
                "symmetry-lemma", "swap")
@@ -129,6 +130,10 @@ def _check_poset(poset) -> None:
             or isinstance(elements, list) and all(_is_int(e) for e in elements)):
         raise ParseError("poset 'elements' must be a list of strings "
                          "or a list of integers")
+    for e in elements:
+        if isinstance(e, str) and not _SITE_TEXT.fullmatch(e):
+            raise ParseError(f"poset element {e!r} cannot be written in a name term "
+                             "(it is empty, or has whitespace, '(', ')', ':' or '+')")
     leq = poset.get("leq", [])
     if not isinstance(leq, list) or not all(
             isinstance(pair, list) and len(pair) == 2
@@ -201,21 +206,24 @@ def _objects(spec_text: str):
 # ------------------------------------------------------------------
 # name terms for the formula syntax
 
-def _resolve_name(ctx, node):
-    inst = ctx["inst"]
-    family = ctx["family"]
+def _site_of(inst, text):
+    """The site that labels and name terms write as text."""
+    return {str(z): z for z in inst.sites}[text]
+
+
+def _resolve_name(family, node):
+    inst = family.inst
     if isinstance(node, tuple):
         if not node:
             raise ParseError("empty name term")
         head = node[0]
         if head == "pair" and len(node) == 3:
-            return pair_name(inst, _resolve_name(ctx, node[1]),
-                             _resolve_name(ctx, node[2]))
+            return pair_name(inst, _resolve_name(family, node[1]),
+                             _resolve_name(family, node[2]))
         if head == "set":
-            return set_name(inst, [_resolve_name(ctx, t) for t in node[1:]])
+            return set_name(inst, [_resolve_name(family, t) for t in node[1:]])
         raise ParseError(f"unknown name constructor {head!r}")
-    parts = str(node).split(":")
-    site_of = ctx["site_of"].__getitem__
+    parts = node.split(":")
     try:
         if parts[0] == "ord" and len(parts) == 2:
             k = int(parts[1])
@@ -223,14 +231,14 @@ def _resolve_name(ctx, node):
                 raise ValueError(f"ordinal {k} is above the bound {_MAX_ORDINAL}")
             return check_name(inst, ordinal(k))
         if parts[0] == "row" and len(parts) == 3:
-            return family.rows[(site_of(parts[1]), int(parts[2]))]
+            return family.rows[(_site_of(inst, parts[1]), int(parts[2]))]
         if parts[0] == "site" and len(parts) == 2:
-            return family.sites[site_of(parts[1])]
-        if parts[0] == "region" and len(parts) == 2 and ctx["kind"] == "flat":
-            sites = frozenset(site_of(s) for s in parts[1].split("+") if s)
+            return family.sites[_site_of(inst, parts[1])]
+        if parts[0] == "region" and len(parts) == 2:
+            sites = frozenset(_site_of(inst, s) for s in parts[1].split("+") if s)
             return family.regions[sites]
-        if parts[0] == "least" and len(parts) == 3 and ctx["kind"] == "flat":
-            return family.least[(site_of(parts[1]), int(parts[2]))]
+        if parts[0] == "least" and len(parts) == 3:
+            return family.least[(_site_of(inst, parts[1]), int(parts[2]))]
         if parts[0] == "graph" and len(parts) == 1:
             return family.graph
     except KeyError:
@@ -241,57 +249,28 @@ def _resolve_name(ctx, node):
 
 
 def _parse(ctx, text):
-    """A formula of the spec's pool, its name terms resolved in ctx."""
-    deepest = max(itertools.accumulate((ch == "(") - (ch == ")") for ch in text),
-                  default=0)
-    if deepest > _MAX_NESTING:
-        raise ParseError(f"formula nests {deepest} deep, above the bound "
-                         f"{_MAX_NESTING}")
-    return parse_formula(text, lambda node: _resolve_name(ctx, node))
+    """A formula of the pool, its name terms resolved in ctx's family."""
+    return parse_formula(text, functools.partial(_resolve_name, ctx["family"]))
 
 
 def default_formula_pool(ctx) -> list:
-    """A deterministic pool of labeled formulas: atomic equalities and
-    memberships over the canonical and ordinal names, one negation layer
-    and one conjunction layer."""
-    inst = ctx["inst"]
+    """A deterministic pool of formulas, each read from its label: atomic
+    equalities and memberships over the canonical and ordinal names, one
+    negation layer and one conjunction layer; ctx needs only "family"."""
     family = ctx["family"]
-    rows = [(f"row:{z}:{a}", nm) for (z, a), nm in sorted(family.rows.items())][:4]
-    sites = [(f"site:{z}", nm) for z, nm in sorted(family.sites.items())][:2]
-    ords = [(f"ord:{k}", check_name(inst, ordinal(k))) for k in range(3)]
-    atoms = []
-
-    def eq(a, b):
-        atoms.append((f"(eq {a[0]} {b[0]})", Eq(a[1], b[1])))
-
-    def mem(a, b):
-        atoms.append((f"(mem {a[0]} {b[0]})", Mem(a[1], b[1])))
-
-    r = rows
-    eq(r[0], r[1 % len(r)])
-    eq(r[0], r[-1])
-    if len(sites) >= 2:
-        eq(sites[0], sites[1])
-    eq(r[0], ords[0])
-    eq(ords[0], ords[1])
-    eq(ords[1], ords[1])
-    mem(ords[0], r[0])
-    mem(ords[1], r[0])
-    mem(ords[0], r[-1])
-    mem(r[0], sites[0])
-    mem(r[0], sites[-1])
-    mem(r[-1], sites[0])
-    mem(ords[0], ords[1])
-    mem(ords[0], ords[2])
-    mem(ords[1], ords[2])
-    pool = list(atoms)
-    for label, phi in atoms[:3]:
-        pool.append((f"(not {label})", Not(phi)))
-    for (la, fa), (lb, fb) in zip(atoms[0::2], atoms[1::2]):
-        if len(pool) >= len(atoms) + 6:
-            break
-        pool.append((f"(and {la} {lb})", And(fa, fb)))
-    return pool
+    r = [f"row:{z}:{a}" for z, a in sorted(family.rows)][:4]
+    sites = [f"site:{z}" for z in sorted(family.sites)][:2]
+    o = [f"ord:{k}" for k in range(3)]
+    atoms = [f"(eq {a} {b})" for a, b in (
+        (r[0], r[1 % len(r)]), (r[0], r[-1]), *([sites] if len(sites) == 2 else []),
+        (r[0], o[0]), (o[0], o[1]), (o[1], o[1]))]
+    atoms += [f"(mem {a} {b})" for a, b in (
+        (o[0], r[0]), (o[1], r[0]), (o[0], r[-1]), (r[0], sites[0]),
+        (r[0], sites[-1]), (r[-1], sites[0]), (o[0], o[1]), (o[0], o[2]),
+        (o[1], o[2]))]
+    texts = (atoms + [f"(not {a})" for a in atoms[:3]]
+             + [f"(and {a} {b})" for a, b in zip(atoms[0::2], atoms[1::2])][:3])
+    return [(text, _parse(ctx, text)) for text in texts]
 
 
 # ------------------------------------------------------------------
@@ -420,8 +399,6 @@ def _wisc_head(ctx, key):
 _FIELDS = {
     "hash": lambda ctx: hashlib.sha256(json.dumps(
         ctx["inst"].describe(), sort_keys=True).encode()).hexdigest()[:12],
-    # a site's text in labels and name terms -> the site itself
-    "site_of": lambda ctx: {str(z): z for z in ctx["inst"].sites},
     "names": lambda ctx: dict(ctx["family"].members()),
     "members": lambda ctx: [label for label in ctx["names"]
                             if label.split(":")[0] in ("row", "site")],
@@ -552,10 +529,10 @@ def _run_hs(ctx, label):
     nm = ctx["names"][label]
     found = infer_min_support(inst, nm)
     hereditarily = is_hs(inst, nm)
-    kind = label.split(":")[0]
+    parts = label.split(":")
+    kind = parts[0]
     if kind in ("row", "least"):
-        parts = label.split(":")
-        expected = frozenset({(ctx["site_of"][parts[1]], int(parts[2]))})
+        expected = frozenset({(_site_of(inst, parts[1]), int(parts[2]))})
         ok = found == expected and hereditarily
     elif kind == "site":
         ok = found == frozenset() and hereditarily
@@ -696,10 +673,7 @@ def run_checks(spec: InstanceSpec, suite: str = "all", jobs: int = 1,
     own, other = ((FLAT_SUITES, STAGED_SUITES) if spec.kind == "flat"
                   else (STAGED_SUITES, FLAT_SUITES))
     if suite == "all":
-        wanted = spec.raw.get("suites")
-        if overrides and overrides.get("suites"):
-            wanted = overrides["suites"]
-        suites = tuple(wanted) if wanted else own
+        suites = tuple(spec.raw.get("suites") or own)
     else:
         suites = (suite,)
     ctx = _context(spec.text, overrides_text)
@@ -771,20 +745,20 @@ def main(argv=None) -> int:
     if args.jobs < 1:
         print("symext: --jobs must be at least 1", file=sys.stderr)
         return 2
-    try:
-        with open(args.spec, encoding="utf-8") as fh:
-            spec = parse_instance_spec(fh.read())
-    except (OSError, UnicodeDecodeError, EngineError) as exc:
-        print(f"symext: {exc}", file=sys.stderr)
-        return 2
     overrides = {k: v for k, v in (("max_dom", args.max_dom),
                                    ("max_support", args.max_support),
                                    ("seed", args.seed)) if v is not None}
     try:
+        with open(args.spec, encoding="utf-8") as fh:
+            spec = parse_instance_spec(fh.read())
         return run_checks(spec, args.suite, jobs=args.jobs, overrides=overrides)
-    except EngineError as exc:
+    except BrokenPipeError:
+        # as under `| head`: on devnull, the final flush of stdout is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("symext: stdout closed before the run ended", file=sys.stderr)
+    except (OSError, UnicodeDecodeError, EngineError) as exc:
         print(f"symext: {exc}", file=sys.stderr)
-        return 2
+    return 2
 
 
 if __name__ == "__main__":

@@ -46,12 +46,17 @@ Both modes check that a formula's names belong to the conditions'
 instance once, when its mask or table is first built in that instance's
 space; a later hit in the same space implies the check passed.
 
+`parse_formula` reads the prefix text syntax and owns its nesting bound:
+parentheses nested over `_MAX_NESTING` = 256 deep are a ParseError, so
+reading, resolving and forcing a formula stay within Python's stack.
+
 Quantifiers are deliberately absent: every argument that needs one is
 run as an explicit finite enumeration by the kernels.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
@@ -431,35 +436,25 @@ def symmetry_lemma_check(pi: FiberPermutation, p: Condition, phi: Formula) -> Le
 # Prefix text syntax: (eq t t) (mem t t) (not f) (and f f); any other
 # head is a name term handed to the resolver.
 
-def _tokenize(text):
-    out = []
-    cur = []
-    for ch in text:
-        if ch in "()":
-            if cur:
-                out.append("".join(cur))
-                cur = []
-            out.append(ch)
-        elif ch.isspace():
-            if cur:
-                out.append("".join(cur))
-                cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        out.append("".join(cur))
-    return out
+# the deepest parenthesis nesting of a formula, connectives and name
+# terms together: a (not ...) tower 328 deep still runs the forcing
+# suites from run_checks, one 329 deep overflows Python's recursion
+# limit (a (set ...) tower at 490); the margin is for the caller's frames
+_MAX_NESTING = 256
+_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
-def _read(tokens, pos):
+def _read(tokens, pos, depth=1):
     if pos >= len(tokens):
         raise ParseError("unexpected end of formula")
     tok = tokens[pos]
     if tok == "(":
+        if depth > _MAX_NESTING:
+            raise ParseError(f"formula nests more than {_MAX_NESTING} deep")
         items = []
         pos += 1
         while pos < len(tokens) and tokens[pos] != ")":
-            node, pos = _read(tokens, pos)
+            node, pos = _read(tokens, pos, depth + 1)
             items.append(node)
         if pos >= len(tokens):
             raise ParseError("missing ')'")
@@ -471,8 +466,8 @@ def _read(tokens, pos):
 
 def parse_formula(text: str, resolve) -> Formula:
     """Parse the prefix syntax; `resolve` turns a name term (a token or a
-    tuple tree) into a Name."""
-    tokens = _tokenize(text)
+    tuple tree) into a Name; nesting past _MAX_NESTING is a ParseError."""
+    tokens = _TOKEN.findall(text)
     tree, pos = _read(tokens, 0)
     if pos != len(tokens):
         raise ParseError("trailing tokens after formula")

@@ -31,7 +31,8 @@ FLAT_FIELDS = '"poset": {"elements": ["a", "b"], "leq": []}, "n": 2, "v": 2'
 # ill-typed poset elements and relation pairs, an ordinal past the
 # bound, negative bounds and sample counts, flat-only keys on a staged
 # spec, a file that is not UTF-8, JSON nested past Python's recursion
-# limit, and formulas nested past the bound on formula nesting
+# limit, formulas nested past the bound on formula nesting, and string
+# sites that cannot be written in a name term
 MALFORMED = [
     '{"poset": {"elements": ["a", 1], "leq": []}, "n": 2, "v": 2, "c": 1}',
     '{"poset": {"elements": ["a", "b"], "leq": [["a"]]}, "n": 2, "v": 2, "c": 1}',
@@ -71,6 +72,10 @@ MALFORMED = [
     pytest.param('{%s, "c": 1, "formulas": ["%s"]}' % (
         FLAT_FIELDS, "(eq " + "(set " * 400 + "row:a:0" + ")" * 400 + " ord:0)"),
         id="set-nested-400"),
+    '{"poset": {"elements": ["a:b", "c"], "leq": []}, "n": 2, "v": 2, "c": 1}',
+    '{"poset": {"elements": ["a b", "c"], "leq": []}, "n": 2, "v": 2, "c": 1}',
+    '{"poset": {"elements": ["a(", "c"], "leq": []}, "n": 2, "v": 2, "c": 1}',
+    '{"poset": {"elements": ["", "c"], "leq": []}, "n": 2, "v": 2, "c": 1}',
 ]
 
 
@@ -199,6 +204,22 @@ def test_parser_raises_only_engine_errors(raw):
         pass
 
 
+@settings(max_examples=100, deadline=None)
+@given(elements=st.lists(st.text("ab1 \t:+()", max_size=3), min_size=2, max_size=2,
+                         unique=True))
+def test_every_label_of_an_accepted_spec_parses(elements):
+    # the site-name rule: a label is one token, read back to its own name
+    try:
+        spec = parse_instance_spec(json.dumps({
+            "poset": {"elements": elements, "leq": []}, "n": 2, "v": 1, "c": 1}))
+    except ParseError:
+        return
+    family = cli._objects(spec.text)[1]
+    for label, nm in family.members():
+        assert forcing._TOKEN.findall(label) == [label]
+        assert cli._resolve_name(family, label) is nm
+
+
 class TestSuites:
     def test_embedding_three_chain_nine_lines(self):
         text = ('{"poset": {"elements": ["a", "b", "c"], '
@@ -289,7 +310,7 @@ class TestSuites:
             run(json.dumps(raw), "forcing-oracle")
 
     def test_formulas_at_the_nesting_bound_run(self):
-        depth = cli._MAX_NESTING - 1
+        depth = forcing._MAX_NESTING - 1
         raw = json.loads(REFERENCE)
         raw["formulas"] = [
             "(not " * depth + "(eq ord:0 ord:0)" + ")" * depth,
@@ -409,6 +430,20 @@ class TestMain:
         out = capsys.readouterr().out
         assert code == 0
         assert len(out.splitlines()) == 15
+
+    def test_closed_stdout_exits_2_without_traceback(self):
+        src = str(Path(__file__).parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "symext.cli", "--spec", str(SPECS / "staged.json")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline().startswith('{"suite": ')
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert err.startswith("symext: ")
+        assert "Traceback" not in err and "Exception ignored" not in err
 
     def test_missing_file(self, capsys):
         assert main(["--spec", "/nonexistent.json"]) == 2

@@ -191,6 +191,15 @@ class TestSyntax:
             with pytest.raises(ParseError):
                 parse_formula(bad, resolve)
 
+    def test_towers_past_the_nesting_bound_are_parse_errors(self, reference):
+        # the reader stops at the bound, before the stack runs out
+        inst, family = reference
+        resolve = self.resolver(inst, family)
+        for text in ("(not " * 2000 + "(eq ord:0 ord:0)" + ")" * 2000,
+                     "(eq " + "(set " * 2000 + "row:a:0" + ")" * 2000 + " ord:0)"):
+            with pytest.raises(ParseError, match="nests more than"):
+                parse_formula(text, resolve)
+
 
 class TestFilterSpace:
     def test_extension_mask_lists_the_filters_containing_the_condition(self, reference):
