@@ -13,8 +13,9 @@ A staged instance:
 Optional keys: "max_dom", "max_support", "seed", "suites" (default
 selection for --suite all), and on a flat spec only "posets" (sampled
 posets for the embedding suite) and "formulas" (prefix-syntax strings
-replacing the default pool).  Unknown keys are rejected, as is a string
-poset element that cannot be written in a name term.  Either pool is
+replacing the default pool).  Unknown keys are rejected, as are an empty
+"suites" or "formulas" list and a string poset element that cannot be
+written in a name term.  Either pool is
 text read by forcing.parse_formula, so a formula's label is its text.
 
 Each check unit emits one JSON object per line with the fields suite,
@@ -22,12 +23,12 @@ instance (a content hash), params, verdict, witness (failures only) and
 elapsed; the exit status is 0 exactly when every verdict passes.  Reruns
 of the same spec are byte-identical apart from the elapsed fields.
 
-Each suite's units are generated lazily, and lines are written as each
-unit finishes (with --jobs, as each chunk of units comes back), so
-memory does not grow with the unit count; only --jobs counts the units,
-to cut them into chunks.  An engine error in the middle of a suite
-therefore leaves that suite's earlier lines on stdout; the exit status
-is still 2.
+Each suite's units are generated lazily.  A serial run writes each line
+as its unit finishes, so its memory does not grow with the unit count.
+Only --jobs counts the units, to cut them into chunks, and each chunk's
+lines come back as one list, so its memory grows with the chunk size.
+An engine error in the middle of a suite leaves that suite's earlier
+lines on stdout; the exit status is still 2.
 
 A run reads everything from one context (see _context), with two
 lifetimes.  The instance and its canonical family live per spec text
@@ -178,6 +179,8 @@ def parse_instance_spec(text: str) -> InstanceSpec:
     for key in ("suites", "formulas"):
         if raw.get(key) is not None and not _is_str_list(raw[key]):
             raise ParseError(f"{key!r} must be a list of strings")
+        if raw.get(key) == []:
+            raise ParseError(f"{key!r} must not be an empty list")
     spec = InstanceSpec(kind, json.dumps(raw, sort_keys=True), raw)
     _objects(spec.text)  # run the instance validator now
     return spec

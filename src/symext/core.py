@@ -119,8 +119,8 @@ class Store:
         self.interpret = {}       # interpret: (Name, GenericFilter) -> HF
         self.transpositions = {}  # (site, a, b) -> FiberPermutation
         self.act = {}             # act_name: (FiberPermutation, Name) -> Name
-        self.support = {}         # infer_min_support: (Name, max_site) -> support
-        self.hs = {}              # is_hs: (Name, max_site) -> bool
+        self.support = {}         # infer_min_support: Name -> support
+        self.hs = {}              # is_hs: Name -> bool
         self.stage = {}           # name_stage: Name -> stage
         self.name_checks = {}     # kernels: (transposition, Name) -> (fixed, disjoint)
         self.swap_names = {}      # swap_kernel: support -> its default (label, Name) list

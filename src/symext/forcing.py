@@ -60,7 +60,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
-from .core import Condition, GenericFilter, _same_instance
+from .core import Condition, _same_instance
 from .errors import InvalidInstance, ParseError
 from .names import EMPTY_HF, Name, hf
 from .symmetry import FiberPermutation, act_condition, act_name
@@ -389,15 +389,16 @@ def forces(p: Condition, phi: Formula, mode: str = "semantic") -> bool:
     return bool(forcing_vector((p,), phi, mode))
 
 
-def _separating_filter(p: Condition, phi: Formula) -> Optional[GenericFilter]:
-    """The first generic filter (in `generic_filters` order) that contains
-    p and under which phi fails; None when p forces phi."""
+def _separating_filter(p: Condition, phi: Formula) -> Optional[list]:
+    """The bits of the first generic filter (in `generic_filters` order)
+    that contains p and under which phi fails, one per cell; None when p
+    forces phi."""
     fs = _filter_space(p.inst)
     bad = fs.ext(p) & ~fs.truth(phi)
     if not bad:
         return None
     index = (bad & -bad).bit_length() - 1
-    return GenericFilter(p.inst, map(int, format(index, f"0{len(p.inst.cells)}b")))
+    return [int(b) for b in format(index, f"0{len(p.inst.cells)}b")]
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,8 +428,7 @@ def symmetry_lemma_check(pi: FiberPermutation, p: Condition, phi: Formula) -> Le
         witness = {"condition": list(p.items), "relabeled": list(pp.items)}
         if ls != rs:
             side_cond, side_phi = (pp, pphi) if ls else (p, phi)
-            filt = _separating_filter(side_cond, side_phi)
-            witness["separating_filter"] = list(filt.bits)
+            witness["separating_filter"] = _separating_filter(side_cond, side_phi)
     return LemmaReport(equal, witness)
 
 

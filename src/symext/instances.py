@@ -33,7 +33,7 @@ from .core import Condition, Instance, Poset
 from .errors import InvalidInstance
 from .names import (Name, check_name, make_name, name_cells, ordinal,
                     pair_name, set_name)
-from .symmetry import fix_generators, is_hs
+from .symmetry import is_hs
 
 
 def downset_embedding(poset: Poset) -> dict:
@@ -167,13 +167,6 @@ def build_staged_instance(stage_sizes, support_cutoff: int):
     return _verified_family(Instance.staged(stage_sizes, support_cutoff))
 
 
-def stage_restrict(cond: Condition, stage: int) -> Condition:
-    """Drop every cell above the stage; the result lives in the stage's
-    condition poset."""
-    return Condition(cond.inst, [(cell, bit) for cell, bit in cond.items
-                                 if cell[0] <= stage])
-
-
 def name_stage(x: Name) -> Optional[int]:
     """The least stage whose condition poset contains every condition in
     the name's closure; None when the name has no cells at all.  Kept
@@ -187,14 +180,10 @@ def name_stage(x: Name) -> Optional[int]:
 
 
 def in_stage(x: Name, stage: int) -> bool:
+    """True iff x lives at the stage; the stage's hereditarily symmetric
+    class is the names x with in_stage(x, stage) and is_hs(inst, x)."""
     top = name_stage(x)
     return top is None or top <= stage
-
-
-def stage_group_generators(staged: Instance, stage: int) -> list:
-    """Generators of the subgroup moving only pairs at stages up to the
-    given one; monotone in the stage."""
-    return fix_generators(staged, (), max_site=stage)
 
 
 def chain_family(staged: Instance) -> list:

@@ -205,31 +205,27 @@ def in_fix(pi: FiberPermutation, support) -> bool:
     return support.isdisjoint(pi._map)
 
 
-def fix_generators(inst, support, max_site=None) -> list:
+def fix_generators(inst, support) -> list:
     """Transpositions of two same-site fibers both avoiding the support;
-    these generate the pointwise stabilizer within the group.  max_site
-    restricts to sites up to it (stage subgroups on staged instances)."""
+    these generate the pointwise stabilizer within the group."""
     support = check_support(inst, support)
     gens = []
     for site in inst.sites:
-        if max_site is not None and site > max_site:
-            continue
         free = [f for f in range(inst.fiber_count(site)) if (site, f) not in support]
         for a, b in itertools.combinations(free, 2):
             gens.append(FiberPermutation.transposition(inst, site, a, b))
     return gens
 
 
-def is_symmetric_under(inst, x: Name, support, max_site=None) -> bool:
-    """True iff every stabilizer generator of the support (at sites up to
-    max_site, when given) fixes x literally."""
+def is_symmetric_under(inst, x: Name, support) -> bool:
+    """True iff every stabilizer generator of the support fixes x
+    literally."""
     if x.inst is not None:
         _same_instance(inst, x.inst)
-    return all(act_name(g, x) is x
-               for g in fix_generators(inst, support, max_site))
+    return all(act_name(g, x) is x for g in fix_generators(inst, support))
 
 
-def infer_min_support(inst, x: Name, max_site=None) -> Optional[frozenset]:
+def infer_min_support(inst, x: Name) -> Optional[frozenset]:
     """The least support of x, or None if nothing within the cutoff works.
 
     Ties are broken by size, then by preferring witnesses drawn from the
@@ -238,39 +234,33 @@ def infer_min_support(inst, x: Name, max_site=None) -> Optional[frozenset]:
     fiber of its site; the canonical witness is still the row's own
     pair, and this ordering selects it.)
 
-    max_site bounds the search to one stage of a staged instance: the
-    support and the stabilizer generators use sites up to it only, and a
-    name with a cell above it has no support.
+    On a staged instance the least support of a name at stage s (see
+    instances.in_stage) has no pair above s: a transposition above s
+    moves no pair of the name's cells, so it fixes the name, and
+    dropping such a pair from a support leaves a smaller support.
     """
     memo = inst.store.support
-    key = (x, max_site)
-    if key in memo:
-        return memo[key]
+    if x in memo:
+        return memo[x]
     own = {(cell[0], cell[1]) for cell in name_cells(x)}
-    candidates = ()
-    if max_site is None or all(site <= max_site for site, _ in own):
-        pairs = [p for p in inst.pairs if max_site is None or p[0] <= max_site]
-        candidates = (
-            combo for size in range(inst.support_cutoff + 1)
-            for combo in sorted(itertools.combinations(pairs, size),
-                                key=lambda c: (sum(1 for p in c if p not in own), c)))
-    result = next((frozenset(combo) for combo in candidates
-                   if is_symmetric_under(inst, x, combo, max_site)), None)
-    memo[key] = result
-    return result
+    candidates = (
+        combo for size in range(inst.support_cutoff + 1)
+        for combo in sorted(itertools.combinations(inst.pairs, size),
+                            key=lambda c: (sum(1 for p in c if p not in own), c)))
+    memo[x] = next((frozenset(combo) for combo in candidates
+                    if is_symmetric_under(inst, x, combo)), None)
+    return memo[x]
 
 
-def is_hs(inst, x: Name, max_site=None) -> bool:
+def is_hs(inst, x: Name) -> bool:
     """Hereditarily symmetric: x has a support within the cutoff, and so
-    does every hereditary subname.  With max_site given this is
-    membership in that stage's hereditarily symmetric class (see
-    infer_min_support)."""
+    does every hereditary subname.  Stage s's hereditarily symmetric
+    class is `in_stage(x, s) and is_hs(inst, x)` (see instances)."""
     memo = inst.store.hs
-    key = (x, max_site)
-    if key not in memo:
-        memo[key] = infer_min_support(inst, x, max_site) is not None and all(
-            is_hs(inst, sub, max_site) for _, sub in x.entries)
-    return memo[key]
+    if x not in memo:
+        memo[x] = infer_min_support(inst, x) is not None and all(
+            is_hs(inst, sub) for _, sub in x.entries)
+    return memo[x]
 
 
 def generator_closure(gens: Iterable[FiberPermutation], max_len: int) -> list:

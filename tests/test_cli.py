@@ -29,10 +29,11 @@ FLAT_FIELDS = '"poset": {"elements": ["a", "b"], "leq": []}, "n": 2, "v": 2'
 # every spec here must exit 2 with a message: wrong container types,
 # JSON booleans where an integer is expected, a non-integer max_dom,
 # ill-typed poset elements and relation pairs, an ordinal past the
-# bound, negative bounds and sample counts, flat-only keys on a staged
-# spec, a file that is not UTF-8, JSON nested past Python's recursion
-# limit, formulas nested past the bound on formula nesting, and string
-# sites that cannot be written in a name term
+# bound, negative bounds and sample counts, empty suite and formula
+# lists (which would otherwise read as the defaults), flat-only keys
+# on a staged spec, a file that is not UTF-8, JSON nested past Python's
+# recursion limit, formulas nested past the bound on formula nesting,
+# and string sites that cannot be written in a name term
 MALFORMED = [
     '{"poset": {"elements": ["a", 1], "leq": []}, "n": 2, "v": 2, "c": 1}',
     '{"poset": {"elements": ["a", "b"], "leq": [["a"]]}, "n": 2, "v": 2, "c": 1}',
@@ -44,6 +45,9 @@ MALFORMED = [
     '{%s, "c": 1, "formulas": ["(eq ord:0 ord:0)", 1]}' % FLAT_FIELDS,
     '{"stages": [3, 4], "c": 1, "suites": "hs"}',
     '{"stages": [3, 4], "c": 1, "suites": ["hs", 1]}',
+    '{"stages": [3, 4], "c": 1, "suites": []}',
+    '{%s, "c": 1, "suites": ["forcing-oracle"], "max_dom": 1, "formulas": []}'
+    % FLAT_FIELDS,
     '{"stages": [3, true], "c": 1}',
     '{"stages": [3, 4], "c": true}',
     '{%s, "c": true}' % FLAT_FIELDS,

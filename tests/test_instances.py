@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from symext import (Condition, GenericFilter, InvalidInstance, Poset,
+from symext import (GenericFilter, InvalidInstance, Poset,
                     build_instance, build_staged_instance, canonical_family,
                     chain_family, check_name, downset_embedding, generic_filters,
                     in_stage, interpret, is_hs, iter_conditions,
                     least_value_name, make_name, name_cells, name_stage, ordinal,
-                    random_poset, stage_group_generators, stage_restrict)
+                    random_poset)
 
 from _oracles import hf_to_frozen, naive_interpret, total_assignments
 
@@ -148,29 +148,16 @@ class TestStaged:
                 expected = max((cell[0] for cell in name_cells(nm)), default=None)
                 assert name_stage(nm) == expected, label
 
-    def test_stage_restrict_drops_later_cells(self, staged_pair):
-        staged, _ = staged_pair
-        q = Condition(staged, {(0, 1, 2): 1, (1, 3, 0): 0})
-        restricted = stage_restrict(q, 0)
-        assert restricted.items == (((0, 1, 2), 1),)
-
-    def test_stage_groups_monotone(self, staged_pair):
-        staged, _ = staged_pair
-        g0 = stage_group_generators(staged, 0)
-        g1 = stage_group_generators(staged, 1)
-        assert set(g0) < set(g1)
-        assert all(all(src[0] <= 0 for src, _ in g.moved) for g in g0)
-
     def test_hs_stages_monotone(self, staged_pair):
         staged, family = staged_pair
         pool = [family.rows[(0, 0)], family.sites[0],
                 check_name(staged, ordinal(2))]
         for nm in pool:
-            assert is_hs(staged, nm, max_site=0)
-            assert is_hs(staged, nm, max_site=1)
+            assert is_hs(staged, nm) and in_stage(nm, 0) and in_stage(nm, 1)
         # stage-1 names are not in the stage-0 class
-        assert not is_hs(staged, family.rows[(1, 0)], max_site=0)
-        assert is_hs(staged, family.rows[(1, 0)], max_site=1)
+        assert is_hs(staged, family.rows[(1, 0)])
+        assert not in_stage(family.rows[(1, 0)], 0)
+        assert in_stage(family.rows[(1, 0)], 1)
 
     def test_interpretation_agrees_on_shared_cells(self, staged_pair):
         # two filters agreeing on stage-0 cells interpret stage-0 names alike

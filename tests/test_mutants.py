@@ -1,0 +1,105 @@
+"""Seeded defects in the engine functions that decide a name's support and
+its stage.  Each row patches one function and runs one CLI suite on a
+shipped spec; the defect must fail the lines the row names.  The
+instance and its store memos are kept per spec text (cli._objects), so
+each row starts from, and leaves behind, a fresh instance: memos built
+by the unpatched engine would otherwise hide the defect, and memos built
+by the patched one would leak into later tests."""
+
+import io
+import itertools
+import json
+from pathlib import Path
+
+import pytest
+
+from symext import (build_staged_instance, chain_family, fix_generators,
+                    in_stage, infer_min_support, name_stage)
+from symext import act_name, cli, instances, symmetry
+from symext.cli import parse_instance_spec, run_checks
+
+SPECS = Path(__file__).parent.parent / "specs"
+
+
+@pytest.fixture
+def fresh_instance():
+    cli._objects.cache_clear()
+    yield
+    cli._objects.cache_clear()
+
+
+def _always_symmetric(inst, x, support):
+    return True
+
+
+def _empty_support(inst, x):
+    return frozenset()
+
+
+def _no_stage(x):
+    return None
+
+
+# (row id, [(module, function name, replacement)], spec file, suite,
+#  failing lines, total lines), as measured with the defect in place
+MUTANTS = [
+    ("symmetric-under-always", [(symmetry, "is_symmetric_under", _always_symmetric)],
+     "reference.json", "hs", 8, 15),
+    ("symmetric-under-always", [(symmetry, "is_symmetric_under", _always_symmetric)],
+     "staged.json", "hs", 7, 10),
+    ("min-support-empty", [(symmetry, "infer_min_support", _empty_support),
+                           (cli, "infer_min_support", _empty_support)],
+     "reference.json", "hs", 8, 15),
+    ("min-support-empty", [(symmetry, "infer_min_support", _empty_support),
+                           (cli, "infer_min_support", _empty_support)],
+     "staged.json", "hs", 7, 10),
+    ("name-stage-none", [(instances, "name_stage", _no_stage)],
+     "staged.json", "wisc", 19_504, 107_272),
+]
+
+
+@pytest.mark.parametrize(
+    "patches, spec_file, suite, failing, total",
+    [pytest.param(*row[1:], id=f"{row[0]}-{row[2].split('.')[0]}-{row[3]}")
+     for row in MUTANTS])
+def test_seeded_defect_fails_its_suite(patches, spec_file, suite, failing, total,
+                                       monkeypatch, fresh_instance):
+    for module, attr, replacement in patches:
+        monkeypatch.setattr(module, attr, replacement)
+    spec = parse_instance_spec((SPECS / spec_file).read_text())
+    out = io.StringIO()
+    code = run_checks(spec, suite, out=out)
+    verdicts = [json.loads(line)["verdict"] for line in out.getvalue().splitlines()]
+    assert code == 1
+    assert (verdicts.count("fail"), len(verdicts)) == (failing, total)
+
+
+def _stage_local_min_supports(inst, x, stage):
+    """Every minimal-size support of x found by a search whose supports
+    and stabilizer generators use only sites up to the stage."""
+    pairs = [p for p in inst.pairs if p[0] <= stage]
+    for size in range(inst.support_cutoff + 1):
+        found = [frozenset(combo) for combo in itertools.combinations(pairs, size)
+                 if all(act_name(g, x) is x for g in fix_generators(inst, combo)
+                        if g.moved[0][0][0] <= stage)]
+        if found:
+            return found
+    return []
+
+
+def test_least_support_stays_within_the_name_stage():
+    # the stage rule rests on this: a transposition above a name's stage
+    # fixes the name, so its least support needs no pair above that stage
+    staged, family = build_staged_instance([3, 4, 5], 1)
+    names = [nm for _, nm in family.members()] + chain_family(staged)
+    names = [nm for nm in names if name_stage(nm) is not None]
+    assert len(names) == 3 + 4 + 5 + 3 + 1 + 3
+    for nm in names:
+        support = infer_min_support(staged, nm)
+        assert support is not None
+        assert all(site <= name_stage(nm) for site, _ in support)
+        # at every stage the name lives at, the stage-bounded search
+        # finds the same least support
+        for stage in staged.sites:
+            if in_stage(nm, stage):
+                assert support in _stage_local_min_supports(staged, nm, stage)
