@@ -23,18 +23,15 @@ instance (a content hash), params, verdict, witness (failures only) and
 elapsed; the exit status is 0 exactly when every verdict passes.  Reruns
 of the same spec are byte-identical apart from the elapsed fields.
 
-Each suite's units are generated lazily.  A serial run writes each line
-as its unit finishes, so its memory does not grow with the unit count.
-Only --jobs counts the units, to cut them into chunks, and each chunk's
-lines come back as one list, so its memory grows with the chunk size.
+Each suite's units are generated lazily, and a run writes each line as
+its unit finishes, so its memory does not grow with the unit count.
 An engine error in the middle of a suite leaves that suite's earlier
 lines on stdout; the exit status is still 2.
 
 A run reads everything from one context (see _context), with two
-lifetimes.  The instance and its canonical family live per spec text
-per process: the run, and its --jobs workers forked after it, reuse the
-ones parse_instance_spec validated.  Every other field lives for one
-run_checks call (or --jobs chunk) and is built on its first read, so a
+lifetimes.  The instance and its canonical family live per spec text:
+the run reuses the ones parse_instance_spec validated.  Every other
+field lives for one run_checks call and is built on its first read, so a
 suite that never reads the conditions, permutations or supports never
 enumerates them; only the formula pool is built eagerly, since a bad
 formula is a spec error and must stop the run before its first line.
@@ -55,8 +52,7 @@ fibers found once per site.  A swap unit carries its fibers; the wisc
 suite builds each swap step once per (swap stage, condition, support),
 and each wisc unit carries its step.  Both kernels take the step through
 step=, so neither chooses the fibers again, and both keep their name
-checks per (transposition, name) in the instance's store.  Only --jobs
-imports the process pool.
+checks per (transposition, name) in the instance's store.
 """
 
 from __future__ import annotations
@@ -295,10 +291,10 @@ class _Table(dict):
 
 
 def _context(spec_text: str, overrides_text: str) -> _Table:
-    """A fresh context for one run (or --jobs chunk): the instance (see
-    _objects), the options and the formula pool, and the fields of
-    _FIELDS, each built on its first lookup, so nothing a suite computes
-    leaks into another run of the same spec."""
+    """A fresh context for one run: the instance (see _objects), the
+    options and the formula pool, and the fields of _FIELDS, each built on
+    its first lookup, so nothing a suite computes leaks into another run
+    of the same spec."""
     raw = json.loads(spec_text)
     overrides = json.loads(overrides_text)
     inst, family = _objects(spec_text)
@@ -637,14 +633,15 @@ SUITES = {
 }
 
 
-def _run_units(ctx, suite, units):
-    """Run the units in order and yield each one's verdict and report
-    line (JSON text, the fields in a fixed order) as soon as it has
-    run."""
-    run = SUITES[suite][1]
+def _run_units(ctx, suite, out) -> bool:
+    """Run the suite's units in order, writing each one's report line
+    (JSON text, the fields in a fixed order) as soon as it has run; True
+    when any verdict is not pass."""
+    gen, run = SUITES[suite]
     head = ('{"suite": ' + json.dumps(suite)
             + ', "instance": ' + json.dumps(ctx["hash"]) + ', "params": ')
-    for unit in units:
+    failed = False
+    for unit in gen(ctx):
         start = time.monotonic()
         params, ok, witness = run(ctx, unit)
         elapsed = time.monotonic() - start
@@ -652,34 +649,31 @@ def _run_units(ctx, suite, units):
             params = json.dumps(params)
         verdict = '"pass"' if ok else '"fail"'
         witness = "" if witness is None else ', "witness": ' + json.dumps(witness)
+        failed = failed or not ok
         # repr of a float is its JSON text
-        yield ok, (f'{head}{params}, "verdict": {verdict}{witness}, '
-                   f'"elapsed": {round(elapsed, 6)!r}}}')
-
-
-def _run_chunk(args):
-    """A --jobs worker: units lo..hi of one suite, as one list of
-    (verdict, line) pairs."""
-    spec_text, overrides_text, suite, lo, hi = args
-    ctx = _context(spec_text, overrides_text)
-    units = itertools.islice(SUITES[suite][0](ctx), lo, hi)
-    return list(_run_units(ctx, suite, units))
+        out.write(f'{head}{params}, "verdict": {verdict}{witness}, '
+                  f'"elapsed": {round(elapsed, 6)!r}}}\n')
+    return failed
 
 
 def run_checks(spec: InstanceSpec, suite: str = "all", jobs: int = 1,
                overrides: Optional[dict] = None, out=None) -> int:
     """Run a suite (or every applicable one) and stream JSON lines; the
-    return value is the process exit status."""
+    return value is the process exit status.  Every run is serial, in
+    this process: worker processes made no workload faster and held each
+    chunk's lines in memory.  jobs is kept for callers that pass jobs=1;
+    any other value raises ValueError."""
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1 (runs are serial), got {jobs!r}")
     out = out or sys.stdout
     _check_counts(overrides or {})
-    overrides_text = json.dumps(overrides or {}, sort_keys=True)
     own, other = ((FLAT_SUITES, STAGED_SUITES) if spec.kind == "flat"
                   else (STAGED_SUITES, FLAT_SUITES))
     if suite == "all":
         suites = tuple(spec.raw.get("suites") or own)
     else:
         suites = (suite,)
-    ctx = _context(spec.text, overrides_text)
+    ctx = _context(spec.text, json.dumps(overrides or {}, sort_keys=True))
     if spec.kind == "flat" and {"forcing-oracle", "symmetry-lemma"} & set(suites):
         # both suites run both forcing modes: reject before any output
         check_size(ctx["inst"], "recursive", "semantic")
@@ -695,37 +689,8 @@ def run_checks(spec: InstanceSpec, suite: str = "all", jobs: int = 1,
                               "witness": {"error": error}, "elapsed": 0.0}), file=out)
             failed = True
             continue
-        gen = SUITES[name][0]
-        # only --jobs needs the unit count, to cut the units into chunks
-        total = sum(1 for _ in gen(ctx)) if jobs > 1 else 0
-        if total > 1:
-            step = -(-total // jobs)
-            chunks = [(spec.text, overrides_text, name, lo, min(lo + step, total))
-                      for lo in range(0, total, step)]
-            workers = min(jobs, len(chunks), os.cpu_count() or 1)
-            with _process_pool(workers) as pool:
-                lines = itertools.chain.from_iterable(pool.map(_run_chunk, chunks))
-                failed = _write_lines(lines, out) or failed
-        else:
-            failed = _write_lines(_run_units(ctx, name, gen(ctx)), out) or failed
+        failed = _run_units(ctx, name, out) or failed
     return 1 if failed else 0
-
-
-def _process_pool(workers: int):
-    """A pool of worker processes for --jobs; the import is deferred to
-    here, so a serial run does not load multiprocessing."""
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=workers)
-
-
-def _write_lines(lines, out) -> bool:
-    """Write each (verdict, line) pair's line as it arrives; True when
-    any verdict is not pass."""
-    failed = False
-    for ok, line in lines:
-        failed = failed or not ok
-        out.write(line + "\n")
-    return failed
 
 
 def main(argv=None) -> int:
@@ -739,22 +704,16 @@ def main(argv=None) -> int:
                         help="condition domain bound for enumerating suites")
     parser.add_argument("--max-support", type=int, default=None,
                         help="support size bound for enumerating suites")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (at most one per CPU); output "
-                             "order stays deterministic")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for sampled suites (logged in each line)")
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        print("symext: --jobs must be at least 1", file=sys.stderr)
-        return 2
     overrides = {k: v for k, v in (("max_dom", args.max_dom),
                                    ("max_support", args.max_support),
                                    ("seed", args.seed)) if v is not None}
     try:
         with open(args.spec, encoding="utf-8") as fh:
             spec = parse_instance_spec(fh.read())
-        return run_checks(spec, args.suite, jobs=args.jobs, overrides=overrides)
+        return run_checks(spec, args.suite, overrides=overrides)
     except BrokenPipeError:
         # as under `| head`: on devnull, the final flush of stdout is silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

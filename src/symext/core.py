@@ -16,7 +16,7 @@ with an increasing list of sizes; fiber and slot counts vary per stage
 and condition domains obey a per-stage cumulative bound instead.
 
 Everything here is immutable after construction and all operations are
-pure functions, so sweeps can be partitioned across workers freely.
+pure functions.
 """
 
 from __future__ import annotations

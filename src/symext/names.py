@@ -10,8 +10,7 @@ Names are interned per instance: the registry and the check-name and
 interpretation memos live in the instance's store and are freed with
 it.  HF sets belong to no instance, so their registry is global.  The
 empty name is shared by every instance.  Interning is a pure cache
-(same input, same handle); parallel runs use worker processes, each
-with its own copy, so no registry is shared between threads.
+(same input, same handle).
 
 Each name also carries the memo of its hereditary cell set, filled by
 the first `name_cells` call.  That is safe because names are interned

@@ -83,15 +83,15 @@ MALFORMED = [
 ]
 
 
-def run_text(spec_text, suite, overrides=None, jobs=1):
+def run_text(spec_text, suite, overrides=None):
     out = io.StringIO()
-    code = run_checks(parse_instance_spec(spec_text), suite, jobs=jobs,
-                      overrides=overrides, out=out)
+    code = run_checks(parse_instance_spec(spec_text), suite, overrides=overrides,
+                      out=out)
     return code, out.getvalue().splitlines()
 
 
-def run(spec_text, suite, overrides=None, jobs=1):
-    code, lines = run_text(spec_text, suite, overrides, jobs)
+def run(spec_text, suite, overrides=None):
+    code, lines = run_text(spec_text, suite, overrides)
     return code, [json.loads(line) for line in lines]
 
 
@@ -342,46 +342,8 @@ class TestDeterminism:
             line.pop("elapsed")
         assert first == second
 
-    def test_jobs_preserve_order(self):
-        # each worker slices the lazily generated units of its chunk
-        for text, suite in ((REFERENCE, "swap"), (REFERENCE, "symmetry-lemma"),
-                            (REFERENCE, "forcing-oracle"), (STAGED, "wisc")):
-            _, seq = run(text, suite, overrides={"max_dom": 1})
-            _, par = run(text, suite, overrides={"max_dom": 1}, jobs=3)
-            for line in seq + par:
-                line.pop("elapsed")
-            assert seq and seq == par
-
-    def test_workers_bounded_by_chunks_and_cpus(self, monkeypatch):
-        started = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "_process_pool", InProcessPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-        _, seq = run(REFERENCE, "hs")           # 15 units
-        for jobs in (1000, 3):
-            _, par = run(REFERENCE, "hs", jobs=jobs)
-            for line in seq + par:
-                line.pop("elapsed", None)
-            assert seq == par
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
-        run(REFERENCE, "hs", jobs=1000)
-        assert started == [4, 3, 15]
-
     def test_import_loads_no_process_pool(self):
-        # only --jobs > 1 starts workers, so only it imports their modules
+        # the CLI runs in one process, so it imports no process pool
         src = str(Path(__file__).parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -484,14 +446,19 @@ class TestMain:
         assert captured.out == ""
         assert "3^cells" in captured.err
 
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_jobs_below_one_rejected(self, jobs, tmp_path, capsys):
+    def test_jobs_other_than_one_rejected(self, tmp_path, capsys):
+        # runs are serial: run_checks keeps jobs=1 only, and the CLI has
+        # no --jobs option
+        with pytest.raises(ValueError):
+            run_checks(parse_instance_spec(REFERENCE), "hs", jobs=2)
         path = tmp_path / "ref.json"
         path.write_text(REFERENCE)
-        assert main(["--spec", str(path), "--suite", "hs", "--jobs", jobs]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["--spec", str(path), "--suite", "hs", "--jobs", "2"])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--jobs" in captured.err
+        assert "usage:" in captured.err and "--jobs" in captured.err
 
     @pytest.mark.parametrize("flag", ["--max-dom", "--max-support"])
     def test_negative_bound_flags_rejected(self, flag, tmp_path, capsys):

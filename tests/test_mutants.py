@@ -1,6 +1,8 @@
 """Seeded defects in the engine functions that decide a name's support and
-its stage.  Each row patches one function and runs one CLI suite on a
-shipped spec; the defect must fail the lines the row names.  The
+its stage, that force, and that choose a swap's fibers.  Each row patches
+one function (and the CLI's reference to it, where the CLI imports it)
+and runs one CLI suite on a shipped spec, with the row's option
+overrides; the defect must fail the lines the row names.  The
 instance and its store memos are kept per spec text (cli._objects), so
 each row starts from, and leaves behind, a fresh instance: memos built
 by the unpatched engine would otherwise hide the defect, and memos built
@@ -15,7 +17,7 @@ import pytest
 
 from symext import (build_staged_instance, chain_family, fix_generators,
                     in_stage, infer_min_support, name_stage)
-from symext import act_name, cli, instances, symmetry
+from symext import act_name, cli, forcing, instances, kernels, symmetry
 from symext.cli import parse_instance_spec, run_checks
 
 SPECS = Path(__file__).parent.parent / "specs"
@@ -40,35 +42,70 @@ def _no_stage(x):
     return None
 
 
+def _dense_is_up(space, member):
+    # the codes with some extension in member, not those below which
+    # member is dense
+    return space.up(member)
+
+
+def _partner_ignores_support(inst, support, site, fiber, occupied):
+    for b in range(inst.fiber_count(site)):
+        if b != fiber and b not in occupied:
+            return b
+    return None
+
+
+_swap_fibers = kernels.swap_fibers
+
+
+def _swap_fibers_ignores_occupied(inst, support, site, fiber, occupied):
+    return _swap_fibers(inst, support, site, fiber, ())
+
+
+_FREE_MATE = [(kernels, "swap_fibers", _swap_fibers_ignores_occupied),
+              (cli, "swap_fibers", _swap_fibers_ignores_occupied)]
+
 # (row id, [(module, function name, replacement)], spec file, suite,
-#  failing lines, total lines), as measured with the defect in place
+#  option overrides, failing lines, total lines), as measured with the
+#  defect in place
 MUTANTS = [
     ("symmetric-under-always", [(symmetry, "is_symmetric_under", _always_symmetric)],
-     "reference.json", "hs", 8, 15),
+     "reference.json", "hs", None, 8, 15),
     ("symmetric-under-always", [(symmetry, "is_symmetric_under", _always_symmetric)],
-     "staged.json", "hs", 7, 10),
+     "staged.json", "hs", None, 7, 10),
     ("min-support-empty", [(symmetry, "infer_min_support", _empty_support),
                            (cli, "infer_min_support", _empty_support)],
-     "reference.json", "hs", 8, 15),
+     "reference.json", "hs", None, 8, 15),
     ("min-support-empty", [(symmetry, "infer_min_support", _empty_support),
                            (cli, "infer_min_support", _empty_support)],
-     "staged.json", "hs", 7, 10),
+     "staged.json", "hs", None, 7, 10),
     ("name-stage-none", [(instances, "name_stage", _no_stage)],
-     "staged.json", "wisc", 19_504, 107_272),
+     "staged.json", "wisc", None, 19_504, 107_272),
+    ("dense-is-up", [(forcing._Space, "dense", _dense_is_up)],
+     "reference.json", "forcing-oracle", {"max_dom": 1}, 177, 357),
+    ("dense-is-up", [(forcing._Space, "dense", _dense_is_up)],
+     "reference.json", "symmetry-lemma", {"max_dom": 1}, 708, 1428),
+    ("partner-ignores-support", [(kernels, "partner", _partner_ignores_support)],
+     "reference.json", "swap", {"max_dom": 1}, 52, 208),
+    ("partner-ignores-support", [(kernels, "partner", _partner_ignores_support)],
+     "staged.json", "wisc", {"max_dom": 1}, 612, 2448),
+    # at max_dom 1 no condition touches a fiber the mate could take
+    ("swap-fibers-ignore-occupied", _FREE_MATE,
+     "reference.json", "swap", {"max_dom": 2}, 48, 1548),
 ]
 
 
 @pytest.mark.parametrize(
-    "patches, spec_file, suite, failing, total",
+    "patches, spec_file, suite, overrides, failing, total",
     [pytest.param(*row[1:], id=f"{row[0]}-{row[2].split('.')[0]}-{row[3]}")
      for row in MUTANTS])
-def test_seeded_defect_fails_its_suite(patches, spec_file, suite, failing, total,
-                                       monkeypatch, fresh_instance):
+def test_seeded_defect_fails_its_suite(patches, spec_file, suite, overrides, failing,
+                                       total, monkeypatch, fresh_instance):
     for module, attr, replacement in patches:
         monkeypatch.setattr(module, attr, replacement)
     spec = parse_instance_spec((SPECS / spec_file).read_text())
     out = io.StringIO()
-    code = run_checks(spec, suite, out=out)
+    code = run_checks(spec, suite, overrides=overrides, out=out)
     verdicts = [json.loads(line)["verdict"] for line in out.getvalue().splitlines()]
     assert code == 1
     assert (verdicts.count("fail"), len(verdicts)) == (failing, total)
