@@ -30,11 +30,13 @@ lines on stdout; the exit status is still 2.
 
 A run reads everything from one context (see _context), with two
 lifetimes.  The instance and its canonical family live per spec text:
-the run reuses the ones parse_instance_spec validated.  Every other
-field lives for one run_checks call and is built on its first read, so a
-suite that never reads the conditions, permutations or supports never
-enumerates them; only the formula pool is built eagerly, since a bad
-formula is a spec error and must stop the run before its first line.
+the run reuses the ones parse_instance_spec built.  Parsing does not
+check that the family is hereditarily symmetric; the hs suite does, one
+line per name.  Every other field lives for one run_checks call and is
+built on its first read, so a suite that never reads the conditions,
+permutations or supports never enumerates them; only the formula pool is
+built eagerly, since a bad formula is a spec error and must stop the run
+before its first line.
 
 The work a suite's units share is done once per index, not once per
 unit: the JSON text of each condition, support, permutation and label,
@@ -74,10 +76,9 @@ from .core import GenericFilter, Poset, iter_conditions
 from .errors import EngineError, ParseError
 from .forcing import (act_formula, check_size, forcing_vector, parse_formula,
                       symmetry_lemma_check)
-from .instances import (build_instance, build_staged_instance, chain_family,
-                        downset_embedding, in_stage, random_poset)
-from .kernels import (_cond_obj, _cycles_obj, _step_on, _support_obj, swap_fibers,
-                      swap_kernel, wisc_kernel)
+from .instances import (MAX_SITES, build_instance, build_staged_instance,
+                        chain_family, downset_embedding, in_stage, random_poset)
+from .kernels import _step_on, _support_obj, swap_fibers, swap_kernel, wisc_kernel
 from .names import check_name, interpret, ordinal, pair_name, set_name
 from .symmetry import (act_condition, assemble_sequence, conjugation_check,
                        fix_generators, generator_closure, infer_min_support,
@@ -119,7 +120,7 @@ def _is_str_list(value) -> bool:
 
 
 def _check_poset(poset) -> None:
-    """Element and relation types; the order axioms are left to Poset."""
+    """Types and the site cap; the order axioms are left to Poset."""
     if not isinstance(poset, dict) or set(poset) - _POSET_KEYS:
         raise ParseError("poset must be an object with 'elements' and 'leq'")
     elements = poset.get("elements", [])
@@ -127,6 +128,9 @@ def _check_poset(poset) -> None:
             or isinstance(elements, list) and all(_is_int(e) for e in elements)):
         raise ParseError("poset 'elements' must be a list of strings "
                          "or a list of integers")
+    if len(elements) > MAX_SITES:
+        raise ParseError(f"poset has {len(elements)} elements; "
+                         f"instances are capped at {MAX_SITES} sites")
     for e in elements:
         if isinstance(e, str) and not _SITE_TEXT.fullmatch(e):
             raise ParseError(f"poset element {e!r} cannot be written in a name term "
@@ -140,8 +144,8 @@ def _check_poset(poset) -> None:
 
 
 def parse_instance_spec(text: str) -> InstanceSpec:
-    """Parse and validate a spec; building the instance runs the full
-    validator, so invalid bounds are rejected here."""
+    """Parse and validate a spec; building the instance and its family
+    runs the full validator, but checks no symmetry (the hs suite does)."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -410,10 +414,10 @@ _FIELDS = {
     # the JSON text of a label or site, and of a condition, support or
     # permutation by index
     "text": lambda ctx: _Table(json.dumps),
-    "cond_text": _per_key(lambda ctx, ci: json.dumps(_cond_obj(ctx["conditions"][ci]))),
+    "cond_text": _per_key(lambda ctx, ci: json.dumps(ctx["conditions"][ci].to_obj())),
     "support_text": _per_key(
         lambda ctx, si: json.dumps(_support_obj(ctx["supports"][si]))),
-    "perm_text": _per_key(lambda ctx, pii: json.dumps(_cycles_obj(ctx["perms"][pii]))),
+    "perm_text": _per_key(lambda ctx, pii: json.dumps(ctx["perms"][pii].to_obj())),
     # permutation -> the index of each condition's image
     "cond_images": _per_key(_cond_images),
     # (permutation, formula) -> the image formula
@@ -558,10 +562,11 @@ def _run_normality(ctx, unit):
         perm = ctx["perms"][pii]
         support = ctx["supports"][si]
         report = conjugation_check(inst, perm, support)
-        params = {"permutation": _cycles_obj(perm),
+        params = {"permutation": perm.to_obj(),
                   "support": _support_obj(support),
                   "image": _support_obj(report.support_image)}
-        return params, report.ok, (None if report.ok else {"witness": repr(report.witness)})
+        witness = None if report.ok else {"witness": report.witness.to_obj()}
+        return params, report.ok, witness
     labels = [ctx["members"][i] for i in unit[1:]]
     report = assemble_sequence(inst, [ctx["names"][l] for l in labels])
     ok = report.hs or not report.certified
@@ -667,8 +672,7 @@ def run_checks(spec: InstanceSpec, suite: str = "all", jobs: int = 1,
         raise ValueError(f"jobs must be 1 (runs are serial), got {jobs!r}")
     out = out or sys.stdout
     _check_counts(overrides or {})
-    own, other = ((FLAT_SUITES, STAGED_SUITES) if spec.kind == "flat"
-                  else (STAGED_SUITES, FLAT_SUITES))
+    own = FLAT_SUITES if spec.kind == "flat" else STAGED_SUITES
     if suite == "all":
         suites = tuple(spec.raw.get("suites") or own)
     else:
@@ -679,8 +683,8 @@ def run_checks(spec: InstanceSpec, suite: str = "all", jobs: int = 1,
         check_size(ctx["inst"], "recursive", "semantic")
     failed = False
     for name in suites:
-        # a suite listed for the other kind of instance only does not apply
-        if name not in SUITES or (name in other and name not in own):
+        # a suite runs when it is listed for the spec's kind
+        if name not in own:
             known = name in SUITES
             error = (f"suite {name!r} does not apply to a {spec.kind} instance"
                      if known else f"unknown suite {name!r}")

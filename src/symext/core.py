@@ -388,6 +388,10 @@ class Condition:
     def __len__(self):
         return len(self.items)
 
+    def to_obj(self) -> list:
+        """The JSON form every report writes: one [*cell, bit] per cell."""
+        return [list(cell) + [bit] for cell, bit in self.items]
+
     def __eq__(self, other):
         if self is other:
             return True

@@ -425,7 +425,7 @@ def symmetry_lemma_check(pi: FiberPermutation, p: Condition, phi: Formula) -> Le
     equal = ls == rs and lr == rr and ls == lr
     witness = None
     if not equal:
-        witness = {"condition": list(p.items), "relabeled": list(pp.items)}
+        witness = {"condition": p.to_obj(), "relabeled": pp.to_obj()}
         if ls != rs:
             side_cond, side_phi = (pp, pphi) if ls else (p, phi)
             witness["separating_filter"] = _separating_filter(side_cond, side_phi)

@@ -33,7 +33,9 @@ from .core import Condition, Instance, Poset
 from .errors import InvalidInstance
 from .names import (Name, check_name, make_name, name_cells, ordinal,
                     pair_name, set_name)
-from .symmetry import is_hs
+
+# the most sites of a flat instance, whose family names every site subset
+MAX_SITES = 10
 
 
 def downset_embedding(poset: Poset) -> dict:
@@ -126,9 +128,9 @@ def canonical_family(inst: Instance) -> NameFamily:
     if inst.store.family is not None:
         return inst.store.family
     flat = inst.kind == "flat"
-    if flat and len(inst.sites) > 10:
+    if flat and len(inst.sites) > MAX_SITES:
         raise InvalidInstance("canonical family builds all region names; "
-                              "instances are capped at 10 sites")
+                              f"instances are capped at {MAX_SITES} sites")
     rows = {(z, a): row_name(inst, z, a) for z in inst.sites
             for a in range(inst.fiber_count(z))}
     sites = {z: site_name(inst, z) for z in inst.sites}
@@ -144,27 +146,18 @@ def canonical_family(inst: Instance) -> NameFamily:
     return inst.store.family
 
 
-def _verified_family(inst: Instance):
-    """The canonical family, after checking every member is hereditarily
-    symmetric."""
-    family = canonical_family(inst)
-    for label, nm in family.members():
-        if not is_hs(inst, nm):
-            raise InvalidInstance(f"canonical name {label} is not hereditarily symmetric")
-    return inst, family
-
-
 def build_instance(poset: Poset, fibers: int, slots: int, support_cutoff: int,
                    domain_cutoff: Optional[int] = None):
     """Validate the bounds, build the flat instance and its canonical
-    family, and verify every family member is hereditarily symmetric."""
-    return _verified_family(
-        Instance.flat(poset, fibers, slots, support_cutoff, domain_cutoff))
+    family; the hs suite, not the build, checks the family's symmetry."""
+    inst = Instance.flat(poset, fibers, slots, support_cutoff, domain_cutoff)
+    return inst, canonical_family(inst)
 
 
 def build_staged_instance(stage_sizes, support_cutoff: int):
     """The same for a staged instance and its per-stage family."""
-    return _verified_family(Instance.staged(stage_sizes, support_cutoff))
+    inst = Instance.staged(stage_sizes, support_cutoff)
+    return inst, canonical_family(inst)
 
 
 def name_stage(x: Name) -> Optional[int]:

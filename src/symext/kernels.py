@@ -74,7 +74,7 @@ class KernelReport:
     @cached_property
     def inputs(self) -> dict:
         inputs = self._part(2)
-        inputs["condition"] = _cond_obj(inputs["condition"])
+        inputs["condition"] = inputs["condition"].to_obj()
         inputs["support"] = _support_obj(inputs["support"])
         return inputs
 
@@ -97,16 +97,8 @@ class KernelReport:
         }
 
 
-def _cond_obj(cond: Condition) -> list:
-    return [list(cell) + [bit] for cell, bit in cond.items]
-
-
 def _support_obj(support) -> list:
     return sorted(map(list, support))
-
-
-def _cycles_obj(pi: FiberPermutation) -> list:
-    return [[list(p) for p in c] for c in pi.cycles()]
 
 
 def partner(inst, support, site, fiber, occupied) -> Optional[int]:
@@ -207,9 +199,9 @@ def _witness(pi: FiberPermutation, q: Condition, **fields) -> dict:
     with q, rebuilt here since only a read witness needs them."""
     moved_q = act_condition(pi, q)
     comp = compatible(q, moved_q)
-    return {"cycles": _cycles_obj(pi), **fields,
-            "relabeled_condition": _cond_obj(moved_q),
-            "merged": _cond_obj(comp.witness) if comp.witness is not None else None,
+    return {"cycles": pi.to_obj(), **fields,
+            "relabeled_condition": moved_q.to_obj(),
+            "merged": comp.witness.to_obj() if comp.witness is not None else None,
             "cutoff_exceeded": comp.cutoff_exceeded}
 
 
@@ -336,7 +328,7 @@ def min_onto_check(inst, site, max_dom: Optional[int] = None) -> MinOntoReport:
         for gamma in range(v):
             checked += 1
             if fresh is None:
-                failures.append((_cond_obj(p), gamma))
+                failures.append((p.to_obj(), gamma))
                 continue
             row = {(site, fresh, d): 0 for d in range(gamma)}
             row[(site, fresh, gamma)] = 1
@@ -346,8 +338,8 @@ def min_onto_check(inst, site, max_dom: Optional[int] = None) -> MinOntoReport:
             if forces(q, phi, "semantic"):
                 witnessed += 1
             else:
-                defects.append({"condition": _cond_obj(p), "slot": gamma,
-                                "witness": _cond_obj(q)})
+                defects.append({"condition": p.to_obj(), "slot": gamma,
+                                "witness": q.to_obj()})
     return MinOntoReport(site=site, max_dom=limit, checked=checked,
                          witnessed=witnessed, failures=tuple(failures),
                          defects=tuple(defects))

@@ -115,8 +115,7 @@ class Name:
         return f"Name(rank={self.rank}, entries={len(self.entries)})"
 
     def to_obj(self):
-        return [[[list(cell) + [bit] for cell, bit in cond.items], sub.to_obj()]
-                for cond, sub in self.entries]
+        return [[cond.to_obj(), sub.to_obj()] for cond, sub in self.entries]
 
 
 EMPTY_NAME = Name((), None)

@@ -122,6 +122,10 @@ class FiberPermutation:
             out.append(cycle)
         return out
 
+    def to_obj(self) -> list:
+        """The JSON form every report writes: its cycles as pair lists."""
+        return [[list(p) for p in c] for c in self.cycles()]
+
     def __eq__(self, other):
         if self is other:
             return True

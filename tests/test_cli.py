@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symext import (Compat, Condition, EngineError, FiberExhausted,
-                    InvalidInstance, ParseError, forces, in_stage,
-                    iter_conditions, swap_kernel, swap_step,
+                    FiberPermutation, InvalidInstance, ParseError, forces,
+                    in_stage, is_hs, iter_conditions, swap_kernel, swap_step,
                     symmetry_lemma_check, wisc_kernel)
-from symext import cli, forcing, kernels
+from symext import cli, forcing, instances, kernels, symmetry
 from symext.cli import (InstanceSpec, default_formula_pool, main,
                         parse_instance_spec, run_checks, _context, _gen_oracle,
                         _gen_swap, _gen_symmetry, _gen_wisc)
@@ -362,6 +362,7 @@ class TestDeterminism:
             return {"k": unit}, True, None
 
         monkeypatch.setitem(cli.SUITES, "fake", (lambda ctx: [0, 1, 2, 3], run_unit))
+        monkeypatch.setattr(cli, "FLAT_SUITES", cli.FLAT_SUITES + ("fake",))
         assert run_checks(parse_instance_spec(REFERENCE), "fake", out=out) == 0
         assert seen == [0, 1, 2, 3]
         assert [json.loads(l)["params"] for l in out.getvalue().splitlines()] == [
@@ -376,6 +377,7 @@ class TestDeterminism:
             return {"k": unit}, True, None
 
         monkeypatch.setitem(cli.SUITES, "fake", (lambda ctx: [0, 1, 2, 3], run_unit))
+        monkeypatch.setattr(cli, "FLAT_SUITES", cli.FLAT_SUITES + ("fake",))
         with pytest.raises(FiberExhausted):
             run_checks(parse_instance_spec(REFERENCE), "fake", out=out)
         assert len(out.getvalue().splitlines()) == 2
@@ -419,6 +421,26 @@ class TestMain:
         path = tmp_path / "bad.json"
         path.write_text('{"poset": {"elements": ["a"], "leq": []}, "n": 1, "v": 1, "c": 1}')
         assert main(["--spec", str(path)]) == 2
+
+    @pytest.mark.parametrize("width", [11, 200])
+    def test_wide_poset_rejected_before_its_order_is_closed(self, width, monkeypatch,
+                                                            tmp_path, capsys):
+        # closing a wide chain's order costs time quadratic in its
+        # relation, so the site cap must be read before Poset builds it
+        def refuse(*args):
+            raise AssertionError("closed the order of an oversized poset")
+
+        monkeypatch.setattr(cli.Poset, "from_pairs", refuse)
+        elements = [f"e{i}" for i in range(width)]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "poset": {"elements": elements, "leq": list(map(list, zip(elements,
+                                                                      elements[1:])))},
+            "n": 2, "v": 1, "c": 1}))
+        assert main(["--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"capped at {instances.MAX_SITES} sites" in captured.err
 
     @pytest.mark.parametrize("text", MALFORMED)
     def test_malformed_spec_exits_2_without_traceback(self, text, tmp_path, capsys):
@@ -496,6 +518,52 @@ class TestStagedNamePool:
             pool = ctx["wisc_pool"][base]
             assert ctx["wisc_pool"][base] is pool
             assert pool and all(in_stage(nm, base) for _, nm in pool)
+
+
+@pytest.mark.parametrize("text", [REFERENCE, STAGED], ids=["flat", "staged"])
+def test_parsing_checks_no_symmetry(text, monkeypatch):
+    # the hs suite is the one check that the canonical family is
+    # hereditarily symmetric
+    def refuse(*args):
+        raise AssertionError("parsing ran is_hs")
+
+    for module in (symmetry, instances, cli):
+        monkeypatch.setattr(module, "is_hs", refuse, raising=False)
+    cli._objects.cache_clear()
+    try:
+        assert parse_instance_spec(text).kind in ("flat", "staged")
+    finally:
+        cli._objects.cache_clear()
+
+
+# flat specs with 1-3 sites, 2-3 fibers and 1-2 slots, and staged specs
+# with stages drawn from [3, 4, 5]; the support cutoff is 1 or 2, capped
+# where the instance validator would reject it
+_SMALL_FLAT = st.builds(
+    lambda k, pairs, n, v, c: {
+        "poset": {"elements": list("abc"[:k]),
+                  "leq": [list(pair) for pair in pairs if pair[1] in "abc"[:k]]},
+        "n": n, "v": v, "c": min(c, k * (n - 1) - 1)},
+    st.integers(1, 3), st.lists(st.sampled_from([("a", "b"), ("a", "c"), ("b", "c")]),
+                                unique=True),
+    st.integers(2, 3), st.integers(1, 2), st.integers(1, 2),
+).filter(lambda raw: raw["c"] >= 1)
+_SMALL_STAGED = st.builds(
+    lambda stages, c: {"stages": stages, "c": min(c, stages[0] - 2)},
+    st.lists(st.integers(3, 5), min_size=1, max_size=3, unique=True).map(sorted),
+    st.integers(1, 2))
+
+
+@settings(max_examples=50, deadline=None)
+@given(raw=_SMALL_FLAT | _SMALL_STAGED)
+def test_accepted_small_specs_have_a_hereditarily_symmetric_family(raw):
+    # every canonical name of an accepted spec is hereditarily
+    # symmetric, and the hs suite passes each one; parsing checks neither
+    spec = parse_instance_spec(json.dumps(raw))
+    code, lines = run(spec.text, "hs")
+    assert code == 0 and lines
+    inst, family = cli._objects(spec.text)
+    assert all(is_hs(inst, nm) for _, nm in family.members())
 
 
 class TestRunContext:
@@ -653,7 +721,7 @@ class TestHoistedPath:
             assert line["verdict"] == ("pass" if report.equal else "fail")
             assert line["params"] == {
                 "permutation": [[list(x) for x in c] for c in perm.cycles()],
-                "condition": kernels._cond_obj(p), "formula": label}
+                "condition": p.to_obj(), "formula": label}
 
     def test_oracle_lines_match_the_one_shot_check(self):
         spec = parse_instance_spec((SPECS / "reference.json").read_text())
@@ -666,7 +734,7 @@ class TestHoistedPath:
             label, phi = ctx["pool"][fi]
             ok = forces(p, phi, "recursive") == forces(p, phi, "semantic")
             assert line["verdict"] == ("pass" if ok else "fail")
-            assert line["params"] == {"condition": kernels._cond_obj(p),
+            assert line["params"] == {"condition": p.to_obj(),
                                       "formula": label}
 
     def test_failing_symmetry_lines_match_the_one_shot_check(self, monkeypatch):
@@ -713,7 +781,7 @@ class TestHoistedPath:
             assert fibers == (a, report.chosen["partner"])
             assert line["verdict"] == ("pass" if report.verdict else "fail")
             assert line["params"] == {
-                "condition": kernels._cond_obj(q),
+                "condition": q.to_obj(),
                 "support": sorted(map(list, support)),
                 "site": z, "fiber": a, "partner": report.chosen["partner"]}
 
@@ -768,7 +836,7 @@ class TestHoistedPath:
                                      "second_fiber": step.mate}
             assert line["params"] == {
                 "base_stage": base, "swap_stage": swap, "name": label,
-                "condition": kernels._cond_obj(q),
+                "condition": q.to_obj(),
                 "support": sorted(map(list, support))}
 
     def test_failing_wisc_witness_matches_the_one_shot_kernel(self, monkeypatch):
@@ -810,6 +878,29 @@ class TestEncoding:
         code, lines = run_text(STAGED, "wisc", {"max_dom": 0})
         assert code == 1 and all('"witness": ' in line for line in lines)
         self.assert_canonical(lines)
+
+    def test_witnesses_encode_like_params(self, monkeypatch):
+        # a failing line writes its conditions and permutations in the
+        # form params uses, and each reads back to the object it encodes
+        _blind_semantic_mode(monkeypatch)
+        inst = cli._objects(parse_instance_spec(REFERENCE).text)[0]
+        code, lines = run(REFERENCE, "symmetry-lemma", overrides={"max_dom": 1})
+        failing = [line for line in lines if line["verdict"] == "fail"]
+        assert code == 1 and failing
+        for line in failing:
+            params, witness = line["params"], line["witness"]
+            assert witness["condition"] == params["condition"]
+            pi = FiberPermutation.from_cycles(inst, params["permutation"])
+            p = Condition(inst, [(cell[:3], cell[3]) for cell in params["condition"]])
+            assert witness["relabeled"] == symmetry.act_condition(pi, p).to_obj()
+
+        monkeypatch.setattr(symmetry, "in_fix", lambda pi, support: False)
+        code, lines = run(REFERENCE, "normality")
+        failing = [line for line in lines if line["verdict"] == "fail"]
+        assert code == 1 and failing
+        for line in failing:
+            cycles = line["witness"]["witness"]
+            assert FiberPermutation.from_cycles(inst, cycles).to_obj() == cycles
 
     @pytest.mark.parametrize("suite", ["nonsense", "wisc"])
     def test_unknown_and_inapplicable_suite_lines(self, suite):

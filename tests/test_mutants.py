@@ -1,6 +1,7 @@
 """Seeded defects in the engine functions that decide a name's support and
-its stage, that force, and that choose a swap's fibers.  Each row patches
-one function (and the CLI's reference to it, where the CLI imports it)
+its stage, that force, that choose a swap's fibers, and that relabel a
+condition.  Each row patches one function (and every engine module's
+reference to it, where one imports it by name)
 and runs one CLI suite on a shipped spec, with the row's option
 overrides; the defect must fail the lines the row names.  The
 instance and its store memos are kept per spec text (cli._objects), so
@@ -19,6 +20,8 @@ from symext import (build_staged_instance, chain_family, fix_generators,
                     in_stage, infer_min_support, name_stage)
 from symext import act_name, cli, forcing, instances, kernels, symmetry
 from symext.cli import parse_instance_spec, run_checks
+
+from test_kernels import _drop_a_moved_cell
 
 SPECS = Path(__file__).parent.parent / "specs"
 
@@ -65,6 +68,9 @@ def _swap_fibers_ignores_occupied(inst, support, site, fiber, occupied):
 _FREE_MATE = [(kernels, "swap_fibers", _swap_fibers_ignores_occupied),
               (cli, "swap_fibers", _swap_fibers_ignores_occupied)]
 
+_DROPPED_CELL = [(module, "act_condition", _drop_a_moved_cell)
+                 for module in (symmetry, forcing, kernels, cli)]
+
 # (row id, [(module, function name, replacement)], spec file, suite,
 #  option overrides, failing lines, total lines), as measured with the
 #  defect in place
@@ -92,6 +98,16 @@ MUTANTS = [
     # at max_dom 1 no condition touches a fiber the mate could take
     ("swap-fibers-ignore-occupied", _FREE_MATE,
      "reference.json", "swap", {"max_dom": 2}, 48, 1548),
+    # parsing does not check the canonical family, so the hs suite is
+    # where a broken action shows on it
+    ("act-drops-a-moved-cell", _DROPPED_CELL,
+     "reference.json", "hs", None, 4, 15),
+    ("act-drops-a-moved-cell", _DROPPED_CELL,
+     "staged.json", "hs", None, 3, 10),
+    ("act-drops-a-moved-cell", _DROPPED_CELL,
+     "reference.json", "symmetry-lemma", {"max_dom": 1}, 227, 1428),
+    ("act-drops-a-moved-cell", _DROPPED_CELL,
+     "reference.json", "swap", {"max_dom": 1}, 156, 156),
 ]
 
 
@@ -109,6 +125,18 @@ def test_seeded_defect_fails_its_suite(patches, spec_file, suite, overrides, fai
     verdicts = [json.loads(line)["verdict"] for line in out.getvalue().splitlines()]
     assert code == 1
     assert (verdicts.count("fail"), len(verdicts)) == (failing, total)
+
+
+def test_on_the_staged_spec_only_hs_catches_a_dropped_moved_cell(monkeypatch,
+                                                               fresh_instance):
+    for module, attr, replacement in _DROPPED_CELL:
+        monkeypatch.setattr(module, attr, replacement)
+    spec = parse_instance_spec((SPECS / "staged.json").read_text())
+    out = io.StringIO()
+    assert run_checks(spec, "all", overrides={"max_dom": 1}, out=out) == 1
+    lines = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert {line["suite"] for line in lines} == {"hs", "normality", "wisc", "chains"}
+    assert [line["suite"] for line in lines if line["verdict"] == "fail"] == ["hs"] * 3
 
 
 def _stage_local_min_supports(inst, x, stage):
