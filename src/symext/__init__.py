@@ -5,8 +5,7 @@ from .core import (Compat, Condition, GenericFilter, Instance, Poset,
 from .errors import (EngineError, FiberExhausted, InvalidInstance,
                      MismatchedInstance, ParseError, StageViolation)
 from .forcing import (And, Eq, Mem, Not, act_formula, forces, forcing_vector,
-                      format_formula, formula_names, parse_formula,
-                      symmetry_lemma_check)
+                      formula_names, parse_formula, symmetry_lemma_check)
 from .instances import (build_instance, build_staged_instance, canonical_family,
                         chain_family, downset_embedding, in_stage,
                         least_value_name, name_stage, random_poset, region_name,

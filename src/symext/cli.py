@@ -14,8 +14,9 @@ Optional keys: "max_dom", "max_support", "seed", "suites" (default
 selection for --suite all), and on a flat spec only "posets" (sampled
 posets for the embedding suite) and "formulas" (prefix-syntax strings
 replacing the default pool).  Unknown keys are rejected, as are an empty
-"suites" or "formulas" list and a string poset element that cannot be
-written in a name term.  Either pool is
+"suites" or "formulas" list, a string poset element that cannot be
+written in a name term, and an instance of more than instances.MAX_CELLS
+cells.  Either pool is
 text read by forcing.parse_formula, so a formula's label is its text.
 
 Each check unit emits one JSON object per line with the fields suite,
@@ -28,15 +29,15 @@ its unit finishes, so its memory does not grow with the unit count.
 An engine error in the middle of a suite leaves that suite's earlier
 lines on stdout; the exit status is still 2.
 
-A run reads everything from one context (see _context), with two
-lifetimes.  The instance and its canonical family live per spec text:
-the run reuses the ones parse_instance_spec built.  Parsing does not
-check that the family is hereditarily symmetric; the hs suite does, one
-line per name.  Every other field lives for one run_checks call and is
-built on its first read, so a suite that never reads the conditions,
-permutations or supports never enumerates them; only the formula pool is
-built eagerly, since a bad formula is a spec error and must stop the run
-before its first line.
+parse_instance_spec builds, once, everything a run reads from the spec:
+the instance and its canonical family, the options with their defaults,
+the suite selection and, on a flat spec, the formula pool, so a formula
+that does not resolve is a spec error.  It does not check that the
+family is hereditarily symmetric; the hs suite does, one line per name.
+Each run_checks call reads the spec through a fresh context (see
+_context), whose every other field lives for that run only and is built
+on its first read, so a suite that never reads the conditions,
+permutations or supports never enumerates them.
 
 The work a suite's units share is done once per index, not once per
 unit: the JSON text of each condition, support, permutation and label,
@@ -72,12 +73,13 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import GenericFilter, Poset, iter_conditions
+from .core import GenericFilter, Instance, Poset, iter_conditions
 from .errors import EngineError, ParseError
 from .forcing import (act_formula, check_size, forcing_vector, parse_formula,
                       symmetry_lemma_check)
-from .instances import (MAX_SITES, build_instance, build_staged_instance,
-                        chain_family, downset_embedding, in_stage, random_poset)
+from .instances import (MAX_CELLS, MAX_SITES, NameFamily, build_instance,
+                        build_staged_instance, chain_family, downset_embedding,
+                        in_stage, random_poset)
 from .kernels import _step_on, _support_obj, swap_fibers, swap_kernel, wisc_kernel
 from .names import check_name, interpret, ordinal, pair_name, set_name
 from .symmetry import (act_condition, assemble_sequence, conjugation_check,
@@ -103,11 +105,15 @@ ALL_SUITES = ("symmetry-lemma", "forcing-oracle", "swap", "hs", "normality",
               "wisc", "embedding", "chains")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InstanceSpec:
+    """A parsed spec: everything a run reads from it, built once."""
     kind: str            # "flat" | "staged"
-    text: str            # canonical JSON of the raw spec
-    raw: dict
+    inst: Instance
+    family: NameFamily   # the canonical names, unchecked (the hs suite checks them)
+    options: dict        # each of _INT_OPTIONS, its default filled in
+    suites: tuple        # the selection --suite all runs
+    pool: list           # (label, formula) pairs; empty on a staged spec
 
 
 def _is_int(value) -> bool:
@@ -143,9 +149,35 @@ def _check_poset(poset) -> None:
         raise ParseError("poset 'leq' must be a list of [element, element] pairs")
 
 
+def _check_options(options: dict) -> dict:
+    """The options that are set (None leaves one unset), each a known key
+    and an integer; a bound or sample count must not be negative, since
+    the suites reading it would silently run no units."""
+    options = {key: value for key, value in options.items() if value is not None}
+    for key, value in options.items():
+        if key not in _INT_OPTIONS:
+            raise ParseError(f"unknown option {key!r}")
+        if not _is_int(value):
+            raise ParseError(f"option {key!r} must be an integer")
+        if key != "seed" and value < 0:
+            raise ParseError(f"{key!r} must be non-negative, got {value}")
+    return options
+
+
+def _check_cells(raw: dict) -> None:
+    """The cell cap, read off the spec's counts before anything is built."""
+    if "stages" in raw:
+        cells = sum(max(s, 0) ** 2 for s in raw["stages"])
+    else:
+        cells = len(raw["poset"].get("elements", [])) * max(raw["n"], 0) * max(raw["v"], 0)
+    if cells > MAX_CELLS:
+        raise ParseError(f"spec has {cells} cells; instances are capped at {MAX_CELLS} "
+                         "cells (stages [3, 127] parse in about 0.4 s and 34 MB)")
+
+
 def parse_instance_spec(text: str) -> InstanceSpec:
-    """Parse and validate a spec; building the instance and its family
-    runs the full validator, but checks no symmetry (the hs suite does)."""
+    """Parse and validate a spec, then build what every run reads (see
+    InstanceSpec); the instance validator runs, but no symmetry check."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -171,39 +203,31 @@ def parse_instance_spec(text: str) -> InstanceSpec:
                 or not all(_is_int(s) for s in raw["stages"])):
             raise ParseError("'stages' must be a list of integers")
         required = ["c"]
-    optional = [k for k in _INT_OPTIONS if raw.get(k) is not None]
-    for key in required + optional:
+    for key in required:
         if not _is_int(raw.get(key)):
             raise ParseError(f"spec field {key!r} must be an integer")
-    _check_counts(raw)
+    options = _check_options({key: raw[key] for key in _INT_OPTIONS if key in raw})
     for key in ("suites", "formulas"):
         if raw.get(key) is not None and not _is_str_list(raw[key]):
             raise ParseError(f"{key!r} must be a list of strings")
         if raw.get(key) == []:
             raise ParseError(f"{key!r} must not be an empty list")
-    spec = InstanceSpec(kind, json.dumps(raw, sort_keys=True), raw)
-    _objects(spec.text)  # run the instance validator now
-    return spec
-
-
-def _check_counts(options: dict) -> None:
-    """Reject a negative bound or sample count, on which the suites
-    reading it would silently run no units."""
-    for key in ("max_dom", "max_support", "posets"):
-        if options.get(key) is not None and options[key] < 0:
-            raise ParseError(f"{key!r} must be non-negative, got {options[key]}")
-
-
-@functools.lru_cache(maxsize=1)
-def _objects(spec_text: str):
-    """The (instance, canonical family) of a spec's canonical text; one
-    entry, so the previous spec's instance is freed with the next build."""
-    raw = json.loads(spec_text)
-    if "stages" in raw:
-        return build_staged_instance(raw["stages"], raw["c"])
-    poset = Poset.from_pairs(raw["poset"].get("elements", ()),
-                             [tuple(p) for p in raw["poset"].get("leq", ())])
-    return build_instance(poset, raw["n"], raw["v"], raw["c"], raw.get("d"))
+    _check_cells(raw)
+    if kind == "flat":
+        poset = Poset.from_pairs(raw["poset"].get("elements", ()),
+                                 [tuple(p) for p in raw["poset"].get("leq", ())])
+        inst, family = build_instance(poset, raw["n"], raw["v"], raw["c"], raw.get("d"))
+        formulas = raw.get("formulas")
+        pool = ([(label, _parse(family, label)) for label in formulas]
+                if formulas else default_formula_pool(family))
+    else:
+        inst, family = build_staged_instance(raw["stages"], raw["c"])
+        pool = []
+    options = {"max_dom": 2, "max_support": inst.support_cutoff, "seed": 0,
+               "posets": 0, **options}
+    suites = tuple(raw.get("suites") or (FLAT_SUITES if kind == "flat"
+                                         else STAGED_SUITES))
+    return InstanceSpec(kind, inst, family, options, suites, pool)
 
 
 # ------------------------------------------------------------------
@@ -251,16 +275,15 @@ def _resolve_name(family, node):
     raise ParseError(f"unknown name term {node!r}")
 
 
-def _parse(ctx, text):
-    """A formula of the pool, its name terms resolved in ctx's family."""
-    return parse_formula(text, functools.partial(_resolve_name, ctx["family"]))
+def _parse(family, text):
+    """A formula of the pool, its name terms resolved in the family."""
+    return parse_formula(text, functools.partial(_resolve_name, family))
 
 
-def default_formula_pool(ctx) -> list:
+def default_formula_pool(family) -> list:
     """A deterministic pool of formulas, each read from its label: atomic
     equalities and memberships over the canonical and ordinal names, one
-    negation layer and one conjunction layer; ctx needs only "family"."""
-    family = ctx["family"]
+    negation layer and one conjunction layer."""
     r = [f"row:{z}:{a}" for z, a in sorted(family.rows)][:4]
     sites = [f"site:{z}" for z in sorted(family.sites)][:2]
     o = [f"ord:{k}" for k in range(3)]
@@ -273,7 +296,7 @@ def default_formula_pool(ctx) -> list:
         (o[1], o[2]))]
     texts = (atoms + [f"(not {a})" for a in atoms[:3]]
              + [f"(and {a} {b})" for a, b in zip(atoms[0::2], atoms[1::2])][:3])
-    return [(text, _parse(ctx, text)) for text in texts]
+    return [(text, _parse(family, text)) for text in texts]
 
 
 # ------------------------------------------------------------------
@@ -294,31 +317,14 @@ class _Table(dict):
         return value
 
 
-def _context(spec_text: str, overrides_text: str) -> _Table:
-    """A fresh context for one run: the instance (see _objects), the
-    options and the formula pool, and the fields of _FIELDS, each built on
-    its first lookup, so nothing a suite computes leaks into another run
-    of the same spec."""
-    raw = json.loads(spec_text)
-    overrides = json.loads(overrides_text)
-    inst, family = _objects(spec_text)
-
-    def opt(name, default):
-        for source in (overrides, raw):
-            if source.get(name) is not None:
-                return source[name]
-        return default
-
+def _context(spec: InstanceSpec, overrides: dict) -> _Table:
+    """A fresh context for one run: the spec's instance, family, formula
+    pool and options, overrides replacing options, and the fields of
+    _FIELDS, each built on its first lookup, so nothing a suite computes
+    leaks into another run of the same spec."""
     ctx = _Table(lambda field: _FIELDS[field](ctx))
-    ctx.update(kind="staged" if "stages" in raw else "flat", inst=inst,
-               family=family, max_dom=opt("max_dom", 2),
-               max_support=opt("max_support", inst.support_cutoff),
-               seed=opt("seed", 0), posets=opt("posets", 0))
-    if ctx["kind"] == "flat":
-        # eager: a bad formula is a spec error, reported before any line
-        formulas = opt("formulas", None)
-        ctx["pool"] = ([(text, _parse(ctx, text)) for text in formulas]
-                       if formulas else default_formula_pool(ctx))
+    ctx.update(spec.options, inst=spec.inst, family=spec.family, pool=spec.pool)
+    ctx.update(_check_options(overrides))
     return ctx
 
 
@@ -671,13 +677,9 @@ def run_checks(spec: InstanceSpec, suite: str = "all", jobs: int = 1,
     if jobs != 1:
         raise ValueError(f"jobs must be 1 (runs are serial), got {jobs!r}")
     out = out or sys.stdout
-    _check_counts(overrides or {})
+    ctx = _context(spec, overrides or {})
     own = FLAT_SUITES if spec.kind == "flat" else STAGED_SUITES
-    if suite == "all":
-        suites = tuple(spec.raw.get("suites") or own)
-    else:
-        suites = (suite,)
-    ctx = _context(spec.text, json.dumps(overrides or {}, sort_keys=True))
+    suites = spec.suites if suite == "all" else (suite,)
     if spec.kind == "flat" and {"forcing-oracle", "symmetry-lemma"} & set(suites):
         # both suites run both forcing modes: reject before any output
         check_size(ctx["inst"], "recursive", "semantic")

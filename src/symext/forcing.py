@@ -488,13 +488,3 @@ def parse_formula(text: str, resolve) -> Formula:
 
     return build(tree)
 
-
-def format_formula(phi: Formula, label) -> str:
-    """Render back to the prefix syntax; `label` maps a Name to a token."""
-    if isinstance(phi, Eq):
-        return f"(eq {label(phi.left)} {label(phi.right)})"
-    if isinstance(phi, Mem):
-        return f"(mem {label(phi.left)} {label(phi.right)})"
-    if isinstance(phi, Not):
-        return f"(not {format_formula(phi.body, label)})"
-    return f"(and {format_formula(phi.left, label)} {format_formula(phi.right, label)})"

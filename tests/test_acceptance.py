@@ -18,7 +18,7 @@ from symext import (Condition, FiberExhausted, GenericFilter, Poset,
                     hf, infer_min_support, interpret, is_hs, iter_conditions,
                     make_name, min_onto_check, ordinal, pair_name, random_poset,
                     swap_kernel, wisc_kernel)
-from symext.cli import _context, default_formula_pool
+from symext.cli import parse_instance_spec
 from symext.forcing import Eq, Mem
 from symext.names import EMPTY_NAME
 
@@ -32,15 +32,15 @@ def report(num, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def ref_ctx():
-    return _context(REF_SPEC.replace(" ", ""), "{}")
+def ref_spec():
+    return parse_instance_spec(REF_SPEC)
 
 
-def test_criterion_1_forcing_oracle_equivalence(ref_ctx):
+def test_criterion_1_forcing_oracle_equivalence(ref_spec):
     """Recursive and semantic forcing agree on every condition with domain
     size at most 2 against a fixed pool of >= 20 formulas, within 60 s."""
-    inst = ref_ctx["inst"]
-    pool = default_formula_pool(ref_ctx)
+    inst = ref_spec.inst
+    pool = ref_spec.pool
     conditions = list(iter_conditions(inst, 2))
     assert len(pool) >= 20 and len(conditions) == 129
     start = time.monotonic()
@@ -55,11 +55,11 @@ def test_criterion_1_forcing_oracle_equivalence(ref_ctx):
                   f"{len(mismatches)} mismatches, {elapsed:.1f}s")
 
 
-def test_criterion_2_symmetry_lemma_suite(ref_ctx):
+def test_criterion_2_symmetry_lemma_suite(ref_spec):
     """Forcing is equivariant under every permutation in the generator
     closure of word length <= 3, in both modes, over the same ranges."""
-    inst = ref_ctx["inst"]
-    pool = default_formula_pool(ref_ctx)
+    inst = ref_spec.inst
+    pool = ref_spec.pool
     conditions = list(iter_conditions(inst, 2))
     perms = generator_closure(fix_generators(inst, ()), 3)
     assert len(perms) == 4
@@ -78,11 +78,11 @@ def test_criterion_2_symmetry_lemma_suite(ref_ctx):
     report(2, bad == 0, f"{total} permutation/condition/formula units, {bad} unequal")
 
 
-def test_criterion_3_canonical_name_algebra(ref_ctx):
+def test_criterion_3_canonical_name_algebra(ref_spec):
     """Generators relabel row names by the moved pair, fix site names, and
     fix every check name of rank <= 2."""
-    inst = ref_ctx["inst"]
-    family = ref_ctx["family"]
+    inst = ref_spec.inst
+    family = ref_spec.family
     gens = fix_generators(inst, ())
     rank01 = [hf(), hf([hf()])]
     rank2 = sorted({hf(combo) for k in range(3)
@@ -135,12 +135,12 @@ def test_criterion_4_swap_kernel_exhaustive():
                   f"({boundary} at the fiber boundary), {elapsed:.1f}s")
 
 
-def test_criterion_5_support_facts(ref_ctx):
+def test_criterion_5_support_facts(ref_spec):
     """Least supports: each row name is supported by exactly its own pair,
     each site name by the empty set; the 3-fiber pair-name counterexample
     has no support within cutoff 1."""
-    inst = ref_ctx["inst"]
-    family = ref_ctx["family"]
+    inst = ref_spec.inst
+    family = ref_spec.family
     for (z, a), row in family.rows.items():
         assert infer_min_support(inst, row) == frozenset({(z, a)})
     for z, site in family.sites.items():
@@ -152,13 +152,13 @@ def test_criterion_5_support_facts(ref_ctx):
                     "pair-name counterexample has none")
 
 
-def test_criterion_6_filter_laws(ref_ctx):
+def test_criterion_6_filter_laws(ref_spec):
     """Conjugation carries stabilizers to stabilizers for every word of
     length <= 3 and every support within cutoff; the bundled-sequence
     verdict coincides with the hereditary-symmetry search on every
     collection of <= 3 canonical names."""
-    inst = ref_ctx["inst"]
-    family = ref_ctx["family"]
+    inst = ref_spec.inst
+    family = ref_spec.family
     perms = generator_closure(fix_generators(inst, ()), 3)
     supports = [frozenset()] + [frozenset({p}) for p in inst.pairs]
     conj_units = 0
@@ -194,15 +194,15 @@ def test_criterion_7_embedding_law():
     report(7, True, f"100 posets, {pairs_checked} pairs compared")
 
 
-def test_criterion_8_region_monotonicity_and_chains(ref_ctx):
+def test_criterion_8_region_monotonicity_and_chains(ref_spec):
     """Reference scale: region names are monotone under every generic
     filter, exhaustively.  Staged 3-stage chain: entry sets shrink
     strictly; interpretations are nested for every filter, which follows
     from entry inclusion plus the interpretation-monotonicity lemma
     (itself checked exhaustively at reference scale) and is additionally
     spot-checked on 512 seeded filters."""
-    inst = ref_ctx["inst"]
-    family = ref_ctx["family"]
+    inst = ref_spec.inst
+    family = ref_spec.family
     filters = list(generic_filters(inst))
     units = 0
     for q_set, t_set in itertools.product(family.regions, repeat=2):
@@ -288,11 +288,11 @@ def test_criterion_9_stage_locality():
                     f"fixed; {runs} wisc kernel runs pass")
 
 
-def test_criterion_10_min_onto_density(ref_ctx):
+def test_criterion_10_min_onto_density(ref_spec):
     """Every (condition, slot) pair with a spare fiber yields an explicit
     forcing witness; failures happen exactly on the saturation boundary,
     matched against an independent enumeration, for both sites."""
-    inst = ref_ctx["inst"]
+    inst = ref_spec.inst
     total_witnessed = 0
     for site in inst.sites:
         rep = min_onto_check(inst, site)

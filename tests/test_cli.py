@@ -33,7 +33,8 @@ FLAT_FIELDS = '"poset": {"elements": ["a", "b"], "leq": []}, "n": 2, "v": 2'
 # lists (which would otherwise read as the defaults), flat-only keys
 # on a staged spec, a file that is not UTF-8, JSON nested past Python's
 # recursion limit, formulas nested past the bound on formula nesting,
-# and string sites that cannot be written in a name term
+# string sites that cannot be written in a name term, and instances
+# past the cell cap
 MALFORMED = [
     '{"poset": {"elements": ["a", 1], "leq": []}, "n": 2, "v": 2, "c": 1}',
     '{"poset": {"elements": ["a", "b"], "leq": [["a"]]}, "n": 2, "v": 2, "c": 1}',
@@ -80,18 +81,23 @@ MALFORMED = [
     '{"poset": {"elements": ["a b", "c"], "leq": []}, "n": 2, "v": 2, "c": 1}',
     '{"poset": {"elements": ["a(", "c"], "leq": []}, "n": 2, "v": 2, "c": 1}',
     '{"poset": {"elements": ["", "c"], "leq": []}, "n": 2, "v": 2, "c": 1}',
+    pytest.param('{"stages": [3, 800], "c": 1}', id="stages-3-800"),
+    pytest.param('{"poset": {"elements": ["a"], "leq": []}, "n": 20000, "v": 1, "c": 1}',
+                 id="one-site-20000-fibers"),
 ]
 
 
-def run_text(spec_text, suite, overrides=None):
+def run_text(spec, suite, overrides=None):
+    """Run a parsed spec, or the spec parsed from its text."""
+    if isinstance(spec, str):
+        spec = parse_instance_spec(spec)
     out = io.StringIO()
-    code = run_checks(parse_instance_spec(spec_text), suite, overrides=overrides,
-                      out=out)
+    code = run_checks(spec, suite, overrides=overrides, out=out)
     return code, out.getvalue().splitlines()
 
 
-def run(spec_text, suite, overrides=None):
-    code, lines = run_text(spec_text, suite, overrides)
+def run(spec, suite, overrides=None):
+    code, lines = run_text(spec, suite, overrides)
     return code, [json.loads(line) for line in lines]
 
 
@@ -135,6 +141,38 @@ class TestParse:
         spec = parse_instance_spec('{"poset": {"elements": [0, 1], "leq": [[0, 1]]}, '
                                    '"n": 2, "v": 2, "c": 1}')
         assert spec.kind == "flat"
+
+    def test_formula_that_does_not_resolve_is_a_parse_error(self):
+        # the pool is built at parse, so not even a run that reads no
+        # formula starts
+        with pytest.raises(ParseError, match="name term 'row:z:9'"):
+            parse_instance_spec('{%s, "c": 1, "suites": ["hs"], '
+                                '"formulas": ["(eq ord:0 row:z:9)"]}' % FLAT_FIELDS)
+
+    def test_options_resolved_at_parse(self):
+        # a JSON null is the default
+        spec = parse_instance_spec('{"stages": [3, 4], "c": 1, "max_dom": 1, '
+                                   '"seed": null}')
+        assert spec.options == {"max_dom": 1, "max_support": 1, "seed": 0, "posets": 0}
+        assert spec.suites == cli.STAGED_SUITES and spec.pool == []
+        spec = parse_instance_spec(REFERENCE)
+        assert spec.options == {"max_dom": 2, "max_support": 1, "seed": 0, "posets": 0}
+        assert spec.suites == cli.FLAT_SUITES
+        assert [label for label, _ in spec.pool] == [
+            label for label, _ in default_formula_pool(spec.family)]
+
+    def test_cell_cap_read_before_any_instance_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built an instance past the cell cap")
+
+        monkeypatch.setattr(cli, "build_staged_instance", refuse)
+        with pytest.raises(ParseError, match=f"spec has 640009 cells; instances are "
+                                             f"capped at {instances.MAX_CELLS} cells"):
+            parse_instance_spec('{"stages": [3, 800], "c": 1}')
+
+    def test_stages_under_the_cell_cap_parse(self):
+        spec = parse_instance_spec('{"stages": [3, 127], "c": 1}')
+        assert len(spec.inst.cells) == 9 + 127 ** 2 <= instances.MAX_CELLS
 
     def test_wrong_types(self):
         with pytest.raises(ParseError):
@@ -218,7 +256,7 @@ def test_every_label_of_an_accepted_spec_parses(elements):
             "poset": {"elements": elements, "leq": []}, "n": 2, "v": 1, "c": 1}))
     except ParseError:
         return
-    family = cli._objects(spec.text)[1]
+    family = spec.family
     for label, nm in family.members():
         assert forcing._TOKEN.findall(label) == [label]
         assert cli._resolve_name(family, label) is nm
@@ -236,8 +274,7 @@ class TestSuites:
     def test_swap_count_matches_independent_enumeration(self):
         code, lines = run(REFERENCE, "swap", overrides={"max_dom": 1})
         assert code == 0
-        ctx = _context(parse_instance_spec(REFERENCE).text,
-                       json.dumps({"max_dom": 1}, sort_keys=True))
+        ctx = _context(parse_instance_spec(REFERENCE), {"max_dom": 1})
         inst = ctx["inst"]
         supports = [frozenset()] + [frozenset({p}) for p in inst.pairs]
         expected = 0
@@ -482,6 +519,17 @@ class TestMain:
         assert captured.out == ""
         assert "usage:" in captured.err and "--jobs" in captured.err
 
+    @pytest.mark.parametrize("overrides", [
+        {"max_dom": "x"}, {"max_dom": 1.5}, {"max_dom": True}, {"maxdom": 1},
+        {"max_support": -1}])
+    def test_bad_overrides_are_parse_errors(self, overrides):
+        # overrides meet the one check that spec options meet
+        out = io.StringIO()
+        with pytest.raises(ParseError):
+            run_checks(parse_instance_spec((SPECS / "reference.json").read_text()),
+                       "all", overrides=overrides, out=out)
+        assert out.getvalue() == ""
+
     @pytest.mark.parametrize("flag", ["--max-dom", "--max-support"])
     def test_negative_bound_flags_rejected(self, flag, tmp_path, capsys):
         path = tmp_path / "ref.json"
@@ -502,8 +550,7 @@ class TestMain:
 
 class TestDefaultPool:
     def test_at_least_twenty_with_not_and_and(self):
-        ctx = _context(parse_instance_spec(REFERENCE).text, "{}")
-        pool = default_formula_pool(ctx)
+        pool = default_formula_pool(parse_instance_spec(REFERENCE).family)
         labels = [label for label, _ in pool]
         assert len(pool) >= 20
         assert any(l.startswith("(not") for l in labels)
@@ -513,7 +560,7 @@ class TestDefaultPool:
 class TestStagedNamePool:
     def test_built_once_per_base_stage(self):
         spec = parse_instance_spec((SPECS / "staged.json").read_text())
-        ctx = _context(spec.text, "{}")
+        ctx = _context(spec, {})
         for base in ctx["inst"].sites:
             pool = ctx["wisc_pool"][base]
             assert ctx["wisc_pool"][base] is pool
@@ -529,11 +576,7 @@ def test_parsing_checks_no_symmetry(text, monkeypatch):
 
     for module in (symmetry, instances, cli):
         monkeypatch.setattr(module, "is_hs", refuse, raising=False)
-    cli._objects.cache_clear()
-    try:
-        assert parse_instance_spec(text).kind in ("flat", "staged")
-    finally:
-        cli._objects.cache_clear()
+    assert parse_instance_spec(text).kind in ("flat", "staged")
 
 
 # flat specs with 1-3 sites, 2-3 fibers and 1-2 slots, and staged specs
@@ -560,16 +603,15 @@ def test_accepted_small_specs_have_a_hereditarily_symmetric_family(raw):
     # every canonical name of an accepted spec is hereditarily
     # symmetric, and the hs suite passes each one; parsing checks neither
     spec = parse_instance_spec(json.dumps(raw))
-    code, lines = run(spec.text, "hs")
+    code, lines = run(spec, "hs")
     assert code == 0 and lines
-    inst, family = cli._objects(spec.text)
-    assert all(is_hs(inst, nm) for _, nm in family.members())
+    assert all(is_hs(spec.inst, nm) for _, nm in spec.family.members())
 
 
 class TestRunContext:
     """A run's context builds each field the first time a suite reads
-    it, and keeps it for that run only; the instance alone is kept per
-    spec text."""
+    it, and keeps it for that run only; the instance, its family, the
+    options and the formula pool belong to the parsed spec."""
 
     def test_suites_that_read_no_conditions_build_none(self, monkeypatch):
         def refuse(*args):
@@ -602,12 +644,13 @@ class TestRunContext:
             return forcing.forcing_vector(conds, phi, mode)
 
         monkeypatch.setattr(cli, "forcing_vector", counted)
-        text = (SPECS / "reference.json").read_text()
+        spec = parse_instance_spec((SPECS / "reference.json").read_text())
         for runs in (1, 2):
-            assert run_text(text, "all", {"max_dom": 1})[0] == 0
+            assert run_text(spec, "all", {"max_dom": 1})[0] == 0
             assert len(built) == 80 and set(built.values()) == {runs}
 
-    def test_instance_built_once_per_spec_text(self, monkeypatch):
+    def test_instance_built_once_per_parse(self, monkeypatch):
+        # every run of a spec checks the instance its parse built
         calls, build = [], cli.build_staged_instance
 
         def counted(*args):
@@ -615,10 +658,17 @@ class TestRunContext:
             return build(*args)
 
         monkeypatch.setattr(cli, "build_staged_instance", counted)
-        cli._objects.cache_clear()
-        for _ in range(2):
-            assert run(STAGED, "hs")[0] == 0
+        spec = parse_instance_spec(STAGED)
+        for overrides in ({}, {"max_dom": 1}):
+            assert run(spec, "hs", overrides)[0] == 0
+            ctx = _context(spec, overrides)
+            assert ctx["inst"] is spec.inst and ctx["family"] is spec.family
         assert calls == [([3, 4], 1)]
+
+    def test_each_parse_builds_its_own_instance(self):
+        first, second = parse_instance_spec(STAGED), parse_instance_spec(STAGED)
+        assert first.inst == second.inst
+        assert first.inst is not second.inst and first.family is not second.family
 
 
 class TestPartnerRule:
@@ -627,7 +677,7 @@ class TestPartnerRule:
 
     def test_swap_units_are_the_kernel_inputs(self):
         spec = parse_instance_spec((SPECS / "reference.json").read_text())
-        ctx = _context(spec.text, json.dumps({"max_dom": 1}))
+        ctx = _context(spec, {"max_dom": 1})
         inst = ctx["inst"]
         found, inputs = set(), 0
         for qi, q in enumerate(ctx["conditions"]):
@@ -650,7 +700,7 @@ class TestPartnerRule:
     @pytest.mark.parametrize("max_dom, names", [(1, None), (2, 1)])
     def test_wisc_units_are_the_kernel_inputs(self, max_dom, names):
         spec = parse_instance_spec((SPECS / "staged.json").read_text())
-        ctx = _context(spec.text, json.dumps({"max_dom": max_dom}))
+        ctx = _context(spec, {"max_dom": max_dom})
         inst = ctx["inst"]
         found, inputs, pools = set(), 0, {}
         for base in inst.sites:
@@ -710,8 +760,8 @@ class TestHoistedPath:
 
     def test_symmetry_lines_match_the_one_shot_check(self):
         spec = parse_instance_spec((SPECS / "reference.json").read_text())
-        ctx = _context(spec.text, json.dumps({"max_dom": 1}))
-        code, lines = run(spec.text, "symmetry-lemma", overrides={"max_dom": 1})
+        ctx = _context(spec, {"max_dom": 1})
+        code, lines = run(spec, "symmetry-lemma", overrides={"max_dom": 1})
         units = list(_gen_symmetry(ctx))
         assert code == 0 and len(lines) == len(units) == 4 * 17 * 21
         for line, (pii, ci, fi) in zip(lines, units):
@@ -725,8 +775,8 @@ class TestHoistedPath:
 
     def test_oracle_lines_match_the_one_shot_check(self):
         spec = parse_instance_spec((SPECS / "reference.json").read_text())
-        ctx = _context(spec.text, json.dumps({"max_dom": 1}))
-        code, lines = run(spec.text, "forcing-oracle", overrides={"max_dom": 1})
+        ctx = _context(spec, {"max_dom": 1})
+        code, lines = run(spec, "forcing-oracle", overrides={"max_dom": 1})
         units = list(_gen_oracle(ctx))
         assert code == 0 and len(lines) == len(units) == 17 * 21
         for line, (ci, fi) in zip(lines, units):
@@ -740,8 +790,8 @@ class TestHoistedPath:
     def test_failing_symmetry_lines_match_the_one_shot_check(self, monkeypatch):
         _blind_semantic_mode(monkeypatch)
         spec = parse_instance_spec((SPECS / "reference.json").read_text())
-        ctx = _context(spec.text, json.dumps({"max_dom": 1}))
-        code, lines = run(spec.text, "symmetry-lemma", overrides={"max_dom": 1})
+        ctx = _context(spec, {"max_dom": 1})
+        code, lines = run(spec, "symmetry-lemma", overrides={"max_dom": 1})
         units = list(_gen_symmetry(ctx))
         assert code == 1 and len(lines) == len(units)
         separated = 0
@@ -757,8 +807,8 @@ class TestHoistedPath:
     def test_failing_oracle_lines_match_the_one_shot_check(self, monkeypatch):
         _blind_semantic_mode(monkeypatch)
         spec = parse_instance_spec((SPECS / "reference.json").read_text())
-        ctx = _context(spec.text, json.dumps({"max_dom": 1}))
-        code, lines = run(spec.text, "forcing-oracle", overrides={"max_dom": 1})
+        ctx = _context(spec, {"max_dom": 1})
+        code, lines = run(spec, "forcing-oracle", overrides={"max_dom": 1})
         units = list(_gen_oracle(ctx))
         assert code == 1 and len(lines) == len(units)
         for line, (ci, fi) in zip(lines, units):
@@ -771,8 +821,8 @@ class TestHoistedPath:
 
     def test_swap_lines_match_the_one_shot_kernel(self):
         spec = parse_instance_spec((SPECS / "reference.json").read_text())
-        ctx = _context(spec.text, json.dumps({"max_dom": 1}))
-        code, lines = run(spec.text, "swap", overrides={"max_dom": 1})
+        ctx = _context(spec, {"max_dom": 1})
+        code, lines = run(spec, "swap", overrides={"max_dom": 1})
         units = list(_gen_swap(ctx))
         assert code == 0 and len(lines) == len(units) > 0
         for line, (qi, si, z, a, fibers) in zip(lines, units):
@@ -790,8 +840,8 @@ class TestHoistedPath:
         monkeypatch.setattr(kernels, "_conflict", _conflict_everywhere)
         monkeypatch.setattr(kernels, "compatible", _fail_every_merge)
         spec = parse_instance_spec((SPECS / "reference.json").read_text())
-        ctx = _context(spec.text, json.dumps({"max_dom": 1}))
-        code, lines = run(spec.text, "swap", overrides={"max_dom": 1})
+        ctx = _context(spec, {"max_dom": 1})
+        code, lines = run(spec, "swap", overrides={"max_dom": 1})
         units = list(_gen_swap(ctx))
         assert code == 1 and len(lines) == len(units) > 0
         for line, (qi, si, z, a, _) in zip(lines, units):
@@ -813,8 +863,8 @@ class TestHoistedPath:
 
         monkeypatch.setattr(Condition, "touched_fibers", counted)
         spec = parse_instance_spec((SPECS / "reference.json").read_text())
-        code, lines = run(spec.text, "swap", overrides={"max_dom": 1})
-        ctx = _context(spec.text, json.dumps({"max_dom": 1}))
+        code, lines = run(spec, "swap", overrides={"max_dom": 1})
+        ctx = _context(spec, {"max_dom": 1})
         inst = ctx["inst"]
         assert code == 0 and len(lines) > len(found)
         assert set(found) == {(q, z) for q in ctx["conditions"] for z in inst.sites}
@@ -822,8 +872,8 @@ class TestHoistedPath:
 
     def test_wisc_lines_match_the_one_shot_kernel(self):
         spec = parse_instance_spec((SPECS / "staged.json").read_text())
-        ctx = _context(spec.text, json.dumps({"max_dom": 1}))
-        code, lines = run(spec.text, "wisc", overrides={"max_dom": 1})
+        ctx = _context(spec, {"max_dom": 1})
+        code, lines = run(spec, "wisc", overrides={"max_dom": 1})
         units = list(_gen_wisc(ctx))
         assert code == 0 and len(lines) == len(units) > 0
         for line, (base, swap, yi, qi, si, step) in zip(lines, units):
@@ -844,8 +894,8 @@ class TestHoistedPath:
         monkeypatch.setattr(kernels, "_conflict", _conflict_everywhere)
         monkeypatch.setattr(kernels, "compatible", _fail_every_merge)
         spec = parse_instance_spec((SPECS / "staged.json").read_text())
-        ctx = _context(spec.text, json.dumps({"max_dom": 1}))
-        code, lines = run(spec.text, "wisc", overrides={"max_dom": 1})
+        ctx = _context(spec, {"max_dom": 1})
+        code, lines = run(spec, "wisc", overrides={"max_dom": 1})
         assert code == 1 and lines
         for line, (base, swap, yi, qi, si, _) in zip(lines, _gen_wisc(ctx)):
             _, y = ctx["wisc_pool"][base][yi]
@@ -883,8 +933,9 @@ class TestEncoding:
         # a failing line writes its conditions and permutations in the
         # form params uses, and each reads back to the object it encodes
         _blind_semantic_mode(monkeypatch)
-        inst = cli._objects(parse_instance_spec(REFERENCE).text)[0]
-        code, lines = run(REFERENCE, "symmetry-lemma", overrides={"max_dom": 1})
+        spec = parse_instance_spec(REFERENCE)
+        inst = spec.inst
+        code, lines = run(spec, "symmetry-lemma", overrides={"max_dom": 1})
         failing = [line for line in lines if line["verdict"] == "fail"]
         assert code == 1 and failing
         for line in failing:
@@ -895,7 +946,7 @@ class TestEncoding:
             assert witness["relabeled"] == symmetry.act_condition(pi, p).to_obj()
 
         monkeypatch.setattr(symmetry, "in_fix", lambda pi, support: False)
-        code, lines = run(REFERENCE, "normality")
+        code, lines = run(spec, "normality")
         failing = [line for line in lines if line["verdict"] == "fail"]
         assert code == 1 and failing
         for line in failing:

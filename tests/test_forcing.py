@@ -7,7 +7,7 @@ from symext import (And, Condition, Eq, FiberPermutation, GenericFilter,
                     Instance, InvalidInstance, Mem, MismatchedInstance, Not,
                     ParseError, Poset, act_condition, act_formula,
                     build_instance, canonical_family, check_name, core,
-                    extends, forces, forcing_vector, format_formula, forcing,
+                    extends, forces, forcing_vector, forcing,
                     generic_filters, generator_closure, fix_generators,
                     iter_conditions, make_name, ordinal, pair_name,
                     parse_formula, row_name, set_name, site_name,
@@ -92,7 +92,7 @@ class TestModeAgreement:
 
     def test_semantic_matches_naive_oracle_reference(self, reference):
         inst, family = reference
-        pool = default_formula_pool({"inst": inst, "family": family})
+        pool = default_formula_pool(family)
         for p in iter_conditions(inst, 1):
             for _, phi in pool:
                 assert forces(p, phi, "semantic") == naive_forces(inst, p, phi)
@@ -178,11 +178,9 @@ class TestSyntax:
         inst, family = reference
         resolve = self.resolver(inst, family)
         text = "(and (mem ord:0 row:a:0) (not (eq row:a:0 row:a:1)))"
-        phi = parse_formula(text, resolve)
-        labels = {family.rows[("a", 0)]: "row:a:0",
-                  family.rows[("a", 1)]: "row:a:1",
-                  check_name(inst, ordinal(0)): "ord:0"}
-        assert format_formula(phi, lambda nm: labels[nm]) == text
+        row0, row1 = family.rows[("a", 0)], family.rows[("a", 1)]
+        assert parse_formula(text, resolve) == And(
+            Mem(check_name(inst, ordinal(0)), row0), Not(Eq(row0, row1)))
 
     def test_parse_errors(self, reference):
         inst, family = reference
@@ -214,7 +212,7 @@ class TestFilterSpace:
 
     def test_separating_filter_is_the_first_failing_filter(self, reference):
         inst, family = reference
-        pool = default_formula_pool({"inst": inst, "family": family})
+        pool = default_formula_pool(family)
         unforced = 0
         for p in iter_conditions(inst, 1):
             for _, phi in pool:
@@ -316,7 +314,7 @@ class TestPartitions:
 
         monkeypatch.setattr(core.GenericFilter, "__init__", no_filter)
         conds = list(iter_conditions(inst, 1))
-        for _, phi in default_formula_pool({"inst": inst, "family": family}):
+        for _, phi in default_formula_pool(family):
             forcing_vector(conds, phi, "semantic")
         assert inst.store.filter_space is not None
 
@@ -336,7 +334,7 @@ class TestForcingVector:
 
     def test_reference_pool_images_and_nesting(self, reference):
         inst, family = reference
-        pool = [phi for _, phi in default_formula_pool({"inst": inst, "family": family})]
+        pool = [phi for _, phi in default_formula_pool(family)]
         perms = generator_closure(fix_generators(inst, ()), 3)
         images = {act_formula(pi, phi) for pi in perms for phi in pool}
         nested = [Not(And(pool[0], Not(pool[6]))), And(Not(pool[1]), Not(Not(pool[7])))]
@@ -412,7 +410,7 @@ class TestRecursiveSpace:
         inst = build()
         family = canonical_family(inst)
         pool = small_pool(inst, family) + [
-            phi for _, phi in default_formula_pool({"inst": inst, "family": family})]
+            phi for _, phi in default_formula_pool(family)]
         memo = {}
         for p in iter_conditions(inst):
             for phi in pool:
@@ -438,8 +436,10 @@ class TestRecursiveSpace:
 class TestSpaceGuards:
     @pytest.mark.parametrize("build, match", [
         (lambda: Instance.staged((3, 4), 1), r"25 cells \(3\^25 codes\)"),
-        (lambda: Instance.flat(Poset.antichain(["a"]), 13, 1, 1), r"13 cells"),
-    ], ids=["staged-25", "flat-13"])
+        # one cell past the ceiling, wherever the ceiling is set
+        (lambda: Instance.flat(Poset.antichain(["a"]), forcing._SPACE_CELLS + 1, 1, 1),
+         rf"{forcing._SPACE_CELLS + 1} cells"),
+    ], ids=["staged-25", "flat-past-ceiling"])
     def test_large_instance_rejected_for_recursive_mode(self, build, match):
         with pytest.raises(InvalidInstance, match=match):
             _space(build())

@@ -3,11 +3,10 @@ its stage, that force, that choose a swap's fibers, and that relabel a
 condition.  Each row patches one function (and every engine module's
 reference to it, where one imports it by name)
 and runs one CLI suite on a shipped spec, with the row's option
-overrides; the defect must fail the lines the row names.  The
-instance and its store memos are kept per spec text (cli._objects), so
-each row starts from, and leaves behind, a fresh instance: memos built
-by the unpatched engine would otherwise hide the defect, and memos built
-by the patched one would leak into later tests."""
+overrides; the defect must fail the lines the row names.  The instance
+and its store memos belong to the parsed spec, and each row parses its
+spec with the defect in place, so no memo built by the unpatched engine
+hides the defect, and none built by the patched one outlives the row."""
 
 import io
 import itertools
@@ -24,13 +23,6 @@ from symext.cli import parse_instance_spec, run_checks
 from test_kernels import _drop_a_moved_cell
 
 SPECS = Path(__file__).parent.parent / "specs"
-
-
-@pytest.fixture
-def fresh_instance():
-    cli._objects.cache_clear()
-    yield
-    cli._objects.cache_clear()
 
 
 def _always_symmetric(inst, x, support):
@@ -116,7 +108,7 @@ MUTANTS = [
     [pytest.param(*row[1:], id=f"{row[0]}-{row[2].split('.')[0]}-{row[3]}")
      for row in MUTANTS])
 def test_seeded_defect_fails_its_suite(patches, spec_file, suite, overrides, failing,
-                                       total, monkeypatch, fresh_instance):
+                                       total, monkeypatch):
     for module, attr, replacement in patches:
         monkeypatch.setattr(module, attr, replacement)
     spec = parse_instance_spec((SPECS / spec_file).read_text())
@@ -127,8 +119,7 @@ def test_seeded_defect_fails_its_suite(patches, spec_file, suite, overrides, fai
     assert (verdicts.count("fail"), len(verdicts)) == (failing, total)
 
 
-def test_on_the_staged_spec_only_hs_catches_a_dropped_moved_cell(monkeypatch,
-                                                               fresh_instance):
+def test_on_the_staged_spec_only_hs_catches_a_dropped_moved_cell(monkeypatch):
     for module, attr, replacement in _DROPPED_CELL:
         monkeypatch.setattr(module, attr, replacement)
     spec = parse_instance_spec((SPECS / "staged.json").read_text())
