@@ -40,22 +40,25 @@ on its first read, so a suite that never reads the conditions,
 permutations or supports never enumerates them.
 
 The work a suite's units share is done once per index, not once per
-unit: the JSON text of each condition, support, permutation and label,
-the head of each wisc line per (base stage, swap stage, name), the
-image of each condition and formula under each permutation, and the
-forcing verdicts of each formula over all conditions as one bit vector
-per mode, from which the forcing-oracle and symmetry-lemma suites read a
-unit's verdict as one bit of a per-formula (or per-permutation-and-
-formula) fail mask; only a failing unit runs the one-shot check to build
-its witness.  A unit's elapsed time includes any shared table it is the
-first to need.  One generator (_admissible) enumerates the swap and wisc
-inputs: each (condition, support, target) on which kernels.swap_fibers
-finds the kernels' fibers, with those fibers, a condition's touched
-fibers found once per site.  A swap unit carries its fibers; the wisc
-suite builds each swap step once per (swap stage, condition, support),
-and each wisc unit carries its step.  Both kernels take the step through
-step=, so neither chooses the fibers again, and both keep their name
-checks per (transposition, name) in the instance's store.
+unit: the JSON text of each condition, support and label, the image of
+each condition and formula under each permutation, and the forcing
+verdicts of each formula over all conditions as one bit vector per
+mode.  A forcing-oracle or symmetry-lemma unit carries its params text,
+built from one prefix per condition (or per permutation and condition),
+and its verdict as one bit of a per-formula (or per-permutation-and-
+formula) fail mask; only a failing unit runs the one-shot check to
+build its witness.  The clock is read once per unit, so a unit's
+elapsed time runs from the end of the previous unit's run and includes
+its enumeration and any shared table it is the first to need.  One
+generator (_admissible) enumerates the swap and wisc inputs: each
+(condition, support, target) on which kernels.swap_fibers finds the
+kernels' fibers, with those fibers, a condition's touched fibers found
+once per site.  A swap unit carries its fibers; the wisc suite builds
+each swap step once per (swap stage, condition, support), and each wisc
+unit carries its params text and the kernel's arguments, its step among
+them.  Both kernels take the step through step=, so neither chooses the
+fibers again, and both keep their name checks per (transposition, name)
+in the instance's store.
 """
 
 from __future__ import annotations
@@ -69,8 +72,9 @@ import os
 import random
 import re
 import sys
-import time
 from dataclasses import dataclass
+from operator import itemgetter
+from time import monotonic_ns
 from typing import Optional
 
 from .core import GenericFilter, Instance, Poset, iter_conditions
@@ -339,23 +343,13 @@ def _per_key(build):
     return lambda ctx: _Table(lambda key: build(ctx, key))
 
 
-def _cond_images(ctx, pii):
-    where, perm = ctx["cond_index"], ctx["perms"][pii]
-    return [where[act_condition(perm, c)] for c in ctx["conditions"]]
-
-
-def _oracle_fail(ctx, fi):
-    phi, vector = ctx["pool"][fi][1], ctx["vector"]
-    return vector[phi, "recursive"] ^ vector[phi, "semantic"]
-
-
-def _lemma_fail(ctx, key):
-    # the verdict of symmetry_lemma_check, read off the vectors: the two
-    # sides differ in a mode, or the modes differ on the left side; a
-    # failing unit runs the check itself for its witness
-    pii, fi = key
-    vector, image = ctx["vector"], ctx["cond_images"][pii]
-    phi, image_phi = ctx["pool"][fi][1], ctx["formula_image"][key]
+def _lemma_fail(vector, perm, image, phi):
+    """The conditions where the symmetry lemma fails for the permutation
+    (image: the index of each condition's image under it) and formula,
+    read off the vectors: the two sides differ in a mode, or the modes
+    differ on the left side; a failing unit runs symmetry_lemma_check
+    itself for its witness."""
+    image_phi = act_formula(perm, phi)
     ls, lr = vector[phi, "semantic"], vector[phi, "recursive"]
     rs = _pull_back(vector[image_phi, "semantic"], image)
     rr = _pull_back(vector[image_phi, "recursive"], image)
@@ -396,13 +390,6 @@ def _wisc_steps(ctx, swap):
             for qi, si, _, _, fibers in _admissible(ctx, ((swap, None),))]
 
 
-def _wisc_head(ctx, key):
-    base, swap, yi = key
-    label = ctx["wisc_pool"][base][yi][0]
-    return (f'{{"base_stage": {base}, "swap_stage": {swap}, "name": '
-            + ctx["text"][label] + ', "condition": ')
-
-
 # field -> build(ctx), run on its first lookup; a _per_key field is a
 # _Table from a key (an index, or a tuple of them) to an entry
 _FIELDS = {
@@ -417,43 +404,30 @@ _FIELDS = {
     "supports": lambda ctx: _supports(ctx["inst"], ctx["max_support"]),
     "chain": lambda ctx: chain_family(ctx["inst"]),
     "downsets": lambda ctx: downset_embedding(ctx["inst"].poset),
-    # the JSON text of a label or site, and of a condition, support or
-    # permutation by index
+    # the JSON text of a label or site, and of a condition or support by
+    # index
     "text": lambda ctx: _Table(json.dumps),
     "cond_text": _per_key(lambda ctx, ci: json.dumps(ctx["conditions"][ci].to_obj())),
     "support_text": _per_key(
         lambda ctx, si: json.dumps(_support_obj(ctx["supports"][si]))),
-    "perm_text": _per_key(lambda ctx, pii: json.dumps(ctx["perms"][pii].to_obj())),
-    # permutation -> the index of each condition's image
-    "cond_images": _per_key(_cond_images),
-    # (permutation, formula) -> the image formula
-    "formula_image": _per_key(
-        lambda ctx, key: act_formula(ctx["perms"][key[0]], ctx["pool"][key[1]][1])),
     # (formula, mode) -> forcing_vector over the conditions
     "vector": _per_key(lambda ctx, key: forcing_vector(ctx["conditions"], *key)),
-    # formula -> the conditions (a bit mask) where the two modes disagree
-    "oracle_fail": _per_key(_oracle_fail),
-    # (permutation, formula) -> the conditions where the lemma fails
-    "lemma_fail": _per_key(_lemma_fail),
     # swap stage -> the wisc kernel's swap steps there
     "wisc_steps": _per_key(_wisc_steps),
     # base stage -> the wisc suite's name pool
     "wisc_pool": _per_key(_wisc_pool),
-    # (base stage, swap stage, name) -> a wisc line's params up to the
-    # condition's text
-    "wisc_head": _per_key(_wisc_head),
 }
 
 
 def _pull_back(vector: int, image: list) -> int:
     """The bit vector whose bit i is bit image[i] of vector."""
     bits = format(vector, f"0{len(image)}b")[::-1]
-    return int("".join(bits[j] for j in reversed(image)), 2)
+    return int("".join(itemgetter(*reversed(image))(bits)), 2)
 
 
 # ------------------------------------------------------------------
-# suites: gen(ctx) -> an iterable of small params; run(ctx, param) ->
-# (params, ok, witness), where params is a dict or its JSON text.  Which
+# suites: gen(ctx) -> an iterable of units; run(ctx, unit) -> (params,
+# ok, witness), where params is a dict or its JSON text.  Which
 # suites apply to which kind of instance is FLAT_SUITES/STAGED_SUITES
 
 def _gen_embedding(ctx):
@@ -479,37 +453,57 @@ def _run_embedding(ctx, unit):
     return params, not bad, ({"failing_pairs": bad} if bad else None)
 
 
+def _formula_tails(ctx):
+    """The end of a params text naming each formula of the pool."""
+    return [', "formula": ' + ctx["text"][label] + '}' for label, _ in ctx["pool"]]
+
+
 def _gen_oracle(ctx):
-    return itertools.product(range(len(ctx["conditions"])), range(len(ctx["pool"])))
+    # a unit is (params text, failing): failing is 0 when the two modes
+    # agree at the unit (its bit of its formula's fail mask is clear),
+    # else (condition, formula)
+    tails, vector = _formula_tails(ctx), ctx["vector"]
+    masks = [vector[phi, "recursive"] ^ vector[phi, "semantic"] for _, phi in ctx["pool"]]
+    for ci in range(len(ctx["conditions"])):
+        head = '{"condition": ' + ctx["cond_text"][ci]
+        for fi, mask in enumerate(masks):
+            yield head + tails[fi], mask >> ci & 1 and (ci, fi)
 
 
 def _run_oracle(ctx, unit):
-    ci, fi = unit
-    label = ctx["pool"][fi][0]
-    params = ('{"condition": ' + ctx["cond_text"][ci]
-              + ', "formula": ' + ctx["text"][label] + '}')
-    if not ctx["oracle_fail"][fi] >> ci & 1:
+    params, failing = unit
+    if not failing:
         return params, True, None
     # the modes differ at ci; the witness is each one's bit
+    ci, fi = failing
     phi, vector = ctx["pool"][fi][1], ctx["vector"]
     return params, False, {mode: bool(vector[phi, mode] >> ci & 1)
                            for mode in ("recursive", "semantic")}
 
 
 def _gen_symmetry(ctx):
-    return itertools.product(range(len(ctx["perms"])), range(len(ctx["conditions"])),
-                             range(len(ctx["pool"])))
+    # a unit is (params text, failing): failing is 0 when the unit's bit
+    # of its (permutation, formula) fail mask is clear, else (permutation,
+    # condition, formula); the fail masks are read once per permutation
+    tails, cond_text = _formula_tails(ctx), ctx["cond_text"]
+    conditions, where, vector = ctx["conditions"], ctx["cond_index"], ctx["vector"]
+    for pii, perm in enumerate(ctx["perms"]):
+        image = [where[act_condition(perm, c)] for c in conditions]
+        masks = [_lemma_fail(vector, perm, image, phi) for _, phi in ctx["pool"]]
+        head = '{"permutation": ' + json.dumps(perm.to_obj()) + ', "condition": '
+        for ci in range(len(conditions)):
+            prefix = head + cond_text[ci]
+            for fi, mask in enumerate(masks):
+                yield prefix + tails[fi], mask >> ci & 1 and (pii, ci, fi)
 
 
 def _run_symmetry(ctx, unit):
-    pii, ci, fi = unit
-    label, phi = ctx["pool"][fi]
-    params = ('{"permutation": ' + ctx["perm_text"][pii]
-              + ', "condition": ' + ctx["cond_text"][ci]
-              + ', "formula": ' + ctx["text"][label] + '}')
-    if not ctx["lemma_fail"][pii, fi] >> ci & 1:
+    params, failing = unit
+    if not failing:
         return params, True, None
-    report = symmetry_lemma_check(ctx["perms"][pii], ctx["conditions"][ci], phi)
+    pii, ci, fi = failing
+    report = symmetry_lemma_check(ctx["perms"][pii], ctx["conditions"][ci],
+                                  ctx["pool"][fi][1])
     return params, report.equal, report.witness
 
 
@@ -582,26 +576,27 @@ def _run_normality(ctx, unit):
 
 
 def _gen_wisc(ctx):
-    # a unit carries its swap step, built once per (swap stage, condition,
+    # a unit is its params text and the kernel's arguments after the
+    # instance; its swap step is built once per (swap stage, condition,
     # support) before the stage's first unit
-    inst = ctx["inst"]
+    inst, conditions, supports = ctx["inst"], ctx["conditions"], ctx["supports"]
+    cond_text, support_text = ctx["cond_text"], ctx["support_text"]
     for base in inst.sites:
         pool = ctx["wisc_pool"][base]
         for swap in inst.sites:
             if swap > base:
                 steps = ctx["wisc_steps"][swap]
-                for yi in range(len(pool)):
+                for label, y in pool:
+                    head = (f'{{"base_stage": {base}, "swap_stage": {swap}, '
+                            f'"name": {ctx["text"][label]}, "condition": ')
                     for qi, si, step in steps:
-                        yield base, swap, yi, qi, si, step
+                        yield (f'{head}{cond_text[qi]}, "support": {support_text[si]}}}',
+                               base, y, swap, conditions[qi], supports[si], step)
 
 
 def _run_wisc(ctx, unit):
-    base, swap, yi, qi, si, step = unit
-    y = ctx["wisc_pool"][base][yi][1]
-    report = wisc_kernel(ctx["inst"], base, y, swap, ctx["conditions"][qi],
-                         ctx["supports"][si], step)
-    params = (ctx["wisc_head"][base, swap, yi] + ctx["cond_text"][qi]
-              + ', "support": ' + ctx["support_text"][si] + '}')
+    params, base, y, swap, q, support, step = unit
+    report = wisc_kernel(ctx["inst"], base, y, swap, q, support, step)
     return params, report.verdict, (None if report.verdict else report.to_obj())
 
 
@@ -647,23 +642,33 @@ SUITES = {
 def _run_units(ctx, suite, out) -> bool:
     """Run the suite's units in order, writing each one's report line
     (JSON text, the fields in a fixed order) as soon as it has run; True
-    when any verdict is not pass."""
+    when any verdict is not pass.  The clock is read in whole
+    microseconds once per unit, after its run, so a unit's elapsed time
+    runs from the previous reading (the suite's start, for the first
+    unit): it covers the unit's generation, any shared table built for
+    it and its run, and a suite's elapsed times add up to its span."""
     gen, run = SUITES[suite]
     head = ('{"suite": ' + json.dumps(suite)
             + ', "instance": ' + json.dumps(ctx["hash"]) + ', "params": ')
-    failed = False
+    # microseconds -> the repr of the seconds, which is the JSON text of
+    # round(seconds, 6); a suite of T microseconds needs at most
+    # sqrt(2 T) entries, however many units it has
+    seconds = _Table(lambda us: repr(us / 1e6))
+    write, failed = out.write, False
+    last = monotonic_ns() // 1000
     for unit in gen(ctx):
-        start = time.monotonic()
         params, ok, witness = run(ctx, unit)
-        elapsed = time.monotonic() - start
+        now = monotonic_ns() // 1000
+        elapsed, last = seconds[now - last], now
         if not isinstance(params, str):
             params = json.dumps(params)
+        if ok and witness is None:
+            write(f'{head}{params}, "verdict": "pass", "elapsed": {elapsed}}}\n')
+            continue
+        failed = failed or not ok
         verdict = '"pass"' if ok else '"fail"'
         witness = "" if witness is None else ', "witness": ' + json.dumps(witness)
-        failed = failed or not ok
-        # repr of a float is its JSON text
-        out.write(f'{head}{params}, "verdict": {verdict}{witness}, '
-                  f'"elapsed": {round(elapsed, 6)!r}}}\n')
+        write(f'{head}{params}, "verdict": {verdict}{witness}, "elapsed": {elapsed}}}\n')
     return failed
 
 

@@ -39,8 +39,10 @@ MAX_SITES = 10
 # the most cells of an instance a spec may ask for, checked before the
 # instance is built: the canonical family builds one condition per cell.
 # On a 2-CPU machine under CPython 3.11, parsing {"stages": [3, 127]}
-# (16,138 cells, under the cap) takes 0.37 s of CPU and 34 MB, and
-# building [3, 800] (640,009 cells) took 17.5 s and 718 MB
+# (16,138 cells, under the cap) takes 0.37 s of CPU and 34 MB, an
+# embedding-only run of a flat antichain of 10 sites x 40 fibers x 40
+# slots (16,000 cells) 1.7 s and 121 MB, and building [3, 800] (640,009
+# cells) took 17.5 s and 718 MB
 MAX_CELLS = 1 << 14
 
 
@@ -79,16 +81,6 @@ def region_name(inst, sites) -> Name:
     return set_name(inst, [row_name(inst, z, a)
                            for z in sites
                            for a in range(inst.fiber_count(z))])
-
-
-def site_ordinal_name(inst, site) -> Name:
-    # sites are encoded by their index in the sorted site tuple
-    return check_name(inst, ordinal(inst.sites.index(site)))
-
-
-def graph_name(inst) -> Name:
-    return set_name(inst, [pair_name(inst, site_ordinal_name(inst, z), site_name(inst, z))
-                           for z in inst.sites])
 
 
 def least_value_name(inst, site, fiber) -> Name:
@@ -137,18 +129,25 @@ def canonical_family(inst: Instance) -> NameFamily:
     if flat and len(inst.sites) > MAX_SITES:
         raise InvalidInstance("canonical family builds all region names; "
                               f"instances are capped at {MAX_SITES} sites")
-    rows = {(z, a): row_name(inst, z, a) for z in inst.sites
-            for a in range(inst.fiber_count(z))}
-    sites = {z: site_name(inst, z) for z in inst.sites}
+    # each row name is built once; the site, region and graph names are
+    # built from these rows (site_name and region_name rebuild them)
+    rows = {z: [row_name(inst, z, a) for a in range(inst.fiber_count(z))]
+            for z in inst.sites}
+    sites = {z: set_name(inst, rows[z]) for z in inst.sites}
     regions, least = {}, {}
     if flat:
         for k in range(len(inst.sites) + 1):
             for combo in itertools.combinations(inst.sites, k):
-                regions[frozenset(combo)] = region_name(inst, combo)
+                regions[frozenset(combo)] = set_name(
+                    inst, [nm for z in combo for nm in rows[z]])
         least = {(z, a): least_value_name(inst, z, a) for z in inst.sites
                  for a in range(inst.fiber_count(z))}
-    inst.store.family = NameFamily(inst, rows, sites, regions,
-                                   graph_name(inst), least)
+    # the graph pairs each site's index in the sorted site tuple with its name
+    graph = set_name(inst, [pair_name(inst, check_name(inst, ordinal(i)), sites[z])
+                            for i, z in enumerate(inst.sites)])
+    inst.store.family = NameFamily(
+        inst, {(z, a): nm for z in inst.sites for a, nm in enumerate(rows[z])},
+        sites, regions, graph, least)
     return inst.store.family
 
 

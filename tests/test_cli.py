@@ -17,8 +17,8 @@ from symext import (Compat, Condition, EngineError, FiberExhausted,
                     symmetry_lemma_check, wisc_kernel)
 from symext import cli, forcing, instances, kernels, symmetry
 from symext.cli import (InstanceSpec, default_formula_pool, main,
-                        parse_instance_spec, run_checks, _context, _gen_oracle,
-                        _gen_swap, _gen_symmetry, _gen_wisc)
+                        parse_instance_spec, run_checks, _context, _gen_swap,
+                        _gen_wisc)
 
 REFERENCE = ('{"poset": {"elements": ["a", "b"], "leq": []}, '
              '"n": 2, "v": 2, "c": 1, "d": 8}')
@@ -419,6 +419,57 @@ class TestDeterminism:
             run_checks(parse_instance_spec(REFERENCE), "fake", out=out)
         assert len(out.getvalue().splitlines()) == 2
 
+    def test_elapsed_runs_from_the_previous_clock_reading(self, monkeypatch):
+        # a scripted clock (in ns) that only moves when the fake suite does
+        # work: the generator builds a shared table before its first unit,
+        # and each unit spends some microseconds in generation and its run
+        now, readings = [7_000_000_000], []
+
+        def clock():
+            readings.append(now[0])
+            return now[0]
+
+        def gen(ctx):
+            now[0] += 250_000_000           # a table the first unit needs
+            for k in range(4):
+                now[0] += 1_000 * k         # enumerating the unit
+                yield k
+
+        def run_unit(ctx, k):
+            now[0] += 3_000 + 500_000 * (k == 2)
+            return {"k": k}, True, None
+
+        monkeypatch.setattr(cli, "monotonic_ns", clock)
+        monkeypatch.setitem(cli.SUITES, "fake", (gen, run_unit))
+        monkeypatch.setattr(cli, "FLAT_SUITES", cli.FLAT_SUITES + ("fake",))
+        code, lines = run(REFERENCE, "fake")
+        elapsed = [line["elapsed"] for line in lines]
+        assert code == 0 and len(readings) == 5
+        assert elapsed == [(b - a) / 1e9 for a, b in zip(readings, readings[1:])]
+        # the table is charged to the first unit, and the units' times
+        # add up to the suite's span
+        assert elapsed == [0.250003, 4e-06, 0.000505, 6e-06]
+        span = (readings[-1] - readings[0]) // 1000
+        assert sum(round(e * 1e6) for e in elapsed) == span
+
+    def test_elapsed_sums_to_the_span_in_whole_microseconds(self, monkeypatch):
+        # readings off a whole microsecond: each is read in whole
+        # microseconds, so the lines still add up to the span exactly
+        ticks = itertools.count(5_000_000_123, 1_499)
+        readings = []
+
+        def clock():
+            readings.append(next(ticks))
+            return readings[-1]
+
+        monkeypatch.setattr(cli, "monotonic_ns", clock)
+        code, lines = run(REFERENCE, "symmetry-lemma", {"max_dom": 1})
+        assert code == 0 and len(lines) == len(readings) - 1 == 4 * 17 * 21
+        assert [round(line["elapsed"] * 1e6) for line in lines] == [
+            b // 1000 - a // 1000 for a, b in zip(readings, readings[1:])]
+        assert (sum(round(line["elapsed"] * 1e6) for line in lines)
+                == readings[-1] // 1000 - readings[0] // 1000)
+
     def test_lines_are_json_objects_with_fixed_fields(self):
         _, lines = run(REFERENCE, "normality")
         for line in lines:
@@ -718,7 +769,17 @@ class TestPartnerRule:
                                 continue
                             found.add((base, swap, yi, qi, si))
         assert found and (max_dom == 1 or len(found) < inputs)
-        emitted = {u[:5] for u in _gen_wisc(ctx) if u[2] < len(pools[u[0]])}
+        # a unit names its pool entry in its params text and carries the
+        # kernel's arguments themselves
+        support_index = {support: si for si, support in enumerate(ctx["supports"])}
+        emitted = set()
+        for params, base, y, swap, q, support, step in _gen_wisc(ctx):
+            labels = [label for label, _ in ctx["wisc_pool"][base]]
+            yi = labels.index(json.loads(params)["name"])
+            if yi < len(pools[base]):
+                assert y is pools[base][yi][1]
+                emitted.add((base, swap, yi, ctx["cond_index"][q],
+                             support_index[support]))
         assert emitted == found
 
 
@@ -753,6 +814,29 @@ def _blind_semantic_mode(monkeypatch):
     monkeypatch.setattr(forcing, "_filter_space", blind_space)
 
 
+def _oracle_units(ctx):
+    """(condition, formula) of each forcing-oracle line, in line order."""
+    return list(itertools.product(range(len(ctx["conditions"])),
+                                  range(len(ctx["pool"]))))
+
+
+def _symmetry_units(ctx):
+    """(permutation, condition, formula) of each symmetry-lemma line."""
+    return list(itertools.product(range(len(ctx["perms"])), range(len(ctx["conditions"])),
+                                  range(len(ctx["pool"]))))
+
+
+def _wisc_units(ctx):
+    """(base stage, swap stage, label, name, condition, support, swap step)
+    of each wisc line: every name of the base stage's pool with every
+    swap step of each later stage."""
+    sites = ctx["inst"].sites
+    return [(base, swap, label, y, qi, si, step)
+            for base in sites for swap in sites if swap > base
+            for label, y in ctx["wisc_pool"][base]
+            for qi, si, step in ctx["wisc_steps"][swap]]
+
+
 class TestHoistedPath:
     """The CLI builds permutation images, swap fibers, wisc swap steps and
     JSON text once per index; every line must still say what the public
@@ -762,7 +846,7 @@ class TestHoistedPath:
         spec = parse_instance_spec((SPECS / "reference.json").read_text())
         ctx = _context(spec, {"max_dom": 1})
         code, lines = run(spec, "symmetry-lemma", overrides={"max_dom": 1})
-        units = list(_gen_symmetry(ctx))
+        units = _symmetry_units(ctx)
         assert code == 0 and len(lines) == len(units) == 4 * 17 * 21
         for line, (pii, ci, fi) in zip(lines, units):
             perm, p = ctx["perms"][pii], ctx["conditions"][ci]
@@ -777,7 +861,7 @@ class TestHoistedPath:
         spec = parse_instance_spec((SPECS / "reference.json").read_text())
         ctx = _context(spec, {"max_dom": 1})
         code, lines = run(spec, "forcing-oracle", overrides={"max_dom": 1})
-        units = list(_gen_oracle(ctx))
+        units = _oracle_units(ctx)
         assert code == 0 and len(lines) == len(units) == 17 * 21
         for line, (ci, fi) in zip(lines, units):
             p = ctx["conditions"][ci]
@@ -792,7 +876,7 @@ class TestHoistedPath:
         spec = parse_instance_spec((SPECS / "reference.json").read_text())
         ctx = _context(spec, {"max_dom": 1})
         code, lines = run(spec, "symmetry-lemma", overrides={"max_dom": 1})
-        units = list(_gen_symmetry(ctx))
+        units = _symmetry_units(ctx)
         assert code == 1 and len(lines) == len(units)
         separated = 0
         for line, (pii, ci, fi) in zip(lines, units):
@@ -809,7 +893,7 @@ class TestHoistedPath:
         spec = parse_instance_spec((SPECS / "reference.json").read_text())
         ctx = _context(spec, {"max_dom": 1})
         code, lines = run(spec, "forcing-oracle", overrides={"max_dom": 1})
-        units = list(_gen_oracle(ctx))
+        units = _oracle_units(ctx)
         assert code == 1 and len(lines) == len(units)
         for line, (ci, fi) in zip(lines, units):
             p, phi = ctx["conditions"][ci], ctx["pool"][fi][1]
@@ -874,10 +958,9 @@ class TestHoistedPath:
         spec = parse_instance_spec((SPECS / "staged.json").read_text())
         ctx = _context(spec, {"max_dom": 1})
         code, lines = run(spec, "wisc", overrides={"max_dom": 1})
-        units = list(_gen_wisc(ctx))
+        units = _wisc_units(ctx)
         assert code == 0 and len(lines) == len(units) > 0
-        for line, (base, swap, yi, qi, si, step) in zip(lines, units):
-            label, y = ctx["wisc_pool"][base][yi]
+        for line, (base, swap, label, y, qi, si, step) in zip(lines, units):
             q, support = ctx["conditions"][qi], ctx["supports"][si]
             report = wisc_kernel(ctx["inst"], base, y, swap, q, support)
             assert step == swap_step(ctx["inst"], q, support, swap)
@@ -896,9 +979,9 @@ class TestHoistedPath:
         spec = parse_instance_spec((SPECS / "staged.json").read_text())
         ctx = _context(spec, {"max_dom": 1})
         code, lines = run(spec, "wisc", overrides={"max_dom": 1})
-        assert code == 1 and lines
-        for line, (base, swap, yi, qi, si, _) in zip(lines, _gen_wisc(ctx)):
-            _, y = ctx["wisc_pool"][base][yi]
+        units = _wisc_units(ctx)
+        assert code == 1 and len(lines) == len(units) > 0
+        for line, (base, swap, _, y, qi, si, _) in zip(lines, units):
             report = wisc_kernel(ctx["inst"], base, y, swap, ctx["conditions"][qi],
                                  ctx["supports"][si])
             assert line["verdict"] == "fail" and not report.verdict

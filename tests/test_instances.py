@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -8,7 +9,8 @@ from symext import (GenericFilter, InvalidInstance, Poset,
                     chain_family, check_name, downset_embedding, generic_filters,
                     in_stage, interpret, is_hs, iter_conditions,
                     least_value_name, make_name, name_cells, name_stage, ordinal,
-                    random_poset)
+                    pair_name, random_poset, region_name, set_name, site_name)
+from symext import instances
 
 from _oracles import hf_to_frozen, naive_interpret, total_assignments
 
@@ -25,6 +27,28 @@ class TestBuild:
         _, family = reference
         assert family.regions[frozenset({"a"})].entries == family.sites["a"].entries
         assert family.regions[frozenset({"a"})] is family.sites["a"]
+
+    def test_family_builds_each_row_name_once(self, monkeypatch):
+        # the site, region and graph names are built from the family's
+        # rows, and are the names the one-shot builders give
+        calls, build = collections.Counter(), instances.row_name
+
+        def counted(inst, site, fiber):
+            calls[site, fiber] += 1
+            return build(inst, site, fiber)
+
+        monkeypatch.setattr(instances, "row_name", counted)
+        inst, family = build_instance(Poset.antichain(["a", "b"]), 2, 2, 1, 8)
+        assert calls == collections.Counter(inst.pairs)
+        monkeypatch.undo()
+        for z in inst.sites:
+            assert family.sites[z] is site_name(inst, z)
+        for k in range(len(inst.sites) + 1):
+            for combo in itertools.combinations(inst.sites, k):
+                assert family.regions[frozenset(combo)] is region_name(inst, combo)
+        assert family.graph is set_name(inst, [
+            pair_name(inst, check_name(inst, ordinal(i)), site_name(inst, z))
+            for i, z in enumerate(inst.sites)])
 
     def test_single_fiber_rejected(self):
         with pytest.raises(InvalidInstance):
