@@ -15,8 +15,9 @@ selection for --suite all), and on a flat spec only "posets" (sampled
 posets for the embedding suite) and "formulas" (prefix-syntax strings
 replacing the default pool).  Unknown keys are rejected, as are an empty
 "suites" or "formulas" list, a string poset element that cannot be
-written in a name term, and an instance of more than instances.MAX_CELLS
-cells.  Either pool is
+written in a name term, an instance of more than instances.MAX_CELLS
+cells, and a flat spec whose least names hold more than
+instances.MAX_LEAST_CELLS cells.  Either pool is
 text read by forcing.parse_formula, so a formula's label is its text.
 
 Each check unit emits one JSON object per line with the fields suite,
@@ -81,9 +82,9 @@ from .core import GenericFilter, Instance, Poset, iter_conditions
 from .errors import EngineError, ParseError
 from .forcing import (act_formula, check_size, forcing_vector, parse_formula,
                       symmetry_lemma_check)
-from .instances import (MAX_CELLS, MAX_SITES, NameFamily, build_instance,
-                        build_staged_instance, chain_family, downset_embedding,
-                        in_stage, random_poset)
+from .instances import (MAX_CELLS, MAX_LEAST_CELLS, MAX_SITES, NameFamily,
+                        build_instance, build_staged_instance, chain_family,
+                        downset_embedding, in_stage, random_poset)
 from .kernels import _step_on, _support_obj, swap_fibers, swap_kernel, wisc_kernel
 from .names import check_name, interpret, ordinal, pair_name, set_name
 from .symmetry import (act_condition, assemble_sequence, conjugation_check,
@@ -169,14 +170,20 @@ def _check_options(options: dict) -> dict:
 
 
 def _check_cells(raw: dict) -> None:
-    """The cell cap, read off the spec's counts before anything is built."""
+    """The cell caps, read off the spec's counts before anything is built."""
     if "stages" in raw:
-        cells = sum(max(s, 0) ** 2 for s in raw["stages"])
+        cells, least = sum(max(s, 0) ** 2 for s in raw["stages"]), 0
     else:
-        cells = len(raw["poset"].get("elements", [])) * max(raw["n"], 0) * max(raw["v"], 0)
+        rows = len(raw["poset"].get("elements", [])) * max(raw["n"], 0)
+        v = max(raw["v"], 0)
+        cells, least = rows * v, rows * v * (v + 1) // 2
     if cells > MAX_CELLS:
         raise ParseError(f"spec has {cells} cells; instances are capped at {MAX_CELLS} "
                          "cells (stages [3, 127] parse in about 0.4 s and 34 MB)")
+    if least > MAX_LEAST_CELLS:
+        raise ParseError(f"spec's least names hold {least} cells (sites x n x v(v+1)/2); "
+                         f"they are capped at {MAX_LEAST_CELLS} cells (1 site x 3 fibers "
+                         "x 590 slots runs in about 1.3 s and 141 MB)")
 
 
 def parse_instance_spec(text: str) -> InstanceSpec:

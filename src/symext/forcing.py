@@ -245,9 +245,11 @@ class _Space:
         return result
 
     def rec_table(self, phi: Formula) -> int:
+        """The codes of the conditions that force phi."""
         cached = self._rec.get(phi)
         if cached is not None:
             return cached
+        _check_formula(self.inst, phi)
         if isinstance(phi, Eq):
             result = self.eq_table(phi.left, phi.right)
         elif isinstance(phi, Mem):
@@ -372,10 +374,7 @@ def forcing_vector(conds: Sequence[Condition], phi: Formula,
                 vector |= 1 << i
     else:
         sp = _space(inst)
-        table = sp._rec.get(phi)
-        if table is None:
-            _check_formula(inst, phi)
-            table = sp.rec_table(phi)
+        table = sp.rec_table(phi)
         code_of = sp.code_of
         for i, p in enumerate(conds):
             if table >> code_of(p) & 1:

@@ -44,6 +44,13 @@ MAX_SITES = 10
 # slots (16,000 cells) 1.7 s and 121 MB, and building [3, 800] (640,009
 # cells) took 17.5 s and 718 MB
 MAX_CELLS = 1 << 14
+# the most cells a flat spec's least names may hold, also checked before
+# the instance is built: a row's least name holds a condition of j + 1
+# cells for each slot j, so sites x n x v(v+1)/2 in all.  An
+# embedding-only run of 1 site x 3 fibers x 590 slots (523,035 cells)
+# takes 1.3 s and 141 MB on the same machine, 1,000 slots (1,501,500
+# cells) took 3.7 s and 380 MB
+MAX_LEAST_CELLS = 1 << 19
 
 
 def downset_embedding(poset: Poset) -> dict:

@@ -27,74 +27,37 @@ SCOPE = ("verifies the finite combinatorial step only (stabilizer membership, "
          "infinite cardinalities is asserted")
 
 
-# the names of each kernel's reported values, in report order: its
-# checks, its chosen fibers, its inputs and its witness's own fields
-_LAYOUTS = {
-    "swap": (("permutation_in_stabilizer", "names_fixed", "conditions_compatible"),
-             ("partner",),
-             ("condition", "support", "site", "fiber"),
-             ("names_fixed",)),
-    "wisc": (("name_fixed", "moved_avoids_name_cells", "locality_forms_agree",
-              "permutation_in_stabilizer", "conditions_compatible"),
-             ("first_fiber", "second_fiber"),
-             ("base_stage", "swap_stage", "name_rank", "condition", "support"),
-             ()),
-}
-
-
 class KernelReport:
-    """A kernel's verdict and the values of its sub-checks, chosen fibers,
-    inputs and witness fields, all computed on every run and kept as one
-    flat tuple in the order _LAYOUTS gives for the kernel, with the
-    transposition last.  The dicts checks, chosen, inputs and witness are
-    built from that tuple when first read: a passing unit reads only the
-    verdict, and reading them never reruns a check."""
+    """A kernel's verdict and its report fields inputs, chosen, checks and
+    witness.  The kernel computes every check when called and hands the
+    values to its details function (_swap_details or _wisc_details),
+    which writes the fields out by name; details(*values) runs once, on
+    the first read of any field, so a passing unit reads only the
+    verdict, and reading the fields never reruns a check."""
 
     scope = SCOPE
 
-    def __init__(self, kernel: str, verdict: bool, values: tuple):
+    def __init__(self, kernel: str, verdict: bool, details, values: tuple):
         self.kernel = kernel
         self.verdict = verdict
+        self._details = details
         self._values = values
 
-    def _part(self, k: int) -> dict:
-        """Part k of the kernel's layout: its names with their values."""
-        layout = _LAYOUTS[self.kernel]
-        start = sum(map(len, layout[:k]))
-        return dict(zip(layout[k], self._values[start:start + len(layout[k])]))
-
     @cached_property
-    def checks(self) -> dict:
-        return self._part(0)
+    def _fields(self) -> dict:
+        return self._details(*self._values)
 
-    @cached_property
-    def chosen(self) -> dict:
-        return self._part(1)
-
-    @cached_property
-    def inputs(self) -> dict:
-        inputs = self._part(2)
-        inputs["condition"] = inputs["condition"].to_obj()
-        inputs["support"] = _support_obj(inputs["support"])
-        return inputs
-
-    @cached_property
-    def witness(self) -> dict:
-        return _witness(self._values[-1], self._part(2)["condition"], **self._part(3))
+    inputs = property(lambda self: self._fields["inputs"])
+    chosen = property(lambda self: self._fields["chosen"])
+    checks = property(lambda self: self._fields["checks"])
+    witness = property(lambda self: self._fields["witness"])
 
     def __bool__(self):
         return self.verdict
 
     def to_obj(self) -> dict:
-        return {
-            "kernel": self.kernel,
-            "inputs": self.inputs,
-            "chosen": self.chosen,
-            "checks": self.checks,
-            "witness": self.witness,
-            "verdict": "pass" if self.verdict else "fail",
-            "scope": self.scope,
-        }
+        return {"kernel": self.kernel, **self._fields,
+                "verdict": "pass" if self.verdict else "fail", "scope": self.scope}
 
 
 def _support_obj(support) -> list:
@@ -222,14 +185,27 @@ def swap_kernel(inst, q: Condition, support, site, fiber, names=None,
     """
     if step is None:
         step = swap_step(inst, q, support, site, fiber)
-    support, pi = step.support, step.transposition
+    pi = step.transposition
     if names is None:
-        names = _default_names(inst, support)
+        names = _default_names(inst, step.support)
     fixed = {label: _name_checks(pi, nm)[0] for label, nm in names}
     names_fixed = all(fixed.values())
     return KernelReport("swap", step.in_stabilizer and names_fixed and step.compatible,
-                        (step.in_stabilizer, names_fixed, step.compatible, step.mate,
-                         q, support, site, fiber, fixed, pi))
+                        _swap_details, (step, q, site, fiber, names_fixed, fixed))
+
+
+def _swap_details(step: SwapStep, q: Condition, site, fiber, names_fixed: bool,
+                  fixed: dict) -> dict:
+    """swap_kernel's report fields, from the values it computed."""
+    return {
+        "inputs": {"condition": q.to_obj(), "support": _support_obj(step.support),
+                   "site": site, "fiber": fiber},
+        "chosen": {"partner": step.mate},
+        "checks": {"permutation_in_stabilizer": step.in_stabilizer,
+                   "names_fixed": names_fixed,
+                   "conditions_compatible": step.compatible},
+        "witness": _witness(step.transposition, q, names_fixed=fixed),
+    }
 
 
 def wisc_kernel(staged, base_stage: int, y: Name, swap_stage: int,
@@ -265,10 +241,23 @@ def wisc_kernel(staged, base_stage: int, y: Name, swap_stage: int,
     # disjointness must imply literal fixation (locality_forms_agree); a
     # violation is a bug in the lifted action, not a property of the inputs
     return KernelReport("wisc", name_fixed and step.in_stabilizer and step.compatible,
-                        (name_fixed, disjoint, name_fixed or not disjoint,
-                         step.in_stabilizer, step.compatible, step.fiber, step.mate,
-                         base_stage, swap_stage, y.rank, q, step.support,
-                         step.transposition))
+                        _wisc_details, (step, base_stage, swap_stage, y.rank, q,
+                                        name_fixed, disjoint, name_fixed or not disjoint))
+
+
+def _wisc_details(step: SwapStep, base_stage: int, swap_stage: int, rank: int,
+                  q: Condition, name_fixed: bool, disjoint: bool, agree: bool) -> dict:
+    """wisc_kernel's report fields, from the values it computed."""
+    return {
+        "inputs": {"base_stage": base_stage, "swap_stage": swap_stage, "name_rank": rank,
+                   "condition": q.to_obj(), "support": _support_obj(step.support)},
+        "chosen": {"first_fiber": step.fiber, "second_fiber": step.mate},
+        "checks": {"name_fixed": name_fixed, "moved_avoids_name_cells": disjoint,
+                   "locality_forms_agree": agree,
+                   "permutation_in_stabilizer": step.in_stabilizer,
+                   "conditions_compatible": step.compatible},
+        "witness": _witness(step.transposition, q),
+    }
 
 
 @dataclass(frozen=True, eq=False)

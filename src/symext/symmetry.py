@@ -267,22 +267,20 @@ def is_hs(inst, x: Name) -> bool:
     return memo[x]
 
 
-def generator_closure(gens: Iterable[FiberPermutation], max_len: int) -> list:
-    """All products of at most max_len generators (including the identity),
-    deduplicated, in a deterministic order.
-
-    On staged instances a product can overflow the per-stage moved bound
-    (two transpositions compose to a 3-cycle); such products are not
-    group elements and are skipped, the same way condition merges past
-    the domain cutoff stay unrepresentable.
-    """
+def _closure(gens: Iterable[FiberPermutation], max_len: Optional[int],
+             max_size: Optional[int]) -> set:
+    """The products of at most max_len generators, the identity included,
+    found breadth first; None means unbounded.  Raises InvalidInstance
+    once more than max_size elements are found (None: no bound)."""
     gens = list(gens)
     if not gens:
-        return []
+        return set()
     ident = FiberPermutation.identity(gens[0].inst)
     words = {ident}
     frontier = [ident]
-    for _ in range(max_len):
+    length = 0
+    while frontier and (max_len is None or length < max_len):
+        length += 1
         nxt = []
         for w in frontier:
             for g in gens:
@@ -293,33 +291,27 @@ def generator_closure(gens: Iterable[FiberPermutation], max_len: int) -> list:
                 if wg not in words:
                     words.add(wg)
                     nxt.append(wg)
+                    if max_size is not None and len(words) > max_size:
+                        raise InvalidInstance("generated group exceeds size bound")
         frontier = nxt
-    return sorted(words, key=lambda p: (len(p.moved), p.moved))
+    return words
+
+
+def generator_closure(gens: Iterable[FiberPermutation], max_len: int) -> list:
+    """All products of at most max_len generators (including the identity),
+    deduplicated, in a deterministic order.
+
+    On staged instances a product can overflow the per-stage moved bound
+    (two transpositions compose to a 3-cycle); such products are not
+    group elements and are skipped, the same way condition merges past
+    the domain cutoff stay unrepresentable.
+    """
+    return sorted(_closure(gens, max_len, None), key=lambda p: (len(p.moved), p.moved))
 
 
 def generated_group(gens: Iterable[FiberPermutation], max_size: int = 100000) -> set:
     """Brute-force closure under composition; small scales only."""
-    gens = list(gens)
-    if not gens:
-        return set()
-    ident = FiberPermutation.identity(gens[0].inst)
-    group = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                try:
-                    wg = w * g
-                except InvalidInstance:
-                    continue
-                if wg not in group:
-                    group.add(wg)
-                    nxt.append(wg)
-                    if len(group) > max_size:
-                        raise InvalidInstance("generated group exceeds size bound")
-        frontier = nxt
-    return group
+    return _closure(gens, None, max_size)
 
 
 def conjugate(pi: FiberPermutation, g: FiberPermutation) -> FiberPermutation:

@@ -84,6 +84,8 @@ MALFORMED = [
     pytest.param('{"stages": [3, 800], "c": 1}', id="stages-3-800"),
     pytest.param('{"poset": {"elements": ["a"], "leq": []}, "n": 20000, "v": 1, "c": 1}',
                  id="one-site-20000-fibers"),
+    pytest.param('{"poset": {"elements": ["a"], "leq": []}, "n": 3, "v": 5000, "c": 1}',
+                 id="least-names-5000-slots"),
 ]
 
 
@@ -169,6 +171,17 @@ class TestParse:
         with pytest.raises(ParseError, match=f"spec has 640009 cells; instances are "
                                              f"capped at {instances.MAX_CELLS} cells"):
             parse_instance_spec('{"stages": [3, 800], "c": 1}')
+
+    def test_least_name_cap_read_before_any_instance_is_built(self, monkeypatch):
+        # 15,000 cells, under MAX_CELLS, but 3 x 5000 x 5001 / 2 least-name cells
+        def refuse(*args):
+            raise AssertionError("built an instance past the least-name cap")
+
+        monkeypatch.setattr(cli, "build_instance", refuse)
+        with pytest.raises(ParseError, match=f"least names hold 37507500 cells .*"
+                                             f"capped at {instances.MAX_LEAST_CELLS} cells"):
+            parse_instance_spec('{"poset": {"elements": ["a"], "leq": []}, '
+                                '"n": 3, "v": 5000, "c": 1}')
 
     def test_stages_under_the_cell_cap_parse(self):
         spec = parse_instance_spec('{"stages": [3, 127], "c": 1}')

@@ -186,6 +186,17 @@ class TestFixGenerators:
         assert len(closure) == 2  # identity and the b-swap
         assert all(in_fix(g, support) for g in closure)
 
+    def test_generated_group_is_the_bounded_closure_and_obeys_its_size_bound(self, reference):
+        inst, _ = reference
+        gens = fix_generators(inst, ())
+        group = generated_group(gens)
+        assert len(group) == 4  # the two site swaps and their product
+        assert len(generator_closure(gens, 1)) == 3
+        assert group == set(generator_closure(gens, 2)) == set(generator_closure(gens, 5))
+        assert generated_group(gens, max_size=4) == group
+        with pytest.raises(InvalidInstance, match="size bound"):
+            generated_group(gens, max_size=3)
+
 
 class TestSupports:
     def test_row_supported_by_own_pair(self, reference):
