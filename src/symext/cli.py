@@ -54,12 +54,17 @@ its enumeration and any shared table it is the first to need.  One
 generator (_admissible) enumerates the swap and wisc inputs: each
 (condition, support, target) on which kernels.swap_fibers finds the
 kernels' fibers, with those fibers, a condition's touched fibers found
-once per site.  A swap unit carries its fibers; the wisc suite builds
-each swap step once per (swap stage, condition, support), and each wisc
-unit carries its params text and the kernel's arguments, its step among
-them.  Both kernels take the step through step=, so neither chooses the
-fibers again, and both keep their name checks per (transposition, name)
-in the instance's store.
+once per site.  A swap unit carries its fibers, and its run calls the
+swap kernel.  The wisc suite builds each swap step once per (swap stage,
+condition, support) and groups a stage's steps once (kernels.step_groups)
+by the part of a step the wisc kernel's verdict reads.  A wisc unit, like
+a forcing-oracle unit, carries its params text and its verdict as one bit
+of a per-(base stage, swap stage, name) fail mask: the OR of the masks
+of the groups on whose first step the wisc kernel fails.  So that kernel
+runs once per (base stage, swap stage, name, group), and again only on a
+failing unit, for its witness.  Both kernels take the step through
+step=, so neither chooses the fibers again, and both keep their name
+checks per (transposition, name) in the instance's store.
 """
 
 from __future__ import annotations
@@ -85,7 +90,8 @@ from .forcing import (act_formula, check_size, forcing_vector, parse_formula,
 from .instances import (MAX_CELLS, MAX_LEAST_CELLS, MAX_SITES, NameFamily,
                         build_instance, build_staged_instance, chain_family,
                         downset_embedding, in_stage, random_poset)
-from .kernels import _step_on, _support_obj, swap_fibers, swap_kernel, wisc_kernel
+from .kernels import (_step_on, _support_obj, step_groups, swap_fibers, swap_kernel,
+                      wisc_kernel)
 from .names import check_name, interpret, ordinal, pair_name, set_name
 from .symmetry import (act_condition, assemble_sequence, conjugation_check,
                        fix_generators, generator_closure, infer_min_support,
@@ -419,8 +425,11 @@ _FIELDS = {
         lambda ctx, si: json.dumps(_support_obj(ctx["supports"][si]))),
     # (formula, mode) -> forcing_vector over the conditions
     "vector": _per_key(lambda ctx, key: forcing_vector(ctx["conditions"], *key)),
-    # swap stage -> the wisc kernel's swap steps there
+    # swap stage -> the wisc kernel's swap steps there, and their groups
+    # (kernels.step_groups)
     "wisc_steps": _per_key(_wisc_steps),
+    "wisc_groups": _per_key(
+        lambda ctx, swap: step_groups([step for *_, step in ctx["wisc_steps"][swap]])),
     # base stage -> the wisc suite's name pool
     "wisc_pool": _per_key(_wisc_pool),
 }
@@ -583,27 +592,41 @@ def _run_normality(ctx, unit):
 
 
 def _gen_wisc(ctx):
-    # a unit is its params text and the kernel's arguments after the
-    # instance; its swap step is built once per (swap stage, condition,
-    # support) before the stage's first unit
+    # a unit is (params text, failing): failing is 0 when the unit's bit
+    # of its (base stage, swap stage, name) fail mask is clear, else
+    # (base stage, name, swap stage, step index).  The fail mask ORs the
+    # masks of the step groups on whose first step the kernel fails, so
+    # the kernel runs once per (base stage, swap stage, name, group)
     inst, conditions, supports = ctx["inst"], ctx["conditions"], ctx["supports"]
     cond_text, support_text = ctx["cond_text"], ctx["support_text"]
     for base in inst.sites:
         pool = ctx["wisc_pool"][base]
         for swap in inst.sites:
             if swap > base:
-                steps = ctx["wisc_steps"][swap]
+                steps, groups = ctx["wisc_steps"][swap], ctx["wisc_groups"][swap]
                 for label, y in pool:
+                    mask = 0
+                    for first, members in groups:
+                        qi, si, step = steps[first]
+                        if not wisc_kernel(inst, base, y, swap, conditions[qi],
+                                           supports[si], step).verdict:
+                            mask |= members
                     head = (f'{{"base_stage": {base}, "swap_stage": {swap}, '
                             f'"name": {ctx["text"][label]}, "condition": ')
-                    for qi, si, step in steps:
+                    for i, (qi, si, _) in enumerate(steps):
                         yield (f'{head}{cond_text[qi]}, "support": {support_text[si]}}}',
-                               base, y, swap, conditions[qi], supports[si], step)
+                               mask >> i & 1 and (base, y, swap, i))
 
 
 def _run_wisc(ctx, unit):
-    params, base, y, swap, q, support, step = unit
-    report = wisc_kernel(ctx["inst"], base, y, swap, q, support, step)
+    params, failing = unit
+    if not failing:
+        return params, True, None
+    # the unit's group failed; its own kernel call builds the witness
+    base, y, swap, i = failing
+    qi, si, step = ctx["wisc_steps"][swap][i]
+    report = wisc_kernel(ctx["inst"], base, y, swap, ctx["conditions"][qi],
+                         ctx["supports"][si], step)
     return params, report.verdict, (None if report.verdict else report.to_obj())
 
 

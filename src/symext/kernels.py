@@ -225,6 +225,13 @@ def wisc_kernel(staged, base_stage: int, y: Name, swap_stage: int,
     for swap_kernel: a caller running many names against one (swap_stage,
     q, support) can run that once.  The kernel trusts it, its support and
     transposition included.
+
+    Given the stages and the name, the verdict reads of the step only its
+    key in step_groups, (transposition, in_stabilizer, compatible), and
+    reads q only through the two step flags; so the verdict on one step
+    of a group is the verdict on all of them, and the CLI runs the kernel
+    once per group.  A new check that reads q, the support or the fibers
+    must widen that key.
     """
     _same_instance(staged, q.inst)
     if base_stage not in staged.site_index:
@@ -258,6 +265,22 @@ def _wisc_details(step: SwapStep, base_stage: int, swap_stage: int, rank: int,
                    "conditions_compatible": step.compatible},
         "witness": _witness(step.transposition, q),
     }
+
+
+def step_groups(steps: list) -> list:
+    """The swap steps of one stage grouped by their key for wisc_kernel's
+    verdict, (transposition, in_stabilizer, compatible): one (index of
+    the group's first step, bit mask of its steps' indices) per group, in
+    the order of their first steps."""
+    groups = {}
+    for i, step in enumerate(steps):
+        key = (step.transposition, step.in_stabilizer, step.compatible)
+        group = groups.get(key)
+        if group is None:
+            # the mask's binary digits, bit i the i-th from the right
+            group = groups[key] = (i, bytearray(b"0" * len(steps)))
+        group[1][~i] = ord("1")
+    return [(first, int(digits, 2)) for first, digits in groups.values()]
 
 
 @dataclass(frozen=True, eq=False)

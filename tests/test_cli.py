@@ -20,6 +20,8 @@ from symext.cli import (InstanceSpec, default_formula_pool, main,
                         parse_instance_spec, run_checks, _context, _gen_swap,
                         _gen_wisc)
 
+from test_kernels import _conflict_at_stage_1_fiber_0
+
 REFERENCE = ('{"poset": {"elements": ["a", "b"], "leq": []}, '
              '"n": 2, "v": 2, "c": 1, "d": 8}')
 STAGED = '{"stages": [3, 4], "c": 1}'
@@ -782,17 +784,24 @@ class TestPartnerRule:
                                 continue
                             found.add((base, swap, yi, qi, si))
         assert found and (max_dom == 1 or len(found) < inputs)
-        # a unit names its pool entry in its params text and carries the
-        # kernel's arguments themselves
-        support_index = {support: si for si, support in enumerate(ctx["supports"])}
+        # a unit's params text names its stages, its pool entry by a label
+        # no other entry of the pool has, its condition and its support;
+        # every unit passes, so none carries a failing step
+        cond_index = {json.dumps(q.to_obj()): qi for qi, q in enumerate(ctx["conditions"])}
+        support_index = {json.dumps(sorted(map(list, support))): si
+                         for si, support in enumerate(ctx["supports"])}
         emitted = set()
-        for params, base, y, swap, q, support, step in _gen_wisc(ctx):
+        for params, failing in _gen_wisc(ctx):
+            assert failing == 0
+            unit = json.loads(params)
+            base = unit["base_stage"]
             labels = [label for label, _ in ctx["wisc_pool"][base]]
-            yi = labels.index(json.loads(params)["name"])
+            assert labels.count(unit["name"]) == 1
+            yi = labels.index(unit["name"])
             if yi < len(pools[base]):
-                assert y is pools[base][yi][1]
-                emitted.add((base, swap, yi, ctx["cond_index"][q],
-                             support_index[support]))
+                emitted.add((base, unit["swap_stage"], yi,
+                             cond_index[json.dumps(unit["condition"])],
+                             support_index[json.dumps(unit["support"])]))
         assert emitted == found
 
 
@@ -984,6 +993,51 @@ class TestHoistedPath:
                 "base_stage": base, "swap_stage": swap, "name": label,
                 "condition": q.to_obj(),
                 "support": sorted(map(list, support))}
+
+    def test_mixed_wisc_lines_match_the_one_shot_kernel(self, monkeypatch):
+        # the fault makes every step whose condition sets a cell of stage
+        # 1, fiber 0 incompatible, so one transposition has passing and
+        # failing lines: each line must still read its own step's flags
+        monkeypatch.setattr(kernels, "_conflict", _conflict_at_stage_1_fiber_0)
+        spec = parse_instance_spec((SPECS / "staged.json").read_text())
+        ctx = _context(spec, {"max_dom": 1})
+        code, lines = run(spec, "wisc", overrides={"max_dom": 1})
+        units = _wisc_units(ctx)
+        assert code == 1 and len(lines) == len(units) == 2448
+        verdicts = collections.defaultdict(set)
+        for line, (base, swap, label, y, qi, si, step) in zip(lines, units):
+            report = wisc_kernel(ctx["inst"], base, y, swap, ctx["conditions"][qi],
+                                 ctx["supports"][si])
+            assert line["verdict"] == ("pass" if report.verdict else "fail")
+            assert line.get("witness") == (
+                None if report.verdict else json.loads(json.dumps(report.to_obj())))
+            verdicts[label, step.transposition].add(report.verdict)
+        assert sum(line["verdict"] == "fail" for line in lines) == 384
+        assert {True, False} in verdicts.values()
+
+    def test_wisc_run_calls_the_kernel_once_per_step_group(self, monkeypatch):
+        # a step group is the steps of one swap stage with one
+        # (transposition, in_stabilizer, compatible): the kernel's verdict
+        # reads nothing else of a step
+        calls = collections.Counter()
+
+        def counted(staged, base, y, swap, *args, **kwargs):
+            calls[base, y, swap] += 1
+            return wisc_kernel(staged, base, y, swap, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "wisc_kernel", counted)
+        spec = parse_instance_spec((SPECS / "staged.json").read_text())
+        code, lines = run(spec, "wisc", overrides={"max_dom": 1})
+        ctx = _context(spec, {"max_dom": 1})
+        sites = ctx["inst"].sites
+        expected = {(base, y, swap): len({(step.transposition, step.in_stabilizer,
+                                           step.compatible)
+                                          for *_, step in ctx["wisc_steps"][swap]})
+                    for base in sites for swap in sites if swap > base
+                    for _, y in ctx["wisc_pool"][base]}
+        assert code == 0 and len(lines) == 2448
+        assert calls == expected
+        assert sum(calls.values()) == 30
 
     def test_failing_wisc_witness_matches_the_one_shot_kernel(self, monkeypatch):
         # the verdict reads the agreement test, the witness the merge

@@ -9,6 +9,7 @@ from symext import (Condition, FiberExhausted, FiberPermutation, Instance,
                     forces, iter_conditions, min_onto_check, ordinal,
                     swap_kernel, swap_step, wisc_kernel)
 from symext import Poset, build_instance, kernels, symmetry
+from symext.core import _conflict
 from symext.forcing import Eq
 from symext.instances import least_value_name
 
@@ -327,6 +328,15 @@ def _drop_a_moved_cell(pi, p):
             del image[(site, pi((site, fiber))[1], slot)]
             break
     return Condition(p.inst, image)
+
+
+def _conflict_at_stage_1_fiber_0(p, q):
+    """_conflict with a fault: a condition p that sets a cell of stage 1,
+    fiber 0 conflicts with every q."""
+    for cell, _ in p.items:
+        if cell[:2] == (1, 0):
+            return cell
+    return _conflict(p, q)
 
 
 class TestMutatedAction:

@@ -1,6 +1,7 @@
 """Seeded defects in the engine functions that decide a name's support and
-its stage, that force, that choose a swap's fibers, and that relabel a
-condition.  Each row patches one function (and every engine module's
+its stage, that force, that choose a swap's fibers, that relabel a
+condition, that test two conditions for agreement, and that conjugate a
+permutation.  Each row patches one function (and every engine module's
 reference to it, where one imports it by name)
 and runs one CLI suite on a shipped spec, with the row's option
 overrides; the defect must fail the lines the row names.  The instance
@@ -20,7 +21,7 @@ from symext import (build_staged_instance, chain_family, fix_generators,
 from symext import act_name, cli, forcing, instances, kernels, symmetry
 from symext.cli import parse_instance_spec, run_checks
 
-from test_kernels import _drop_a_moved_cell
+from test_kernels import _conflict_at_stage_1_fiber_0, _drop_a_moved_cell
 
 SPECS = Path(__file__).parent.parent / "specs"
 
@@ -48,6 +49,10 @@ def _partner_ignores_support(inst, support, site, fiber, occupied):
         if b != fiber and b not in occupied:
             return b
     return None
+
+
+def _conjugate_is_g(pi, g):
+    return g
 
 
 _swap_fibers = kernels.swap_fibers
@@ -100,6 +105,13 @@ MUTANTS = [
      "reference.json", "symmetry-lemma", {"max_dom": 1}, 227, 1428),
     ("act-drops-a-moved-cell", _DROPPED_CELL,
      "reference.json", "swap", {"max_dom": 1}, 156, 156),
+    # the fault splits one transposition's steps into failing and
+    # passing ones, which the wisc suite's step groups must keep apart
+    ("conflict-at-stage-1-fiber-0",
+     [(kernels, "_conflict", _conflict_at_stage_1_fiber_0)],
+     "staged.json", "wisc", {"max_dom": 1}, 384, 2448),
+    ("conjugate-is-g", [(symmetry, "conjugate", _conjugate_is_g)],
+     "staged.json", "normality", None, 234, 525),
 ]
 
 
