@@ -14,11 +14,11 @@ Optional keys: "max_dom", "max_support", "seed", "suites" (default
 selection for --suite all), and on a flat spec only "posets" (sampled
 posets for the embedding suite) and "formulas" (prefix-syntax strings
 replacing the default pool).  Unknown keys are rejected, as are an empty
-"suites" or "formulas" list, a string poset element that cannot be
-written in a name term, an instance of more than instances.MAX_CELLS
-cells, and a flat spec whose least names hold more than
-instances.MAX_LEAST_CELLS cells.  Either pool is
-text read by forcing.parse_formula, so a formula's label is its text.
+"suites" or "formulas" list, "posets" above _MAX_POSETS, a string poset
+element that cannot be written in a name term, an instance of more than
+instances.MAX_CELLS cells, and a flat spec whose least names hold more
+than instances.MAX_LEAST_CELLS cells.  Either pool is text read by
+forcing.parse_formula, so a formula's label is its text.
 
 Each check unit emits one JSON object per line with the fields suite,
 instance (a content hash), params, verdict, witness (failures only) and
@@ -44,27 +44,26 @@ The work a suite's units share is done once per index, not once per
 unit: the JSON text of each condition, support and label, the image of
 each condition and formula under each permutation, and the forcing
 verdicts of each formula over all conditions as one bit vector per
-mode.  A forcing-oracle or symmetry-lemma unit carries its params text,
-built from one prefix per condition (or per permutation and condition),
-and its verdict as one bit of a per-formula (or per-permutation-and-
-formula) fail mask; only a failing unit runs the one-shot check to
-build its witness.  The clock is read once per unit, so a unit's
-elapsed time runs from the end of the previous unit's run and includes
-its enumeration and any shared table it is the first to need.  One
-generator (_admissible) enumerates the swap and wisc inputs: each
-(condition, support, target) on which kernels.swap_fibers finds the
-kernels' fibers, with those fibers, a condition's touched fibers found
-once per site.  A swap unit carries its fibers, and its run calls the
-swap kernel.  The wisc suite builds each swap step once per (swap stage,
-condition, support) and groups a stage's steps once (kernels.step_groups)
-by the part of a step the wisc kernel's verdict reads.  A wisc unit, like
-a forcing-oracle unit, carries its params text and its verdict as one bit
-of a per-(base stage, swap stage, name) fail mask: the OR of the masks
-of the groups on whose first step the wisc kernel fails.  So that kernel
-runs once per (base stage, swap stage, name, group), and again only on a
-failing unit, for its witness.  Both kernels take the step through
-step=, so neither chooses the fibers again, and both keep their name
-checks per (transposition, name) in the instance's store.
+mode.  One run rule serves the four suites that run engine checks
+(forcing-oracle, symmetry-lemma, swap and wisc): the generator decides
+each unit and yields its params text, built from shared prefixes, with
+0 on a pass or, on a failure only, the unit's (ok, witness).  A
+forcing-oracle, symmetry-lemma or wisc unit reads its verdict as one bit
+of a fail mask: per formula, per (permutation, formula), or per (base
+stage, swap stage, name); only a failing unit runs its one-shot check
+for the witness.  kernels.swap_steps builds every swap step, on exactly
+the (condition, support, target) inputs where kernels.swap_fibers finds
+the fibers: the swap suite's for every unit, on which the swap kernel
+runs, and the wisc suite's once per (swap stage, condition, support).
+A stage's steps are grouped once (kernels.step_groups) by the part of a
+step the wisc kernel's verdict reads, and a wisc fail mask is the OR of
+the masks of the groups on whose first step the kernel fails, so that
+kernel runs once per (base stage, swap stage, name, group).  Both kernels
+take the step through step=, so neither chooses the fibers again, and
+both keep their name checks per (transposition, name) in the instance's
+store.  The clock is read once per unit, so a unit's elapsed time runs
+from the end of the previous unit's run and includes its enumeration
+and any shared table it is the first to need.
 """
 
 from __future__ import annotations
@@ -90,8 +89,7 @@ from .forcing import (act_formula, check_size, forcing_vector, parse_formula,
 from .instances import (MAX_CELLS, MAX_LEAST_CELLS, MAX_SITES, NameFamily,
                         build_instance, build_staged_instance, chain_family,
                         downset_embedding, in_stage, random_poset)
-from .kernels import (_step_on, _support_obj, step_groups, swap_fibers, swap_kernel,
-                      wisc_kernel)
+from .kernels import _support_obj, step_groups, swap_kernel, swap_steps, wisc_kernel
 from .names import check_name, interpret, ordinal, pair_name, set_name
 from .symmetry import (act_condition, assemble_sequence, conjugation_check,
                        fix_generators, generator_closure, infer_min_support,
@@ -105,6 +103,10 @@ _INT_OPTIONS = ("max_dom", "max_support", "seed", "posets")
 # the largest k of an ord:k name term: four ord:64 formulas take 3 s on
 # the reference spec, one ord:1000 formula 20 s on a 1-site spec
 _MAX_ORDINAL = 64
+# the most sampled posets of the embedding suite: 10,000 samples run in
+# about 0.9 s and 20 MB on the reference spec (2 CPUs), at about 11,000
+# samples per second whatever the instance
+_MAX_POSETS = 10_000
 # a string site is written bare in labels and name terms (row:a:0,
 # region:a+b), so it must be one token without a separator
 _SITE_TEXT = re.compile(r"[^\s():+]+")
@@ -163,7 +165,8 @@ def _check_poset(poset) -> None:
 def _check_options(options: dict) -> dict:
     """The options that are set (None leaves one unset), each a known key
     and an integer; a bound or sample count must not be negative, since
-    the suites reading it would silently run no units."""
+    the suites reading it would silently run no units, and the sample
+    count must not pass _MAX_POSETS."""
     options = {key: value for key, value in options.items() if value is not None}
     for key, value in options.items():
         if key not in _INT_OPTIONS:
@@ -172,6 +175,8 @@ def _check_options(options: dict) -> dict:
             raise ParseError(f"option {key!r} must be an integer")
         if key != "seed" and value < 0:
             raise ParseError(f"{key!r} must be non-negative, got {value}")
+        if key == "posets" and value > _MAX_POSETS:
+            raise ParseError(f"'posets' is capped at {_MAX_POSETS} samples, got {value}")
     return options
 
 
@@ -377,32 +382,6 @@ def _wisc_pool(ctx, base):
                    if label != "graph" and in_stage(nm, base)]
 
 
-def _admissible(ctx, targets):
-    """(condition, support, site, fiber, fibers) for each condition, each
-    support and each (site, fiber) of targets, in that order, on which
-    swap_fibers finds the kernels' fibers; a condition's touched fibers
-    at a site are found once.  fiber None asks for the least fiber
-    outside the support."""
-    inst, supports = ctx["inst"], ctx["supports"]
-    sites = dict.fromkeys(z for z, _ in targets)
-    for qi, q in enumerate(ctx["conditions"]):
-        occupied = {z: q.touched_fibers(z) for z in sites}
-        for si, support in enumerate(supports):
-            for z, a in targets:
-                fibers = swap_fibers(inst, support, z, a, occupied[z])
-                if fibers is not None:
-                    yield qi, si, z, a, fibers
-
-
-def _wisc_steps(ctx, swap):
-    """(condition, support, swap step) at the swap stage, in that order,
-    for each condition and support on which the kernel finds its
-    fibers."""
-    inst, conditions, supports = ctx["inst"], ctx["conditions"], ctx["supports"]
-    return [(qi, si, _step_on(inst, conditions[qi], supports[si], swap, fibers))
-            for qi, si, _, _, fibers in _admissible(ctx, ((swap, None),))]
-
-
 # field -> build(ctx), run on its first lookup; a _per_key field is a
 # _Table from a key (an index, or a tuple of them) to an entry
 _FIELDS = {
@@ -427,7 +406,9 @@ _FIELDS = {
     "vector": _per_key(lambda ctx, key: forcing_vector(ctx["conditions"], *key)),
     # swap stage -> the wisc kernel's swap steps there, and their groups
     # (kernels.step_groups)
-    "wisc_steps": _per_key(_wisc_steps),
+    "wisc_steps": _per_key(lambda ctx, swap: [
+        (qi, si, step) for qi, si, _, _, step in swap_steps(
+            ctx["inst"], ctx["conditions"], ctx["supports"], ((swap, None),))]),
     "wisc_groups": _per_key(
         lambda ctx, swap: step_groups([step for *_, step in ctx["wisc_steps"][swap]])),
     # base stage -> the wisc suite's name pool
@@ -475,68 +456,67 @@ def _formula_tails(ctx):
 
 
 def _gen_oracle(ctx):
-    # a unit is (params text, failing): failing is 0 when the two modes
-    # agree at the unit (its bit of its formula's fail mask is clear),
-    # else (condition, formula)
+    # a unit fails when its bit of its formula's fail mask is set: the two
+    # modes differ at its condition, and the witness is each one's bit
     tails, vector = _formula_tails(ctx), ctx["vector"]
-    masks = [vector[phi, "recursive"] ^ vector[phi, "semantic"] for _, phi in ctx["pool"]]
+    phis = [phi for _, phi in ctx["pool"]]
+    masks = [vector[phi, "recursive"] ^ vector[phi, "semantic"] for phi in phis]
     for ci in range(len(ctx["conditions"])):
         head = '{"condition": ' + ctx["cond_text"][ci]
         for fi, mask in enumerate(masks):
-            yield head + tails[fi], mask >> ci & 1 and (ci, fi)
-
-
-def _run_oracle(ctx, unit):
-    params, failing = unit
-    if not failing:
-        return params, True, None
-    # the modes differ at ci; the witness is each one's bit
-    ci, fi = failing
-    phi, vector = ctx["pool"][fi][1], ctx["vector"]
-    return params, False, {mode: bool(vector[phi, mode] >> ci & 1)
-                           for mode in ("recursive", "semantic")}
+            yield head + tails[fi], mask >> ci & 1 and (
+                False, {mode: bool(vector[phis[fi], mode] >> ci & 1)
+                        for mode in ("recursive", "semantic")})
 
 
 def _gen_symmetry(ctx):
-    # a unit is (params text, failing): failing is 0 when the unit's bit
-    # of its (permutation, formula) fail mask is clear, else (permutation,
-    # condition, formula); the fail masks are read once per permutation
+    # a unit fails when its bit of its (permutation, formula) fail mask is
+    # set, and then runs the one-shot check for its witness; the fail
+    # masks are read once per permutation
     tails, cond_text = _formula_tails(ctx), ctx["cond_text"]
     conditions, where, vector = ctx["conditions"], ctx["cond_index"], ctx["vector"]
-    for pii, perm in enumerate(ctx["perms"]):
+    phis = [phi for _, phi in ctx["pool"]]
+    for perm in ctx["perms"]:
         image = [where[act_condition(perm, c)] for c in conditions]
-        masks = [_lemma_fail(vector, perm, image, phi) for _, phi in ctx["pool"]]
+        masks = [_lemma_fail(vector, perm, image, phi) for phi in phis]
         head = '{"permutation": ' + json.dumps(perm.to_obj()) + ', "condition": '
-        for ci in range(len(conditions)):
+        for ci, q in enumerate(conditions):
             prefix = head + cond_text[ci]
             for fi, mask in enumerate(masks):
-                yield prefix + tails[fi], mask >> ci & 1 and (pii, ci, fi)
+                yield prefix + tails[fi], mask >> ci & 1 and _lemma_failing(
+                    symmetry_lemma_check(perm, q, phis[fi]))
 
 
-def _run_symmetry(ctx, unit):
+def _lemma_failing(report):
+    """A symmetry-lemma unit's failing field, from its one-shot check: 0
+    when the law holds, else (False, witness)."""
+    return 0 if report.equal else (False, report.witness)
+
+
+def _kernel_failing(report):
+    """A kernel unit's failing field: 0 on a pass, else (False, report)."""
+    return 0 if report.verdict else (False, report.to_obj())
+
+
+def _run_hoisted(ctx, unit):
+    """The run of the suites that run engine checks, whose generator
+    decides each unit and yields (params text, failing): failing is 0 on
+    a pass, else the unit's (ok, witness), built only for a failing
+    unit."""
     params, failing = unit
-    if not failing:
-        return params, True, None
-    pii, ci, fi = failing
-    report = symmetry_lemma_check(ctx["perms"][pii], ctx["conditions"][ci],
-                                  ctx["pool"][fi][1])
-    return params, report.equal, report.witness
+    return (params, *failing) if failing else (params, True, None)
 
 
 def _gen_swap(ctx):
-    return _admissible(ctx, ctx["inst"].pairs)
-
-
-def _run_swap(ctx, unit):
-    qi, si, z, a, fibers = unit
-    inst, q, support = ctx["inst"], ctx["conditions"][qi], ctx["supports"][si]
-    step = _step_on(inst, q, support, z, fibers)
-    report = swap_kernel(inst, q, support, z, a, step=step)
-    params = ('{"condition": ' + ctx["cond_text"][qi]
-              + ', "support": ' + ctx["support_text"][si]
-              + ', "site": ' + ctx["text"][z]
-              + f', "fiber": {a}, "partner": {step.mate}}}')
-    return params, report.verdict, (None if report.verdict else report.to_obj())
+    # the swap kernel runs on every unit, on the step swap_steps built
+    inst, conditions, supports = ctx["inst"], ctx["conditions"], ctx["supports"]
+    for qi, si, z, a, step in swap_steps(inst, conditions, supports, inst.pairs):
+        report = swap_kernel(inst, conditions[qi], supports[si], z, a, step=step)
+        yield ('{"condition": ' + ctx["cond_text"][qi]
+               + ', "support": ' + ctx["support_text"][si]
+               + ', "site": ' + ctx["text"][z]
+               + f', "fiber": {a}, "partner": {step.mate}}}',
+               _kernel_failing(report))
 
 
 def _gen_hs(ctx):
@@ -592,11 +572,11 @@ def _run_normality(ctx, unit):
 
 
 def _gen_wisc(ctx):
-    # a unit is (params text, failing): failing is 0 when the unit's bit
-    # of its (base stage, swap stage, name) fail mask is clear, else
-    # (base stage, name, swap stage, step index).  The fail mask ORs the
-    # masks of the step groups on whose first step the kernel fails, so
-    # the kernel runs once per (base stage, swap stage, name, group)
+    # a unit fails when its bit of its (base stage, swap stage, name) fail
+    # mask is set, and then reruns the kernel on its own step for the
+    # witness.  The fail mask ORs the masks of the step groups on whose
+    # first step the kernel fails, so the kernel runs once per (base stage,
+    # swap stage, name, group)
     inst, conditions, supports = ctx["inst"], ctx["conditions"], ctx["supports"]
     cond_text, support_text = ctx["cond_text"], ctx["support_text"]
     for base in inst.sites:
@@ -613,21 +593,11 @@ def _gen_wisc(ctx):
                             mask |= members
                     head = (f'{{"base_stage": {base}, "swap_stage": {swap}, '
                             f'"name": {ctx["text"][label]}, "condition": ')
-                    for i, (qi, si, _) in enumerate(steps):
+                    for i, (qi, si, step) in enumerate(steps):
                         yield (f'{head}{cond_text[qi]}, "support": {support_text[si]}}}',
-                               mask >> i & 1 and (base, y, swap, i))
-
-
-def _run_wisc(ctx, unit):
-    params, failing = unit
-    if not failing:
-        return params, True, None
-    # the unit's group failed; its own kernel call builds the witness
-    base, y, swap, i = failing
-    qi, si, step = ctx["wisc_steps"][swap][i]
-    report = wisc_kernel(ctx["inst"], base, y, swap, ctx["conditions"][qi],
-                         ctx["supports"][si], step)
-    return params, report.verdict, (None if report.verdict else report.to_obj())
+                               mask >> i & 1 and _kernel_failing(wisc_kernel(
+                                   inst, base, y, swap, conditions[qi], supports[si],
+                                   step)))
 
 
 def _gen_chains(ctx):
@@ -659,12 +629,12 @@ def _run_chains(ctx, unit):
 
 SUITES = {
     "embedding": (_gen_embedding, _run_embedding),
-    "forcing-oracle": (_gen_oracle, _run_oracle),
-    "symmetry-lemma": (_gen_symmetry, _run_symmetry),
-    "swap": (_gen_swap, _run_swap),
+    "forcing-oracle": (_gen_oracle, _run_hoisted),
+    "symmetry-lemma": (_gen_symmetry, _run_hoisted),
+    "swap": (_gen_swap, _run_hoisted),
     "hs": (_gen_hs, _run_hs),
     "normality": (_gen_normality, _run_normality),
-    "wisc": (_gen_wisc, _run_wisc),
+    "wisc": (_gen_wisc, _run_hoisted),
     "chains": (_gen_chains, _run_chains),
 }
 

@@ -77,9 +77,8 @@ def swap_fibers(inst, support, site, fiber, occupied) -> Optional[tuple]:
     """The two fibers a swap at the site transposes: fiber (when None,
     the least fiber outside the support) and its mate, the partner of
     fiber whose index is not in occupied; None when fiber is in the
-    support or either fiber is missing.  Both kernels choose their
-    fibers by this rule, and the CLI enumerates exactly the inputs on
-    which it finds them."""
+    support or either fiber is missing.  swap_steps builds a step exactly
+    where this rule finds the fibers, for both kernels and the CLI."""
     if fiber is None:
         fiber = partner(inst, support, site, None, ())
     elif (site, fiber) in support:
@@ -102,32 +101,44 @@ class SwapStep(NamedTuple):
     support: frozenset
 
 
+def swap_steps(inst, conditions, supports, targets):
+    """(condition index, support index, site, fiber, step) for each
+    condition, each support and each (site, fiber) of targets, in that
+    order, on which swap_fibers finds the fibers: the one place swap steps
+    are built.  fiber None asks for the least fiber outside the support.
+    The supports are trusted to be frozensets of the instance's pairs, and
+    a condition's touched fibers at a site are found once."""
+    sites = dict.fromkeys(z for z, _ in targets)
+    for qi, q in enumerate(conditions):
+        occupied = {z: q.touched_fibers(z) for z in sites}
+        for si, support in enumerate(supports):
+            for z, a in targets:
+                fibers = swap_fibers(inst, support, z, a, occupied[z])
+                if fibers is None:
+                    continue
+                pi = FiberPermutation.transposition(inst, z, *fibers)
+                # agreement on the common domain decides compatibility;
+                # only a witness needs the merged condition, and _witness
+                # builds it
+                yield qi, si, z, a, SwapStep(*fibers, in_fix(pi, support),
+                                             _conflict(q, act_condition(pi, q)) is None,
+                                             pi, support)
+
+
 def swap_step(inst, q: Condition, support, site, fiber=None) -> SwapStep:
-    """Validate the support, choose the fibers by swap_fibers, the mate
-    with a row untouched by q, and run the two checks that depend only on
-    them; a caller running many names against one (q, support, site,
-    fiber) can run it once and hand it to a kernel as step=."""
+    """The one-input case of swap_steps, on a validated support: the step
+    for (q, support, site, fiber), whose mate has a row untouched by q.  A
+    caller running many names against one (q, support, site, fiber) can
+    build it once and hand it to a kernel as step=."""
     _same_instance(inst, q.inst)
     support = check_support(inst, support)
     if (site, fiber) in support:
         raise ValueError(f"target pair {(site, fiber)!r} must avoid the support")
-    fibers = swap_fibers(inst, support, site, fiber, q.touched_fibers(site))
-    if fibers is None:
-        raise FiberExhausted(
-            f"no spare fiber at site {site!r}: every other fiber is in the "
-            "support or touched by the condition")
-    return _step_on(inst, q, support, site, fibers)
-
-
-def _step_on(inst, q: Condition, support: frozenset, site, fibers: tuple) -> SwapStep:
-    """The swap step on fibers that swap_fibers has chosen for (q, support,
-    site), with support a frozenset of the instance's pairs: for a caller
-    that has already found the fibers."""
-    pi = FiberPermutation.transposition(inst, site, *fibers)
-    # agreement on the common domain decides compatibility; only a
-    # witness needs the merged condition, and _witness builds it
-    return SwapStep(*fibers, in_fix(pi, support),
-                    _conflict(q, act_condition(pi, q)) is None, pi, support)
+    for *_, step in swap_steps(inst, (q,), (support,), ((site, fiber),)):
+        return step
+    raise FiberExhausted(
+        f"no spare fiber at site {site!r}: every other fiber is in the "
+        "support or touched by the condition")
 
 
 def _name_checks(pi: FiberPermutation, y: Name) -> tuple:

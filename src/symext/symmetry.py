@@ -342,29 +342,24 @@ class ConjugationReport:
 
 def conjugation_check(inst, pi: FiberPermutation, support) -> ConjugationReport:
     """Verify that conjugating the stabilizer of E by pi gives exactly the
-    stabilizer of pi(E).
-
-    Both groups are full products of symmetric groups on the free fibers,
-    so mutual containment reduces to: every conjugated generator fixes
-    pi(E) pointwise, and every generator of fix(pi(E)) conjugates back
-    into fix(E).
+    stabilizer of pi(E), by their generator sets: every conjugate of a
+    generator of fix(E) is a generator of fix(pi(E)), and every generator
+    of fix(pi(E)) is such a conjugate.  Conjugation by pi is a group
+    isomorphism, so equal generator sets give equal groups.  The witness
+    is the first conjugate outside the generators of fix(pi(E)), else the
+    first of those generators that no conjugate reaches.
     """
     support = check_support(inst, support)
     _same_instance(inst, pi.inst)
     image = act_support(pi, support)
-    inv = pi.inverse()
-    witness = None
+    targets = fix_generators(inst, image)
+    allowed, reached = set(targets), set()
     for g in fix_generators(inst, support):
         conj = conjugate(pi, g)
-        if not in_fix(conj, image):
-            witness = conj
-            break
-    if witness is None:
-        for h in fix_generators(inst, image):
-            back = conjugate(inv, h)
-            if not in_fix(back, support):
-                witness = h
-                break
+        if conj not in allowed:
+            return ConjugationReport(False, support, image, conj)
+        reached.add(conj)
+    witness = next((h for h in targets if h not in reached), None)
     return ConjugationReport(witness is None, support, image, witness)
 
 

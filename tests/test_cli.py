@@ -88,6 +88,8 @@ MALFORMED = [
                  id="one-site-20000-fibers"),
     pytest.param('{"poset": {"elements": ["a"], "leq": []}, "n": 3, "v": 5000, "c": 1}',
                  id="least-names-5000-slots"),
+    pytest.param('{%s, "c": 1, "posets": 1000000000, "suites": ["embedding"]}'
+                 % FLAT_FIELDS, id="posets-1000000000"),
 ]
 
 
@@ -184,6 +186,20 @@ class TestParse:
                                              f"capped at {instances.MAX_LEAST_CELLS} cells"):
             parse_instance_spec('{"poset": {"elements": ["a"], "leq": []}, '
                                 '"n": 3, "v": 5000, "c": 1}')
+
+    def test_posets_cap_named_in_the_error(self):
+        # a spec field and a run_checks override meet the same cap
+        raw = json.loads(REFERENCE)
+        raw["posets"] = cli._MAX_POSETS
+        spec = parse_instance_spec(json.dumps(raw))
+        assert spec.options["posets"] == cli._MAX_POSETS
+        raw["posets"] += 1
+        cap = f"capped at {cli._MAX_POSETS} samples"
+        with pytest.raises(ParseError, match=cap):
+            parse_instance_spec(json.dumps(raw))
+        with pytest.raises(ParseError, match=cap):
+            run_checks(spec, "embedding", overrides={"posets": cli._MAX_POSETS + 1},
+                       out=io.StringIO())
 
     def test_stages_under_the_cell_cap_parse(self):
         spec = parse_instance_spec('{"stages": [3, 127], "c": 1}')
@@ -587,7 +603,7 @@ class TestMain:
 
     @pytest.mark.parametrize("overrides", [
         {"max_dom": "x"}, {"max_dom": 1.5}, {"max_dom": True}, {"maxdom": 1},
-        {"max_support": -1}])
+        {"max_support": -1}, {"posets": 1_000_000_000}])
     def test_bad_overrides_are_parse_errors(self, overrides):
         # overrides meet the one check that spec options meet
         out = io.StringIO()
@@ -737,6 +753,32 @@ class TestRunContext:
         assert first.inst is not second.inst and first.family is not second.family
 
 
+def _swap_inputs(ctx):
+    """(inputs tried, [(condition, support, site, fiber)]): every input of
+    the swap suite whose target pair avoids the support, and, in line
+    order, those on which the one-shot swap kernel finds its fibers."""
+    inst, found, inputs = ctx["inst"], [], 0
+    for qi, q in enumerate(ctx["conditions"]):
+        for si, support in enumerate(ctx["supports"]):
+            for z, a in inst.pairs:
+                if (z, a) in support:
+                    continue
+                inputs += 1
+                try:
+                    swap_kernel(inst, q, support, z, a)
+                except FiberExhausted:
+                    continue
+                found.append((qi, si, z, a))
+    return inputs, found
+
+
+def _indices(ctx):
+    """The index of each condition and of each support, by JSON text."""
+    return ({json.dumps(q.to_obj()): qi for qi, q in enumerate(ctx["conditions"])},
+            {json.dumps(sorted(map(list, support))): si
+             for si, support in enumerate(ctx["supports"])})
+
+
 class TestPartnerRule:
     """The units a generator emits are exactly the inputs on which its
     kernel finds its fibers, so enumeration and kernel cannot drift."""
@@ -744,21 +786,19 @@ class TestPartnerRule:
     def test_swap_units_are_the_kernel_inputs(self):
         spec = parse_instance_spec((SPECS / "reference.json").read_text())
         ctx = _context(spec, {"max_dom": 1})
-        inst = ctx["inst"]
-        found, inputs = set(), 0
-        for qi, q in enumerate(ctx["conditions"]):
-            for si, support in enumerate(ctx["supports"]):
-                for z, a in inst.pairs:
-                    if (z, a) in support:
-                        continue
-                    inputs += 1
-                    try:
-                        swap_kernel(inst, q, support, z, a)
-                    except FiberExhausted:
-                        continue
-                    found.add((qi, si, z, a))
+        inputs, found = _swap_inputs(ctx)
         assert 0 < len(found) < inputs
-        assert {u[:4] for u in _gen_swap(ctx)} == found
+        # a unit's params text names its condition, support and target;
+        # every unit passes
+        cond_index, support_index = _indices(ctx)
+        emitted = []
+        for params, failing in _gen_swap(ctx):
+            assert failing == 0
+            unit = json.loads(params)
+            emitted.append((cond_index[json.dumps(unit["condition"])],
+                            support_index[json.dumps(unit["support"])],
+                            unit["site"], unit["fiber"]))
+        assert emitted == found
 
     # At max_dom 1 stage headroom leaves every wisc input admissible; at
     # max_dom 2 a condition can fill the swap stage, so the first pool
@@ -787,9 +827,7 @@ class TestPartnerRule:
         # a unit's params text names its stages, its pool entry by a label
         # no other entry of the pool has, its condition and its support;
         # every unit passes, so none carries a failing step
-        cond_index = {json.dumps(q.to_obj()): qi for qi, q in enumerate(ctx["conditions"])}
-        support_index = {json.dumps(sorted(map(list, support))): si
-                         for si, support in enumerate(ctx["supports"])}
+        cond_index, support_index = _indices(ctx)
         emitted = set()
         for params, failing in _gen_wisc(ctx):
             assert failing == 0
@@ -860,9 +898,9 @@ def _wisc_units(ctx):
 
 
 class TestHoistedPath:
-    """The CLI builds permutation images, swap fibers, wisc swap steps and
-    JSON text once per index; every line must still say what the public
-    one-shot checks say about its unit."""
+    """The CLI builds permutation images, swap steps and JSON text once
+    per index; every line must still say what the public one-shot checks
+    say about its unit."""
 
     def test_symmetry_lines_match_the_one_shot_check(self):
         spec = parse_instance_spec((SPECS / "reference.json").read_text())
@@ -929,12 +967,11 @@ class TestHoistedPath:
         spec = parse_instance_spec((SPECS / "reference.json").read_text())
         ctx = _context(spec, {"max_dom": 1})
         code, lines = run(spec, "swap", overrides={"max_dom": 1})
-        units = list(_gen_swap(ctx))
+        units = _swap_inputs(ctx)[1]
         assert code == 0 and len(lines) == len(units) > 0
-        for line, (qi, si, z, a, fibers) in zip(lines, units):
+        for line, (qi, si, z, a) in zip(lines, units):
             q, support = ctx["conditions"][qi], ctx["supports"][si]
             report = swap_kernel(ctx["inst"], q, support, z, a)
-            assert fibers == (a, report.chosen["partner"])
             assert line["verdict"] == ("pass" if report.verdict else "fail")
             assert line["params"] == {
                 "condition": q.to_obj(),
@@ -948,9 +985,9 @@ class TestHoistedPath:
         spec = parse_instance_spec((SPECS / "reference.json").read_text())
         ctx = _context(spec, {"max_dom": 1})
         code, lines = run(spec, "swap", overrides={"max_dom": 1})
-        units = list(_gen_swap(ctx))
+        units = _swap_inputs(ctx)[1]
         assert code == 1 and len(lines) == len(units) > 0
-        for line, (qi, si, z, a, _) in zip(lines, units):
+        for line, (qi, si, z, a) in zip(lines, units):
             report = swap_kernel(ctx["inst"], ctx["conditions"][qi],
                                  ctx["supports"][si], z, a)
             assert line["verdict"] == "fail" and not report.verdict
@@ -959,8 +996,8 @@ class TestHoistedPath:
 
     def test_swap_run_finds_touched_fibers_once_per_condition_and_site(
             self, monkeypatch):
-        # the unit generator finds them to choose the fibers, and each
-        # unit carries its fibers, so no kernel call finds them again
+        # kernels.swap_steps finds them to choose the fibers, and the
+        # kernel takes its step, so no kernel call finds them again
         found, touched = collections.Counter(), Condition.touched_fibers
 
         def counted(q, site):
@@ -1095,7 +1132,8 @@ class TestEncoding:
             p = Condition(inst, [(cell[:3], cell[3]) for cell in params["condition"]])
             assert witness["relabeled"] == symmetry.act_condition(pi, p).to_obj()
 
-        monkeypatch.setattr(symmetry, "in_fix", lambda pi, support: False)
+        # conjugation that forgets pi^-1 gives non-generators as witnesses
+        monkeypatch.setattr(symmetry, "conjugate", lambda pi, g: pi * g)
         code, lines = run(spec, "normality")
         failing = [line for line in lines if line["verdict"] == "fail"]
         assert code == 1 and failing

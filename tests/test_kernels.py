@@ -84,6 +84,34 @@ class TestSwapPartner:
                 swap_step(inst, Condition.top(inst), (), site, 0)
 
 
+    @pytest.mark.parametrize("staged", [False, True])
+    def test_swap_step_is_the_one_input_case_of_swap_steps(self, swap_scale,
+                                                           staged_pair, staged):
+        # on the staged instance, fiber None asks for the least free fiber
+        inst = staged_pair[0] if staged else swap_scale[0]
+        targets = ([(z, None) for z in inst.sites] if staged else inst.pairs)
+        conditions = list(iter_conditions(inst, 1))
+        supports = [frozenset()] + [frozenset({p}) for p in inst.pairs]
+        steps = {(qi, si, z, a): step for qi, si, z, a, step
+                 in kernels.swap_steps(inst, conditions, supports, targets)}
+        built = exhausted = 0
+        for qi, q in enumerate(conditions):
+            for si, support in enumerate(supports):
+                for z, a in targets:
+                    if (z, a) in support:
+                        assert (qi, si, z, a) not in steps
+                        continue
+                    try:
+                        step = swap_step(inst, q, support, z, a)
+                    except FiberExhausted:
+                        assert (qi, si, z, a) not in steps
+                        exhausted += 1
+                        continue
+                    assert steps[qi, si, z, a] == step
+                    built += 1
+        assert built == len(steps) and exhausted > 0
+
+
 class TestSwapKernel:
     def test_support_checked_once_per_run(self, swap_scale, monkeypatch):
         inst, _ = swap_scale

@@ -62,8 +62,7 @@ def _swap_fibers_ignores_occupied(inst, support, site, fiber, occupied):
     return _swap_fibers(inst, support, site, fiber, ())
 
 
-_FREE_MATE = [(kernels, "swap_fibers", _swap_fibers_ignores_occupied),
-              (cli, "swap_fibers", _swap_fibers_ignores_occupied)]
+_FREE_MATE = [(kernels, "swap_fibers", _swap_fibers_ignores_occupied)]
 
 _DROPPED_CELL = [(module, "act_condition", _drop_a_moved_cell)
                  for module in (symmetry, forcing, kernels, cli)]
