@@ -118,6 +118,7 @@ class Store:
         self.checks = {}          # check_name: HF -> Name
         self.interpret = {}       # interpret: (Name, GenericFilter) -> HF
         self.transpositions = {}  # (site, a, b) -> FiberPermutation
+        self.fix_generators = {}  # fix_generators: support -> its generators
         self.act = {}             # act_name: (FiberPermutation, Name) -> Name
         self.support = {}         # infer_min_support: Name -> support
         self.hs = {}              # is_hs: Name -> bool

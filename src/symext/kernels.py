@@ -106,23 +106,67 @@ def swap_steps(inst, conditions, supports, targets):
     condition, each support and each (site, fiber) of targets, in that
     order, on which swap_fibers finds the fibers: the one place swap steps
     are built.  fiber None asks for the least fiber outside the support.
-    The supports are trusted to be frozensets of the instance's pairs, and
-    a condition's touched fibers at a site are found once."""
+    The supports are trusted to be frozensets of the instance's pairs.
+
+    Steps are decided per choice key and shared.  The fibers, the
+    transposition and the stabilizer flag depend only on the support, the
+    target and the condition's touched fibers at the site, so they are
+    chosen once per (site, fiber, touched fibers), for every support; the
+    compatibility flag depends only on the condition and the
+    transposition, so it is decided once per transposition of the current
+    condition.  A choice holds one SwapStep per compatibility flag (the
+    incompatible one built on first use), yielded by reference to every
+    input it serves.  The tables live for one call, and their sizes are
+    bounded by the supports and the distinct touched-fiber sets, not by
+    the conditions."""
     sites = dict.fromkeys(z for z, _ in targets)
+    # (site, fiber, touched fibers) -> per support index, None when
+    # swap_fibers finds no fibers, else the choice
+    choices = {}
+    # transposition -> its index in the per-condition compatibility list
+    slots = {}
     for qi, q in enumerate(conditions):
         occupied = {z: q.touched_fibers(z) for z in sites}
-        for si, support in enumerate(supports):
-            for z, a in targets:
-                fibers = swap_fibers(inst, support, z, a, occupied[z])
-                if fibers is None:
+        rows = []
+        for z, a in targets:
+            key = (z, a, occupied[z])
+            row = choices.get(key)
+            if row is None:
+                row = choices[key] = [_choice(inst, support, z, a, occupied[z], slots)
+                                      for support in supports]
+            rows.append(row)
+        # by slot, whether the transposition carries q to a compatible
+        # condition: agreement on the common domain decides; only a witness
+        # needs the merged condition, and _witness builds it
+        agrees = [None] * len(slots)
+        for si in range(len(supports)):
+            for (z, a), row in zip(targets, rows):
+                choice = row[si]
+                if choice is None:
                     continue
-                pi = FiberPermutation.transposition(inst, z, *fibers)
-                # agreement on the common domain decides compatibility;
-                # only a witness needs the merged condition, and _witness
-                # builds it
-                yield qi, si, z, a, SwapStep(*fibers, in_fix(pi, support),
-                                             _conflict(q, act_condition(pi, q)) is None,
-                                             pi, support)
+                slot, step, incompatible = choice
+                ok = agrees[slot]
+                if ok is None:
+                    ok = agrees[slot] = _conflict(
+                        q, act_condition(step.transposition, q)) is None
+                if not ok:
+                    if incompatible is None:
+                        incompatible = choice[2] = step._replace(compatible=False)
+                    step = incompatible
+                yield qi, si, z, a, step
+
+
+def _choice(inst, support, site, fiber, occupied, slots) -> Optional[list]:
+    """swap_steps' choice for one (support, site, fiber, touched fibers):
+    None when swap_fibers finds no fibers, else [slot, step, None]: the
+    transposition's slot, numbered in slots, its compatible step, and a
+    place for its incompatible step, built on first use."""
+    fibers = swap_fibers(inst, support, site, fiber, occupied)
+    if fibers is None:
+        return None
+    pi = FiberPermutation.transposition(inst, site, *fibers)
+    return [slots.setdefault(pi, len(slots)),
+            SwapStep(*fibers, in_fix(pi, support), True, pi, support), None]
 
 
 def swap_step(inst, q: Condition, support, site, fiber=None) -> SwapStep:

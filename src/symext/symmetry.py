@@ -211,14 +211,20 @@ def in_fix(pi: FiberPermutation, support) -> bool:
 
 def fix_generators(inst, support) -> list:
     """Transpositions of two same-site fibers both avoiding the support;
-    these generate the pointwise stabilizer within the group."""
+    these generate the pointwise stabilizer within the group.  They are
+    found once per validated support and kept in the instance's store;
+    each call returns a new list, which the caller may change."""
     support = check_support(inst, support)
-    gens = []
-    for site in inst.sites:
-        free = [f for f in range(inst.fiber_count(site)) if (site, f) not in support]
-        for a, b in itertools.combinations(free, 2):
-            gens.append(FiberPermutation.transposition(inst, site, a, b))
-    return gens
+    table = inst.store.fix_generators
+    gens = table.get(support)
+    if gens is None:
+        gens = []
+        for site in inst.sites:
+            free = [f for f in range(inst.fiber_count(site)) if (site, f) not in support]
+            for a, b in itertools.combinations(free, 2):
+                gens.append(FiberPermutation.transposition(inst, site, a, b))
+        gens = table[support] = tuple(gens)
+    return list(gens)
 
 
 def is_symmetric_under(inst, x: Name, support) -> bool:

@@ -1,5 +1,6 @@
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +10,12 @@ from symext import (Condition, FiberExhausted, FiberPermutation, Instance,
                     forces, iter_conditions, min_onto_check, ordinal,
                     swap_kernel, swap_step, wisc_kernel)
 from symext import Poset, build_instance, kernels, symmetry
+from symext.cli import _context, parse_instance_spec
 from symext.core import _conflict
 from symext.forcing import Eq
 from symext.instances import least_value_name
+
+SPECS = Path(__file__).parent.parent / "specs"
 
 _SCOPE = ('"scope": "verifies the finite combinatorial step only (stabilizer '
           'membership, name fixation, condition compatibility); no conclusion '
@@ -56,6 +60,42 @@ PINNED_WISC = (
     '"cutoff_exceeded": false}, "verdict": "pass", ' + _SCOPE)
 
 
+def _spec_inputs(name, max_dom=None):
+    """The instance, conditions and supports of a spec file, as a CLI run
+    of it enumerates them."""
+    spec = parse_instance_spec((SPECS / name).read_text())
+    ctx = _context(spec, {} if max_dom is None else {"max_dom": max_dom})
+    return spec.inst, ctx["conditions"], ctx["supports"]
+
+
+def _assert_steps_are_the_one_input_steps(inst, conditions, supports, targets):
+    """Every step swap_steps yields equals swap_step's on its input, field
+    by field, and an input on which swap_step finds no step (its target
+    pair in the support, or no spare fiber) yields none; returns the
+    yielded steps."""
+    steps = {(qi, si, z, a): step for qi, si, z, a, step
+             in kernels.swap_steps(inst, conditions, supports, targets)}
+    built = exhausted = 0
+    for qi, q in enumerate(conditions):
+        for si, support in enumerate(supports):
+            for z, a in targets:
+                if (z, a) in support:
+                    assert (qi, si, z, a) not in steps
+                    continue
+                try:
+                    one = swap_step(inst, q, support, z, a)
+                except FiberExhausted:
+                    assert (qi, si, z, a) not in steps
+                    exhausted += 1
+                    continue
+                step = steps[qi, si, z, a]
+                for field in kernels.SwapStep._fields:
+                    assert getattr(step, field) == getattr(one, field), (qi, si, z, a, field)
+                built += 1
+    assert built == len(steps) and exhausted > 0
+    return list(steps.values())
+
+
 class TestSwapPartner:
     def test_least_admissible(self, swap_scale):
         inst, _ = swap_scale
@@ -92,24 +132,36 @@ class TestSwapPartner:
         targets = ([(z, None) for z in inst.sites] if staged else inst.pairs)
         conditions = list(iter_conditions(inst, 1))
         supports = [frozenset()] + [frozenset({p}) for p in inst.pairs]
-        steps = {(qi, si, z, a): step for qi, si, z, a, step
-                 in kernels.swap_steps(inst, conditions, supports, targets)}
-        built = exhausted = 0
-        for qi, q in enumerate(conditions):
-            for si, support in enumerate(supports):
-                for z, a in targets:
-                    if (z, a) in support:
-                        assert (qi, si, z, a) not in steps
-                        continue
-                    try:
-                        step = swap_step(inst, q, support, z, a)
-                    except FiberExhausted:
-                        assert (qi, si, z, a) not in steps
-                        exhausted += 1
-                        continue
-                    assert steps[qi, si, z, a] == step
-                    built += 1
-        assert built == len(steps) and exhausted > 0
+        _assert_steps_are_the_one_input_steps(inst, conditions, supports, targets)
+
+
+class TestSharedSteps:
+    """swap_steps decides each step once per choice and shares it; at the
+    spec files' real traffic it still gives swap_step's step on every
+    input."""
+
+    def test_staged_wisc_inputs(self):
+        inst, conditions, supports = _spec_inputs("staged.json")
+        assert (len(conditions), len(supports)) == (1251, 8)
+        steps = _assert_steps_are_the_one_input_steps(inst, conditions, supports,
+                                                      ((1, None),))
+        assert len(steps) == 9752
+        assert len({id(step) for step in steps}) < 100
+
+    def test_compatibility_is_decided_per_condition(self, monkeypatch):
+        # the mate is untouched by the condition, so with the sound action
+        # every step is compatible; a doctored _conflict makes the flag
+        # differ between conditions on one transposition
+        monkeypatch.setattr(kernels, "_conflict", _conflict_at_stage_1_fiber_0)
+        inst, conditions, supports = _spec_inputs("staged.json")
+        steps = _assert_steps_are_the_one_input_steps(inst, conditions, supports,
+                                                      ((1, None),))
+        assert {step.compatible for step in steps} == {False, True}
+
+    def test_reference_swap_inputs(self):
+        inst, conditions, supports = _spec_inputs("reference.json", max_dom=3)
+        assert (len(conditions), len(supports)) == (577, 5)
+        _assert_steps_are_the_one_input_steps(inst, conditions, supports, inst.pairs)
 
 
 class TestSwapKernel:

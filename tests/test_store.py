@@ -8,8 +8,8 @@ import tracemalloc
 import weakref
 
 from symext import (Condition, FiberPermutation, Instance, Mem, Poset, act_name,
-                    canonical_family, check_name, forces, is_hs, ordinal,
-                    swap_kernel, wisc_kernel)
+                    canonical_family, check_name, conjugation_check, forces, is_hs,
+                    ordinal, swap_kernel, wisc_kernel)
 from symext.cli import parse_instance_spec, run_checks
 
 
@@ -57,12 +57,16 @@ def _use(inst):
 
 def _use_kernels(flat, staged):
     """Fill the kernels' memos: the default names per support and the
-    name checks per (transposition, name)."""
+    name checks per (transposition, name); and the stabilizer generators
+    per support, through conjugation_check."""
     assert swap_kernel(flat, Condition.top(flat), (), flat.sites[0], 0).verdict
     y = canonical_family(staged).sites[0]
     assert wisc_kernel(staged, 0, y, 1, Condition.top(staged), ()).verdict
+    pi = FiberPermutation.transposition(flat, flat.sites[0], 0, 1)
+    assert conjugation_check(flat, pi, {(flat.sites[0], 0)}).ok
     assert flat.store.swap_names and flat.store.name_checks
     assert staged.store.name_checks
+    assert len(flat.store.fix_generators) == 2
 
 
 def test_dropped_instance_is_freed():

@@ -186,6 +186,16 @@ class TestFixGenerators:
         assert len(closure) == 2  # identity and the b-swap
         assert all(in_fix(g, support) for g in closure)
 
+    def test_kept_per_support_and_handed_out_as_a_new_list(self, swap_scale):
+        inst, _ = swap_scale
+        first = fix_generators(inst, [("a", 1)])
+        expected = list(first)
+        first.clear()
+        first.append(FiberPermutation.identity(inst))
+        again = fix_generators(inst, {("a", 1)})
+        assert again == expected and again is not first
+        assert fix_generators(inst, frozenset({("a", 1)})) is not again
+
     def test_generated_group_is_the_bounded_closure_and_obeys_its_size_bound(self, reference):
         inst, _ = reference
         gens = fix_generators(inst, ())
