@@ -44,29 +44,33 @@ The work a suite's units share is done once per index, not once per
 unit: the JSON text of each condition, support and label, the image of
 each condition and formula under each permutation, and the forcing
 verdicts of each formula over all conditions as one bit vector per
-mode.  One run rule serves the four suites that run engine checks
-(forcing-oracle, symmetry-lemma, swap and wisc): the generator decides
-each unit and yields its params text, built from shared prefixes, with
-0 on a pass or, on a failure only, the unit's (ok, witness).  A
+mode.  One unit rule serves every suite: its generator decides each
+unit and yields its params text, built from shared prefixes, with 0 on
+a pass or, on a failure only, the unit's (ok, witness).  A
 forcing-oracle, symmetry-lemma or wisc unit reads its verdict as one bit
 of a fail mask: per formula, per (permutation, formula), or per (base
-stage, swap stage, name); only a failing unit runs its one-shot check
-for the witness.  kernels.swap_steps builds every swap step, on exactly
-the (condition, support, target) inputs where kernels.swap_fibers finds
-the fibers: the swap suite's for every unit, on which the swap kernel
-runs, and the wisc suite's per swap stage, for all its (condition,
-support) inputs in one call.  Within a call each step is decided once
-per choice key and shared by every input it serves: the 9,752 steps of
-specs/staged.json's swap stage are 84 objects.
-A stage's steps are grouped once (kernels.step_groups) by the part of a
-step the wisc kernel's verdict reads, and a wisc fail mask is the OR of
-the masks of the groups on whose first step the kernel fails, so that
-kernel runs once per (base stage, swap stage, name, group).  Both kernels
-take the step through step=, so neither chooses the fibers again, and
-both keep their name checks per (transposition, name) in the instance's
-store.  The clock is read once per unit, so a unit's elapsed time runs
-from the end of the previous unit's run and includes its enumeration
-and any shared table it is the first to need.
+stage, swap stage, name), and reads no bit when that mask is 0; only a
+failing unit runs its one-shot check for the witness.  A normality unit
+runs conjugation_check in the generator, permutation-major, so each
+generator's conjugate is built once per permutation (see
+symmetry.conjugation_check).
+
+kernels.swap_steps builds every swap step, on exactly the (condition,
+support, target) inputs where kernels.swap_fibers finds the fibers: the
+swap suite's for every unit, on which the swap kernel runs, and the
+wisc suite's per swap stage, for all its (condition, support) inputs in
+one call.  Within a call each step is decided once per choice key and
+shared by every input it serves: the 9,752 steps of specs/staged.json's
+swap stage are 84 objects.  A stage's steps are grouped once
+(kernels.step_groups) by the part of a step the wisc kernel's verdict
+reads, and a wisc fail mask is the OR of the masks of the groups on
+whose first step the kernel fails, so that kernel runs once per (base
+stage, swap stage, name, group).  Both kernels take the step through
+step=, so neither chooses the fibers again, and both keep their name
+checks per (transposition, name) in the instance's store.  The clock is
+read once per unit, so a unit's elapsed time runs from the end of the
+previous unit's run and includes its enumeration and any shared table
+it is the first to need.
 """
 
 from __future__ import annotations
@@ -426,31 +430,25 @@ def _pull_back(vector: int, image: list) -> int:
 
 
 # ------------------------------------------------------------------
-# suites: gen(ctx) -> an iterable of units; run(ctx, unit) -> (params,
-# ok, witness), where params is a dict or its JSON text.  Which
+# suites: gen(ctx) decides each unit, in order, and yields its (params
+# text, failing): failing is 0 on a pass, else the unit's (ok, witness),
+# built only for a failing unit.  run is _unit for every suite.  Which
 # suites apply to which kind of instance is FLAT_SUITES/STAGED_SUITES
 
 def _gen_embedding(ctx):
-    elements = ctx["inst"].poset.elements
-    return itertools.chain(
-        (("pair", z1, z2) for z1 in elements for z2 in elements),
-        (("sample", i) for i in range(ctx["posets"])))
-
-
-def _run_embedding(ctx, unit):
-    if unit[0] == "pair":
-        _, z1, z2 = unit
-        down = ctx["downsets"]
-        ok = ctx["inst"].poset.leq(z1, z2) == (down[z1] <= down[z2])
-        return {"pair": [z1, z2]}, ok, None
-    _, i = unit
-    rng = random.Random(f"{ctx['seed']}:{i}")
-    poset = random_poset(rng)
-    down = downset_embedding(poset)
-    bad = [(z1, z2) for z1 in poset.elements for z2 in poset.elements
-           if poset.leq(z1, z2) != (down[z1] <= down[z2])]
-    params = {"sample": i, "seed": ctx["seed"], "elements": len(poset.elements)}
-    return params, not bad, ({"failing_pairs": bad} if bad else None)
+    poset, down = ctx["inst"].poset, ctx["downsets"]
+    for z1 in poset.elements:
+        for z2 in poset.elements:
+            ok = poset.leq(z1, z2) == (down[z1] <= down[z2])
+            yield json.dumps({"pair": [z1, z2]}), 0 if ok else (False, None)
+    for i in range(ctx["posets"]):
+        rng = random.Random(f"{ctx['seed']}:{i}")
+        poset = random_poset(rng)
+        down = downset_embedding(poset)
+        bad = [(z1, z2) for z1 in poset.elements for z2 in poset.elements
+               if poset.leq(z1, z2) != (down[z1] <= down[z2])]
+        params = {"sample": i, "seed": ctx["seed"], "elements": len(poset.elements)}
+        yield json.dumps(params), 0 if not bad else (False, {"failing_pairs": bad})
 
 
 def _formula_tails(ctx):
@@ -460,15 +458,16 @@ def _formula_tails(ctx):
 
 def _gen_oracle(ctx):
     # a unit fails when its bit of its formula's fail mask is set: the two
-    # modes differ at its condition, and the witness is each one's bit
+    # modes differ at its condition, and the witness is each one's bit;
+    # a zero mask has no bit to read
     tails, vector = _formula_tails(ctx), ctx["vector"]
     phis = [phi for _, phi in ctx["pool"]]
     masks = [vector[phi, "recursive"] ^ vector[phi, "semantic"] for phi in phis]
     for ci in range(len(ctx["conditions"])):
         head = '{"condition": ' + ctx["cond_text"][ci]
-        for fi, mask in enumerate(masks):
-            yield head + tails[fi], mask >> ci & 1 and (
-                False, {mode: bool(vector[phis[fi], mode] >> ci & 1)
+        for tail, mask, phi in zip(tails, masks, phis):
+            yield head + tail, mask and mask >> ci & 1 and (
+                False, {mode: bool(vector[phi, mode] >> ci & 1)
                         for mode in ("recursive", "semantic")})
 
 
@@ -485,9 +484,9 @@ def _gen_symmetry(ctx):
         head = '{"permutation": ' + json.dumps(perm.to_obj()) + ', "condition": '
         for ci, q in enumerate(conditions):
             prefix = head + cond_text[ci]
-            for fi, mask in enumerate(masks):
-                yield prefix + tails[fi], mask >> ci & 1 and _lemma_failing(
-                    symmetry_lemma_check(perm, q, phis[fi]))
+            for tail, mask, phi in zip(tails, masks, phis):
+                yield prefix + tail, mask and mask >> ci & 1 and _lemma_failing(
+                    symmetry_lemma_check(perm, q, phi))
 
 
 def _lemma_failing(report):
@@ -499,15 +498,6 @@ def _lemma_failing(report):
 def _kernel_failing(report):
     """A kernel unit's failing field: 0 on a pass, else (False, report)."""
     return 0 if report.verdict else (False, report.to_obj())
-
-
-def _run_hoisted(ctx, unit):
-    """The run of the suites that run engine checks, whose generator
-    decides each unit and yields (params text, failing): failing is 0 on
-    a pass, else the unit's (ok, witness), built only for a failing
-    unit."""
-    params, failing = unit
-    return (params, *failing) if failing else (params, True, None)
 
 
 def _gen_swap(ctx):
@@ -523,55 +513,45 @@ def _gen_swap(ctx):
 
 
 def _gen_hs(ctx):
-    return iter(ctx["names"])
-
-
-def _run_hs(ctx, label):
+    # a row or least name's least support is its own pair, a site name's
+    # is empty, any other name has one, and every name is hereditarily
+    # symmetric
     inst = ctx["inst"]
-    nm = ctx["names"][label]
-    found = infer_min_support(inst, nm)
-    hereditarily = is_hs(inst, nm)
-    parts = label.split(":")
-    kind = parts[0]
-    if kind in ("row", "least"):
-        expected = frozenset({(_site_of(inst, parts[1]), int(parts[2]))})
-        ok = found == expected and hereditarily
-    elif kind == "site":
-        ok = found == frozenset() and hereditarily
-    else:
-        ok = found is not None and hereditarily
-    params = {"name": label,
-              "support": _support_obj(found) if found is not None else None}
-    return params, ok, None
+    for label, nm in ctx["names"].items():
+        found = infer_min_support(inst, nm)
+        hereditarily = is_hs(inst, nm)
+        kind, *rest = label.split(":")
+        expected = (frozenset({(_site_of(inst, rest[0]), int(rest[1]))})
+                    if kind in ("row", "least") else frozenset() if kind == "site"
+                    else found)
+        ok = found is not None and found == expected
+        params = {"name": label,
+                  "support": _support_obj(found) if found is not None else None}
+        yield json.dumps(params), 0 if ok and hereditarily else (False, None)
 
 
 def _gen_normality(ctx):
-    members = range(len(ctx["members"]))
-    return itertools.chain(
-        itertools.product(("conj",), range(len(ctx["perms"])),
-                          range(len(ctx["supports"]))),
-        (("assemble",) + combo for k in (1, 2)
-         for combo in itertools.combinations(members, k)))
-
-
-def _run_normality(ctx, unit):
-    inst = ctx["inst"]
-    if unit[0] == "conj":
-        _, pii, si = unit
-        perm = ctx["perms"][pii]
-        support = ctx["supports"][si]
-        report = conjugation_check(inst, perm, support)
-        params = {"permutation": perm.to_obj(),
-                  "support": _support_obj(support),
-                  "image": _support_obj(report.support_image)}
-        witness = None if report.ok else {"witness": report.witness.to_obj()}
-        return params, report.ok, witness
-    labels = [ctx["members"][i] for i in unit[1:]]
-    report = assemble_sequence(inst, [ctx["names"][l] for l in labels])
-    ok = report.hs or not report.certified
-    params = {"members": labels, "hereditarily_symmetric": report.hs,
-              "certified": report.certified}
-    return params, ok, None
+    # conjugation units run permutation-major, so conjugation_check
+    # conjugates each generator once per permutation; a support's image is
+    # a support too.  Then an assembly unit per one or two members fails
+    # when a certified bundle is not hereditarily symmetric
+    inst, supports, support_text = ctx["inst"], ctx["supports"], ctx["support_text"]
+    where = {support: si for si, support in enumerate(supports)}
+    for perm in ctx["perms"]:
+        head = '{"permutation": ' + json.dumps(perm.to_obj()) + ', "support": '
+        for si, support in enumerate(supports):
+            report = conjugation_check(inst, perm, support)
+            yield (head + support_text[si] + ', "image": '
+                   + support_text[where[report.support_image]] + '}',
+                   0 if report.ok else (False, {"witness": report.witness.to_obj()}))
+    names = ctx["names"]
+    for k in (1, 2):
+        for labels in itertools.combinations(ctx["members"], k):
+            report = assemble_sequence(inst, [names[label] for label in labels])
+            params = {"members": list(labels), "hereditarily_symmetric": report.hs,
+                      "certified": report.certified}
+            yield json.dumps(params), 0 if report.hs or not report.certified else (
+                False, None)
 
 
 def _gen_wisc(ctx):
@@ -579,9 +559,12 @@ def _gen_wisc(ctx):
     # mask is set, and then reruns the kernel on its own step for the
     # witness.  The fail mask ORs the masks of the step groups on whose
     # first step the kernel fails, so the kernel runs once per (base stage,
-    # swap stage, name, group)
+    # swap stage, name, group).  A stage's steps run condition-major, so a
+    # line is its condition's prefix and its support's tail
     inst, conditions, supports = ctx["inst"], ctx["conditions"], ctx["supports"]
-    cond_text, support_text = ctx["cond_text"], ctx["support_text"]
+    cond_text = ctx["cond_text"]
+    tails = [', "support": ' + ctx["support_text"][si] + '}'
+             for si in range(len(supports))]
     for base in inst.sites:
         pool = ctx["wisc_pool"][base]
         for swap in inst.sites:
@@ -596,50 +579,49 @@ def _gen_wisc(ctx):
                             mask |= members
                     head = (f'{{"base_stage": {base}, "swap_stage": {swap}, '
                             f'"name": {ctx["text"][label]}, "condition": ')
+                    last = None
                     for i, (qi, si, step) in enumerate(steps):
-                        yield (f'{head}{cond_text[qi]}, "support": {support_text[si]}}}',
-                               mask >> i & 1 and _kernel_failing(wisc_kernel(
-                                   inst, base, y, swap, conditions[qi], supports[si],
-                                   step)))
+                        if qi != last:
+                            last, prefix = qi, head + cond_text[qi]
+                        yield prefix + tails[si], mask and mask >> i & 1 and (
+                            _kernel_failing(wisc_kernel(inst, base, y, swap, conditions[qi],
+                                                        supports[si], step)))
 
 
 def _gen_chains(ctx):
-    k = len(ctx["inst"].sites)
-    return itertools.chain((("entries", b) for b in range(k - 1)),
-                           (("interp", i) for i in range(16)))
-
-
-def _run_chains(ctx, unit):
+    # each link's entries are a proper subset of the link below, and each
+    # sampled filter interprets every link inside the one below
     staged, chain = ctx["inst"], ctx["chain"]
-    if unit[0] == "entries":
-        b = unit[1]
-        inner, outer = set(chain[b + 1].entries), set(chain[b].entries)
-        ok = inner < outer
-        return {"link": [b + 1, b]}, ok, None
-    i = unit[1]
-    rng = random.Random(f"{ctx['seed']}:chain:{i}")
-    bits = [rng.randint(0, 1) for _ in staged.cells]
-    filt = GenericFilter(staged, bits)
-    ok = True
-    for b in range(len(chain) - 1):
-        small = interpret(chain[b + 1], filt)
-        large = interpret(chain[b], filt)
-        if not all(e in large for e in small):
-            ok = False
-            break
-    return {"sample": i, "seed": ctx["seed"]}, ok, (None if ok else {"bits": bits})
+    for b in range(len(staged.sites) - 1):
+        ok = set(chain[b + 1].entries) < set(chain[b].entries)
+        yield json.dumps({"link": [b + 1, b]}), 0 if ok else (False, None)
+    for i in range(16):
+        rng = random.Random(f"{ctx['seed']}:chain:{i}")
+        bits = [rng.randint(0, 1) for _ in staged.cells]
+        filt = GenericFilter(staged, bits)
+        links = ((interpret(chain[b + 1], filt), interpret(chain[b], filt))
+                 for b in range(len(chain) - 1))
+        ok = all(all(e in large for e in small) for small, large in links)
+        yield (json.dumps({"sample": i, "seed": ctx["seed"]}),
+               0 if ok else (False, {"bits": bits}))
 
 
-SUITES = {
-    "embedding": (_gen_embedding, _run_embedding),
-    "forcing-oracle": (_gen_oracle, _run_hoisted),
-    "symmetry-lemma": (_gen_symmetry, _run_hoisted),
-    "swap": (_gen_swap, _run_hoisted),
-    "hs": (_gen_hs, _run_hs),
-    "normality": (_gen_normality, _run_normality),
-    "wisc": (_gen_wisc, _run_hoisted),
-    "chains": (_gen_chains, _run_chains),
-}
+def _unit(ctx, unit):
+    """Every suite's run: the generator has decided the unit, which is
+    already its (params text, failing)."""
+    return unit
+
+
+SUITES = {suite: (gen, _unit) for suite, gen in (
+    ("embedding", _gen_embedding),
+    ("forcing-oracle", _gen_oracle),
+    ("symmetry-lemma", _gen_symmetry),
+    ("swap", _gen_swap),
+    ("hs", _gen_hs),
+    ("normality", _gen_normality),
+    ("wisc", _gen_wisc),
+    ("chains", _gen_chains),
+)}
 
 
 def _run_units(ctx, suite, out) -> bool:
@@ -660,14 +642,13 @@ def _run_units(ctx, suite, out) -> bool:
     write, failed = out.write, False
     last = monotonic_ns() // 1000
     for unit in gen(ctx):
-        params, ok, witness = run(ctx, unit)
+        params, failing = run(ctx, unit)
         now = monotonic_ns() // 1000
         elapsed, last = seconds[now - last], now
-        if not isinstance(params, str):
-            params = json.dumps(params)
-        if ok and witness is None:
+        if not failing:
             write(f'{head}{params}, "verdict": "pass", "elapsed": {elapsed}}}\n')
             continue
+        ok, witness = failing
         failed = failed or not ok
         verdict = '"pass"' if ok else '"fail"'
         witness = "" if witness is None else ', "witness": ' + json.dumps(witness)

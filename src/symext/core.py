@@ -119,6 +119,7 @@ class Store:
         self.interpret = {}       # interpret: (Name, GenericFilter) -> HF
         self.transpositions = {}  # (site, a, b) -> FiberPermutation
         self.fix_generators = {}  # fix_generators: support -> its generators
+        self.conjugates = (None, {})  # conjugation_check: (latest pi, gen -> conjugate)
         self.act = {}             # act_name: (FiberPermutation, Name) -> Name
         self.support = {}         # infer_min_support: Name -> support
         self.hs = {}              # is_hs: Name -> bool

@@ -77,7 +77,7 @@ def swap_fibers(inst, support, site, fiber, occupied) -> Optional[tuple]:
     """The two fibers a swap at the site transposes: fiber (when None,
     the least fiber outside the support) and its mate, the partner of
     fiber whose index is not in occupied; None when fiber is in the
-    support or either fiber is missing.  swap_steps builds a step exactly
+    support or either fiber is missing.  _choice builds a step exactly
     where this rule finds the fibers, for both kernels and the CLI."""
     if fiber is None:
         fiber = partner(inst, support, site, None, ())
@@ -104,8 +104,9 @@ class SwapStep(NamedTuple):
 def swap_steps(inst, conditions, supports, targets):
     """(condition index, support index, site, fiber, step) for each
     condition, each support and each (site, fiber) of targets, in that
-    order, on which swap_fibers finds the fibers: the one place swap steps
-    are built.  fiber None asks for the least fiber outside the support.
+    order, on which swap_fibers finds the fibers; _choice, which swap_step
+    calls too, is the one place a step is chosen.  fiber None asks for the
+    least fiber outside the support.
     The supports are trusted to be frozensets of the instance's pairs.
 
     Steps are decided per choice key and shared.  The fibers, the
@@ -136,24 +137,18 @@ def swap_steps(inst, conditions, supports, targets):
                                       for support in supports]
             rows.append(row)
         # by slot, whether the transposition carries q to a compatible
-        # condition: agreement on the common domain decides; only a witness
-        # needs the merged condition, and _witness builds it
+        # condition
         agrees = [None] * len(slots)
         for si in range(len(supports)):
             for (z, a), row in zip(targets, rows):
                 choice = row[si]
                 if choice is None:
                     continue
-                slot, step, incompatible = choice
+                slot, step, _ = choice
                 ok = agrees[slot]
                 if ok is None:
-                    ok = agrees[slot] = _conflict(
-                        q, act_condition(step.transposition, q)) is None
-                if not ok:
-                    if incompatible is None:
-                        incompatible = choice[2] = step._replace(compatible=False)
-                    step = incompatible
-                yield qi, si, z, a, step
+                    ok = agrees[slot] = _compatible(q, step.transposition)
+                yield qi, si, z, a, step if ok else _incompatible(choice)
 
 
 def _choice(inst, support, site, fiber, occupied, slots) -> Optional[list]:
@@ -169,20 +164,37 @@ def _choice(inst, support, site, fiber, occupied, slots) -> Optional[list]:
             SwapStep(*fibers, in_fix(pi, support), True, pi, support), None]
 
 
+def _compatible(q: Condition, pi: FiberPermutation) -> bool:
+    """Whether pi carries q to a condition compatible with q: agreement on
+    the common domain decides; only a witness needs the merged condition,
+    and _witness builds it."""
+    return _conflict(q, act_condition(pi, q)) is None
+
+
+def _incompatible(choice: list) -> SwapStep:
+    """choice's step flagged incompatible, built on first use and kept in
+    choice, so every input it serves shares one object."""
+    if choice[2] is None:
+        choice[2] = choice[1]._replace(compatible=False)
+    return choice[2]
+
+
 def swap_step(inst, q: Condition, support, site, fiber=None) -> SwapStep:
     """The one-input case of swap_steps, on a validated support: the step
-    for (q, support, site, fiber), whose mate has a row untouched by q.  A
-    caller running many names against one (q, support, site, fiber) can
-    build it once and hand it to a kernel as step=."""
+    for (q, support, site, fiber), chosen by _choice, whose mate has a row
+    untouched by q.  A caller running many names against one (q, support,
+    site, fiber) can build it once and hand it to a kernel as step=."""
     _same_instance(inst, q.inst)
     support = check_support(inst, support)
     if (site, fiber) in support:
         raise ValueError(f"target pair {(site, fiber)!r} must avoid the support")
-    for *_, step in swap_steps(inst, (q,), (support,), ((site, fiber),)):
-        return step
-    raise FiberExhausted(
-        f"no spare fiber at site {site!r}: every other fiber is in the "
-        "support or touched by the condition")
+    choice = _choice(inst, support, site, fiber, q.touched_fibers(site), {})
+    if choice is None:
+        raise FiberExhausted(
+            f"no spare fiber at site {site!r}: every other fiber is in the "
+            "support or touched by the condition")
+    step = choice[1]
+    return step if _compatible(q, step.transposition) else _incompatible(choice)
 
 
 def _name_checks(pi: FiberPermutation, y: Name) -> tuple:

@@ -214,7 +214,11 @@ def fix_generators(inst, support) -> list:
     these generate the pointwise stabilizer within the group.  They are
     found once per validated support and kept in the instance's store;
     each call returns a new list, which the caller may change."""
-    support = check_support(inst, support)
+    return list(_generators(inst, check_support(inst, support)))
+
+
+def _generators(inst, support: frozenset) -> tuple:
+    """fix_generators' stored tuple, for a validated support."""
     table = inst.store.fix_generators
     gens = table.get(support)
     if gens is None:
@@ -224,7 +228,7 @@ def fix_generators(inst, support) -> list:
             for a, b in itertools.combinations(free, 2):
                 gens.append(FiberPermutation.transposition(inst, site, a, b))
         gens = table[support] = tuple(gens)
-    return list(gens)
+    return gens
 
 
 def is_symmetric_under(inst, x: Name, support) -> bool:
@@ -354,19 +358,28 @@ def conjugation_check(inst, pi: FiberPermutation, support) -> ConjugationReport:
     isomorphism, so equal generator sets give equal groups.  The witness
     is the first conjugate outside the generators of fix(pi(E)), else the
     first of those generators that no conjugate reaches.
+
+    Each generator's conjugate by pi is built on first use and kept in the
+    instance's store for the latest pi only: every fix(E)'s generators are
+    among fix(())'s, so the table holds at most that many.
     """
     support = check_support(inst, support)
     _same_instance(inst, pi.inst)
-    image = act_support(pi, support)
-    targets = fix_generators(inst, image)
-    allowed, reached = set(targets), set()
-    for g in fix_generators(inst, support):
-        conj = conjugate(pi, g)
-        if conj not in allowed:
-            return ConjugationReport(False, support, image, conj)
-        reached.add(conj)
-    witness = next((h for h in targets if h not in reached), None)
-    return ConjugationReport(witness is None, support, image, witness)
+    image = act_support(pi, support)   # the same size, so valid too
+    held, conjugates = inst.store.conjugates
+    if held != pi:
+        conjugates = {}
+        inst.store.conjugates = (pi, conjugates)
+    # a FiberPermutation is never falsy, so `or` builds only missing ones
+    conjs = [conjugates.get(g) or conjugates.setdefault(g, conjugate(pi, g))
+             for g in _generators(inst, support)]
+    targets = _generators(inst, image)
+    allowed, reached = set(targets), set(conjs)
+    if reached == allowed:
+        return ConjugationReport(True, support, image)
+    witness = ([conj for conj in conjs if conj not in allowed]
+               or [h for h in targets if h not in reached])[0]
+    return ConjugationReport(False, support, image, witness)
 
 
 @dataclass(frozen=True, eq=False)

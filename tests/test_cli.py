@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symext import (Compat, Condition, EngineError, FiberExhausted,
-                    FiberPermutation, InvalidInstance, ParseError, forces,
-                    in_stage, is_hs, iter_conditions, swap_kernel, swap_step,
+                    FiberPermutation, InvalidInstance, ParseError,
+                    assemble_sequence, conjugation_check, forces, in_stage,
+                    is_hs, iter_conditions, swap_kernel, swap_step,
                     symmetry_lemma_check, wisc_kernel)
 from symext import cli, forcing, instances, kernels, symmetry
 from symext.cli import (InstanceSpec, default_formula_pool, main,
@@ -425,11 +426,12 @@ class TestDeterminism:
         out = io.StringIO()
         seen = []
 
-        def run_unit(ctx, unit):
-            seen.append(out.getvalue().count("\n"))
-            return {"k": unit}, True, None
+        def gen(ctx):
+            for unit in range(4):
+                seen.append(out.getvalue().count("\n"))
+                yield json.dumps({"k": unit}), 0
 
-        monkeypatch.setitem(cli.SUITES, "fake", (lambda ctx: [0, 1, 2, 3], run_unit))
+        monkeypatch.setitem(cli.SUITES, "fake", (gen, cli._unit))
         monkeypatch.setattr(cli, "FLAT_SUITES", cli.FLAT_SUITES + ("fake",))
         assert run_checks(parse_instance_spec(REFERENCE), "fake", out=out) == 0
         assert seen == [0, 1, 2, 3]
@@ -439,12 +441,13 @@ class TestDeterminism:
     def test_engine_error_keeps_earlier_lines(self, monkeypatch):
         out = io.StringIO()
 
-        def run_unit(ctx, unit):
-            if unit == 2:
-                raise FiberExhausted("unit 2")
-            return {"k": unit}, True, None
+        def gen(ctx):
+            for unit in range(4):
+                if unit == 2:
+                    raise FiberExhausted("unit 2")
+                yield json.dumps({"k": unit}), 0
 
-        monkeypatch.setitem(cli.SUITES, "fake", (lambda ctx: [0, 1, 2, 3], run_unit))
+        monkeypatch.setitem(cli.SUITES, "fake", (gen, cli._unit))
         monkeypatch.setattr(cli, "FLAT_SUITES", cli.FLAT_SUITES + ("fake",))
         with pytest.raises(FiberExhausted):
             run_checks(parse_instance_spec(REFERENCE), "fake", out=out)
@@ -453,7 +456,7 @@ class TestDeterminism:
     def test_elapsed_runs_from_the_previous_clock_reading(self, monkeypatch):
         # a scripted clock (in ns) that only moves when the fake suite does
         # work: the generator builds a shared table before its first unit,
-        # and each unit spends some microseconds in generation and its run
+        # and each unit spends some microseconds in enumeration and decision
         now, readings = [7_000_000_000], []
 
         def clock():
@@ -464,14 +467,11 @@ class TestDeterminism:
             now[0] += 250_000_000           # a table the first unit needs
             for k in range(4):
                 now[0] += 1_000 * k         # enumerating the unit
-                yield k
-
-        def run_unit(ctx, k):
-            now[0] += 3_000 + 500_000 * (k == 2)
-            return {"k": k}, True, None
+                now[0] += 3_000 + 500_000 * (k == 2)    # deciding it
+                yield json.dumps({"k": k}), 0
 
         monkeypatch.setattr(cli, "monotonic_ns", clock)
-        monkeypatch.setitem(cli.SUITES, "fake", (gen, run_unit))
+        monkeypatch.setitem(cli.SUITES, "fake", (gen, cli._unit))
         monkeypatch.setattr(cli, "FLAT_SUITES", cli.FLAT_SUITES + ("fake",))
         code, lines = run(REFERENCE, "fake")
         elapsed = [line["elapsed"] for line in lines]
@@ -897,6 +897,15 @@ def _wisc_units(ctx):
             for qi, si, step in ctx["wisc_steps"][swap]]
 
 
+def _normality_units(ctx):
+    """(permutation, support) of each conjugation line, in line order, and
+    the member labels of each assembly line after them."""
+    conjugations = list(itertools.product(ctx["perms"], ctx["supports"]))
+    bundles = [list(labels) for k in (1, 2)
+               for labels in itertools.combinations(ctx["members"], k)]
+    return conjugations, bundles
+
+
 class TestHoistedPath:
     """The CLI builds permutation images, swap steps and JSON text once
     per index; every line must still say what the public one-shot checks
@@ -962,6 +971,45 @@ class TestHoistedPath:
             assert line.get("witness") == (
                 None if rec == sem else {"recursive": rec, "semantic": sem})
         assert any(line["verdict"] == "pass" for line in lines)
+
+    @pytest.mark.parametrize("text, failing", [
+        ((SPECS / "reference.json").read_text(), 0),
+        ((SPECS / "staged.json").read_text(), 0),
+        ('{"stages": [3, 4, 5], "c": 1}', 0),
+        ((SPECS / "staged.json").read_text(), 234)],
+        ids=["reference", "staged", "stages-3-4-5", "staged-conjugate-is-g"])
+    def test_normality_lines_match_the_one_shot_checks(self, text, failing,
+                                                       monkeypatch):
+        # the generator conjugates each generator once per permutation; the
+        # one-shot checks run on a second parse of the spec, in reverse line
+        # order, so a line that read a conjugate kept from another
+        # permutation, or any other memo of the run, would differ.  With
+        # failing lines, conjugation is the identity, and each line's
+        # witness must be the one-shot check's
+        if failing:
+            monkeypatch.setattr(symmetry, "conjugate", lambda pi, g: g)
+        code, lines = run(text, "normality")
+        spec = parse_instance_spec(text)
+        ctx, inst = _context(spec, {}), spec.inst
+        conjugations, bundles = _normality_units(ctx)
+        assert len(lines) == len(conjugations) + len(bundles)
+        assert (code, sum(line["verdict"] == "fail" for line in lines)) == (
+            int(failing > 0), failing)
+        for line, (perm, support) in reversed(list(zip(lines, conjugations))):
+            report = conjugation_check(inst, perm, support)
+            assert line["verdict"] == ("pass" if report.ok else "fail")
+            assert line["params"] == {
+                "permutation": perm.to_obj(), "support": sorted(map(list, support)),
+                "image": sorted(map(list, report.support_image))}
+            assert line.get("witness") == (
+                None if report.ok else {"witness": report.witness.to_obj()})
+        for line, labels in zip(lines[len(conjugations):], bundles):
+            report = assemble_sequence(inst, [ctx["names"][label] for label in labels])
+            ok = report.hs or not report.certified
+            assert line["verdict"] == ("pass" if ok else "fail")
+            assert line["params"] == {"members": labels,
+                                      "hereditarily_symmetric": report.hs,
+                                      "certified": report.certified}
 
     def test_swap_lines_match_the_one_shot_kernel(self):
         spec = parse_instance_spec((SPECS / "reference.json").read_text())

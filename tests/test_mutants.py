@@ -130,6 +130,47 @@ def test_seeded_defect_fails_its_suite(patches, spec_file, suite, overrides, fai
     assert (verdicts.count("fail"), len(verdicts)) == (failing, total)
 
 
+# one row per suite whose generator reads verdicts off fail masks or
+# runs its checks itself; the hs suite's params name the support the
+# search found, which a defect may change, and embedding and chains have
+# no row
+_SAME_PARAMS = {("dense-is-up", "reference.json", "forcing-oracle"),
+                ("dense-is-up", "reference.json", "symmetry-lemma"),
+                ("act-drops-a-moved-cell", "reference.json", "swap"),
+                ("conflict-at-stage-1-fiber-0", "staged.json", "wisc"),
+                ("conjugate-is-g", "staged.json", "normality")}
+
+
+def _lines(spec_text, suite, overrides):
+    out = io.StringIO()
+    run_checks(parse_instance_spec(spec_text), suite, overrides=overrides, out=out)
+    return out.getvalue().splitlines()
+
+
+@pytest.mark.parametrize(
+    "patches, spec_file, suite, overrides, failing, total",
+    [pytest.param(*row[1:], id=f"{row[0]}-{row[2].split('.')[0]}-{row[3]}")
+     for row in MUTANTS if (row[0], row[2], row[3]) in _SAME_PARAMS])
+def test_a_defect_changes_only_verdicts(patches, spec_file, suite, overrides, failing,
+                                        total, monkeypatch):
+    # a generator writes a passing line from shared prefixes without
+    # reading the unit's checks, so the defect must leave every params
+    # text as the clean run wrote it, line for line
+    text = (SPECS / spec_file).read_text()
+    clean = _lines(text, suite, overrides)
+    for module, attr, replacement in patches:
+        monkeypatch.setattr(module, attr, replacement)
+    broken = _lines(text, suite, overrides)
+    assert len(clean) == len(broken) == total
+
+    def params(line):
+        return line[:line.index(', "verdict": ')]
+
+    assert [params(line) for line in broken] == [params(line) for line in clean]
+    assert sum('"verdict": "fail"' in line for line in broken) == failing
+    assert not any('"verdict": "fail"' in line for line in clean)
+
+
 def test_on_the_staged_spec_only_hs_catches_a_dropped_moved_cell(monkeypatch):
     for module, attr, replacement in _DROPPED_CELL:
         monkeypatch.setattr(module, attr, replacement)

@@ -57,8 +57,9 @@ def _use(inst):
 
 def _use_kernels(flat, staged):
     """Fill the kernels' memos: the default names per support and the
-    name checks per (transposition, name); and the stabilizer generators
-    per support, through conjugation_check."""
+    name checks per (transposition, name); and, through
+    conjugation_check, the stabilizer generators per support (the support
+    and its image) and their conjugates by the latest permutation."""
     assert swap_kernel(flat, Condition.top(flat), (), flat.sites[0], 0).verdict
     y = canonical_family(staged).sites[0]
     assert wisc_kernel(staged, 0, y, 1, Condition.top(staged), ()).verdict
@@ -67,6 +68,7 @@ def _use_kernels(flat, staged):
     assert flat.store.swap_names and flat.store.name_checks
     assert staged.store.name_checks
     assert len(flat.store.fix_generators) == 2
+    assert flat.store.conjugates[0] is pi
 
 
 def test_dropped_instance_is_freed():
