@@ -42,35 +42,16 @@ permutations or supports never enumerates them.
 
 The work a suite's units share is done once per index, not once per
 unit: the JSON text of each condition, support and label, the image of
-each condition and formula under each permutation, and the forcing
-verdicts of each formula over all conditions as one bit vector per
-mode.  One unit rule serves every suite: its generator decides each
-unit and yields its params text, built from shared prefixes, with 0 on
-a pass or, on a failure only, the unit's (ok, witness).  A
-forcing-oracle, symmetry-lemma or wisc unit reads its verdict as one bit
-of a fail mask: per formula, per (permutation, formula), or per (base
-stage, swap stage, name), and reads no bit when that mask is 0; only a
-failing unit runs its one-shot check for the witness.  A normality unit
-runs conjugation_check in the generator, permutation-major, so each
-generator's conjugate is built once per permutation (see
-symmetry.conjugation_check).
-
-kernels.swap_steps builds every swap step, on exactly the (condition,
-support, target) inputs where kernels.swap_fibers finds the fibers: the
-swap suite's for every unit, on which the swap kernel runs, and the
-wisc suite's per swap stage, for all its (condition, support) inputs in
-one call.  Within a call each step is decided once per choice key and
-shared by every input it serves: the 9,752 steps of specs/staged.json's
-swap stage are 84 objects.  A stage's steps are grouped once
-(kernels.step_groups) by the part of a step the wisc kernel's verdict
-reads, and a wisc fail mask is the OR of the masks of the groups on
-whose first step the kernel fails, so that kernel runs once per (base
-stage, swap stage, name, group).  Both kernels take the step through
-step=, so neither chooses the fibers again, and both keep their name
-checks per (transposition, name) in the instance's store.  The clock is
-read once per unit, so a unit's elapsed time runs from the end of the
-previous unit's run and includes its enumeration and any shared table
-it is the first to need.
+each condition and formula under each permutation, the forcing verdicts
+of each formula over all conditions as one bit vector per mode, and the
+swap steps of each swap stage (kernels.swap_steps).  One unit rule
+serves every suite: its generator decides each unit and yields its
+params text, built from shared prefixes, with 0 on a pass or, on a
+failure only, the unit's (ok, witness); where a suite reads a verdict
+off a fail mask, only a failing unit runs its one-shot check for the
+witness.  The clock is read once per unit, so a unit's elapsed time runs
+from the end of the previous unit's run and includes its enumeration and
+any shared table it is the first to need.
 """
 
 from __future__ import annotations
@@ -91,8 +72,8 @@ from typing import Optional
 
 from .core import GenericFilter, Instance, Poset, iter_conditions
 from .errors import EngineError, ParseError
-from .forcing import (act_formula, check_size, forcing_vector, parse_formula,
-                      symmetry_lemma_check)
+from .forcing import (act_formula, check_size, forcing_vector, lemma_disagreement,
+                      parse_formula, symmetry_lemma_check)
 from .instances import (MAX_CELLS, MAX_LEAST_CELLS, MAX_SITES, NameFamily,
                         build_instance, build_staged_instance, chain_family,
                         downset_embedding, in_stage, random_poset)
@@ -371,14 +352,13 @@ def _per_key(build):
 def _lemma_fail(vector, perm, image, phi):
     """The conditions where the symmetry lemma fails for the permutation
     (image: the index of each condition's image under it) and formula,
-    read off the vectors: the two sides differ in a mode, or the modes
-    differ on the left side; a failing unit runs symmetry_lemma_check
-    itself for its witness."""
+    by forcing.lemma_disagreement on the vectors; a failing unit runs
+    symmetry_lemma_check itself for its witness."""
     image_phi = act_formula(perm, phi)
-    ls, lr = vector[phi, "semantic"], vector[phi, "recursive"]
-    rs = _pull_back(vector[image_phi, "semantic"], image)
-    rr = _pull_back(vector[image_phi, "recursive"], image)
-    return (ls ^ rs) | (lr ^ rr) | (ls ^ lr)
+    return lemma_disagreement(vector[phi, "semantic"],
+                              _pull_back(vector[image_phi, "semantic"], image),
+                              vector[phi, "recursive"],
+                              _pull_back(vector[image_phi, "recursive"], image))
 
 
 def _wisc_pool(ctx, base):
@@ -402,7 +382,6 @@ _FIELDS = {
     "perms": lambda ctx: generator_closure(fix_generators(ctx["inst"], ()), 3),
     "supports": lambda ctx: _supports(ctx["inst"], ctx["max_support"]),
     "chain": lambda ctx: chain_family(ctx["inst"]),
-    "downsets": lambda ctx: downset_embedding(ctx["inst"].poset),
     # the JSON text of a label or site, and of a condition or support by
     # index
     "text": lambda ctx: _Table(json.dumps),
@@ -435,18 +414,22 @@ def _pull_back(vector: int, image: list) -> int:
 # built only for a failing unit.  run is _unit for every suite.  Which
 # suites apply to which kind of instance is FLAT_SUITES/STAGED_SUITES
 
-def _gen_embedding(ctx):
-    poset, down = ctx["inst"].poset, ctx["downsets"]
+def _downset_law(poset):
+    """(z1, z2, ok) for each ordered pair of the poset's elements: ok when
+    z1 <= z2 exactly when the down-set of z1 is inside that of z2."""
+    down = downset_embedding(poset)
     for z1 in poset.elements:
         for z2 in poset.elements:
-            ok = poset.leq(z1, z2) == (down[z1] <= down[z2])
-            yield json.dumps({"pair": [z1, z2]}), 0 if ok else (False, None)
+            yield z1, z2, poset.leq(z1, z2) == (down[z1] <= down[z2])
+
+
+def _gen_embedding(ctx):
+    for z1, z2, ok in _downset_law(ctx["inst"].poset):
+        yield json.dumps({"pair": [z1, z2]}), 0 if ok else (False, None)
     for i in range(ctx["posets"]):
         rng = random.Random(f"{ctx['seed']}:{i}")
         poset = random_poset(rng)
-        down = downset_embedding(poset)
-        bad = [(z1, z2) for z1 in poset.elements for z2 in poset.elements
-               if poset.leq(z1, z2) != (down[z1] <= down[z2])]
+        bad = [(z1, z2) for z1, z2, ok in _downset_law(poset) if not ok]
         params = {"sample": i, "seed": ctx["seed"], "elements": len(poset.elements)}
         yield json.dumps(params), 0 if not bad else (False, {"failing_pairs": bad})
 

@@ -123,7 +123,6 @@ class Store:
         self.act = {}             # act_name: (FiberPermutation, Name) -> Name
         self.support = {}         # infer_min_support: Name -> support
         self.hs = {}              # is_hs: Name -> bool
-        self.stage = {}           # name_stage: Name -> stage
         self.name_checks = {}     # kernels: (transposition, Name) -> (fixed, disjoint)
         self.swap_names = {}      # swap_kernel: support -> its default (label, Name) list
         self.family = None        # canonical_family

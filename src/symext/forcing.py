@@ -413,6 +413,15 @@ class LemmaReport:
         return self.equal
 
 
+def lemma_disagreement(ls, rs, lr, rr):
+    """Where the symmetry lemma fails, from forcing of the formula at the
+    condition (ls, lr: semantic, recursive) and of the relabeled formula
+    at the relabeled condition (rs, rr): the two sides differ in a mode,
+    or the modes differ on the left side.  The four are bools for one
+    condition, or bit vectors over many, and so is the result."""
+    return (ls ^ rs) | (lr ^ rr) | (ls ^ lr)
+
+
 def symmetry_lemma_check(pi: FiberPermutation, p: Condition, phi: Formula) -> LemmaReport:
     """Compare forcing of phi at p with forcing of the relabeled formula
     at the relabeled condition, in both modes."""
@@ -421,7 +430,7 @@ def symmetry_lemma_check(pi: FiberPermutation, p: Condition, phi: Formula) -> Le
     rs = forces(pp, pphi, "semantic")
     lr = forces(p, phi, "recursive")
     rr = forces(pp, pphi, "recursive")
-    equal = ls == rs and lr == rr and ls == lr
+    equal = not lemma_disagreement(ls, rs, lr, rr)
     witness = None
     if not equal:
         witness = {"condition": p.to_obj(), "relabeled": pp.to_obj()}

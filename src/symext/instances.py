@@ -174,14 +174,8 @@ def build_staged_instance(stage_sizes, support_cutoff: int):
 
 def name_stage(x: Name) -> Optional[int]:
     """The least stage whose condition poset contains every condition in
-    the name's closure; None when the name has no cells at all.  Kept
-    in the instance's store."""
-    if x.inst is None:
-        return None
-    memo = x.inst.store.stage
-    if x not in memo:
-        memo[x] = max((cell[0] for cell in name_cells(x)), default=None)
-    return memo[x]
+    the name's closure; None when the name has no cells at all."""
+    return max((cell[0] for cell in name_cells(x)), default=None)
 
 
 def in_stage(x: Name, stage: int) -> bool:

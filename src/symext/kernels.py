@@ -115,11 +115,12 @@ def swap_steps(inst, conditions, supports, targets):
     chosen once per (site, fiber, touched fibers), for every support; the
     compatibility flag depends only on the condition and the
     transposition, so it is decided once per transposition of the current
-    condition.  A choice holds one SwapStep per compatibility flag (the
-    incompatible one built on first use), yielded by reference to every
-    input it serves.  The tables live for one call, and their sizes are
-    bounded by the supports and the distinct touched-fiber sets, not by
-    the conditions."""
+    condition.  A choice's step is yielded by reference to every input it
+    serves; the mate is untouched by the condition, so under the sound
+    action every step is compatible, and an incompatible one is a copy
+    with the flag cleared.  The tables live for one call, and their sizes
+    are bounded by the supports and the distinct touched-fiber sets, not
+    by the conditions."""
     sites = dict.fromkeys(z for z, _ in targets)
     # (site, fiber, touched fibers) -> per support index, None when
     # swap_fibers finds no fibers, else the choice
@@ -144,24 +145,23 @@ def swap_steps(inst, conditions, supports, targets):
                 choice = row[si]
                 if choice is None:
                     continue
-                slot, step, _ = choice
+                slot, step = choice
                 ok = agrees[slot]
                 if ok is None:
                     ok = agrees[slot] = _compatible(q, step.transposition)
-                yield qi, si, z, a, step if ok else _incompatible(choice)
+                yield qi, si, z, a, step if ok else step._replace(compatible=False)
 
 
-def _choice(inst, support, site, fiber, occupied, slots) -> Optional[list]:
+def _choice(inst, support, site, fiber, occupied, slots) -> Optional[tuple]:
     """swap_steps' choice for one (support, site, fiber, touched fibers):
-    None when swap_fibers finds no fibers, else [slot, step, None]: the
-    transposition's slot, numbered in slots, its compatible step, and a
-    place for its incompatible step, built on first use."""
+    None when swap_fibers finds no fibers, else (slot, step): the
+    transposition's slot, numbered in slots, and its compatible step."""
     fibers = swap_fibers(inst, support, site, fiber, occupied)
     if fibers is None:
         return None
     pi = FiberPermutation.transposition(inst, site, *fibers)
-    return [slots.setdefault(pi, len(slots)),
-            SwapStep(*fibers, in_fix(pi, support), True, pi, support), None]
+    return (slots.setdefault(pi, len(slots)),
+            SwapStep(*fibers, in_fix(pi, support), True, pi, support))
 
 
 def _compatible(q: Condition, pi: FiberPermutation) -> bool:
@@ -169,14 +169,6 @@ def _compatible(q: Condition, pi: FiberPermutation) -> bool:
     the common domain decides; only a witness needs the merged condition,
     and _witness builds it."""
     return _conflict(q, act_condition(pi, q)) is None
-
-
-def _incompatible(choice: list) -> SwapStep:
-    """choice's step flagged incompatible, built on first use and kept in
-    choice, so every input it serves shares one object."""
-    if choice[2] is None:
-        choice[2] = choice[1]._replace(compatible=False)
-    return choice[2]
 
 
 def swap_step(inst, q: Condition, support, site, fiber=None) -> SwapStep:
@@ -194,7 +186,7 @@ def swap_step(inst, q: Condition, support, site, fiber=None) -> SwapStep:
             f"no spare fiber at site {site!r}: every other fiber is in the "
             "support or touched by the condition")
     step = choice[1]
-    return step if _compatible(q, step.transposition) else _incompatible(choice)
+    return step if _compatible(q, step.transposition) else step._replace(compatible=False)
 
 
 def _name_checks(pi: FiberPermutation, y: Name) -> tuple:

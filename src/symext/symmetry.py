@@ -360,15 +360,16 @@ def conjugation_check(inst, pi: FiberPermutation, support) -> ConjugationReport:
     first of those generators that no conjugate reaches.
 
     Each generator's conjugate by pi is built on first use and kept in the
-    instance's store for the latest pi only: every fix(E)'s generators are
-    among fix(())'s, so the table holds at most that many.
+    instance's store for the latest pi only (a new pi clears the table):
+    every fix(E)'s generators are among fix(())'s, so the table holds at
+    most that many.
     """
     support = check_support(inst, support)
     _same_instance(inst, pi.inst)
     image = act_support(pi, support)   # the same size, so valid too
     held, conjugates = inst.store.conjugates
     if held != pi:
-        conjugates = {}
+        conjugates.clear()
         inst.store.conjugates = (pi, conjugates)
     # a FiberPermutation is never falsy, so `or` builds only missing ones
     conjs = [conjugates.get(g) or conjugates.setdefault(g, conjugate(pi, g))

@@ -157,6 +157,17 @@ class TestSharedSteps:
         steps = _assert_steps_are_the_one_input_steps(inst, conditions, supports,
                                                       ((1, None),))
         assert {step.compatible for step in steps} == {False, True}
+        # an incompatible step is the sound action's step on its input
+        # with only the flag cleared
+        doctored = list(kernels.swap_steps(inst, conditions, supports, ((1, None),)))
+        monkeypatch.undo()
+        sound = list(kernels.swap_steps(inst, conditions, supports, ((1, None),)))
+        assert [key for *key, _ in doctored] == [key for *key, _ in sound]
+        assert all(step.compatible for *_, step in sound)
+        flipped = [(step, one) for (*_, step), (*_, one) in zip(doctored, sound)
+                   if not step.compatible]
+        assert flipped and all(step == one._replace(compatible=False)
+                               for step, one in flipped)
 
     def test_reference_swap_inputs(self):
         inst, conditions, supports = _spec_inputs("reference.json", max_dom=3)

@@ -211,3 +211,51 @@ def test_least_support_stays_within_the_name_stage():
         for stage in staged.sites:
             if in_stage(nm, stage):
                 assert support in _stage_local_min_supports(staged, nm, stage)
+
+
+def _lemma_without_mode_term(ls, rs, lr, rr):
+    # forcing.lemma_disagreement without its ls ^ lr term
+    return (ls ^ rs) | (lr ^ rr)
+
+
+def test_the_lemma_rule_is_written_once(monkeypatch):
+    # the symmetry-lemma suite's fail masks and the one-shot
+    # symmetry_lemma_check read one rule: under dense-is-up, which puts
+    # the two modes apart alike on both sides, dropping the rule's
+    # mode term turns failing units into passing ones, in the suite and
+    # in the one-shot check on the same units alike.  The suite runs the
+    # one-shot check only on a set bit of a fail mask, so a mask the rule
+    # did not write would run it on passing units
+    assert cli.lemma_disagreement is forcing.lemma_disagreement
+    monkeypatch.setattr(forcing._Space, "dense", _dense_is_up)
+    text, overrides = (SPECS / "reference.json").read_text(), {"max_dom": 1}
+    checked = []
+
+    def counted(*args):
+        checked.append(args)
+        return forcing.symmetry_lemma_check(*args)
+
+    monkeypatch.setattr(cli, "symmetry_lemma_check", counted)
+
+    def verdicts():
+        spec = parse_instance_spec(text)
+        out = io.StringIO()
+        checked.clear()
+        run_checks(spec, "symmetry-lemma", overrides=overrides, out=out)
+        suite = [json.loads(line)["verdict"] == "pass"
+                 for line in out.getvalue().splitlines()]
+        assert len(checked) == suite.count(False)
+        ctx = cli._context(spec, overrides)
+        one_shot = [forcing.symmetry_lemma_check(perm, q, phi).equal
+                    for perm, q, (_, phi) in itertools.product(
+                        ctx["perms"], ctx["conditions"], ctx["pool"])]
+        assert suite == one_shot
+        return suite
+
+    whole = verdicts()
+    for module in (forcing, cli):
+        monkeypatch.setattr(module, "lemma_disagreement", _lemma_without_mode_term)
+    partial = verdicts()
+    assert len(whole) == len(partial) == 1428 and whole.count(False) == 708
+    changed = [i for i, (a, b) in enumerate(zip(whole, partial)) if a != b]
+    assert changed and all(partial[i] and not whole[i] for i in changed)

@@ -6,11 +6,15 @@ import io
 import json
 import tracemalloc
 import weakref
+from pathlib import Path
 
 from symext import (Condition, FiberPermutation, Instance, Mem, Poset, act_name,
                     canonical_family, check_name, conjugation_check, forces, is_hs,
                     ordinal, swap_kernel, wisc_kernel)
+from symext import core
 from symext.cli import parse_instance_spec, run_checks
+
+SPECS = Path(__file__).parent.parent / "specs"
 
 
 def _spec(i):
@@ -107,3 +111,58 @@ def test_running_the_kernels_on_many_instances_does_not_grow_memory():
     finally:
         tracemalloc.stop()
     assert growth < 200_000, f"traced memory grew by {growth} bytes"
+
+
+class _Counting(dict):
+    """A memo that counts the lookups that find their key."""
+
+    def __init__(self):
+        super().__init__()
+        self.hits = 0
+
+    def _found(self, key) -> bool:
+        found = dict.__contains__(self, key)
+        self.hits += found
+        return found
+
+    def __contains__(self, key):
+        return self._found(key)
+
+    def __getitem__(self, key):
+        self._found(key)
+        return dict.__getitem__(self, key)
+
+    def get(self, key, default=None):
+        self._found(key)
+        return dict.get(self, key, default)
+
+
+def test_every_store_memo_is_hit(monkeypatch):
+    # a memo no run reads back is bookkeeping to delete: across a
+    # reference run at max_dom 3 and a staged run, every dict memo of the
+    # store, and the conjugate table, finds a key at least once
+    memos = {field for field, value in vars(core.Store()).items()
+             if isinstance(value, dict)} | {"conjugates"}
+    stores = []
+
+    class CountingStore(core.Store):
+        def __init__(self):
+            super().__init__()
+            for field, value in vars(self).items():
+                if isinstance(value, dict):
+                    setattr(self, field, _Counting())
+            self.conjugates = (None, _Counting())
+            stores.append(self)
+
+    monkeypatch.setattr(core, "Store", CountingStore)
+    for name, overrides in (("reference.json", {"max_dom": 3}), ("staged.json", {})):
+        spec = parse_instance_spec((SPECS / name).read_text())
+        assert run_checks(spec, "all", overrides=overrides, out=io.StringIO()) == 0
+    hits = {}
+    for store in stores:
+        for field, value in vars(store).items():
+            table = value[1] if field == "conjugates" else value
+            if isinstance(table, _Counting):
+                hits[field] = hits.get(field, 0) + table.hits
+    assert set(hits) == memos
+    assert [field for field, count in hits.items() if not count] == []
