@@ -349,6 +349,14 @@ def _per_key(build):
     return lambda ctx: _Table(lambda key: build(ctx, key))
 
 
+def _cond_texts(conds) -> _Table:
+    """Condition index -> json.dumps(cond.to_obj()), joined from the text
+    of each (cell, bit), which is built once per run."""
+    cell_text = _Table(lambda item: json.dumps([*item[0], item[1]]))
+    return _Table(lambda ci: "[" + ", ".join(
+        [cell_text[item] for item in conds[ci].items]) + "]")
+
+
 def _lemma_fail(vector, perm, image, phi):
     """The conditions where the symmetry lemma fails for the permutation
     (image: the index of each condition's image under it) and formula,
@@ -385,7 +393,7 @@ _FIELDS = {
     # the JSON text of a label or site, and of a condition or support by
     # index
     "text": lambda ctx: _Table(json.dumps),
-    "cond_text": _per_key(lambda ctx, ci: json.dumps(ctx["conditions"][ci].to_obj())),
+    "cond_text": lambda ctx: _cond_texts(ctx["conditions"]),
     "support_text": _per_key(
         lambda ctx, si: json.dumps(_support_obj(ctx["supports"][si]))),
     # (formula, mode) -> forcing_vector over the conditions

@@ -118,7 +118,7 @@ class Store:
         self.checks = {}          # check_name: HF -> Name
         self.interpret = {}       # interpret: (Name, GenericFilter) -> HF
         self.transpositions = {}  # (site, a, b) -> FiberPermutation
-        self.fix_generators = {}  # fix_generators: support -> its generators
+        self.fix_generators = {}  # fix_generators: support -> its generators, tuple and set
         self.conjugates = (None, {})  # conjugation_check: (latest pi, gen -> conjugate)
         self.act = {}             # act_name: (FiberPermutation, Name) -> Name
         self.support = {}         # infer_min_support: Name -> support
@@ -538,4 +538,4 @@ def iter_conditions(inst, max_dom: Optional[int] = None) -> Iterator[Condition]:
             for bits in itertools.product((0, 1), repeat=k):
                 items = tuple(zip(combo, bits))
                 if inst.condition_violation(items) is None:
-                    yield Condition(inst, items)
+                    yield Condition._trusted(inst, dict(items))

@@ -35,12 +35,15 @@ tables, so the two modes stay genuinely independent; their agreement
 an assumption.
 
 `forcing_vector(conds, phi, mode)` decides phi at a whole list of
-conditions of one instance at once: it looks up phi's truth mask (or
-recursive table) once and returns an int whose bit i is set iff
+conditions of one instance at once, as an int whose bit i is set iff
 conds[i] forces phi (semantic: ext(p) & ~truth(phi) == 0; recursive:
-the bit of p's code in the table).  The two branches share no helper.
-`forces(p, phi, mode)` is its one-condition case, so each mode has a
-single lookup path.
+the bit of p's code in the table).  Each space indexes the latest list
+it read: the filter space keeps its conditions' ext masks, the code
+space their codes, keyed by the list's items, so a list changed in
+place is indexed again.  A vector is then one gather over phi's mask or
+table; the two branches share no helper.  `forces(p, phi, mode)` reads
+p's one mask or bit directly; TestForcingVector checks that the two
+agree bit for bit.
 
 Both modes check that a formula's names belong to the conditions'
 instance once, when its mask or table is first built in that instance's
@@ -112,6 +115,13 @@ def _check_formula(inst, phi: Formula) -> None:
             _same_instance(inst, nm.inst)
 
 
+def _check_conditions(inst, conds) -> None:
+    """Raise MismatchedInstance unless every condition belongs to inst."""
+    for p in conds:
+        if p.inst is not inst:
+            _same_instance(inst, p.inst)
+
+
 def act_formula(pi: FiberPermutation, phi: Formula) -> Formula:
     if isinstance(phi, Eq):
         return Eq(act_name(pi, phi.left), act_name(pi, phi.right))
@@ -122,6 +132,9 @@ def act_formula(pi: FiberPermutation, phi: Formula) -> Formula:
     return And(act_formula(pi, phi.left), act_formula(pi, phi.right))
 
 
+# At the recursive limit, 12 cells, one forcing_vector over the 289
+# conditions of at most 2 cells took 0.1 ms once phi's table was built
+# (two sites, 3 fibers, 2 slots; 2-CPU machine, CPython 3.11)
 _SPACE_CELLS = 12
 # At the semantic limit, 14 cells, the truth masks of the CLI's 20-formula
 # default pool took 0.004 s and 0.3 MB (one site, 7 fibers, 2 slots; 2-CPU
@@ -181,10 +194,14 @@ class _Space:
         self.valid = 0
         for mask in counts:
             self.valid |= mask
+        self.nbytes = (size + 7) // 8
         self._eq: dict = {}
         self._mem: dict = {}
         self._rec: dict = {}
         self._codes: dict = {}
+        # rev_codes' latest list and its codes
+        self._conds: tuple = ()
+        self._rev_codes: list = []
 
     def code_of(self, cond: Condition) -> int:
         code = self._codes.get(cond)
@@ -194,6 +211,19 @@ class _Space:
             code = sum((bit + 1) * pow3[index[cell]] for cell, bit in cond.items)
             self._codes[cond] = code
         return code
+
+    def rev_codes(self, conds: Sequence[Condition]) -> list:
+        """The codes of a list of this instance's conditions, last first.
+        The latest list's codes are kept; a list equal to it (compared
+        item by item, so one changed in place is indexed again) reuses
+        them."""
+        key = tuple(conds)
+        if key != self._conds:
+            _check_conditions(self.inst, key)
+            code_of = self.code_of
+            self._rev_codes = [code_of(p) for p in reversed(key)]
+            self._conds = key
+        return self._rev_codes
 
     def up(self, x: int) -> int:
         """The codes with some extension in x: the zeta transform over
@@ -286,6 +316,20 @@ class _FilterSpace:
         self._truth: dict = {}
         self._ext: dict = {}
         self._part: dict = {}
+        # rev_exts' latest list and its masks
+        self._conds: tuple = ()
+        self._rev_exts: list = []
+
+    def rev_exts(self, conds: Sequence[Condition]) -> list:
+        """The ext masks of a list of this instance's conditions, last
+        first, kept for the latest list as _Space.rev_codes keeps codes."""
+        key = tuple(conds)
+        if key != self._conds:
+            _check_conditions(self.inst, key)
+            ext = self.ext
+            self._rev_exts = [ext(p) for p in reversed(key)]
+            self._conds = key
+        return self._rev_exts
 
     def truth(self, phi: Formula) -> int:
         """The filters under which phi holds."""
@@ -355,37 +399,34 @@ def forcing_vector(conds: Sequence[Condition], phi: Formula,
                    mode: str = "semantic") -> int:
     """The forcing verdicts of phi over a list of conditions, in the
     requested mode: bit i is set iff conds[i] forces phi.  The conditions
-    must belong to one instance; phi's mask or table is looked up once."""
+    must belong to one instance.  phi's mask or table is looked up once
+    and read at every condition in one pass."""
     if mode not in ("semantic", "recursive"):
         raise ValueError(f"unknown mode {mode!r}")
     if not conds:
         return 0
-    inst = conds[0].inst
-    for p in conds:
-        if p.inst is not inst:
-            _same_instance(inst, p.inst)
-    vector = 0
     if mode == "semantic":
-        fs = _filter_space(inst)
+        fs = _filter_space(conds[0].inst)
         bad = fs.full & ~fs.truth(phi)
-        ext = fs.ext
-        for i, p in enumerate(conds):
-            if not ext(p) & bad:
-                vector |= 1 << i
+        bits = ["0" if m & bad else "1" for m in fs.rev_exts(conds)]
     else:
-        sp = _space(inst)
-        table = sp.rec_table(phi)
-        code_of = sp.code_of
-        for i, p in enumerate(conds):
-            if table >> code_of(p) & 1:
-                vector |= 1 << i
-    return vector
+        sp = _space(conds[0].inst)
+        table = sp.rec_table(phi).to_bytes(sp.nbytes, "little")
+        bits = ["1" if table[c >> 3] >> (c & 7) & 1 else "0"
+                for c in sp.rev_codes(conds)]
+    return int("".join(bits), 2)
 
 
 def forces(p: Condition, phi: Formula, mode: str = "semantic") -> bool:
-    """Decide whether p forces phi, in the requested mode: the
-    one-condition case of forcing_vector."""
-    return bool(forcing_vector((p,), phi, mode))
+    """Decide whether p forces phi, in the requested mode, from p's one
+    ext mask or code."""
+    if mode == "semantic":
+        fs = _filter_space(p.inst)
+        return not fs.ext(p) & ~fs.truth(phi)
+    if mode == "recursive":
+        sp = _space(p.inst)
+        return bool(sp.rec_table(phi) >> sp.code_of(p) & 1)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def _separating_filter(p: Condition, phi: Formula) -> Optional[list]:

@@ -214,21 +214,22 @@ def fix_generators(inst, support) -> list:
     these generate the pointwise stabilizer within the group.  They are
     found once per validated support and kept in the instance's store;
     each call returns a new list, which the caller may change."""
-    return list(_generators(inst, check_support(inst, support)))
+    return list(_generators(inst, check_support(inst, support))[0])
 
 
 def _generators(inst, support: frozenset) -> tuple:
-    """fix_generators' stored tuple, for a validated support."""
+    """fix_generators' stored generators for a validated support, as a
+    tuple and as a frozenset."""
     table = inst.store.fix_generators
-    gens = table.get(support)
-    if gens is None:
+    entry = table.get(support)
+    if entry is None:
         gens = []
         for site in inst.sites:
             free = [f for f in range(inst.fiber_count(site)) if (site, f) not in support]
             for a, b in itertools.combinations(free, 2):
                 gens.append(FiberPermutation.transposition(inst, site, a, b))
-        gens = table[support] = tuple(gens)
-    return gens
+        entry = table[support] = (tuple(gens), frozenset(gens))
+    return entry
 
 
 def is_symmetric_under(inst, x: Name, support) -> bool:
@@ -373,9 +374,9 @@ def conjugation_check(inst, pi: FiberPermutation, support) -> ConjugationReport:
         inst.store.conjugates = (pi, conjugates)
     # a FiberPermutation is never falsy, so `or` builds only missing ones
     conjs = [conjugates.get(g) or conjugates.setdefault(g, conjugate(pi, g))
-             for g in _generators(inst, support)]
-    targets = _generators(inst, image)
-    allowed, reached = set(targets), set(conjs)
+             for g in _generators(inst, support)[0]]
+    targets, allowed = _generators(inst, image)
+    reached = set(conjs)
     if reached == allowed:
         return ConjugationReport(True, support, image)
     witness = ([conj for conj in conjs if conj not in allowed]

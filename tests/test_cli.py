@@ -1189,6 +1189,21 @@ class TestEncoding:
             cycles = line["witness"]["witness"]
             assert FiberPermutation.from_cycles(inst, cycles).to_obj() == cycles
 
+    @pytest.mark.parametrize("text, max_dom", [
+        ((SPECS / "reference.json").read_text(), 8),
+        ((SPECS / "staged.json").read_text(), 2),
+        ('{"poset": {"elements": [0, 1, 2], "leq": [[0, 1]]}, "n": 2, "v": 1, "c": 1}', 6),
+        # site names JSON writes with escapes
+        ('{"poset": {"elements": ["\u00e9t\u00e9", "q\\"x"], "leq": []}, '
+         '"n": 2, "v": 1, "c": 1}', 4),
+    ], ids=["reference", "staged", "integer-sites", "escaped-sites"])
+    def test_condition_text_joins_cell_fragments(self, text, max_dom):
+        ctx = _context(parse_instance_spec(text), {"max_dom": max_dom})
+        conds = ctx["conditions"]
+        assert len(conds) > 1 and max(len(p) for p in conds) == max_dom
+        for ci, p in enumerate(conds):
+            assert ctx["cond_text"][ci] == json.dumps(p.to_obj())
+
     @pytest.mark.parametrize("suite", ["nonsense", "wisc"])
     def test_unknown_and_inapplicable_suite_lines(self, suite):
         code, lines = run_text(REFERENCE, suite)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import types
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 import symext
 from symext import (Condition, FiberPermutation, InvalidInstance,
                     MismatchedInstance, Poset, act_condition, build_instance,
-                    compatible, extends, generic_filters, iter_conditions)
+                    build_staged_instance, compatible, extends, generic_filters,
+                    iter_conditions)
 
 from _oracles import total_assignments
 
@@ -180,6 +182,38 @@ class TestValidation:
         # two at stage 0 plus one at stage 1 stays within both bounds
         ok = cond(staged, {(0, 0, 0): 1, (0, 1, 0): 1, (1, 0, 0): 1})
         assert len(ok) == 3
+
+
+def _validated_conditions(inst, max_dom):
+    """Every condition of at most max_dom cells, in iter_conditions'
+    order, each built and checked by Condition itself."""
+    out = []
+    for k in range(max_dom + 1):
+        for combo in itertools.combinations(inst.cells, k):
+            for bits in itertools.product((0, 1), repeat=k):
+                try:
+                    out.append(Condition(inst, zip(combo, bits)))
+                except InvalidInstance:
+                    pass
+    return out
+
+
+@pytest.mark.parametrize("build, max_dom", [
+    # 8 cells, at most 3 set
+    (lambda: build_instance(Poset.antichain(["a", "b"]), 2, 2, 1, 3), 8),
+    # at most 2 cells on stage 0 binds once 3 may be set
+    (lambda: build_staged_instance((3, 4, 5), 1), 3),
+], ids=["flat-d3", "staged-3-4-5"])
+def test_iter_conditions_yields_what_condition_builds(build, max_dom):
+    inst, _ = build()
+    got = list(iter_conditions(inst, max_dom))
+    want = _validated_conditions(inst, max_dom)
+    assert len(got) == len(want)
+    # the bound rejects some of the candidate cell sets
+    assert len(got) < sum(math.comb(len(inst.cells), k) << k for k in range(max_dom + 1))
+    for p, q in zip(got, want):
+        assert p == q and p.items == q.items and p._map == q._map
+        assert hash(p) == hash(q)
 
 
 # exhaustively indexed sampling for the algebra laws at a slightly larger scale

@@ -16,8 +16,8 @@ from symext.cli import default_formula_pool
 from symext.forcing import _filter_space, _separating_filter, _space
 from symext.names import EMPTY_NAME
 
-from _oracles import (hf_to_frozen, naive_eval, naive_forces, naive_interpret,
-                      naive_recursive_forces, total_assignments)
+from _oracles import (cond_holds, hf_to_frozen, naive_eval, naive_forces,
+                      naive_interpret, naive_recursive_forces, total_assignments)
 
 
 def small_pool(inst, family):
@@ -361,6 +361,66 @@ class TestForcingVector:
         for conds in ([], [Condition.top(inst)]):
             with pytest.raises(ValueError, match="unknown mode"):
                 forcing_vector(conds, phi, "bogus")
+        with pytest.raises(ValueError, match="unknown mode"):
+            forces(Condition.top(inst), phi, "bogus")
+
+    def test_latest_list_index_follows_every_list(self, reference):
+        # each space indexes the latest list it read: alternating lists,
+        # and a list changed in place between calls, must be read afresh
+        inst, family = reference
+        pool = [phi for _, phi in default_formula_pool(family)]
+        first = list(iter_conditions(inst, 2))
+        second = [p for p in iter_conditions(inst, 3) if len(p) == 3][::-1]
+        for conds in (first, second, first, second):
+            self.assert_matches_forces(conds, pool)
+        modes = ("semantic", "recursive")
+        before = [[forcing_vector(first, phi, mode) for phi in pool] for mode in modes]
+        first[0], first[-1] = first[-1], first[0]
+        self.assert_matches_forces(first, pool)
+        # a stale index would have returned the vectors read before
+        for mode, vectors in zip(modes, before):
+            assert [forcing_vector(first, phi, mode) for phi in pool] != vectors
+        first[3] = second[0]
+        self.assert_matches_forces(first, pool)
+        first.append(second[1])
+        self.assert_matches_forces(first, pool)
+        del first[:5]
+        self.assert_matches_forces(first, pool)
+
+    @pytest.mark.parametrize("mode", ["semantic", "recursive"])
+    def test_mixed_list_after_an_indexed_one(self, mode, reference, tiny):
+        inst, family = reference
+        other, _ = tiny
+        phi = Mem(check_name(inst, ordinal(0)), family.rows[("a", 0)])
+        conds = list(iter_conditions(inst, 1))
+        vector = forcing_vector(conds, phi, mode)
+        for mixed in (conds + [Condition.top(other)],
+                      conds[:-1] + [Condition.top(other)]):
+            with pytest.raises(MismatchedInstance):
+                forcing_vector(mixed, phi, mode)
+        assert forcing_vector(conds, phi, mode) == vector
+
+    def test_ten_cell_vectors_match_the_oracles(self):
+        # one site, 5 fibers, 2 slots, at most 2 cells set: the forcing
+        # suites' largest benchmark lattice, 201 conditions
+        inst, family = build_instance(Poset.antichain(["a"]), 5, 2, 1, 2)
+        assert len(inst.cells) == 10
+        conds = list(iter_conditions(inst))
+        pool = [phi for _, phi in default_formula_pool(family)]
+        assigns = list(total_assignments(inst.cells))
+        # the filters containing each condition (semantic forcing needs
+        # no cutoff, so every total assignment counts)
+        ext = [[i for i, assign in enumerate(assigns) if cond_holds(p, assign)]
+               for p in conds]
+        memo = {}
+        for phi in pool:
+            truth = [naive_eval(phi, assign) for assign in assigns]
+            semantic = forcing_vector(conds, phi, "semantic")
+            recursive = forcing_vector(conds, phi, "recursive")
+            assert [bool(semantic >> i & 1) for i in range(len(conds))] == \
+                [all(truth[j] for j in e) for e in ext], phi
+            assert [bool(recursive >> i & 1) for i in range(len(conds))] == \
+                [naive_recursive_forces(inst, p, phi, memo) for p in conds], phi
 
 
 def reference_cut():
