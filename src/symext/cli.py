@@ -43,40 +43,46 @@ permutations or supports never enumerates them.
 The work a suite's units share is done once per index, not once per
 unit: the JSON text of each condition, support and label, the image of
 each condition and formula under each permutation, the forcing verdicts
-of each formula over all conditions as one bit vector per mode, and the
-swap steps of each swap stage (kernels.swap_steps).  One unit rule
-serves every suite: its generator decides each unit and yields its
-params text, built from shared prefixes, with 0 on a pass or, on a
-failure only, the unit's (ok, witness); where a suite reads a verdict
-off a fail mask, only a failing unit runs its one-shot check for the
-witness.  The clock is read once per unit, so a unit's elapsed time runs
-from the end of the previous unit's run and includes its enumeration and
-any shared table it is the first to need.
+of each formula over all conditions as one bit vector per mode, the
+swap steps of each swap stage (kernels.swap_steps), and the swap
+kernel's verdict on each distinct swap step.  One unit rule serves
+every suite: its generator decides each unit and yields its params
+text, built from shared prefixes, with 0 on a pass or, on a failure
+only, the unit's (ok, witness); where a suite reads a verdict off a fail
+mask or a shared verdict, only a failing unit runs its one-shot check
+for the witness.  The clock is read once per unit, so a unit's elapsed
+time runs from the end of the previous unit's run and includes its
+enumeration and any shared table it is the first to need.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import itertools
 import json
 import os
 import random
 import re
 import sys
-from dataclasses import dataclass
 from operator import itemgetter
 from time import monotonic_ns
-from typing import Optional
 
-from .core import GenericFilter, Instance, Poset, iter_conditions
+try:  # the builtin SHA-256 (hashlib would load OpenSSL for one digest)
+    from _sha256 import sha256          # CPython 3.10, 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256        # CPython 3.12 and later
+    except ImportError:
+        from hashlib import sha256
+
+from .core import GenericFilter, Poset, Record, iter_conditions
 from .errors import EngineError, ParseError
 from .forcing import (act_formula, check_size, forcing_vector, lemma_disagreement,
                       parse_formula, symmetry_lemma_check)
-from .instances import (MAX_CELLS, MAX_LEAST_CELLS, MAX_SITES, NameFamily,
-                        build_instance, build_staged_instance, chain_family,
-                        downset_embedding, in_stage, random_poset)
+from .instances import (MAX_CELLS, MAX_LEAST_CELLS, MAX_SITES, build_instance,
+                        build_staged_instance, chain_family, downset_embedding,
+                        in_stage, random_poset)
 from .kernels import _support_obj, step_groups, swap_kernel, swap_steps, wisc_kernel
 from .names import check_name, interpret, ordinal, pair_name, set_name
 from .symmetry import (act_condition, assemble_sequence, conjugation_check,
@@ -106,15 +112,14 @@ ALL_SUITES = ("symmetry-lemma", "forcing-oracle", "swap", "hs", "normality",
               "wisc", "embedding", "chains")
 
 
-@dataclass(frozen=True, eq=False)
-class InstanceSpec:
+class InstanceSpec(Record, eq=False):
     """A parsed spec: everything a run reads from it, built once."""
-    kind: str            # "flat" | "staged"
-    inst: Instance
-    family: NameFamily   # the canonical names, unchecked (the hs suite checks them)
-    options: dict        # each of _INT_OPTIONS, its default filled in
-    suites: tuple        # the selection --suite all runs
-    pool: list           # (label, formula) pairs; empty on a staged spec
+    __slots__ = ("kind",      # "flat" | "staged"
+                 "inst",      # the Instance
+                 "family",    # its NameFamily, unchecked (the hs suite checks it)
+                 "options",   # each of _INT_OPTIONS, its default filled in
+                 "suites",    # the selection --suite all runs
+                 "pool")      # (label, formula) pairs; empty on a staged spec
 
 
 def _is_int(value) -> bool:
@@ -380,7 +385,7 @@ def _wisc_pool(ctx, base):
 # field -> build(ctx), run on its first lookup; a _per_key field is a
 # _Table from a key (an index, or a tuple of them) to an entry
 _FIELDS = {
-    "hash": lambda ctx: hashlib.sha256(json.dumps(
+    "hash": lambda ctx: sha256(json.dumps(
         ctx["inst"].describe(), sort_keys=True).encode()).hexdigest()[:12],
     "names": lambda ctx: dict(ctx["family"].members()),
     "members": lambda ctx: [label for label in ctx["names"]
@@ -492,15 +497,24 @@ def _kernel_failing(report):
 
 
 def _gen_swap(ctx):
-    # the swap kernel runs on every unit, on the step swap_steps built
+    # swap_kernel's verdict reads only its step (the two flags, and the
+    # support's default names under the transposition), so the kernel
+    # runs once per distinct step, keyed by the step's value since an
+    # incompatible step is a fresh copy; a failing unit reruns it on its
+    # own input for the witness
     inst, conditions, supports = ctx["inst"], ctx["conditions"], ctx["supports"]
+    verdicts = {}
     for qi, si, z, a, step in swap_steps(inst, conditions, supports, inst.pairs):
-        report = swap_kernel(inst, conditions[qi], supports[si], z, a, step=step)
+        ok = verdicts.get(step)
+        if ok is None:
+            ok = verdicts[step] = swap_kernel(inst, conditions[qi], supports[si], z, a,
+                                              step=step).verdict
         yield ('{"condition": ' + ctx["cond_text"][qi]
                + ', "support": ' + ctx["support_text"][si]
                + ', "site": ' + ctx["text"][z]
                + f', "fiber": {a}, "partner": {step.mate}}}',
-               _kernel_failing(report))
+               0 if ok else _kernel_failing(
+                   swap_kernel(inst, conditions[qi], supports[si], z, a, step=step)))
 
 
 def _gen_hs(ctx):
@@ -648,7 +662,7 @@ def _run_units(ctx, suite, out) -> bool:
 
 
 def run_checks(spec: InstanceSpec, suite: str = "all", jobs: int = 1,
-               overrides: Optional[dict] = None, out=None) -> int:
+               overrides: dict | None = None, out=None) -> int:
     """Run a suite (or every applicable one) and stream JSON lines; the
     return value is the process exit status.  Every run is serial, in
     this process: worker processes made no workload faster and held each

@@ -22,14 +22,96 @@ pure functions.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping
 from functools import cached_property
-from typing import Iterator, Optional
+from operator import attrgetter
 
 from .errors import InvalidInstance, MismatchedInstance
 
 Cell = tuple  # (site, fiber, slot)
+_setattr = object.__setattr__
+
+
+class Record:
+    """A frozen record: the engine's value classes without the code
+    generation of dataclasses.
+
+    A subclass lists its fields in __slots__: the public names, its
+    bases' first, are the fields, and a private slot (a cached hash, a
+    __dict__ for cached properties) holds what the class computes for
+    itself.  The constructor takes the fields by position or keyword,
+    _defaults (field -> value, for the last fields) filling the ones left
+    out, then runs __post_init__; no attribute can be set or deleted
+    afterwards.  The repr is Class(field=value, ...).  Equality and hash
+    read the type and the fields; `class C(Record, eq=False)` keeps
+    identity equality.
+    """
+
+    __slots__ = ()
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, eq=True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for klass in reversed(cls.__mro__)
+                            for name in klass.__dict__.get("__slots__", ())
+                            if not name.startswith("_"))
+        cls._values = attrgetter(*cls._fields)
+        # _defaults covers the last fields (a KeyError here if not)
+        cls._tail = tuple(cls._defaults[name] for name in
+                          cls._fields[len(cls._fields) - len(cls._defaults):])
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(self._fields, args):
+            _setattr(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values, from the arguments by position, then by
+        keyword, then from the defaults."""
+        fields, tail = cls._fields, cls._tail
+        required = len(fields) - len(tail)
+        if not kwargs and required <= len(args) <= len(fields):
+            return args + tail[len(args) - required:]
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__} takes {len(fields)} fields, got {len(args)}")
+        values = list(args)
+        for i in range(len(args), len(fields)):
+            if fields[i] in kwargs:
+                values.append(kwargs.pop(fields[i]))
+            elif i >= required:
+                values.append(tail[i - required])
+            else:
+                raise TypeError(f"{cls.__name__} is missing field {fields[i]!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__} got unknown or repeated fields {sorted(kwargs)}")
+        return tuple(values)
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is frozen")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is frozen")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash((type(self), self._values(self)))
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
 
 
 def _transitive_reflexive_closure(elements, pairs):
@@ -46,8 +128,7 @@ def _transitive_reflexive_closure(elements, pairs):
     return rel
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(Record):
     """A finite poset given by its elements and the full order relation.
 
     The relation must contain every reflexive pair and be antisymmetric
@@ -56,8 +137,7 @@ class Poset:
     antisymmetry violations).
     """
 
-    elements: tuple
-    relation: frozenset
+    __slots__ = ("elements", "relation")
 
     def __post_init__(self):
         elems = tuple(sorted(set(self.elements)))
@@ -130,8 +210,7 @@ class Store:
         self.filter_space = None  # forcing._FilterSpace
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """The ambient context of a forcing poset.
 
     Each site carries its own fiber and slot counts.  limits is a list of
@@ -147,13 +226,8 @@ class Instance:
     hash, repr and describe() ignore it.
     """
 
-    kind: str
-    poset: Poset
-    fiber_counts: tuple
-    slot_counts: tuple
-    support_cutoff: int
-    limits: tuple
-    moved_bounds: tuple
+    __slots__ = ("kind", "poset", "fiber_counts", "slot_counts", "support_cutoff",
+                 "limits", "moved_bounds", "_hash", "__dict__", "__weakref__")
 
     def __post_init__(self):
         if min(self.fiber_counts + self.slot_counts) < 1:
@@ -162,15 +236,13 @@ class Instance:
             raise InvalidInstance("support cutoff must be positive")
         if min(bound for _, bound in self.limits) < 1:
             raise InvalidInstance("domain cutoff must be positive")
-        # the dataclass hash, computed once: conditions, filters and
+        # the record hash, computed once: conditions, filters and
         # permutations hash their instance on construction
-        object.__setattr__(self, "_hash", hash((
-            self.kind, self.poset, self.fiber_counts, self.slot_counts,
-            self.support_cutoff, self.limits, self.moved_bounds)))
+        object.__setattr__(self, "_hash", Record.__hash__(self))
 
     @classmethod
     def flat(cls, poset: Poset, fibers: int, slots: int, support_cutoff: int,
-             domain_cutoff: Optional[int] = None) -> "Instance":
+             domain_cutoff: int | None = None) -> "Instance":
         """A site poset with the same fiber and slot counts at every site
         and one domain cutoff over all cells (None means the full cell
         count, i.e. conditions may be total).
@@ -291,7 +363,7 @@ class Instance:
         # conditions this small meet every limit
         return min(bound for _, bound in self.limits)
 
-    def condition_violation(self, items) -> Optional[str]:
+    def condition_violation(self, items) -> str | None:
         if len(items) <= self._min_limit:
             return None
         counts = [0] * len(self.sites)
@@ -411,8 +483,7 @@ class Condition:
         return f"Condition({body})"
 
 
-@dataclass(frozen=True)
-class Compat:
+class Compat(Record):
     """Outcome of a compatibility test.
 
     ok means the two conditions agree on their common domain.  witness
@@ -421,10 +492,8 @@ class Compat:
     witness is omitted and cutoff_exceeded is set.
     """
 
-    ok: bool
-    witness: Optional[Condition] = None
-    cutoff_exceeded: bool = False
-    conflict: Optional[Cell] = None
+    __slots__ = ("ok", "witness", "cutoff_exceeded", "conflict")
+    _defaults = {"witness": None, "cutoff_exceeded": False, "conflict": None}
 
     def __bool__(self):
         return self.ok
@@ -439,7 +508,7 @@ def extends(p: Condition, q: Condition) -> bool:
     return all(get(cell) == bit for cell, bit in q.items)
 
 
-def _conflict(p: Condition, q: Condition) -> Optional[Cell]:
+def _conflict(p: Condition, q: Condition) -> Cell | None:
     """The first cell of the shorter condition on which the two disagree;
     None when they agree on their common domain (the instance is the
     caller's to check)."""
@@ -509,7 +578,7 @@ class GenericFilter:
         return f"GenericFilter({''.join(map(str, self.bits))})"
 
 
-def generic_filters(inst, below: Optional[Condition] = None) -> Iterator[GenericFilter]:
+def generic_filters(inst, below: Condition | None = None) -> Iterator[GenericFilter]:
     """All generic filters containing `below`, i.e. all total assignments
     agreeing with it, in lexicographic order of the free cells."""
     if below is None:
@@ -528,7 +597,7 @@ def generic_filters(inst, below: Optional[Condition] = None) -> Iterator[Generic
         yield GenericFilter(inst, bits)
 
 
-def iter_conditions(inst, max_dom: Optional[int] = None) -> Iterator[Condition]:
+def iter_conditions(inst, max_dom: int | None = None) -> Iterator[Condition]:
     """All conditions with domain size at most max_dom (default: the
     instance cutoff), ordered by size, then cells, then bits."""
     limit = inst.domain_cutoff if max_dom is None else min(max_dom, inst.domain_cutoff)

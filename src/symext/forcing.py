@@ -60,39 +60,32 @@ run as an explicit finite enumeration by the kernels.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from collections.abc import Iterator, Sequence
 
-from .core import Condition, _same_instance
+from .core import Condition, Record, _same_instance
 from .errors import InvalidInstance, ParseError
 from .names import EMPTY_HF, Name, hf
 from .symmetry import FiberPermutation, act_condition, act_name
 
 
-@dataclass(frozen=True)
-class Eq:
-    left: Name
-    right: Name
+# formulas are records, so Eq(x, y) and Mem(x, y) differ as dict keys
+class Eq(Record):
+    __slots__ = ("left", "right")     # Name, Name
 
 
-@dataclass(frozen=True)
-class Mem:
-    left: Name
-    right: Name
+class Mem(Record):
+    __slots__ = ("left", "right")     # Name, Name
 
 
-@dataclass(frozen=True)
-class Not:
-    body: "Formula"
+class Not(Record):
+    __slots__ = ("body",)             # Formula
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class And(Record):
+    __slots__ = ("left", "right")     # Formula, Formula
 
 
-Formula = Union[Eq, Mem, Not, And]
+Formula = Eq | Mem | Not | And
 
 
 def formula_names(phi: Formula) -> Iterator[Name]:
@@ -429,7 +422,7 @@ def forces(p: Condition, phi: Formula, mode: str = "semantic") -> bool:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _separating_filter(p: Condition, phi: Formula) -> Optional[list]:
+def _separating_filter(p: Condition, phi: Formula) -> list | None:
     """The bits of the first generic filter (in `generic_filters` order)
     that contains p and under which phi fails, one per cell; None when p
     forces phi."""
@@ -441,14 +434,13 @@ def _separating_filter(p: Condition, phi: Formula) -> Optional[list]:
     return [int(b) for b in format(index, f"0{len(p.inst.cells)}b")]
 
 
-@dataclass(frozen=True, eq=False)
-class LemmaReport:
+class LemmaReport(Record, eq=False):
     """Whether both sides of the equivariance law agree, in both modes,
     with a witness when anything disagrees (which would be an engine
     defect)."""
 
-    equal: bool
-    witness: Optional[dict] = None
+    __slots__ = ("equal", "witness")
+    _defaults = {"witness": None}
 
     def __bool__(self):
         return self.equal

@@ -26,10 +26,8 @@ stages above a starting point, giving strictly shrinking entry sets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
 
-from .core import Condition, Instance, Poset
+from .core import Condition, Instance, Poset, Record
 from .errors import InvalidInstance
 from .names import (Name, check_name, make_name, name_cells, ordinal,
                     pair_name, set_name)
@@ -101,17 +99,16 @@ def least_value_name(inst, site, fiber) -> Name:
     return make_name(entries)
 
 
-@dataclass(frozen=True, eq=False)
-class NameFamily:
+class NameFamily(Record, eq=False):
     """The canonical names of an instance, keyed for reports.  A staged
     family has no region or least names."""
 
-    inst: Instance
-    rows: dict      # (site, fiber) -> Name
-    sites: dict     # site -> Name
-    regions: dict   # frozenset of sites -> Name
-    graph: Name
-    least: dict     # (site, fiber) -> Name
+    __slots__ = ("inst",      # Instance
+                 "rows",      # (site, fiber) -> Name
+                 "sites",     # site -> Name
+                 "regions",   # frozenset of sites -> Name
+                 "graph",     # Name
+                 "least")     # (site, fiber) -> Name
 
     def members(self):
         for pair, nm in sorted(self.rows.items()):
@@ -159,7 +156,7 @@ def canonical_family(inst: Instance) -> NameFamily:
 
 
 def build_instance(poset: Poset, fibers: int, slots: int, support_cutoff: int,
-                   domain_cutoff: Optional[int] = None):
+                   domain_cutoff: int | None = None):
     """Validate the bounds, build the flat instance and its canonical
     family; the hs suite, not the build, checks the family's symmetry."""
     inst = Instance.flat(poset, fibers, slots, support_cutoff, domain_cutoff)
@@ -172,7 +169,7 @@ def build_staged_instance(stage_sizes, support_cutoff: int):
     return inst, canonical_family(inst)
 
 
-def name_stage(x: Name) -> Optional[int]:
+def name_stage(x: Name) -> int | None:
     """The least stage whose condition poset contains every condition in
     the name's closure; None when the name has no cells at all."""
     return max((cell[0] for cell in name_cells(x)), default=None)

@@ -9,11 +9,10 @@ tie-breaking, so identical inputs give identical reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple, Optional
 
-from .core import (Condition, compatible, iter_conditions, _conflict,
+from .core import (Condition, Record, compatible, iter_conditions, _conflict,
                    _same_instance)
 from .errors import FiberExhausted, StageViolation
 from .forcing import Eq, forces
@@ -64,7 +63,7 @@ def _support_obj(support) -> list:
     return sorted(map(list, support))
 
 
-def partner(inst, support, site, fiber, occupied) -> Optional[int]:
+def partner(inst, support, site, fiber, occupied) -> int | None:
     """The least fiber b != fiber at the site with (site, b) outside the
     support and b not in occupied; None when there is none."""
     for b in range(inst.fiber_count(site)):
@@ -73,7 +72,7 @@ def partner(inst, support, site, fiber, occupied) -> Optional[int]:
     return None
 
 
-def swap_fibers(inst, support, site, fiber, occupied) -> Optional[tuple]:
+def swap_fibers(inst, support, site, fiber, occupied) -> tuple | None:
     """The two fibers a swap at the site transposes: fiber (when None,
     the least fiber outside the support) and its mate, the partner of
     fiber whose index is not in occupied; None when fiber is in the
@@ -87,18 +86,14 @@ def swap_fibers(inst, support, site, fiber, occupied) -> Optional[tuple]:
     return None if mate is None else (fiber, mate)
 
 
-class SwapStep(NamedTuple):
+class SwapStep(namedtuple("SwapStep", ("fiber", "mate", "in_stabilizer", "compatible",
+                                        "transposition", "support"))):
     """The part of a kernel run that does not depend on the names: the
     two fibers of the transposition, whether it fixes the support
     pointwise, whether it carries the condition to a compatible one, the
     transposition itself and the validated support it was built on."""
 
-    fiber: int
-    mate: int
-    in_stabilizer: bool
-    compatible: bool
-    transposition: FiberPermutation
-    support: frozenset
+    __slots__ = ()
 
 
 def swap_steps(inst, conditions, supports, targets):
@@ -152,7 +147,7 @@ def swap_steps(inst, conditions, supports, targets):
                 yield qi, si, z, a, step if ok else step._replace(compatible=False)
 
 
-def _choice(inst, support, site, fiber, occupied, slots) -> Optional[tuple]:
+def _choice(inst, support, site, fiber, occupied, slots) -> tuple | None:
     """swap_steps' choice for one (support, site, fiber, touched fibers):
     None when swap_fibers finds no fibers, else (slot, step): the
     transposition's slot, numbered in slots, and its compatible step."""
@@ -228,7 +223,7 @@ def _witness(pi: FiberPermutation, q: Condition, **fields) -> dict:
 
 
 def swap_kernel(inst, q: Condition, support, site, fiber, names=None,
-                step: Optional[SwapStep] = None) -> KernelReport:
+                step: SwapStep | None = None) -> KernelReport:
     """The fiber-swap step: pick a partner fiber, build the transposition,
     and check that it (i) fixes the support pointwise, (ii) fixes every
     supplied support-anchored name literally, and (iii) carries q to a
@@ -241,6 +236,12 @@ def swap_kernel(inst, q: Condition, support, site, fiber, names=None,
     has validated the support: a caller that has already chosen the
     fibers can build it once.  The kernel trusts it, its support and
     transposition included.
+
+    With the default names the verdict reads only the step: its two
+    flags, and the support's names under its transposition; q, the site
+    and the fiber reach only the report fields.  So equal steps get
+    equal verdicts, and the CLI runs the kernel once per distinct step.
+    A new check that reads q, the site or the fiber must end that.
     """
     if step is None:
         step = swap_step(inst, q, support, site, fiber)
@@ -268,7 +269,7 @@ def _swap_details(step: SwapStep, q: Condition, site, fiber, names_fixed: bool,
 
 
 def wisc_kernel(staged, base_stage: int, y: Name, swap_stage: int,
-                q: Condition, support, step: Optional[SwapStep] = None) -> KernelReport:
+                q: Condition, support, step: SwapStep | None = None) -> KernelReport:
     """The stage-local swap step: the name y must live at the base stage;
     a transposition of two fibers at a strictly later stage is built (the
     first fiber least outside the support, the second additionally with a
@@ -342,8 +343,7 @@ def step_groups(steps: list) -> list:
     return [(first, int(digits, 2)) for first, digits in groups.values()]
 
 
-@dataclass(frozen=True, eq=False)
-class MinOntoReport:
+class MinOntoReport(Record, eq=False):
     """Density sweep for the least-value map of one site.
 
     For every condition with spare room and every slot value, a witness
@@ -354,13 +354,9 @@ class MinOntoReport:
     witnesses the oracle rejected, which would be engine bugs.
     """
 
-    site: object
-    max_dom: int
-    checked: int
-    witnessed: int
-    failures: tuple
-    defects: tuple
-    scope: str = SCOPE
+    __slots__ = ("site", "max_dom", "checked", "witnessed", "failures", "defects",
+                 "scope")
+    _defaults = {"scope": SCOPE}
 
     @property
     def verdict(self) -> bool:
@@ -383,7 +379,7 @@ class MinOntoReport:
         }
 
 
-def min_onto_check(inst, site, max_dom: Optional[int] = None) -> MinOntoReport:
+def min_onto_check(inst, site, max_dom: int | None = None) -> MinOntoReport:
     """Sweep all conditions with domain at most domain_cutoff - slots (or
     max_dom if smaller) and all slot values; for each, extend on a fresh
     fiber so the row's least 1 lands on the value, and confirm the

@@ -20,7 +20,7 @@ lives on the name itself and is bounded by the name registry.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .core import Condition, GenericFilter, _same_instance
 from .errors import MismatchedInstance

@@ -18,11 +18,9 @@ free).  Tests cross-check against brute-force closures at small scale.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from collections.abc import Iterable, Mapping
 
-from .core import Condition, _same_instance
+from .core import Condition, Record, _same_instance
 from .errors import InvalidInstance
 from .names import Name, make_name, name_cells, set_name
 
@@ -240,7 +238,7 @@ def is_symmetric_under(inst, x: Name, support) -> bool:
     return all(act_name(g, x) is x for g in fix_generators(inst, support))
 
 
-def infer_min_support(inst, x: Name) -> Optional[frozenset]:
+def infer_min_support(inst, x: Name) -> frozenset | None:
     """The least support of x, or None if nothing within the cutoff works.
 
     Ties are broken by size, then by preferring witnesses drawn from the
@@ -278,16 +276,34 @@ def is_hs(inst, x: Name) -> bool:
     return memo[x]
 
 
-def _closure(gens: Iterable[FiberPermutation], max_len: Optional[int],
-             max_size: Optional[int]) -> set:
+def _product_key(w: FiberPermutation, g: FiberPermutation) -> tuple:
+    """The sorted moved pairs of w * g, which FiberPermutation would store
+    as its `moved`, found without building the product."""
+    wmap = w._map
+    product = wmap.copy()     # right for every pair g fixes
+    for src, mid in g.moved:
+        product[src] = wmap.get(mid, mid)
+    return tuple(sorted([item for item in product.items() if item[0] != item[1]]))
+
+
+def _closure(gens: Iterable[FiberPermutation], max_len: int | None,
+             max_size: int | None) -> set:
     """The products of at most max_len generators, the identity included,
     found breadth first; None means unbounded.  Raises InvalidInstance
-    once more than max_size elements are found (None: no bound)."""
+    once more than max_size elements are found (None: no bound).
+
+    Each product is looked up by its moved pairs first, so only a new one
+    is built and validated; one over the moved bound is remembered and
+    skipped after its first validation."""
     gens = list(gens)
     if not gens:
         return set()
-    ident = FiberPermutation.identity(gens[0].inst)
-    words = {ident}
+    inst = gens[0].inst
+    for g in gens:
+        _same_instance(inst, g.inst)
+    ident = FiberPermutation.identity(inst)
+    words = {ident.moved: ident}
+    oversized = set()
     frontier = [ident]
     length = 0
     while frontier and (max_len is None or length < max_len):
@@ -295,17 +311,20 @@ def _closure(gens: Iterable[FiberPermutation], max_len: Optional[int],
         nxt = []
         for w in frontier:
             for g in gens:
-                try:
-                    wg = w * g
-                except InvalidInstance:
+                key = _product_key(w, g)
+                if key in words or key in oversized:
                     continue
-                if wg not in words:
-                    words.add(wg)
-                    nxt.append(wg)
-                    if max_size is not None and len(words) > max_size:
-                        raise InvalidInstance("generated group exceeds size bound")
+                try:
+                    wg = FiberPermutation(inst, key)
+                except InvalidInstance:
+                    oversized.add(key)
+                    continue
+                words[wg.moved] = wg     # wg's own tuple, equal to key: no copy kept
+                nxt.append(wg)
+                if max_size is not None and len(words) > max_size:
+                    raise InvalidInstance("generated group exceeds size bound")
         frontier = nxt
-    return words
+    return set(words.values())
 
 
 def generator_closure(gens: Iterable[FiberPermutation], max_len: int) -> list:
@@ -338,14 +357,11 @@ def conjugate(pi: FiberPermutation, g: FiberPermutation) -> FiberPermutation:
     return FiberPermutation(g.inst, {pi(src): pi(dst) for src, dst in g.moved})
 
 
-@dataclass(frozen=True)
-class ConjugationReport:
+class ConjugationReport(Record):
     """Verdict of the conjugation law for one (permutation, support) pair."""
 
-    ok: bool
-    support: frozenset
-    support_image: frozenset
-    witness: Optional[FiberPermutation] = None
+    __slots__ = ("ok", "support", "support_image", "witness")
+    _defaults = {"witness": None}
 
     def __bool__(self):
         return self.ok
@@ -384,8 +400,7 @@ def conjugation_check(inst, pi: FiberPermutation, support) -> ConjugationReport:
     return ConjugationReport(False, support, image, witness)
 
 
-@dataclass(frozen=True, eq=False)
-class AssembleReport:
+class AssembleReport(Record, eq=False):
     """Outcome of bundling a sequence of names into one set-name.
 
     member_supports holds each member's least support (None if absent).
@@ -394,11 +409,7 @@ class AssembleReport:
     but not necessary criterion.  hs is the exact verdict.
     """
 
-    name: Name
-    hs: bool
-    member_supports: tuple
-    union_support: Optional[frozenset]
-    certified: bool
+    __slots__ = ("name", "hs", "member_supports", "union_support", "certified")
 
     def __bool__(self):
         return self.hs

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import io
 import itertools
 import json
@@ -20,8 +21,10 @@ from symext import cli, forcing, instances, kernels, symmetry
 from symext.cli import (InstanceSpec, default_formula_pool, main,
                         parse_instance_spec, run_checks, _context, _gen_swap,
                         _gen_wisc)
+from symext.kernels import swap_steps
 
 from test_kernels import _conflict_at_stage_1_fiber_0
+from test_mutants import _DROPPED_CELL, _partner_ignores_support
 
 REFERENCE = ('{"poset": {"elements": ["a", "b"], "leq": []}, '
              '"n": 2, "v": 2, "c": 1, "d": 8}')
@@ -421,6 +424,24 @@ class TestDeterminism:
         done = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "[]"
+
+    def test_import_loads_no_dataclasses_inspect_or_openssl(self):
+        # a run pays its imports on each cold start: the records are
+        # core.Record subclasses and the spec hash is the builtin SHA-256.
+        # -S keeps the environment's site hooks out of the count
+        src = str(Path(__file__).parent.parent / "src")
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); import symext.cli; "
+                 "print(sorted(m for m in ('dataclasses', 'inspect', '_hashlib') "
+                 "if m in sys.modules))")
+        done = subprocess.run([sys.executable, "-S", "-c", probe, src],
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("name", ["reference.json", "staged.json"])
+    def test_instance_hash_is_the_sha256_of_the_description(self, name):
+        ctx = _context(parse_instance_spec((SPECS / name).read_text()), {})
+        text = json.dumps(ctx["inst"].describe(), sort_keys=True)
+        assert ctx["hash"] == hashlib.sha256(text.encode()).hexdigest()[:12]
 
     def test_serial_lines_written_as_each_unit_finishes(self, monkeypatch):
         out = io.StringIO()
@@ -1041,6 +1062,37 @@ class TestHoistedPath:
             assert line["verdict"] == "fail" and not report.verdict
             assert line["witness"] == json.loads(json.dumps(report.to_obj()))
             assert line["witness"]["witness"]["merged"] is None
+
+    @pytest.mark.parametrize("patches, max_dom, failing", [
+        ([], 3, 0),
+        ([(kernels, "partner", _partner_ignores_support)], 1, 52),
+        (_DROPPED_CELL, 1, 156),
+    ], ids=["clean", "partner-ignores-support", "act-drops-a-moved-cell"])
+    def test_swap_run_calls_the_kernel_once_per_distinct_step(self, patches, max_dom,
+                                                              failing, monkeypatch):
+        # the verdict reads only the step, so the kernel decides each
+        # distinct step once; a failing unit reruns it for the witness
+        for module, attr, replacement in patches:
+            monkeypatch.setattr(module, attr, replacement)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["step"])
+            return swap_kernel(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "swap_kernel", counted)
+        spec = parse_instance_spec((SPECS / "reference.json").read_text())
+        code, lines = run(spec, "swap", overrides={"max_dom": max_dom})
+        ctx = _context(spec, {"max_dom": max_dom})
+        inst = ctx["inst"]
+        steps = {step for *_, step in swap_steps(inst, ctx["conditions"],
+                                                 ctx["supports"], inst.pairs)}
+        assert sum(line["verdict"] == "fail" for line in lines) == failing
+        assert code == (1 if failing else 0)
+        assert set(calls) == steps
+        assert len(calls) == len(steps) + failing
+        if not patches:
+            assert len(calls) == 12 and len(lines) == 2796
 
     def test_swap_run_finds_touched_fibers_once_per_condition_and_site(
             self, monkeypatch):

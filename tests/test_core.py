@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symext
-from symext import (Condition, FiberPermutation, InvalidInstance,
+from symext import (Compat, Condition, FiberPermutation, Instance, InvalidInstance,
                     MismatchedInstance, Poset, act_condition, build_instance,
                     build_staged_instance, compatible, extends, generic_filters,
                     iter_conditions)
@@ -245,3 +245,63 @@ def test_public_api_lists_no_modules():
     modules = [name for name in symext.__all__
                if isinstance(getattr(symext, name), types.ModuleType)]
     assert symext.__all__ and not modules
+
+
+class TestRecords:
+    """The value classes are core.Record subclasses: frozen, with the
+    dataclass repr, keyword and default arguments, and value equality
+    unless a class keeps identity."""
+
+    def test_instance_and_poset_reprs(self):
+        inst, _ = build_instance(Poset.from_pairs(["a", "b", "c"], [("a", "b")]),
+                                 2, 1, 1)
+        assert repr(inst.poset) == "Poset(['a', 'b', 'c'], [('a', 'b')])"
+        assert repr(inst) == (
+            "Instance(kind='flat', poset=Poset(['a', 'b', 'c'], [('a', 'b')]), "
+            "fiber_counts=(2, 2, 2), slot_counts=(1, 1, 1), support_cutoff=1, "
+            "limits=((3, 6),), moved_bounds=(2, 2, 2))")
+        staged, _ = build_staged_instance([3, 4], 1)
+        assert repr(staged) == (
+            "Instance(kind='staged', poset=Poset([0, 1], [(0, 1)]), "
+            "fiber_counts=(3, 4), slot_counts=(3, 4), support_cutoff=1, "
+            "limits=((1, 2), (2, 3)), moved_bounds=(2, 3))")
+
+    def test_mismatch_message_names_both_instances(self, reference):
+        inst, _ = reference
+        other, _ = build_instance(Poset.antichain(["a", "b"]), 3, 1, 1)
+        with pytest.raises(MismatchedInstance) as info:
+            extends(Condition.top(inst), Condition.top(other))
+        assert str(info.value) == f"{inst!r} vs {other!r}"
+
+    def test_frozen(self, reference):
+        inst, _ = reference
+        for record, field in ((inst, "kind"), (inst.poset, "elements"),
+                              (compatible(Condition.top(inst), Condition.top(inst)),
+                               "ok")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+        with pytest.raises(AttributeError):
+            inst.extra = 1
+
+    def test_keywords_defaults_and_value_equality(self):
+        assert Compat(True) == Compat(ok=True, witness=None, cutoff_exceeded=False)
+        assert repr(Compat(False, conflict=("a", 0, 0))) == (
+            "Compat(ok=False, witness=None, cutoff_exceeded=False, "
+            "conflict=('a', 0, 0))")
+        assert hash(Compat(True)) == hash(Compat(True))
+        assert Compat(True) != Compat(True, cutoff_exceeded=True)
+        for args, kwargs in (((), {}), ((True, None, False, None, 1), {}),
+                             ((True,), {"ok": True}), ((True,), {"bogus": 1})):
+            with pytest.raises(TypeError):
+                Compat(*args, **kwargs)
+
+    def test_validation_runs_on_construction(self):
+        with pytest.raises(InvalidInstance):
+            Poset(("a", "a"), frozenset())
+        inst, _ = build_instance(Poset.antichain(["a", "b"]), 2, 1, 1)
+        with pytest.raises(InvalidInstance):
+            Instance("flat", inst.poset, (0, 2), (1, 1), 1, ((2, 4),), (2, 2))
+        twin = Instance(*(getattr(inst, name) for name in Instance._fields))
+        assert twin == inst and hash(twin) == hash(inst) and twin is not inst

@@ -182,6 +182,21 @@ class TestSyntax:
         assert parse_formula(text, resolve) == And(
             Mem(check_name(inst, ordinal(0)), row0), Not(Eq(row0, row1)))
 
+    def test_formula_types_are_distinct_keys(self, reference):
+        # formulas key the forcing memos and the CLI's vectors, so two
+        # connectives over the same operands must stay apart
+        inst, family = reference
+        x, y = family.rows[("a", 0)], family.rows[("a", 1)]
+        eq, mem = Eq(x, y), Mem(x, y)
+        assert eq == Eq(x, y) and hash(eq) == hash(Eq(left=x, right=y))
+        assert eq != mem and Not(eq) != Not(mem) and And(eq, mem) != And(mem, eq)
+        assert And(eq, mem) != Mem(eq, mem)
+        keys = {eq: "eq", mem: "mem", Not(eq): "not", And(eq, eq): "and"}
+        assert len(keys) == 4 and keys[Mem(x, y)] == "mem"
+        assert repr(Not(eq)) == f"Not(body=Eq(left={x!r}, right={y!r}))"
+        with pytest.raises(AttributeError):
+            eq.left = y
+
     def test_parse_errors(self, reference):
         inst, family = reference
         resolve = self.resolver(inst, family)

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symext import (Condition, FiberPermutation, InvalidInstance, act_condition,
-                    act_name, act_support, assemble_sequence, check_name,
+                    act_name, act_support, assemble_sequence, build_staged_instance,
+                    check_name,
                     compatible,
                     conjugate, conjugation_check, fix_generators,
                     generated_group, generator_closure, in_fix,
@@ -206,6 +207,31 @@ class TestFixGenerators:
         assert generated_group(gens, max_size=4) == group
         with pytest.raises(InvalidInstance, match="size bound"):
             generated_group(gens, max_size=3)
+
+    def test_closure_equals_the_composed_words(self):
+        # the closure looks each product up by its moved pairs before
+        # building it; composing every word with every generator, and
+        # skipping the products over a stage's moved bound, finds the same
+        # words in the same order.  On [3, 4, 5] some products are skipped
+        staged, _ = build_staged_instance([3, 4, 5], 1)
+        gens = fix_generators(staged, ())
+        ident = FiberPermutation.identity(staged)
+        words, frontier, skipped = {ident}, [ident], 0
+        for _ in range(3):
+            nxt = []
+            for w, g in itertools.product(frontier, gens):
+                try:
+                    wg = w * g
+                except InvalidInstance:
+                    skipped += 1
+                    continue
+                if wg not in words:
+                    words.add(wg)
+                    nxt.append(wg)
+            frontier = nxt
+        closure = generator_closure(gens, 3)
+        assert skipped and len(closure) == len(words) == 800
+        assert closure == sorted(words, key=lambda p: (len(p.moved), p.moved))
 
 
 class TestSupports:
