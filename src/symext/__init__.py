@@ -4,7 +4,7 @@ from .core import (Compat, Condition, GenericFilter, Instance, Poset,
                    compatible, extends, generic_filters, iter_conditions)
 from .errors import (EngineError, FiberExhausted, InvalidInstance,
                      MismatchedInstance, ParseError, StageViolation)
-from .forcing import (And, Eq, Mem, Not, act_formula, forces, forcing_vector,
+from .forcing import (And, Eq, Mem, Not, act_formula, forces, forcing_vectors,
                       formula_names, parse_formula, symmetry_lemma_check)
 from .instances import (build_instance, build_staged_instance, canonical_family,
                         chain_family, downset_embedding, in_stage,

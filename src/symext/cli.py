@@ -47,10 +47,10 @@ of each formula over all conditions as one bit vector per mode, the
 swap steps of each swap stage (kernels.swap_steps), and the swap
 kernel's verdict on each distinct swap step.  One unit rule serves
 every suite: its generator decides each unit and yields its params
-text, built from shared prefixes, with 0 on a pass or, on a failure
-only, the unit's (ok, witness); where a suite reads a verdict off a fail
-mask or a shared verdict, only a failing unit runs its one-shot check
-for the witness.  The clock is read once per unit, so a unit's elapsed
+text, built from shared prefixes, with its failing field (see the
+suites comment); where a suite reads a verdict off a fail mask or a
+shared verdict, only a failing unit runs its one-shot check for the
+witness.  The clock is read once per unit, so a unit's elapsed
 time runs from the end of the previous unit's run and includes its
 enumeration and any shared table it is the first to need.
 """
@@ -78,7 +78,7 @@ except ImportError:
 
 from .core import GenericFilter, Poset, Record, iter_conditions
 from .errors import EngineError, ParseError
-from .forcing import (act_formula, check_size, forcing_vector, lemma_disagreement,
+from .forcing import (act_formula, check_size, forcing_vectors, lemma_disagreement,
                       parse_formula, symmetry_lemma_check)
 from .instances import (MAX_CELLS, MAX_LEAST_CELLS, MAX_SITES, build_instance,
                         build_staged_instance, chain_family, downset_embedding,
@@ -114,12 +114,16 @@ ALL_SUITES = ("symmetry-lemma", "forcing-oracle", "swap", "hs", "normality",
 
 class InstanceSpec(Record, eq=False):
     """A parsed spec: everything a run reads from it, built once."""
-    __slots__ = ("kind",      # "flat" | "staged"
-                 "inst",      # the Instance
+    __slots__ = ("inst",      # the Instance
                  "family",    # its NameFamily, unchecked (the hs suite checks it)
                  "options",   # each of _INT_OPTIONS, its default filled in
                  "suites",    # the selection --suite all runs
                  "pool")      # (label, formula) pairs; empty on a staged spec
+
+    @property
+    def kind(self) -> str:
+        """The instance's kind, "flat" or "staged"."""
+        return self.inst.kind
 
 
 def _is_int(value) -> bool:
@@ -242,7 +246,7 @@ def parse_instance_spec(text: str) -> InstanceSpec:
                "posets": 0, **options}
     suites = tuple(raw.get("suites") or (FLAT_SUITES if kind == "flat"
                                          else STAGED_SUITES))
-    return InstanceSpec(kind, inst, family, options, suites, pool)
+    return InstanceSpec(inst, family, options, suites, pool)
 
 
 # ------------------------------------------------------------------
@@ -401,8 +405,10 @@ _FIELDS = {
     "cond_text": lambda ctx: _cond_texts(ctx["conditions"]),
     "support_text": _per_key(
         lambda ctx, si: json.dumps(_support_obj(ctx["supports"][si]))),
-    # (formula, mode) -> forcing_vector over the conditions
-    "vector": _per_key(lambda ctx, key: forcing_vector(ctx["conditions"], *key)),
+    # mode -> forcing_vectors over the conditions, and (formula, mode) ->
+    # that function's vector for the formula
+    "vectors": _per_key(lambda ctx, mode: forcing_vectors(ctx["conditions"], mode)),
+    "vector": _per_key(lambda ctx, key: ctx["vectors"][key[1]](key[0])),
     # swap stage -> the wisc kernel's swap steps there, and their groups
     # (kernels.step_groups)
     "wisc_steps": _per_key(lambda ctx, swap: [
@@ -423,7 +429,8 @@ def _pull_back(vector: int, image: list) -> int:
 
 # ------------------------------------------------------------------
 # suites: gen(ctx) decides each unit, in order, and yields its (params
-# text, failing): failing is 0 on a pass, else the unit's (ok, witness),
+# text, failing): failing is falsy on a pass, True on a fail without a
+# witness, and otherwise the fail's witness, a non-empty JSON object
 # built only for a failing unit.  run is _unit for every suite.  Which
 # suites apply to which kind of instance is FLAT_SUITES/STAGED_SUITES
 
@@ -438,13 +445,13 @@ def _downset_law(poset):
 
 def _gen_embedding(ctx):
     for z1, z2, ok in _downset_law(ctx["inst"].poset):
-        yield json.dumps({"pair": [z1, z2]}), 0 if ok else (False, None)
+        yield json.dumps({"pair": [z1, z2]}), not ok
     for i in range(ctx["posets"]):
         rng = random.Random(f"{ctx['seed']}:{i}")
         poset = random_poset(rng)
         bad = [(z1, z2) for z1, z2, ok in _downset_law(poset) if not ok]
         params = {"sample": i, "seed": ctx["seed"], "elements": len(poset.elements)}
-        yield json.dumps(params), 0 if not bad else (False, {"failing_pairs": bad})
+        yield json.dumps(params), bad and {"failing_pairs": bad}
 
 
 def _formula_tails(ctx):
@@ -462,9 +469,9 @@ def _gen_oracle(ctx):
     for ci in range(len(ctx["conditions"])):
         head = '{"condition": ' + ctx["cond_text"][ci]
         for tail, mask, phi in zip(tails, masks, phis):
-            yield head + tail, mask and mask >> ci & 1 and (
-                False, {mode: bool(vector[phi, mode] >> ci & 1)
-                        for mode in ("recursive", "semantic")})
+            yield head + tail, mask and mask >> ci & 1 and {
+                mode: bool(vector[phi, mode] >> ci & 1)
+                for mode in ("recursive", "semantic")}
 
 
 def _gen_symmetry(ctx):
@@ -487,13 +494,13 @@ def _gen_symmetry(ctx):
 
 def _lemma_failing(report):
     """A symmetry-lemma unit's failing field, from its one-shot check: 0
-    when the law holds, else (False, witness)."""
-    return 0 if report.equal else (False, report.witness)
+    when the law holds, else the witness."""
+    return 0 if report.equal else report.witness
 
 
 def _kernel_failing(report):
-    """A kernel unit's failing field: 0 on a pass, else (False, report)."""
-    return 0 if report.verdict else (False, report.to_obj())
+    """A kernel unit's failing field: 0 on a pass, else the report."""
+    return 0 if report.verdict else report.to_obj()
 
 
 def _gen_swap(ctx):
@@ -532,7 +539,7 @@ def _gen_hs(ctx):
         ok = found is not None and found == expected
         params = {"name": label,
                   "support": _support_obj(found) if found is not None else None}
-        yield json.dumps(params), 0 if ok and hereditarily else (False, None)
+        yield json.dumps(params), not (ok and hereditarily)
 
 
 def _gen_normality(ctx):
@@ -548,15 +555,14 @@ def _gen_normality(ctx):
             report = conjugation_check(inst, perm, support)
             yield (head + support_text[si] + ', "image": '
                    + support_text[where[report.support_image]] + '}',
-                   0 if report.ok else (False, {"witness": report.witness.to_obj()}))
+                   0 if report.ok else {"witness": report.witness.to_obj()})
     names = ctx["names"]
     for k in (1, 2):
         for labels in itertools.combinations(ctx["members"], k):
             report = assemble_sequence(inst, [names[label] for label in labels])
             params = {"members": list(labels), "hereditarily_symmetric": report.hs,
                       "certified": report.certified}
-            yield json.dumps(params), 0 if report.hs or not report.certified else (
-                False, None)
+            yield json.dumps(params), report.certified and not report.hs
 
 
 def _gen_wisc(ctx):
@@ -599,7 +605,7 @@ def _gen_chains(ctx):
     staged, chain = ctx["inst"], ctx["chain"]
     for b in range(len(staged.sites) - 1):
         ok = set(chain[b + 1].entries) < set(chain[b].entries)
-        yield json.dumps({"link": [b + 1, b]}), 0 if ok else (False, None)
+        yield json.dumps({"link": [b + 1, b]}), not ok
     for i in range(16):
         rng = random.Random(f"{ctx['seed']}:chain:{i}")
         bits = [rng.randint(0, 1) for _ in staged.cells]
@@ -608,7 +614,7 @@ def _gen_chains(ctx):
                  for b in range(len(chain) - 1))
         ok = all(all(e in large for e in small) for small, large in links)
         yield (json.dumps({"sample": i, "seed": ctx["seed"]}),
-               0 if ok else (False, {"bits": bits}))
+               not ok and {"bits": bits})
 
 
 def _unit(ctx, unit):
@@ -653,11 +659,9 @@ def _run_units(ctx, suite, out) -> bool:
         if not failing:
             write(f'{head}{params}, "verdict": "pass", "elapsed": {elapsed}}}\n')
             continue
-        ok, witness = failing
-        failed = failed or not ok
-        verdict = '"pass"' if ok else '"fail"'
-        witness = "" if witness is None else ', "witness": ' + json.dumps(witness)
-        write(f'{head}{params}, "verdict": {verdict}{witness}, "elapsed": {elapsed}}}\n')
+        failed = True
+        witness = "" if failing is True else ', "witness": ' + json.dumps(failing)
+        write(f'{head}{params}, "verdict": "fail"{witness}, "elapsed": {elapsed}}}\n')
     return failed
 
 

@@ -34,16 +34,13 @@ tables, so the two modes stay genuinely independent; their agreement
 (exact when conditions may grow total) is an acceptance criterion, not
 an assumption.
 
-`forcing_vector(conds, phi, mode)` decides phi at a whole list of
-conditions of one instance at once, as an int whose bit i is set iff
-conds[i] forces phi (semantic: ext(p) & ~truth(phi) == 0; recursive:
-the bit of p's code in the table).  Each space indexes the latest list
-it read: the filter space keeps its conditions' ext masks, the code
-space their codes, keyed by the list's items, so a list changed in
-place is indexed again.  A vector is then one gather over phi's mask or
-table; the two branches share no helper.  `forces(p, phi, mode)` reads
-p's one mask or bit directly; TestForcingVector checks that the two
-agree bit for bit.
+`forcing_vectors(conds, mode)` checks that a list of conditions belongs
+to one instance and indexes it once (semantic: its ext masks; recursive:
+its codes), and returns a function from phi to an int whose bit i is
+set iff conds[i] forces phi.  Each vector is one gather over phi's mask
+or table; the two branches share no helper, and no space keeps anything
+about a caller's list.  `forces(p, phi, mode)` reads p's one mask or bit
+directly; TestForcingVector checks that the two agree bit for bit.
 
 Both modes check that a formula's names belong to the conditions'
 instance once, when its mask or table is first built in that instance's
@@ -125,9 +122,9 @@ def act_formula(pi: FiberPermutation, phi: Formula) -> Formula:
     return And(act_formula(pi, phi.left), act_formula(pi, phi.right))
 
 
-# At the recursive limit, 12 cells, one forcing_vector over the 289
-# conditions of at most 2 cells took 0.1 ms once phi's table was built
-# (two sites, 3 fibers, 2 slots; 2-CPU machine, CPython 3.11)
+# At the recursive limit, 12 cells, a forcing_vectors function over the
+# 289 conditions of at most 2 cells read one vector in 0.07 ms once phi's
+# table was built (two sites, 3 fibers, 2 slots; 2-CPU machine, CPython 3.11)
 _SPACE_CELLS = 12
 # At the semantic limit, 14 cells, the truth masks of the CLI's 20-formula
 # default pool took 0.004 s and 0.3 MB (one site, 7 fibers, 2 slots; 2-CPU
@@ -192,9 +189,6 @@ class _Space:
         self._mem: dict = {}
         self._rec: dict = {}
         self._codes: dict = {}
-        # rev_codes' latest list and its codes
-        self._conds: tuple = ()
-        self._rev_codes: list = []
 
     def code_of(self, cond: Condition) -> int:
         code = self._codes.get(cond)
@@ -204,19 +198,6 @@ class _Space:
             code = sum((bit + 1) * pow3[index[cell]] for cell, bit in cond.items)
             self._codes[cond] = code
         return code
-
-    def rev_codes(self, conds: Sequence[Condition]) -> list:
-        """The codes of a list of this instance's conditions, last first.
-        The latest list's codes are kept; a list equal to it (compared
-        item by item, so one changed in place is indexed again) reuses
-        them."""
-        key = tuple(conds)
-        if key != self._conds:
-            _check_conditions(self.inst, key)
-            code_of = self.code_of
-            self._rev_codes = [code_of(p) for p in reversed(key)]
-            self._conds = key
-        return self._rev_codes
 
     def up(self, x: int) -> int:
         """The codes with some extension in x: the zeta transform over
@@ -309,20 +290,6 @@ class _FilterSpace:
         self._truth: dict = {}
         self._ext: dict = {}
         self._part: dict = {}
-        # rev_exts' latest list and its masks
-        self._conds: tuple = ()
-        self._rev_exts: list = []
-
-    def rev_exts(self, conds: Sequence[Condition]) -> list:
-        """The ext masks of a list of this instance's conditions, last
-        first, kept for the latest list as _Space.rev_codes keeps codes."""
-        key = tuple(conds)
-        if key != self._conds:
-            _check_conditions(self.inst, key)
-            ext = self.ext
-            self._rev_exts = [ext(p) for p in reversed(key)]
-            self._conds = key
-        return self._rev_exts
 
     def truth(self, phi: Formula) -> int:
         """The filters under which phi holds."""
@@ -388,26 +355,35 @@ def _filter_space(inst) -> _FilterSpace:
     return inst.store.filter_space
 
 
-def forcing_vector(conds: Sequence[Condition], phi: Formula,
-                   mode: str = "semantic") -> int:
-    """The forcing verdicts of phi over a list of conditions, in the
-    requested mode: bit i is set iff conds[i] forces phi.  The conditions
-    must belong to one instance.  phi's mask or table is looked up once
-    and read at every condition in one pass."""
+def forcing_vectors(conds: Sequence[Condition], mode: str = "semantic"):
+    """The forcing verdicts over a list of conditions of one instance, in
+    the requested mode, as a function from a formula phi to an int whose
+    bit i is set iff conds[i] forces phi.  The list is checked and
+    indexed here, once, so the function answers for the list as it is
+    now; each call looks phi's mask or table up once and reads it at
+    every condition in one pass."""
     if mode not in ("semantic", "recursive"):
         raise ValueError(f"unknown mode {mode!r}")
     if not conds:
-        return 0
+        return lambda phi: 0
+    inst = conds[0].inst
+    _check_conditions(inst, conds)
     if mode == "semantic":
-        fs = _filter_space(conds[0].inst)
-        bad = fs.full & ~fs.truth(phi)
-        bits = ["0" if m & bad else "1" for m in fs.rev_exts(conds)]
+        fs = _filter_space(inst)
+        exts = [fs.ext(p) for p in reversed(conds)]
+
+        def vector(phi):
+            bad = fs.full & ~fs.truth(phi)
+            return int("".join(["0" if m & bad else "1" for m in exts]), 2)
     else:
-        sp = _space(conds[0].inst)
-        table = sp.rec_table(phi).to_bytes(sp.nbytes, "little")
-        bits = ["1" if table[c >> 3] >> (c & 7) & 1 else "0"
-                for c in sp.rev_codes(conds)]
-    return int("".join(bits), 2)
+        sp = _space(inst)
+        codes = [sp.code_of(p) for p in reversed(conds)]
+
+        def vector(phi):
+            table = sp.rec_table(phi).to_bytes(sp.nbytes, "little")
+            return int("".join(["1" if table[c >> 3] >> (c & 7) & 1 else "0"
+                                for c in codes]), 2)
+    return vector
 
 
 def forces(p: Condition, phi: Formula, mode: str = "semantic") -> bool:

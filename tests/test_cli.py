@@ -739,18 +739,38 @@ class TestRunContext:
             + [dict(head, params={"sample": i, "seed": 0}, verdict="pass")
                for i in range(16)])
 
+    def test_a_failing_line_carries_the_generators_witness(self, monkeypatch):
+        # a failing unit whose generator yields True has no witness field,
+        # and one that yields a witness object has that object
+        chain_family = cli.chain_family
+        monkeypatch.setattr(cli, "chain_family",
+                            lambda inst: list(reversed(chain_family(inst))))
+        code, lines = run(STAGED, "chains")
+        link, *samples = lines
+        assert code == 1 and link["verdict"] == "fail" and "witness" not in link
+        assert all(line["verdict"] == "fail" and list(line["witness"]) == ["bits"]
+                   for line in samples)
+
     def test_forcing_vectors_built_once_per_run(self, monkeypatch):
-        built = collections.Counter()
+        # each run indexes its conditions once per mode, and reads each
+        # (formula, mode) vector through that index once
+        built, read = collections.Counter(), collections.Counter()
 
-        def counted(conds, phi, mode):
-            built[phi, mode] += 1
-            return forcing.forcing_vector(conds, phi, mode)
+        def counted(conds, mode):
+            built[mode] += 1
+            vector = forcing.forcing_vectors(conds, mode)
 
-        monkeypatch.setattr(cli, "forcing_vector", counted)
+            def counted_vector(phi):
+                read[phi, mode] += 1
+                return vector(phi)
+            return counted_vector
+
+        monkeypatch.setattr(cli, "forcing_vectors", counted)
         spec = parse_instance_spec((SPECS / "reference.json").read_text())
         for runs in (1, 2):
             assert run_text(spec, "all", {"max_dom": 1})[0] == 0
-            assert len(built) == 80 and set(built.values()) == {runs}
+            assert built == {"semantic": runs, "recursive": runs}
+            assert len(read) == 80 and set(read.values()) == {runs}
 
     def test_instance_built_once_per_parse(self, monkeypatch):
         # every run of a spec checks the instance its parse built

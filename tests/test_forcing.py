@@ -7,7 +7,7 @@ from symext import (And, Condition, Eq, FiberPermutation, GenericFilter,
                     Instance, InvalidInstance, Mem, MismatchedInstance, Not,
                     ParseError, Poset, act_condition, act_formula,
                     build_instance, canonical_family, check_name, core,
-                    extends, forces, forcing_vector, forcing,
+                    extends, forces, forcing_vectors, forcing,
                     generic_filters, generator_closure, fix_generators,
                     iter_conditions, make_name, ordinal, pair_name,
                     parse_formula, row_name, set_name, site_name,
@@ -328,23 +328,27 @@ class TestPartitions:
             raise AssertionError("a generic filter was built")
 
         monkeypatch.setattr(core.GenericFilter, "__init__", no_filter)
-        conds = list(iter_conditions(inst, 1))
+        vector = forcing_vectors(list(iter_conditions(inst, 1)), "semantic")
         for _, phi in default_formula_pool(family):
-            forcing_vector(conds, phi, "semantic")
+            vector(phi)
         assert inst.store.filter_space is not None
 
 
 class TestForcingVector:
-    """forcing_vector must give, bit for bit, what forces gives at each
+    """forcing_vectors must give, bit for bit, what forces gives at each
     condition, in both modes."""
 
     @staticmethod
-    def assert_matches_forces(conds, pool):
-        for phi in pool:
-            for mode in ("semantic", "recursive"):
-                vector = forcing_vector(conds, phi, mode)
-                assert vector >> len(conds) == 0
-                assert [bool(vector >> i & 1) for i in range(len(conds))] == \
+    def assert_matches_forces(conds, pool, vectors=None):
+        """Each mode's vector function (forcing_vectors(conds, mode) by
+        default) against forces at each condition of conds."""
+        vectors = vectors or {mode: forcing_vectors(conds, mode)
+                              for mode in ("semantic", "recursive")}
+        for mode, vector in vectors.items():
+            for phi in pool:
+                bits = vector(phi)
+                assert bits >> len(conds) == 0
+                assert [bool(bits >> i & 1) for i in range(len(conds))] == \
                     [forces(p, phi, mode) for p in conds], (phi, mode)
 
     def test_reference_pool_images_and_nesting(self, reference):
@@ -366,54 +370,56 @@ class TestForcingVector:
         inst, family = reference
         other, _ = tiny
         phi = Mem(check_name(inst, ordinal(0)), family.rows[("a", 0)])
-        assert forcing_vector([], phi, mode) == 0
+        assert forcing_vectors([], mode)(phi) == 0
         with pytest.raises(MismatchedInstance):
-            forcing_vector([Condition.top(inst), Condition.top(other)], phi, mode)
+            forcing_vectors([Condition.top(inst), Condition.top(other)], mode)
 
     def test_unknown_mode(self, reference):
         inst, _ = reference
         phi = Eq(EMPTY_NAME, EMPTY_NAME)
         for conds in ([], [Condition.top(inst)]):
             with pytest.raises(ValueError, match="unknown mode"):
-                forcing_vector(conds, phi, "bogus")
+                forcing_vectors(conds, "bogus")
         with pytest.raises(ValueError, match="unknown mode"):
             forces(Condition.top(inst), phi, "bogus")
 
-    def test_latest_list_index_follows_every_list(self, reference):
-        # each space indexes the latest list it read: alternating lists,
-        # and a list changed in place between calls, must be read afresh
+    def test_a_vector_function_keeps_the_list_it_was_given(self, reference):
+        # the list is indexed at the forcing_vectors call: a function built
+        # before the list changes answers for the list as it was, even for
+        # formulas first read after the change, and a fresh call reads the
+        # list as it is now
         inst, family = reference
         pool = [phi for _, phi in default_formula_pool(family)]
-        first = list(iter_conditions(inst, 2))
-        second = [p for p in iter_conditions(inst, 3) if len(p) == 3][::-1]
-        for conds in (first, second, first, second):
-            self.assert_matches_forces(conds, pool)
-        modes = ("semantic", "recursive")
-        before = [[forcing_vector(first, phi, mode) for phi in pool] for mode in modes]
-        first[0], first[-1] = first[-1], first[0]
-        self.assert_matches_forces(first, pool)
-        # a stale index would have returned the vectors read before
-        for mode, vectors in zip(modes, before):
-            assert [forcing_vector(first, phi, mode) for phi in pool] != vectors
-        first[3] = second[0]
-        self.assert_matches_forces(first, pool)
-        first.append(second[1])
-        self.assert_matches_forces(first, pool)
-        del first[:5]
-        self.assert_matches_forces(first, pool)
+        conds = list(iter_conditions(inst, 2))
+        original = list(conds)
+        kept = {mode: forcing_vectors(conds, mode) for mode in ("semantic", "recursive")}
+        conds[0], conds[-1] = conds[-1], conds[0]
+        conds[3] = next(p for p in iter_conditions(inst, 3) if len(p) == 3)
+        del conds[5:9]
+        self.assert_matches_forces(original, pool, kept)
+        self.assert_matches_forces(conds, pool)
+        for mode, vector in kept.items():
+            fresh = forcing_vectors(conds, mode)
+            assert [fresh(phi) for phi in pool] != [vector(phi) for phi in pool]
 
     @pytest.mark.parametrize("mode", ["semantic", "recursive"])
-    def test_mixed_list_after_an_indexed_one(self, mode, reference, tiny):
-        inst, family = reference
+    def test_mixed_list_raises_at_the_call(self, mode, reference, tiny, monkeypatch):
+        # the instance check runs when the list is indexed, before any
+        # formula is read: reading one here would fail the test
+        inst, _ = reference
         other, _ = tiny
-        phi = Mem(check_name(inst, ordinal(0)), family.rows[("a", 0)])
         conds = list(iter_conditions(inst, 1))
-        vector = forcing_vector(conds, phi, mode)
-        for mixed in (conds + [Condition.top(other)],
-                      conds[:-1] + [Condition.top(other)]):
+        stranger = Condition.top(other)
+
+        def no_formula(self, phi):
+            raise AssertionError("a formula was read")
+
+        monkeypatch.setattr(forcing._FilterSpace, "truth", no_formula)
+        monkeypatch.setattr(forcing._Space, "rec_table", no_formula)
+        for mixed in (conds + [stranger], conds[:3] + [stranger] + conds[3:],
+                      [stranger] + conds):
             with pytest.raises(MismatchedInstance):
-                forcing_vector(mixed, phi, mode)
-        assert forcing_vector(conds, phi, mode) == vector
+                forcing_vectors(mixed, mode)
 
     def test_ten_cell_vectors_match_the_oracles(self):
         # one site, 5 fibers, 2 slots, at most 2 cells set: the forcing
@@ -428,10 +434,11 @@ class TestForcingVector:
         ext = [[i for i, assign in enumerate(assigns) if cond_holds(p, assign)]
                for p in conds]
         memo = {}
+        vectors = {mode: forcing_vectors(conds, mode) for mode in ("semantic", "recursive")}
         for phi in pool:
             truth = [naive_eval(phi, assign) for assign in assigns]
-            semantic = forcing_vector(conds, phi, "semantic")
-            recursive = forcing_vector(conds, phi, "recursive")
+            semantic = vectors["semantic"](phi)
+            recursive = vectors["recursive"](phi)
             assert [bool(semantic >> i & 1) for i in range(len(conds))] == \
                 [all(truth[j] for j in e) for e in ext], phi
             assert [bool(recursive >> i & 1) for i in range(len(conds))] == \
