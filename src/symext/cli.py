@@ -65,6 +65,7 @@ import os
 import random
 import re
 import sys
+from collections import namedtuple
 from operator import itemgetter
 from time import monotonic_ns
 
@@ -76,7 +77,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .core import GenericFilter, Poset, Record, iter_conditions
+from .core import GenericFilter, Poset, iter_conditions
 from .errors import EngineError, ParseError
 from .forcing import (act_formula, check_size, forcing_vectors, lemma_disagreement,
                       parse_formula, symmetry_lemma_check)
@@ -112,13 +113,15 @@ ALL_SUITES = ("symmetry-lemma", "forcing-oracle", "swap", "hs", "normality",
               "wisc", "embedding", "chains")
 
 
-class InstanceSpec(Record, eq=False):
-    """A parsed spec: everything a run reads from it, built once."""
-    __slots__ = ("inst",      # the Instance
-                 "family",    # its NameFamily, unchecked (the hs suite checks it)
-                 "options",   # each of _INT_OPTIONS, its default filled in
-                 "suites",    # the selection --suite all runs
-                 "pool")      # (label, formula) pairs; empty on a staged spec
+class InstanceSpec(namedtuple("InstanceSpec",
+                              ("inst", "family", "options", "suites", "pool"))):
+    """A parsed spec: everything a run reads from it, built once.  inst is
+    the Instance and family its NameFamily, unchecked (the hs suite checks
+    it); options maps each of _INT_OPTIONS to its value, the default filled
+    in; suites is the selection --suite all runs; pool holds the (label,
+    formula) pairs, empty on a staged spec.  Two specs compare by value."""
+
+    __slots__ = ()
 
     @property
     def kind(self) -> str:

@@ -16,12 +16,15 @@ with an increasing list of sizes; fiber and slot counts vary per stage
 and condition domains obey a per-stage cumulative bound instead.
 
 Everything here is immutable after construction and all operations are
-pure functions.
+pure functions.  Poset, Compat, the formulas and the lemma, conjugation,
+assembly and min-onto reports are namedtuple subclasses with empty
+__slots__; Instance, which a tuple cannot be, says why in its docstring.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Iterator, Mapping
 from functools import cached_property
 from operator import attrgetter
@@ -29,89 +32,6 @@ from operator import attrgetter
 from .errors import InvalidInstance, MismatchedInstance
 
 Cell = tuple  # (site, fiber, slot)
-_setattr = object.__setattr__
-
-
-class Record:
-    """A frozen record: the engine's value classes without the code
-    generation of dataclasses.
-
-    A subclass lists its fields in __slots__: the public names, its
-    bases' first, are the fields, and a private slot (a cached hash, a
-    __dict__ for cached properties) holds what the class computes for
-    itself.  The constructor takes the fields by position or keyword,
-    _defaults (field -> value, for the last fields) filling the ones left
-    out, then runs __post_init__; no attribute can be set or deleted
-    afterwards.  The repr is Class(field=value, ...).  Equality and hash
-    read the type and the fields; `class C(Record, eq=False)` keeps
-    identity equality.
-    """
-
-    __slots__ = ()
-    _fields = ()
-    _defaults = {}
-
-    def __init_subclass__(cls, eq=True, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._fields = tuple(name for klass in reversed(cls.__mro__)
-                            for name in klass.__dict__.get("__slots__", ())
-                            if not name.startswith("_"))
-        cls._values = attrgetter(*cls._fields)
-        # _defaults covers the last fields (a KeyError here if not)
-        cls._tail = tuple(cls._defaults[name] for name in
-                          cls._fields[len(cls._fields) - len(cls._defaults):])
-        if not eq:
-            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
-
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._fields):
-            args = self._bind(args, kwargs)
-        for name, value in zip(self._fields, args):
-            _setattr(self, name, value)
-        self.__post_init__()
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
-        """The field values, from the arguments by position, then by
-        keyword, then from the defaults."""
-        fields, tail = cls._fields, cls._tail
-        required = len(fields) - len(tail)
-        if not kwargs and required <= len(args) <= len(fields):
-            return args + tail[len(args) - required:]
-        if len(args) > len(fields):
-            raise TypeError(f"{cls.__name__} takes {len(fields)} fields, got {len(args)}")
-        values = list(args)
-        for i in range(len(args), len(fields)):
-            if fields[i] in kwargs:
-                values.append(kwargs.pop(fields[i]))
-            elif i >= required:
-                values.append(tail[i - required])
-            else:
-                raise TypeError(f"{cls.__name__} is missing field {fields[i]!r}")
-        if kwargs:
-            raise TypeError(f"{cls.__name__} got unknown or repeated fields {sorted(kwargs)}")
-        return tuple(values)
-
-    def __post_init__(self):
-        pass
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is frozen")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is frozen")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self is other or self._values(self) == other._values(other)
-
-    def __hash__(self):
-        return hash((type(self), self._values(self)))
-
-    def __repr__(self):
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({body})"
 
 
 def _transitive_reflexive_closure(elements, pairs):
@@ -128,26 +48,26 @@ def _transitive_reflexive_closure(elements, pairs):
     return rel
 
 
-class Poset(Record):
+class Poset(namedtuple("Poset", ("elements", "relation"))):
     """A finite poset given by its elements and the full order relation.
 
     The relation must contain every reflexive pair and be antisymmetric
     and transitive; use :meth:`from_pairs` to build from a bare set of
     comparabilities (it closes the relation first, so cycles surface as
-    antisymmetry violations).
+    antisymmetry violations).  The elements are kept sorted and the
+    relation as a frozenset.
     """
 
-    __slots__ = ("elements", "relation")
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
-    def __post_init__(self):
-        elems = tuple(sorted(set(self.elements)))
-        if len(elems) != len(tuple(self.elements)):
+    def __new__(cls, elements, relation):
+        elems = tuple(sorted(set(elements)))
+        if len(elems) != len(tuple(elements)):
             raise InvalidInstance("poset elements must be distinct")
         if not elems:
             raise InvalidInstance("poset needs at least one element")
-        object.__setattr__(self, "elements", elems)
-        rel = frozenset((x, y) for x, y in self.relation)
-        object.__setattr__(self, "relation", rel)
+        rel = frozenset((x, y) for x, y in relation)
         known = set(elems)
         for x, y in rel:
             if x not in known or y not in known:
@@ -162,6 +82,7 @@ class Poset(Record):
             for a, b in rel:
                 if a == y and (x, b) not in rel:
                     raise InvalidInstance(f"order must be transitive: missing {(x, b)!r}")
+        return super().__new__(cls, elems, rel)
 
     @classmethod
     def from_pairs(cls, elements, pairs=()):
@@ -210,7 +131,7 @@ class Store:
         self.filter_space = None  # forcing._FilterSpace
 
 
-class Instance(Record):
+class Instance:
     """The ambient context of a forcing poset.
 
     Each site carries its own fiber and slot counts.  limits is a list of
@@ -224,21 +145,51 @@ class Instance(Record):
     validators; kind records which one, and selects the shape of
     describe().  store holds what is built for the instance; equality,
     hash, repr and describe() ignore it.
+
+    Instance is the one record that is not a namedtuple: its store memos
+    are freed with it through a weak reference, which a tuple cannot
+    take.  So it is frozen by hand, keeps a __dict__ for its cached
+    properties, and compares, hashes and prints by _fields.
     """
 
-    __slots__ = ("kind", "poset", "fiber_counts", "slot_counts", "support_cutoff",
-                 "limits", "moved_bounds", "_hash", "__dict__", "__weakref__")
+    _fields = ("kind", "poset", "fiber_counts", "slot_counts", "support_cutoff",
+               "limits", "moved_bounds")
+    __slots__ = _fields + ("_hash", "__dict__", "__weakref__")
+    _values = attrgetter(*_fields)
 
-    def __post_init__(self):
-        if min(self.fiber_counts + self.slot_counts) < 1:
+    def __init__(self, kind, poset, fiber_counts, slot_counts, support_cutoff,
+                 limits, moved_bounds):
+        if min(fiber_counts + slot_counts) < 1:
             raise InvalidInstance("fiber and slot bounds must be positive")
-        if self.support_cutoff < 1:
+        if support_cutoff < 1:
             raise InvalidInstance("support cutoff must be positive")
-        if min(bound for _, bound in self.limits) < 1:
+        if min(bound for _, bound in limits) < 1:
             raise InvalidInstance("domain cutoff must be positive")
-        # the record hash, computed once: conditions, filters and
-        # permutations hash their instance on construction
-        object.__setattr__(self, "_hash", Record.__hash__(self))
+        values = (kind, poset, fiber_counts, slot_counts, support_cutoff, limits,
+                  moved_bounds)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        # computed once: conditions, filters and permutations hash their
+        # instance on construction
+        object.__setattr__(self, "_hash", hash(values))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: Instance is frozen")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: Instance is frozen")
+
+    def __eq__(self, other):
+        if type(other) is not Instance:
+            return NotImplemented
+        return self is other or self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"Instance({body})"
 
     @classmethod
     def flat(cls, poset: Poset, fibers: int, slots: int, support_cutoff: int,
@@ -289,9 +240,6 @@ class Instance(Record):
         limits = tuple((j + 1, bound) for j, bound in enumerate(below))
         return cls("staged", Poset.chain(range(len(sizes))), sizes, sizes,
                    support_cutoff, limits, below)
-
-    def __hash__(self):
-        return self._hash
 
     @cached_property
     def store(self) -> Store:
@@ -483,17 +431,18 @@ class Condition:
         return f"Condition({body})"
 
 
-class Compat(Record):
+class Compat(namedtuple("Compat", ("ok", "witness", "cutoff_exceeded", "conflict"),
+                        defaults=(None, False, None))):
     """Outcome of a compatibility test.
 
     ok means the two conditions agree on their common domain.  witness
     is their union when it is representable; when the union would break
     the domain cutoff the conditions are still compatible but the
-    witness is omitted and cutoff_exceeded is set.
+    witness is omitted and cutoff_exceeded is set.  conflict is the
+    first cell they disagree on.
     """
 
-    __slots__ = ("ok", "witness", "cutoff_exceeded", "conflict")
-    _defaults = {"witness": None, "cutoff_exceeded": False, "conflict": None}
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok

@@ -57,29 +57,46 @@ run as an explicit finite enumeration by the kernels.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
 
-from .core import Condition, Record, _same_instance
+from .core import Condition, _same_instance
 from .errors import InvalidInstance, ParseError
 from .names import EMPTY_HF, Name, hf
 from .symmetry import FiberPermutation, act_condition, act_name
 
 
-# formulas are records, so Eq(x, y) and Mem(x, y) differ as dict keys
-class Eq(Record):
-    __slots__ = ("left", "right")     # Name, Name
+class _Connective:
+    """Equality and hash that read the type, so Eq(x, y) and Mem(x, y),
+    or a formula and the plain tuple of its operands, differ as dict
+    keys; tuple has its own !=, so __ne__ is written too."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self) and tuple.__eq__(self, other))
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    def __hash__(self):
+        return hash((type(self), tuple.__hash__(self)))
 
 
-class Mem(Record):
-    __slots__ = ("left", "right")     # Name, Name
+class Eq(_Connective, namedtuple("Eq", ("left", "right"))):     # Name, Name
+    __slots__ = ()
 
 
-class Not(Record):
-    __slots__ = ("body",)             # Formula
+class Mem(_Connective, namedtuple("Mem", ("left", "right"))):   # Name, Name
+    __slots__ = ()
 
 
-class And(Record):
-    __slots__ = ("left", "right")     # Formula, Formula
+class Not(_Connective, namedtuple("Not", ("body",))):           # Formula
+    __slots__ = ()
+
+
+class And(_Connective, namedtuple("And", ("left", "right"))):   # Formula, Formula
+    __slots__ = ()
 
 
 Formula = Eq | Mem | Not | And
@@ -410,13 +427,12 @@ def _separating_filter(p: Condition, phi: Formula) -> list | None:
     return [int(b) for b in format(index, f"0{len(p.inst.cells)}b")]
 
 
-class LemmaReport(Record, eq=False):
+class LemmaReport(namedtuple("LemmaReport", ("equal", "witness"), defaults=(None,))):
     """Whether both sides of the equivariance law agree, in both modes,
     with a witness when anything disagrees (which would be an engine
     defect)."""
 
-    __slots__ = ("equal", "witness")
-    _defaults = {"witness": None}
+    __slots__ = ()
 
     def __bool__(self):
         return self.equal

@@ -26,8 +26,9 @@ stages above a starting point, giving strictly shrinking entry sets.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 
-from .core import Condition, Instance, Poset, Record
+from .core import Condition, Instance, Poset
 from .errors import InvalidInstance
 from .names import (Name, check_name, make_name, name_cells, ordinal,
                     pair_name, set_name)
@@ -99,16 +100,14 @@ def least_value_name(inst, site, fiber) -> Name:
     return make_name(entries)
 
 
-class NameFamily(Record, eq=False):
-    """The canonical names of an instance, keyed for reports.  A staged
-    family has no region or least names."""
+class NameFamily(namedtuple("NameFamily",
+                            ("inst", "rows", "sites", "regions", "graph", "least"))):
+    """The canonical names of an instance, keyed for reports: its
+    Instance; rows and least map (site, fiber), sites a site and regions
+    a frozenset of sites, to a Name; graph is a Name.  A staged family
+    has empty regions and least.  Two families compare by value."""
 
-    __slots__ = ("inst",      # Instance
-                 "rows",      # (site, fiber) -> Name
-                 "sites",     # site -> Name
-                 "regions",   # frozenset of sites -> Name
-                 "graph",     # Name
-                 "least")     # (site, fiber) -> Name
+    __slots__ = ()
 
     def members(self):
         for pair, nm in sorted(self.rows.items()):

@@ -12,8 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 
-from .core import (Condition, Record, compatible, iter_conditions, _conflict,
-                   _same_instance)
+from .core import (Condition, compatible, iter_conditions, _conflict, _same_instance)
 from .errors import FiberExhausted, StageViolation
 from .forcing import Eq, forces
 from .instances import canonical_family, in_stage, least_value_name
@@ -343,7 +342,9 @@ def step_groups(steps: list) -> list:
     return [(first, int(digits, 2)) for first, digits in groups.values()]
 
 
-class MinOntoReport(Record, eq=False):
+class MinOntoReport(namedtuple("MinOntoReport", ("site", "max_dom", "checked", "witnessed",
+                                                 "failures", "defects", "scope"),
+                                defaults=(SCOPE,))):
     """Density sweep for the least-value map of one site.
 
     For every condition with spare room and every slot value, a witness
@@ -354,9 +355,7 @@ class MinOntoReport(Record, eq=False):
     witnesses the oracle rejected, which would be engine bugs.
     """
 
-    __slots__ = ("site", "max_dom", "checked", "witnessed", "failures", "defects",
-                 "scope")
-    _defaults = {"scope": SCOPE}
+    __slots__ = ()
 
     @property
     def verdict(self) -> bool:

@@ -18,9 +18,10 @@ free).  Tests cross-check against brute-force closures at small scale.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Iterable, Mapping
 
-from .core import Condition, Record, _same_instance
+from .core import Condition, _same_instance
 from .errors import InvalidInstance
 from .names import Name, make_name, name_cells, set_name
 
@@ -357,11 +358,12 @@ def conjugate(pi: FiberPermutation, g: FiberPermutation) -> FiberPermutation:
     return FiberPermutation(g.inst, {pi(src): pi(dst) for src, dst in g.moved})
 
 
-class ConjugationReport(Record):
+class ConjugationReport(namedtuple("ConjugationReport",
+                                   ("ok", "support", "support_image", "witness"),
+                                   defaults=(None,))):
     """Verdict of the conjugation law for one (permutation, support) pair."""
 
-    __slots__ = ("ok", "support", "support_image", "witness")
-    _defaults = {"witness": None}
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -400,7 +402,8 @@ def conjugation_check(inst, pi: FiberPermutation, support) -> ConjugationReport:
     return ConjugationReport(False, support, image, witness)
 
 
-class AssembleReport(Record, eq=False):
+class AssembleReport(namedtuple("AssembleReport", ("name", "hs", "member_supports",
+                                                   "union_support", "certified"))):
     """Outcome of bundling a sequence of names into one set-name.
 
     member_supports holds each member's least support (None if absent).
@@ -409,7 +412,7 @@ class AssembleReport(Record, eq=False):
     but not necessary criterion.  hs is the exact verdict.
     """
 
-    __slots__ = ("name", "hs", "member_supports", "union_support", "certified")
+    __slots__ = ()
 
     def __bool__(self):
         return self.hs

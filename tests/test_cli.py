@@ -427,7 +427,8 @@ class TestDeterminism:
 
     def test_import_loads_no_dataclasses_inspect_or_openssl(self):
         # a run pays its imports on each cold start: the records are
-        # core.Record subclasses and the spec hash is the builtin SHA-256.
+        # namedtuples or written by hand, and the spec hash is the builtin
+        # SHA-256.
         # -S keeps the environment's site hooks out of the count
         src = str(Path(__file__).parent.parent / "src")
         probe = ("import sys; sys.path.insert(0, sys.argv[1]); import symext.cli; "

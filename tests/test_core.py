@@ -248,9 +248,9 @@ def test_public_api_lists_no_modules():
 
 
 class TestRecords:
-    """The value classes are core.Record subclasses: frozen, with the
-    dataclass repr, keyword and default arguments, and value equality
-    unless a class keeps identity."""
+    """The value classes are namedtuple subclasses, and Instance a frozen
+    __slots__ class: none takes a new attribute, each has the dataclass
+    repr, keyword and default arguments, and value equality."""
 
     def test_instance_and_poset_reprs(self):
         inst, _ = build_instance(Poset.from_pairs(["a", "b", "c"], [("a", "b")]),
@@ -284,6 +284,20 @@ class TestRecords:
                 delattr(record, field)
         with pytest.raises(AttributeError):
             inst.extra = 1
+
+    def test_no_new_attributes(self, reference):
+        # a record keeps no __dict__ to take an attribute its class lacks
+        inst, _ = reference
+        for record in (inst.poset, Compat(True)):
+            with pytest.raises(AttributeError):
+                record.extra = 1
+            assert not hasattr(record, "__dict__")
+
+    def test_replace_validates(self):
+        poset = Poset.antichain(["a", "b"])
+        assert poset._replace(elements=("b", "a")) == poset
+        with pytest.raises(InvalidInstance):
+            poset._replace(elements=("a", "a"))
 
     def test_keywords_defaults_and_value_equality(self):
         assert Compat(True) == Compat(ok=True, witness=None, cutoff_exceeded=False)

@@ -197,6 +197,18 @@ class TestSyntax:
         with pytest.raises(AttributeError):
             eq.left = y
 
+    def test_formula_never_equals_its_operand_tuple(self, reference):
+        # a formula is not the plain tuple of its operands, whichever side
+        # comes first and under == and != alike
+        inst, family = reference
+        x, y = family.rows[("a", 0)], family.rows[("a", 1)]
+        eq = Eq(x, y)
+        for formula, operands in ((eq, (x, y)), (Mem(x, y), (x, y)),
+                                  (Not(eq), (eq,)), (And(eq, eq), (eq, eq))):
+            assert not formula == operands and not operands == formula
+            assert formula != operands and operands != formula
+            assert len({formula: 0, operands: 1}) == 2
+
     def test_parse_errors(self, reference):
         inst, family = reference
         resolve = self.resolver(inst, family)

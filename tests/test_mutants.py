@@ -16,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from symext import (build_staged_instance, chain_family, fix_generators,
-                    in_stage, infer_min_support, name_stage)
+from symext import (Condition, build_staged_instance, chain_family, fix_generators,
+                    in_stage, infer_min_support, is_hs, make_name, name_stage)
 from symext import act_name, cli, forcing, instances, kernels, symmetry
 from symext.cli import parse_instance_spec, run_checks
 
@@ -63,6 +63,24 @@ def _swap_fibers_ignores_occupied(inst, support, site, fiber, occupied):
 
 
 _FREE_MATE = [(kernels, "swap_fibers", _swap_fibers_ignores_occupied)]
+
+_assemble_sequence = symmetry.assemble_sequence
+
+
+def _assemble_under_one_cell(inst, names):
+    # each member bundled under the condition {first cell: 1} instead of
+    # the top condition; hs is decided on that bundle, the supports and
+    # the certificate are the members' own
+    names = list(names)
+    report = _assemble_sequence(inst, names)
+    below = Condition(inst, {inst.cells[0]: 1})
+    bundle = make_name([(below, nm) for nm in names])
+    return symmetry.AssembleReport(bundle, is_hs(inst, bundle), report.member_supports,
+                                   report.union_support, report.certified)
+
+
+_ONE_CELL_BUNDLE = [(module, "assemble_sequence", _assemble_under_one_cell)
+                    for module in (symmetry, cli)]
 
 _DROPPED_CELL = [(module, "act_condition", _drop_a_moved_cell)
                  for module in (symmetry, forcing, kernels, cli)]
@@ -111,6 +129,13 @@ MUTANTS = [
      "staged.json", "wisc", {"max_dom": 1}, 384, 2448),
     ("conjugate-is-g", [(symmetry, "conjugate", _conjugate_is_g)],
      "staged.json", "normality", None, 234, 525),
+    # every transposition of the first cell's fiber moves the bundle's
+    # condition, so a bundle the members' supports certify can fail to be
+    # hereditarily symmetric: the normality suite's assembly units fail
+    ("bundle-under-one-cell", _ONE_CELL_BUNDLE,
+     "reference.json", "normality", None, 6, 41),
+    ("bundle-under-one-cell", _ONE_CELL_BUNDLE,
+     "staged.json", "normality", None, 18, 525),
 ]
 
 
