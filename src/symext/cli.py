@@ -44,15 +44,16 @@ The work a suite's units share is done once per index, not once per
 unit: the JSON text of each condition, support and label, the image of
 each condition and formula under each permutation, the forcing verdicts
 of each formula over all conditions as one bit vector per mode, the
-swap steps of each swap stage (kernels.swap_steps), and the swap
-kernel's verdict on each distinct swap step.  One unit rule serves
-every suite: its generator decides each unit and yields its params
-text, built from shared prefixes, with its failing field (see the
-suites comment); where a suite reads a verdict off a fail mask or a
-shared verdict, only a failing unit runs its one-shot check for the
-witness.  The clock is read once per unit, so a unit's elapsed
-time runs from the end of the previous unit's run and includes its
-enumeration and any shared table it is the first to need.
+swap plans of each swap stage (kernels.swap_plans, one plan object for
+all the conditions it serves), and the swap kernel's verdict on each
+distinct swap step.  One unit rule serves every suite: its generator
+decides each unit and yields its params text, built from shared
+prefixes, with its failing field (see the suites comment); where a
+suite reads a verdict off a fail mask or a shared verdict, only a
+failing unit runs its one-shot check for the witness.  The clock is
+read once per unit, so a unit's elapsed time runs from the end of the
+previous unit's run and includes its enumeration and any shared table
+it is the first to need.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ from .forcing import (act_formula, check_size, forcing_vectors, lemma_disagreeme
 from .instances import (MAX_CELLS, MAX_LEAST_CELLS, MAX_SITES, build_instance,
                         build_staged_instance, chain_family, downset_embedding,
                         in_stage, random_poset)
-from .kernels import _support_obj, step_groups, swap_kernel, swap_steps, wisc_kernel
+from .kernels import _support_obj, swap_kernel, swap_plans, wisc_kernel, wisc_key
 from .names import check_name, interpret, ordinal, pair_name, set_name
 from .symmetry import (act_condition, assemble_sequence, conjugation_check,
                        fix_generators, generator_closure, infer_min_support,
@@ -389,6 +390,21 @@ def _wisc_pool(ctx, base):
                    if label != "graph" and in_stage(nm, base)]
 
 
+def _wisc_inputs(ctx, swap):
+    """One (condition index, support index, step) per wisc_key of the
+    swap stage's steps, at the key's first step in line order.  The first
+    condition whose plan holds a key is that plan's first condition, so
+    only distinct plans are scanned; the plan list keeps each plan alive,
+    so its id names it."""
+    inputs, seen = {}, set()
+    for qi, plan in ctx["wisc_plans"][swap]:
+        if id(plan) not in seen:
+            seen.add(id(plan))
+            for si, _, _, step in plan:
+                inputs.setdefault(wisc_key(step), (qi, si, step))
+    return list(inputs.values())
+
+
 # field -> build(ctx), run on its first lookup; a _per_key field is a
 # _Table from a key (an index, or a tuple of them) to an entry
 _FIELDS = {
@@ -412,13 +428,12 @@ _FIELDS = {
     # that function's vector for the formula
     "vectors": _per_key(lambda ctx, mode: forcing_vectors(ctx["conditions"], mode)),
     "vector": _per_key(lambda ctx, key: ctx["vectors"][key[1]](key[0])),
-    # swap stage -> the wisc kernel's swap steps there, and their groups
-    # (kernels.step_groups)
-    "wisc_steps": _per_key(lambda ctx, swap: [
-        (qi, si, step) for qi, si, _, _, step in swap_steps(
-            ctx["inst"], ctx["conditions"], ctx["supports"], ((swap, None),))]),
-    "wisc_groups": _per_key(
-        lambda ctx, swap: step_groups([step for *_, step in ctx["wisc_steps"][swap]])),
+    # swap stage -> the wisc kernel's non-empty swap plans there, as
+    # (condition index, plan), and one kernel input per wisc_key
+    "wisc_plans": _per_key(lambda ctx, swap: [
+        (qi, plan) for qi, plan in swap_plans(
+            ctx["inst"], ctx["conditions"], ctx["supports"], ((swap, None),)) if plan]),
+    "wisc_inputs": _per_key(_wisc_inputs),
     # base stage -> the wisc suite's name pool
     "wisc_pool": _per_key(_wisc_pool),
 }
@@ -509,22 +524,29 @@ def _kernel_failing(report):
 def _gen_swap(ctx):
     # swap_kernel's verdict reads only its step (the two flags, and the
     # support's default names under the transposition), so the kernel
-    # runs once per distinct step, keyed by the step's value since an
-    # incompatible step is a fresh copy; a failing unit reruns it on its
-    # own input for the witness
+    # runs once per distinct step, keyed by the step's value, and a
+    # plan's verdicts are read once per distinct plan (swap_plans holds
+    # each plan it yields until it ends, so its id names it); a failing
+    # unit reruns the kernel on its own input for the witness
     inst, conditions, supports = ctx["inst"], ctx["conditions"], ctx["supports"]
-    verdicts = {}
-    for qi, si, z, a, step in swap_steps(inst, conditions, supports, inst.pairs):
-        ok = verdicts.get(step)
-        if ok is None:
-            ok = verdicts[step] = swap_kernel(inst, conditions[qi], supports[si], z, a,
-                                              step=step).verdict
-        yield ('{"condition": ' + ctx["cond_text"][qi]
-               + ', "support": ' + ctx["support_text"][si]
-               + ', "site": ' + ctx["text"][z]
-               + f', "fiber": {a}, "partner": {step.mate}}}',
-               0 if ok else _kernel_failing(
-                   swap_kernel(inst, conditions[qi], supports[si], z, a, step=step)))
+    support_text, text = ctx["support_text"], ctx["text"]
+    verdicts, plan_verdicts = {}, {}
+    for qi, plan in swap_plans(inst, conditions, supports, inst.pairs):
+        oks = plan_verdicts.get(id(plan))
+        if oks is None:
+            oks = plan_verdicts[id(plan)] = []
+            for si, z, a, step in plan:
+                ok = verdicts.get(step)
+                if ok is None:
+                    ok = verdicts[step] = swap_kernel(inst, conditions[qi], supports[si],
+                                                      z, a, step=step).verdict
+                oks.append(ok)
+        head = '{"condition": ' + ctx["cond_text"][qi] + ', "support": '
+        for (si, z, a, step), ok in zip(plan, oks):
+            yield (head + support_text[si] + ', "site": ' + text[z]
+                   + f', "fiber": {a}, "partner": {step.mate}}}',
+                   0 if ok else _kernel_failing(
+                       swap_kernel(inst, conditions[qi], supports[si], z, a, step=step)))
 
 
 def _gen_hs(ctx):
@@ -569,12 +591,11 @@ def _gen_normality(ctx):
 
 
 def _gen_wisc(ctx):
-    # a unit fails when its bit of its (base stage, swap stage, name) fail
-    # mask is set, and then reruns the kernel on its own step for the
-    # witness.  The fail mask ORs the masks of the step groups on whose
-    # first step the kernel fails, so the kernel runs once per (base stage,
-    # swap stage, name, group).  A stage's steps run condition-major, so a
-    # line is its condition's prefix and its support's tail
+    # wisc_kernel's verdict reads only its step's wisc_key, so the kernel
+    # runs once per (base stage, swap stage, name, key), on the key's
+    # first step; a unit whose key failed reruns it on its own step for
+    # the witness.  A stage's lines run condition-major, so a line is its
+    # condition's prefix and its support's tail
     inst, conditions, supports = ctx["inst"], ctx["conditions"], ctx["supports"]
     cond_text = ctx["cond_text"]
     tails = [', "support": ' + ctx["support_text"][si] + '}'
@@ -583,23 +604,20 @@ def _gen_wisc(ctx):
         pool = ctx["wisc_pool"][base]
         for swap in inst.sites:
             if swap > base:
-                steps, groups = ctx["wisc_steps"][swap], ctx["wisc_groups"][swap]
+                plans, inputs = ctx["wisc_plans"][swap], ctx["wisc_inputs"][swap]
                 for label, y in pool:
-                    mask = 0
-                    for first, members in groups:
-                        qi, si, step = steps[first]
-                        if not wisc_kernel(inst, base, y, swap, conditions[qi],
-                                           supports[si], step).verdict:
-                            mask |= members
+                    failed = {wisc_key(step) for qi, si, step in inputs
+                              if not wisc_kernel(inst, base, y, swap, conditions[qi],
+                                                 supports[si], step).verdict}
                     head = (f'{{"base_stage": {base}, "swap_stage": {swap}, '
                             f'"name": {ctx["text"][label]}, "condition": ')
-                    last = None
-                    for i, (qi, si, step) in enumerate(steps):
-                        if qi != last:
-                            last, prefix = qi, head + cond_text[qi]
-                        yield prefix + tails[si], mask and mask >> i & 1 and (
-                            _kernel_failing(wisc_kernel(inst, base, y, swap, conditions[qi],
-                                                        supports[si], step)))
+                    for qi, plan in plans:
+                        prefix = head + cond_text[qi]
+                        for si, _, _, step in plan:
+                            yield prefix + tails[si], (
+                                0 if not failed or wisc_key(step) not in failed
+                                else _kernel_failing(wisc_kernel(
+                                    inst, base, y, swap, conditions[qi], supports[si], step)))
 
 
 def _gen_chains(ctx):

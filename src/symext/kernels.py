@@ -95,67 +95,81 @@ class SwapStep(namedtuple("SwapStep", ("fiber", "mate", "in_stabilizer", "compat
     __slots__ = ()
 
 
-def swap_steps(inst, conditions, supports, targets):
-    """(condition index, support index, site, fiber, step) for each
-    condition, each support and each (site, fiber) of targets, in that
-    order, on which swap_fibers finds the fibers; _choice, which swap_step
-    calls too, is the one place a step is chosen.  fiber None asks for the
-    least fiber outside the support.
+def swap_plans(inst, conditions, supports, targets):
+    """(condition index, plan) for each condition, where the plan is the
+    tuple of (support index, site, fiber, step) for each support and each
+    (site, fiber) of targets, in that order, on which swap_fibers finds the
+    fibers; _choice, which swap_step calls too, is the one place a step is
+    chosen.  fiber None asks for the least fiber outside the support.
     The supports are trusted to be frozensets of the instance's pairs.
 
-    Steps are decided per choice key and shared.  The fibers, the
-    transposition and the stabilizer flag depend only on the support, the
-    target and the condition's touched fibers at the site, so they are
-    chosen once per (site, fiber, touched fibers), for every support; the
-    compatibility flag depends only on the condition and the
-    transposition, so it is decided once per transposition of the current
-    condition.  A choice's step is yielded by reference to every input it
-    serves; the mate is untouched by the condition, so under the sound
-    action every step is compatible, and an incompatible one is a copy
-    with the flag cleared.  The tables live for one call, and their sizes
-    are bounded by the supports and the distinct touched-fiber sets, not
-    by the conditions."""
+    The fibers, the transposition and the stabilizer flag depend only on
+    the support, the target and the condition's touched fibers at the
+    site, so they are chosen once per (site, fiber, touched fibers), for
+    every support; the compatibility flag depends only on the condition
+    and the transposition, so it is decided once per transposition of each
+    condition, in the order of the transposition's first entry.  A plan
+    is built once per (touched fibers at the target sites, compatibility
+    flags) and yielded by reference to every condition with that key, and
+    its steps are shared likewise: the mate is untouched by the condition,
+    so under the sound action every step is compatible, and an
+    incompatible entry holds a copy with the flag cleared.  The tables
+    live for one call, and their sizes are bounded by the supports and the
+    distinct touched-fiber sets, not by the conditions."""
     sites = dict.fromkeys(z for z, _ in targets)
     # (site, fiber, touched fibers) -> per support index, None when
-    # swap_fibers finds no fibers, else the choice
+    # swap_fibers finds no fibers, else the compatible step
     choices = {}
-    # transposition -> its index in the per-condition compatibility list
-    slots = {}
+    # touched fibers at each target site -> (the plan of compatible
+    # steps, its transpositions in order of first entry)
+    shapes = {}
+    # (touched fibers at each target site, compatibility flags) -> plan
+    plans = {}
     for qi, q in enumerate(conditions):
-        occupied = {z: q.touched_fibers(z) for z in sites}
-        rows = []
-        for z, a in targets:
-            key = (z, a, occupied[z])
-            row = choices.get(key)
-            if row is None:
-                row = choices[key] = [_choice(inst, support, z, a, occupied[z], slots)
-                                      for support in supports]
-            rows.append(row)
-        # by slot, whether the transposition carries q to a compatible
-        # condition
-        agrees = [None] * len(slots)
-        for si in range(len(supports)):
-            for (z, a), row in zip(targets, rows):
-                choice = row[si]
-                if choice is None:
-                    continue
-                slot, step = choice
-                ok = agrees[slot]
-                if ok is None:
-                    ok = agrees[slot] = _compatible(q, step.transposition)
-                yield qi, si, z, a, step if ok else step._replace(compatible=False)
+        touched = tuple([q.touched_fibers(z) for z in sites])
+        shape = shapes.get(touched)
+        if shape is None:
+            occupied = dict(zip(sites, touched))
+            rows = []
+            for z, a in targets:
+                key = (z, a, occupied[z])
+                row = choices.get(key)
+                if row is None:
+                    row = choices[key] = [_choice(inst, support, z, a, occupied[z])
+                                          for support in supports]
+                rows.append(row)
+            entries = tuple((si, z, a, row[si]) for si in range(len(supports))
+                            for (z, a), row in zip(targets, rows) if row[si] is not None)
+            shape = shapes[touched] = (entries, tuple(dict.fromkeys(
+                step.transposition for *_, step in entries)))
+        entries, order = shape
+        flags = tuple([_compatible(q, pi) for pi in order])
+        plan = plans.get((touched, flags))
+        if plan is None:
+            agrees = dict(zip(order, flags))
+            plan = plans[touched, flags] = tuple(
+                (si, z, a, step if agrees[step.transposition]
+                 else step._replace(compatible=False))
+                for si, z, a, step in entries)
+        yield qi, plan
 
 
-def _choice(inst, support, site, fiber, occupied, slots) -> tuple | None:
-    """swap_steps' choice for one (support, site, fiber, touched fibers):
-    None when swap_fibers finds no fibers, else (slot, step): the
-    transposition's slot, numbered in slots, and its compatible step."""
+def swap_steps(inst, conditions, supports, targets):
+    """(condition index, support index, site, fiber, step) for each entry
+    of each plan swap_plans yields, in that order."""
+    for qi, plan in swap_plans(inst, conditions, supports, targets):
+        for si, z, a, step in plan:
+            yield qi, si, z, a, step
+
+
+def _choice(inst, support, site, fiber, occupied) -> SwapStep | None:
+    """swap_plans' choice for one (support, site, fiber, touched fibers):
+    None when swap_fibers finds no fibers, else the compatible step."""
     fibers = swap_fibers(inst, support, site, fiber, occupied)
     if fibers is None:
         return None
     pi = FiberPermutation.transposition(inst, site, *fibers)
-    return (slots.setdefault(pi, len(slots)),
-            SwapStep(*fibers, in_fix(pi, support), True, pi, support))
+    return SwapStep(*fibers, in_fix(pi, support), True, pi, support)
 
 
 def _compatible(q: Condition, pi: FiberPermutation) -> bool:
@@ -166,7 +180,7 @@ def _compatible(q: Condition, pi: FiberPermutation) -> bool:
 
 
 def swap_step(inst, q: Condition, support, site, fiber=None) -> SwapStep:
-    """The one-input case of swap_steps, on a validated support: the step
+    """The one-input case of swap_plans, on a validated support: the step
     for (q, support, site, fiber), chosen by _choice, whose mate has a row
     untouched by q.  A caller running many names against one (q, support,
     site, fiber) can build it once and hand it to a kernel as step=."""
@@ -174,12 +188,11 @@ def swap_step(inst, q: Condition, support, site, fiber=None) -> SwapStep:
     support = check_support(inst, support)
     if (site, fiber) in support:
         raise ValueError(f"target pair {(site, fiber)!r} must avoid the support")
-    choice = _choice(inst, support, site, fiber, q.touched_fibers(site), {})
-    if choice is None:
+    step = _choice(inst, support, site, fiber, q.touched_fibers(site))
+    if step is None:
         raise FiberExhausted(
             f"no spare fiber at site {site!r}: every other fiber is in the "
             "support or touched by the condition")
-    step = choice[1]
     return step if _compatible(q, step.transposition) else step._replace(compatible=False)
 
 
@@ -286,11 +299,10 @@ def wisc_kernel(staged, base_stage: int, y: Name, swap_stage: int,
     transposition included.
 
     Given the stages and the name, the verdict reads of the step only its
-    key in step_groups, (transposition, in_stabilizer, compatible), and
-    reads q only through the two step flags; so the verdict on one step
-    of a group is the verdict on all of them, and the CLI runs the kernel
-    once per group.  A new check that reads q, the support or the fibers
-    must widen that key.
+    wisc_key, (transposition, in_stabilizer, compatible), and reads q only
+    through the two step flags; so steps with one key get one verdict, and
+    the CLI runs the kernel once per key.  A new check that reads q, the
+    support or the fibers must widen that key.
     """
     _same_instance(staged, q.inst)
     if base_stage not in staged.site_index:
@@ -311,6 +323,12 @@ def wisc_kernel(staged, base_stage: int, y: Name, swap_stage: int,
                                         name_fixed, disjoint, name_fixed or not disjoint))
 
 
+def wisc_key(step: SwapStep) -> tuple:
+    """What wisc_kernel's verdict reads of a step, given the stages and
+    the name: (transposition, in_stabilizer, compatible)."""
+    return step.transposition, step.in_stabilizer, step.compatible
+
+
 def _wisc_details(step: SwapStep, base_stage: int, swap_stage: int, rank: int,
                   q: Condition, name_fixed: bool, disjoint: bool, agree: bool) -> dict:
     """wisc_kernel's report fields, from the values it computed."""
@@ -324,22 +342,6 @@ def _wisc_details(step: SwapStep, base_stage: int, swap_stage: int, rank: int,
                    "conditions_compatible": step.compatible},
         "witness": _witness(step.transposition, q),
     }
-
-
-def step_groups(steps: list) -> list:
-    """The swap steps of one stage grouped by their key for wisc_kernel's
-    verdict, (transposition, in_stabilizer, compatible): one (index of
-    the group's first step, bit mask of its steps' indices) per group, in
-    the order of their first steps."""
-    groups = {}
-    for i, step in enumerate(steps):
-        key = (step.transposition, step.in_stabilizer, step.compatible)
-        group = groups.get(key)
-        if group is None:
-            # the mask's binary digits, bit i the i-th from the right
-            group = groups[key] = (i, bytearray(b"0" * len(steps)))
-        group[1][~i] = ord("1")
-    return [(first, int(digits, 2)) for first, digits in groups.values()]
 
 
 class MinOntoReport(namedtuple("MinOntoReport", ("site", "max_dom", "checked", "witnessed",

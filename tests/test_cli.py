@@ -928,6 +928,13 @@ def _symmetry_units(ctx):
                                   range(len(ctx["pool"]))))
 
 
+def _wisc_steps(ctx, swap):
+    """(condition, support, swap step) of each wisc swap step at the swap
+    stage, in line order."""
+    return [(qi, si, step) for qi, si, _, _, step in swap_steps(
+        ctx["inst"], ctx["conditions"], ctx["supports"], ((swap, None),))]
+
+
 def _wisc_units(ctx):
     """(base stage, swap stage, label, name, condition, support, swap step)
     of each wisc line: every name of the base stage's pool with every
@@ -936,7 +943,7 @@ def _wisc_units(ctx):
     return [(base, swap, label, y, qi, si, step)
             for base in sites for swap in sites if swap > base
             for label, y in ctx["wisc_pool"][base]
-            for qi, si, step in ctx["wisc_steps"][swap]]
+            for qi, si, step in _wisc_steps(ctx, swap)]
 
 
 def _normality_units(ctx):
@@ -1175,8 +1182,8 @@ class TestHoistedPath:
 
     def test_wisc_run_calls_the_kernel_once_per_step_group(self, monkeypatch):
         # a step group is the steps of one swap stage with one
-        # (transposition, in_stabilizer, compatible): the kernel's verdict
-        # reads nothing else of a step
+        # kernels.wisc_key, (transposition, in_stabilizer, compatible):
+        # the kernel's verdict reads nothing else of a step
         calls = collections.Counter()
 
         def counted(staged, base, y, swap, *args, **kwargs):
@@ -1190,7 +1197,7 @@ class TestHoistedPath:
         sites = ctx["inst"].sites
         expected = {(base, y, swap): len({(step.transposition, step.in_stabilizer,
                                            step.compatible)
-                                          for *_, step in ctx["wisc_steps"][swap]})
+                                          for *_, step in _wisc_steps(ctx, swap)})
                     for base in sites for swap in sites if swap > base
                     for _, y in ctx["wisc_pool"][base]}
         assert code == 0 and len(lines) == 2448

@@ -60,10 +60,15 @@ PINNED_WISC = (
     '"cutoff_exceeded": false}, "verdict": "pass", ' + _SCOPE)
 
 
+# the swap-3fiber benchmark workload's instance, run at max_dom 3
+SWAP_3FIBER = {"poset": {"elements": ["a", "b"], "leq": []}, "n": 3, "v": 2, "c": 1}
+
+
 def _spec_inputs(name, max_dom=None):
-    """The instance, conditions and supports of a spec file, as a CLI run
-    of it enumerates them."""
-    spec = parse_instance_spec((SPECS / name).read_text())
+    """The instance, conditions and supports of a spec file (or of a spec
+    given as a dict), as a CLI run of it enumerates them."""
+    spec = parse_instance_spec(json.dumps(name) if isinstance(name, dict)
+                               else (SPECS / name).read_text())
     ctx = _context(spec, {} if max_dom is None else {"max_dom": max_dom})
     return spec.inst, ctx["conditions"], ctx["supports"]
 
@@ -136,9 +141,42 @@ class TestSwapPartner:
 
 
 class TestSharedSteps:
-    """swap_steps decides each step once per choice and shares it; at the
-    spec files' real traffic it still gives swap_step's step on every
-    input."""
+    """swap_plans decides each step once per choice and shares it, and
+    each plan once per (touched fibers, compatibility flags); at the spec
+    files' real traffic swap_steps, its flattening, still gives
+    swap_step's step on every input."""
+
+    @pytest.mark.parametrize("name, max_dom, staged, plans", [
+        ("staged.json", None, True, 11), ("reference.json", 3, False, 15)])
+    def test_plans_flatten_to_the_steps(self, name, max_dom, staged, plans):
+        inst, conditions, supports = _spec_inputs(name, max_dom)
+        targets = ((1, None),) if staged else inst.pairs
+        found = list(kernels.swap_plans(inst, conditions, supports, targets))
+        assert [qi for qi, _ in found] == list(range(len(conditions)))
+        assert ([(qi, *entry) for qi, plan in found for entry in plan]
+                == list(kernels.swap_steps(inst, conditions, supports, targets)))
+        # one plan object per (touched fibers, compatibility flags)
+        assert len({id(plan) for _, plan in found}) == plans
+
+    @pytest.mark.parametrize("name, max_dom, staged, calls", [
+        ("staged.json", None, True, 3497), ("reference.json", 3, False, 802),
+        (SWAP_3FIBER, 3, False, 10470)])
+    def test_compatibility_runs_once_per_condition_and_transposition(
+            self, monkeypatch, name, max_dom, staged, calls):
+        # the flag reads the condition, so sharing a plan must not share
+        # the calls that decide its flags
+        seen, compatible_ = [], kernels._compatible
+
+        def counted(q, pi):
+            seen.append((q, pi))
+            return compatible_(q, pi)
+
+        monkeypatch.setattr(kernels, "_compatible", counted)
+        inst, conditions, supports = _spec_inputs(name, max_dom)
+        targets = ((1, None),) if staged else inst.pairs
+        for _ in kernels.swap_plans(inst, conditions, supports, targets):
+            pass
+        assert len(seen) == len(set(seen)) == calls
 
     def test_staged_wisc_inputs(self):
         inst, conditions, supports = _spec_inputs("staged.json")
