@@ -1,7 +1,7 @@
 """Desk-scale engine for symmetric extensions of finite forcing posets."""
 
 from .core import (Compat, Condition, GenericFilter, Instance, Poset,
-                   compatible, extends, generic_filters, iter_conditions)
+                   compatible, generic_filters, iter_conditions)
 from .errors import (EngineError, FiberExhausted, InvalidInstance,
                      MismatchedInstance, ParseError, StageViolation)
 from .forcing import (And, Eq, Mem, Not, act_formula, forces, forcing_vectors,
@@ -13,12 +13,11 @@ from .instances import (build_instance, build_staged_instance, canonical_family,
 from .kernels import (KernelReport, MinOntoReport, min_onto_check, swap_kernel,
                       swap_step, wisc_kernel)
 from .names import (HF, EMPTY_HF, EMPTY_NAME, Name, check_name, hf, interpret,
-                    kuratowski, make_name, name_cells, ordinal, pair_name,
-                    set_name)
+                    make_name, name_cells, ordinal, pair_name, set_name)
 from .symmetry import (AssembleReport, ConjugationReport, FiberPermutation,
                        act_condition, act_name, act_support, assemble_sequence,
                        check_support, conjugate, conjugation_check,
-                       fix_generators, generated_group, generator_closure,
+                       fix_generators, generator_closure,
                        in_fix, infer_min_support, is_hs, is_symmetric_under)
 
 from types import ModuleType as _Module

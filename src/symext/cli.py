@@ -43,10 +43,13 @@ permutations or supports never enumerates them.
 The work a suite's units share is done once per index, not once per
 unit: the JSON text of each condition, support and label, the image of
 each condition and formula under each permutation, the forcing verdicts
-of each formula over all conditions as one bit vector per mode, the
-swap plans of each swap stage (kernels.swap_plans, one plan object for
-all the conditions it serves), and the swap kernel's verdict on each
-distinct swap step.  One unit rule serves every suite: its generator
+of each formula over all conditions as one bit vector per mode, and the
+swap plans of each set of targets (kernels.swap_plans, one plan object
+for all the conditions it serves).  The swap and wisc suites share a
+kernel's verdict by one rule: the kernel runs once per key of what its
+verdict reads of a step (the step itself, or kernels.wisc_key), on the
+key's first input (_kernel_inputs), and a line reads its verdict off
+the set of failed keys.  One unit rule serves every suite: its generator
 decides each unit and yields its params text, built from shared
 prefixes, with its failing field (see the suites comment); where a
 suite reads a verdict off a fail mask or a shared verdict, only a
@@ -390,23 +393,23 @@ def _wisc_pool(ctx, base):
                    if label != "graph" and in_stage(nm, base)]
 
 
-def _wisc_inputs(ctx, swap):
-    """One (condition index, support index, step) per wisc_key of the
-    swap stage's steps, at the key's first step in line order.  The first
-    condition whose plan holds a key is that plan's first condition, so
-    only distinct plans are scanned; the plan list keeps each plan alive,
-    so its id names it."""
+def _kernel_inputs(plans, key):
+    """One (condition index, support index, site, fiber, step) per
+    key(step) of the plans' steps, at the key's first step in line order.
+    The first condition whose plan holds a key is that plan's first
+    condition, so only distinct plans are scanned; the plan list keeps
+    each plan alive, so its id names it."""
     inputs, seen = {}, set()
-    for qi, plan in ctx["wisc_plans"][swap]:
+    for qi, plan in plans:
         if id(plan) not in seen:
             seen.add(id(plan))
-            for si, _, _, step in plan:
-                inputs.setdefault(wisc_key(step), (qi, si, step))
+            for si, z, a, step in plan:
+                inputs.setdefault(key(step), (qi, si, z, a, step))
     return list(inputs.values())
 
 
 # field -> build(ctx), run on its first lookup; a _per_key field is a
-# _Table from a key (an index, or a tuple of them) to an entry
+# _Table from a key (an index, a mode, or a tuple of them) to an entry
 _FIELDS = {
     "hash": lambda ctx: sha256(json.dumps(
         ctx["inst"].describe(), sort_keys=True).encode()).hexdigest()[:12],
@@ -428,12 +431,12 @@ _FIELDS = {
     # that function's vector for the formula
     "vectors": _per_key(lambda ctx, mode: forcing_vectors(ctx["conditions"], mode)),
     "vector": _per_key(lambda ctx, key: ctx["vectors"][key[1]](key[0])),
-    # swap stage -> the wisc kernel's non-empty swap plans there, as
-    # (condition index, plan), and one kernel input per wisc_key
-    "wisc_plans": _per_key(lambda ctx, swap: [
+    # (site, fiber) targets -> their non-empty swap plans, as (condition
+    # index, plan) (kernels.swap_plans): the swap suite's targets are the
+    # instance's pairs, a wisc swap stage's ((stage, None),)
+    "plans": _per_key(lambda ctx, targets: [
         (qi, plan) for qi, plan in swap_plans(
-            ctx["inst"], ctx["conditions"], ctx["supports"], ((swap, None),)) if plan]),
-    "wisc_inputs": _per_key(_wisc_inputs),
+            ctx["inst"], ctx["conditions"], ctx["supports"], targets) if plan]),
     # base stage -> the wisc suite's name pool
     "wisc_pool": _per_key(_wisc_pool),
 }
@@ -524,28 +527,21 @@ def _kernel_failing(report):
 def _gen_swap(ctx):
     # swap_kernel's verdict reads only its step (the two flags, and the
     # support's default names under the transposition), so the kernel
-    # runs once per distinct step, keyed by the step's value, and a
-    # plan's verdicts are read once per distinct plan (swap_plans holds
-    # each plan it yields until it ends, so its id names it); a failing
-    # unit reruns the kernel on its own input for the witness
+    # runs once per distinct step, on its first input (_kernel_inputs); a
+    # unit whose step failed reruns it on its own input for the witness
     inst, conditions, supports = ctx["inst"], ctx["conditions"], ctx["supports"]
     support_text, text = ctx["support_text"], ctx["text"]
-    verdicts, plan_verdicts = {}, {}
-    for qi, plan in swap_plans(inst, conditions, supports, inst.pairs):
-        oks = plan_verdicts.get(id(plan))
-        if oks is None:
-            oks = plan_verdicts[id(plan)] = []
-            for si, z, a, step in plan:
-                ok = verdicts.get(step)
-                if ok is None:
-                    ok = verdicts[step] = swap_kernel(inst, conditions[qi], supports[si],
-                                                      z, a, step=step).verdict
-                oks.append(ok)
+    plans = ctx["plans"][inst.pairs]
+    inputs = _kernel_inputs(plans, lambda step: step)
+    failed = {step for qi, si, z, a, step in inputs
+              if not swap_kernel(inst, conditions[qi], supports[si], z, a,
+                                 step=step).verdict}
+    for qi, plan in plans:
         head = '{"condition": ' + ctx["cond_text"][qi] + ', "support": '
-        for (si, z, a, step), ok in zip(plan, oks):
+        for si, z, a, step in plan:
             yield (head + support_text[si] + ', "site": ' + text[z]
                    + f', "fiber": {a}, "partner": {step.mate}}}',
-                   0 if ok else _kernel_failing(
+                   0 if not failed or step not in failed else _kernel_failing(
                        swap_kernel(inst, conditions[qi], supports[si], z, a, step=step)))
 
 
@@ -593,9 +589,9 @@ def _gen_normality(ctx):
 def _gen_wisc(ctx):
     # wisc_kernel's verdict reads only its step's wisc_key, so the kernel
     # runs once per (base stage, swap stage, name, key), on the key's
-    # first step; a unit whose key failed reruns it on its own step for
-    # the witness.  A stage's lines run condition-major, so a line is its
-    # condition's prefix and its support's tail
+    # first input (_kernel_inputs); a unit whose key failed reruns it on
+    # its own step for the witness.  A stage's lines run condition-major,
+    # so a line is its condition's prefix and its support's tail
     inst, conditions, supports = ctx["inst"], ctx["conditions"], ctx["supports"]
     cond_text = ctx["cond_text"]
     tails = [', "support": ' + ctx["support_text"][si] + '}'
@@ -604,9 +600,10 @@ def _gen_wisc(ctx):
         pool = ctx["wisc_pool"][base]
         for swap in inst.sites:
             if swap > base:
-                plans, inputs = ctx["wisc_plans"][swap], ctx["wisc_inputs"][swap]
+                plans = ctx["plans"][((swap, None),)]
+                inputs = _kernel_inputs(plans, wisc_key)
                 for label, y in pool:
-                    failed = {wisc_key(step) for qi, si, step in inputs
+                    failed = {wisc_key(step) for qi, si, _, _, step in inputs
                               if not wisc_kernel(inst, base, y, swap, conditions[qi],
                                                  supports[si], step).verdict}
                     head = (f'{{"base_stage": {base}, "swap_stage": {swap}, '

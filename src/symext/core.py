@@ -448,15 +448,6 @@ class Compat(namedtuple("Compat", ("ok", "witness", "cutoff_exceeded", "conflict
         return self.ok
 
 
-def extends(p: Condition, q: Condition) -> bool:
-    """True iff p carries at least all of q's assignment (p is stronger)."""
-    _same_instance(p.inst, q.inst)
-    if len(q.items) > len(p.items):
-        return False
-    get = p._map.get
-    return all(get(cell) == bit for cell, bit in q.items)
-
-
 def _conflict(p: Condition, q: Condition) -> Cell | None:
     """The first cell of the shorter condition on which the two disagree;
     None when they agree on their common domain (the instance is the

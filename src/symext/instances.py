@@ -58,11 +58,11 @@ def downset_embedding(poset: Poset) -> dict:
     return {z: poset.downset(z) for z in poset.elements}
 
 
-def random_poset(rng, max_elements: int = 8, labels: str = "abcdefgh") -> Poset:
-    """A random poset: a random DAG on a random slice of the labels,
+def random_poset(rng) -> Poset:
+    """A random poset: a random DAG on the first 1 to 8 of the letters a-h,
     closed reflexively and transitively."""
-    k = rng.randint(1, max_elements)
-    elems = list(labels[:k])
+    k = rng.randint(1, 8)
+    elems = list("abcdefgh"[:k])
     pairs = set()
     for i in range(k):
         for j in range(i + 1, k):

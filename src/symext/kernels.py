@@ -154,14 +154,6 @@ def swap_plans(inst, conditions, supports, targets):
         yield qi, plan
 
 
-def swap_steps(inst, conditions, supports, targets):
-    """(condition index, support index, site, fiber, step) for each entry
-    of each plan swap_plans yields, in that order."""
-    for qi, plan in swap_plans(inst, conditions, supports, targets):
-        for si, z, a, step in plan:
-            yield qi, si, z, a, step
-
-
 def _choice(inst, support, site, fiber, occupied) -> SwapStep | None:
     """swap_plans' choice for one (support, site, fiber, touched fibers):
     None when swap_fibers finds no fibers, else the compatible step."""
@@ -252,8 +244,9 @@ def swap_kernel(inst, q: Condition, support, site, fiber, names=None,
     With the default names the verdict reads only the step: its two
     flags, and the support's names under its transposition; q, the site
     and the fiber reach only the report fields.  So equal steps get
-    equal verdicts, and the CLI runs the kernel once per distinct step.
-    A new check that reads q, the site or the fiber must end that.
+    equal verdicts, and the CLI's swap suite keys its shared verdicts by
+    the step.  A new check that reads q, the site or the fiber must end
+    that.
     """
     if step is None:
         step = swap_step(inst, q, support, site, fiber)
@@ -301,8 +294,8 @@ def wisc_kernel(staged, base_stage: int, y: Name, swap_stage: int,
     Given the stages and the name, the verdict reads of the step only its
     wisc_key, (transposition, in_stabilizer, compatible), and reads q only
     through the two step flags; so steps with one key get one verdict, and
-    the CLI runs the kernel once per key.  A new check that reads q, the
-    support or the fibers must widen that key.
+    the CLI's wisc suite keys its shared verdicts by wisc_key.  A new
+    check that reads q, the support or the fibers must widen that key.
     """
     _same_instance(staged, q.inst)
     if base_stage not in staged.site_index:

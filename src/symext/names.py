@@ -88,10 +88,6 @@ def ordinal(n: int) -> HF:
     return _ORDINALS[n]
 
 
-def kuratowski(x: HF, y: HF) -> HF:
-    return hf([hf([x]), hf([x, y])])
-
-
 class Name:
     """A hereditary forcing name: a canonical set of (condition, name) pairs.
 

@@ -287,11 +287,9 @@ def _product_key(w: FiberPermutation, g: FiberPermutation) -> tuple:
     return tuple(sorted([item for item in product.items() if item[0] != item[1]]))
 
 
-def _closure(gens: Iterable[FiberPermutation], max_len: int | None,
-             max_size: int | None) -> set:
+def _closure(gens: Iterable[FiberPermutation], max_len: int) -> set:
     """The products of at most max_len generators, the identity included,
-    found breadth first; None means unbounded.  Raises InvalidInstance
-    once more than max_size elements are found (None: no bound).
+    found breadth first.
 
     Each product is looked up by its moved pairs first, so only a new one
     is built and validated; one over the moved bound is remembered and
@@ -306,9 +304,7 @@ def _closure(gens: Iterable[FiberPermutation], max_len: int | None,
     words = {ident.moved: ident}
     oversized = set()
     frontier = [ident]
-    length = 0
-    while frontier and (max_len is None or length < max_len):
-        length += 1
+    for _ in range(max_len):
         nxt = []
         for w in frontier:
             for g in gens:
@@ -322,8 +318,6 @@ def _closure(gens: Iterable[FiberPermutation], max_len: int | None,
                     continue
                 words[wg.moved] = wg     # wg's own tuple, equal to key: no copy kept
                 nxt.append(wg)
-                if max_size is not None and len(words) > max_size:
-                    raise InvalidInstance("generated group exceeds size bound")
         frontier = nxt
     return set(words.values())
 
@@ -337,12 +331,7 @@ def generator_closure(gens: Iterable[FiberPermutation], max_len: int) -> list:
     group elements and are skipped, the same way condition merges past
     the domain cutoff stay unrepresentable.
     """
-    return sorted(_closure(gens, max_len, None), key=lambda p: (len(p.moved), p.moved))
-
-
-def generated_group(gens: Iterable[FiberPermutation], max_size: int = 100000) -> set:
-    """Brute-force closure under composition; small scales only."""
-    return _closure(gens, None, max_size)
+    return sorted(_closure(gens, max_len), key=lambda p: (len(p.moved), p.moved))
 
 
 def conjugate(pi: FiberPermutation, g: FiberPermutation) -> FiberPermutation:

@@ -62,6 +62,28 @@ def naive_forces(inst, p, phi):
                for assign in total_assignments(inst.cells, dict(p.items)))
 
 
+def extends(p, q):
+    """p extends q (p is stronger) when p's items include q's."""
+    return set(q.items) <= set(p.items)
+
+
+def group_closure(gens, identity):
+    """The group the permutations gens generate: every product of them,
+    identity included, found breadth first by plain compose; small
+    groups only."""
+    group, frontier = {identity}, [identity]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                wg = w.compose(g)
+                if wg not in group:
+                    group.add(wg)
+                    nxt.append(wg)
+        frontier = nxt
+    return group
+
+
 def perm_cell(mapping, cell):
     site, fiber, slot = cell
     nsite, nfiber = mapping.get((site, fiber), (site, fiber))

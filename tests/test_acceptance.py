@@ -186,7 +186,7 @@ def test_criterion_7_embedding_law():
     rng = random.Random(1009)
     pairs_checked = 0
     for _ in range(100):
-        poset = random_poset(rng, max_elements=8)
+        poset = random_poset(rng)
         down = downset_embedding(poset)
         for x, y in itertools.product(poset.elements, repeat=2):
             assert poset.leq(x, y) == (down[x] <= down[y])

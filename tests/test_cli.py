@@ -20,10 +20,10 @@ from symext import (Compat, Condition, EngineError, FiberExhausted,
 from symext import cli, forcing, instances, kernels, symmetry
 from symext.cli import (InstanceSpec, default_formula_pool, main,
                         parse_instance_spec, run_checks, _context, _gen_swap,
-                        _gen_wisc)
-from symext.kernels import swap_steps
+                        _gen_wisc, _kernel_inputs)
+from symext.kernels import wisc_key
 
-from test_kernels import _conflict_at_stage_1_fiber_0
+from test_kernels import _conflict_at_stage_1_fiber_0, _flat_steps
 from test_mutants import _DROPPED_CELL, _partner_ignores_support
 
 REFERENCE = ('{"poset": {"elements": ["a", "b"], "leq": []}, '
@@ -931,7 +931,7 @@ def _symmetry_units(ctx):
 def _wisc_steps(ctx, swap):
     """(condition, support, swap step) of each wisc swap step at the swap
     stage, in line order."""
-    return [(qi, si, step) for qi, si, _, _, step in swap_steps(
+    return [(qi, si, step) for qi, si, _, _, step in _flat_steps(
         ctx["inst"], ctx["conditions"], ctx["supports"], ((swap, None),))]
 
 
@@ -1113,8 +1113,8 @@ class TestHoistedPath:
         code, lines = run(spec, "swap", overrides={"max_dom": max_dom})
         ctx = _context(spec, {"max_dom": max_dom})
         inst = ctx["inst"]
-        steps = {step for *_, step in swap_steps(inst, ctx["conditions"],
-                                                 ctx["supports"], inst.pairs)}
+        steps = {step for *_, step in _flat_steps(inst, ctx["conditions"],
+                                                  ctx["supports"], inst.pairs)}
         assert sum(line["verdict"] == "fail" for line in lines) == failing
         assert code == (1 if failing else 0)
         assert set(calls) == steps
@@ -1122,9 +1122,25 @@ class TestHoistedPath:
         if not patches:
             assert len(calls) == 12 and len(lines) == 2796
 
+    @pytest.mark.parametrize("key", [wisc_key, lambda step: step], ids=["wisc_key", "step"])
+    @pytest.mark.parametrize("name, max_dom", [("staged.json", None), ("reference.json", 3)])
+    def test_kernel_inputs_are_each_keys_first_step(self, name, max_dom, key):
+        # _kernel_inputs scans only the distinct plans; a scan of every
+        # step in line order, with no dedup by id, finds the same inputs
+        spec = parse_instance_spec((SPECS / name).read_text())
+        ctx = _context(spec, {} if max_dom is None else {"max_dom": max_dom})
+        inst = ctx["inst"]
+        targets = ((1, None),) if inst.kind == "staged" else inst.pairs
+        first = {}
+        for qi, si, z, a, step in _flat_steps(inst, ctx["conditions"], ctx["supports"],
+                                              targets):
+            first.setdefault(key(step), (qi, si, z, a, step))
+        inputs = _kernel_inputs(ctx["plans"][targets], key)
+        assert len(inputs) > 1 and inputs == list(first.values())
+
     def test_swap_run_finds_touched_fibers_once_per_condition_and_site(
             self, monkeypatch):
-        # kernels.swap_steps finds them to choose the fibers, and the
+        # kernels.swap_plans finds them to choose the fibers, and the
         # kernel takes its step, so no kernel call finds them again
         found, touched = collections.Counter(), Condition.touched_fibers
 

@@ -7,7 +7,7 @@ from symext import (And, Condition, Eq, FiberPermutation, GenericFilter,
                     Instance, InvalidInstance, Mem, MismatchedInstance, Not,
                     ParseError, Poset, act_condition, act_formula,
                     build_instance, canonical_family, check_name, core,
-                    extends, forces, forcing_vectors, forcing,
+                    forces, forcing_vectors, forcing,
                     generic_filters, generator_closure, fix_generators,
                     iter_conditions, make_name, ordinal, pair_name,
                     parse_formula, row_name, set_name, site_name,
@@ -16,7 +16,7 @@ from symext.cli import default_formula_pool
 from symext.forcing import _filter_space, _separating_filter, _space
 from symext.names import EMPTY_NAME
 
-from _oracles import (cond_holds, hf_to_frozen, naive_eval, naive_forces,
+from _oracles import (cond_holds, extends, hf_to_frozen, naive_eval, naive_forces,
                       naive_interpret, naive_recursive_forces, total_assignments)
 
 

@@ -91,6 +91,15 @@ class TestDownsetEmbedding:
         for x, y in itertools.product(poset.elements, repeat=2):
             assert poset.leq(x, y) == (down[x] <= down[y])
 
+    def test_random_posets_take_one_to_eight_leading_letters(self):
+        rng = random.Random(7)
+        sizes = set()
+        for _ in range(200):
+            elements = random_poset(rng).elements
+            assert "".join(elements) == "abcdefgh"[:len(elements)]
+            sizes.add(len(elements))
+        assert sizes == set(range(1, 9))
+
     def test_random_posets_seeded(self):
         rng = random.Random(20240817)
         for _ in range(25):

@@ -73,13 +73,20 @@ def _spec_inputs(name, max_dom=None):
     return spec.inst, ctx["conditions"], ctx["supports"]
 
 
+def _flat_steps(inst, conditions, supports, targets):
+    """(condition index, support index, site, fiber, step) for each entry
+    of each plan kernels.swap_plans yields, in that order."""
+    return [(qi, *entry) for qi, plan in kernels.swap_plans(
+        inst, conditions, supports, targets) for entry in plan]
+
+
 def _assert_steps_are_the_one_input_steps(inst, conditions, supports, targets):
-    """Every step swap_steps yields equals swap_step's on its input, field
-    by field, and an input on which swap_step finds no step (its target
-    pair in the support, or no spare fiber) yields none; returns the
-    yielded steps."""
+    """Every step of the flattened plans equals swap_step's on its input,
+    field by field, and an input on which swap_step finds no step (its
+    target pair in the support, or no spare fiber) has none; returns the
+    plans' steps."""
     steps = {(qi, si, z, a): step for qi, si, z, a, step
-             in kernels.swap_steps(inst, conditions, supports, targets)}
+             in _flat_steps(inst, conditions, supports, targets)}
     built = exhausted = 0
     for qi, q in enumerate(conditions):
         for si, support in enumerate(supports):
@@ -130,7 +137,7 @@ class TestSwapPartner:
 
 
     @pytest.mark.parametrize("staged", [False, True])
-    def test_swap_step_is_the_one_input_case_of_swap_steps(self, swap_scale,
+    def test_swap_step_is_the_one_input_case_of_swap_plans(self, swap_scale,
                                                            staged_pair, staged):
         # on the staged instance, fiber None asks for the least free fiber
         inst = staged_pair[0] if staged else swap_scale[0]
@@ -143,8 +150,8 @@ class TestSwapPartner:
 class TestSharedSteps:
     """swap_plans decides each step once per choice and shares it, and
     each plan once per (touched fibers, compatibility flags); at the spec
-    files' real traffic swap_steps, its flattening, still gives
-    swap_step's step on every input."""
+    files' real traffic its flattened plans still give swap_step's step on
+    every input."""
 
     @pytest.mark.parametrize("name, max_dom, staged, plans", [
         ("staged.json", None, True, 11), ("reference.json", 3, False, 15)])
@@ -154,7 +161,7 @@ class TestSharedSteps:
         found = list(kernels.swap_plans(inst, conditions, supports, targets))
         assert [qi for qi, _ in found] == list(range(len(conditions)))
         assert ([(qi, *entry) for qi, plan in found for entry in plan]
-                == list(kernels.swap_steps(inst, conditions, supports, targets)))
+                == _flat_steps(inst, conditions, supports, targets))
         # one plan object per (touched fibers, compatibility flags)
         assert len({id(plan) for _, plan in found}) == plans
 
@@ -197,9 +204,9 @@ class TestSharedSteps:
         assert {step.compatible for step in steps} == {False, True}
         # an incompatible step is the sound action's step on its input
         # with only the flag cleared
-        doctored = list(kernels.swap_steps(inst, conditions, supports, ((1, None),)))
+        doctored = _flat_steps(inst, conditions, supports, ((1, None),))
         monkeypatch.undo()
-        sound = list(kernels.swap_steps(inst, conditions, supports, ((1, None),)))
+        sound = _flat_steps(inst, conditions, supports, ((1, None),))
         assert [key for *key, _ in doctored] == [key for *key, _ in sound]
         assert all(step.compatible for *_, step in sound)
         flipped = [(step, one) for (*_, step), (*_, one) in zip(doctored, sound)

@@ -4,8 +4,7 @@ import pytest
 
 from symext import (Condition, GenericFilter, MismatchedInstance, act_name,
                     check_name, fix_generators, generic_filters, hf, interpret,
-                    kuratowski, make_name, name_cells, ordinal, pair_name,
-                    set_name)
+                    make_name, name_cells, ordinal, pair_name, set_name)
 from symext.names import EMPTY_HF, EMPTY_NAME
 
 from _oracles import (frozen_ordinal, hf_to_frozen, naive_interpret,
@@ -30,12 +29,6 @@ class TestHF:
         assert ordinal(0) is EMPTY_HF
         assert ordinal(2).elems == (ordinal(0), ordinal(1))
         assert hf_to_frozen(ordinal(3)) == frozen_ordinal(3)
-
-    def test_kuratowski(self):
-        pair = kuratowski(ordinal(0), ordinal(1))
-        assert hf_to_frozen(pair) == frozenset({
-            frozenset({frozen_ordinal(0)}),
-            frozenset({frozen_ordinal(0), frozen_ordinal(1)})})
 
 
 class TestCheckName:
@@ -102,8 +95,13 @@ class TestPairName:
     def test_pair_interpretation_is_kuratowski(self, tiny):
         inst, _ = tiny
         nm = pair_name(inst, check_name(inst, ordinal(0)), check_name(inst, ordinal(1)))
+        x, y = ordinal(0), ordinal(1)
+        pair = hf([hf([x]), hf([x, y])])
+        assert hf_to_frozen(pair) == frozenset({
+            frozenset({frozen_ordinal(0)}),
+            frozenset({frozen_ordinal(0), frozen_ordinal(1)})})
         for filt in generic_filters(inst):
-            assert interpret(nm, filt) is kuratowski(ordinal(0), ordinal(1))
+            assert interpret(nm, filt) is pair
 
     def test_action_commutes_with_pairing(self, swap_scale):
         # recompute both routes for a fiber swap

@@ -9,12 +9,13 @@ from symext import (Condition, FiberPermutation, InvalidInstance, act_condition,
                     check_name,
                     compatible,
                     conjugate, conjugation_check, fix_generators,
-                    generated_group, generator_closure, in_fix,
+                    generator_closure, in_fix,
                     infer_min_support, is_hs, is_symmetric_under, iter_conditions,
                     make_name, ordinal, pair_name, set_name)
 from symext.names import EMPTY_NAME
 
-from _oracles import naive_act_structure, naive_min_support, name_structure, perm_cell
+from _oracles import (group_closure, naive_act_structure, naive_min_support,
+                      name_structure, perm_cell)
 
 
 class TestPermutations:
@@ -183,7 +184,8 @@ class TestFixGenerators:
         # fixing the support pointwise
         inst, _ = reference
         support = frozenset({("a", 0)})
-        closure = generated_group(fix_generators(inst, support))
+        closure = group_closure(fix_generators(inst, support),
+                                FiberPermutation.identity(inst))
         assert len(closure) == 2  # identity and the b-swap
         assert all(in_fix(g, support) for g in closure)
 
@@ -197,16 +199,19 @@ class TestFixGenerators:
         assert again == expected and again is not first
         assert fix_generators(inst, frozenset({("a", 1)})) is not again
 
-    def test_generated_group_is_the_bounded_closure_and_obeys_its_size_bound(self, reference):
+    def test_generator_closure_reaches_the_generated_group(self, reference):
         inst, _ = reference
         gens = fix_generators(inst, ())
-        group = generated_group(gens)
+        group = group_closure(gens, FiberPermutation.identity(inst))
         assert len(group) == 4  # the two site swaps and their product
         assert len(generator_closure(gens, 1)) == 3
         assert group == set(generator_closure(gens, 2)) == set(generator_closure(gens, 5))
-        assert generated_group(gens, max_size=4) == group
-        with pytest.raises(InvalidInstance, match="size bound"):
-            generated_group(gens, max_size=3)
+
+    def test_closure_of_no_words_or_no_generators(self, reference):
+        inst, _ = reference
+        gens = fix_generators(inst, ())
+        assert generator_closure(gens, 0) == [FiberPermutation.identity(inst)]
+        assert generator_closure([], 3) == []
 
     def test_closure_equals_the_composed_words(self):
         # the closure looks each product up by its moved pairs before
@@ -317,10 +322,10 @@ class TestConjugation:
         supports = [frozenset()] + [frozenset({p}) for p in inst.pairs]
         for pi, support in itertools.product(perms, supports):
             report = conjugation_check(inst, pi, support)
-            lhs = generated_group([conjugate(pi, g) for g in fix_generators(inst, support)]
-                                  or [FiberPermutation.identity(inst)])
-            rhs = generated_group(fix_generators(inst, act_support(pi, support))
-                                  or [FiberPermutation.identity(inst)])
+            ident = FiberPermutation.identity(inst)
+            lhs = group_closure([conjugate(pi, g) for g in fix_generators(inst, support)],
+                                ident)
+            rhs = group_closure(fix_generators(inst, act_support(pi, support)), ident)
             assert report.ok == (lhs == rhs)
             assert report.ok
 
