@@ -8,8 +8,7 @@ from .forcing import (And, Eq, Mem, Not, act_formula, forces, forcing_vectors,
                       formula_names, parse_formula, symmetry_lemma_check)
 from .instances import (build_instance, build_staged_instance, canonical_family,
                         chain_family, downset_embedding, in_stage,
-                        least_value_name, name_stage, random_poset, region_name,
-                        row_name, site_name)
+                        least_value_name, name_stage, random_poset, row_name)
 from .kernels import (KernelReport, MinOntoReport, min_onto_check, swap_kernel,
                       swap_step, wisc_kernel)
 from .names import (HF, EMPTY_HF, EMPTY_NAME, Name, check_name, hf, interpret,

@@ -18,7 +18,8 @@ and condition domains obey a per-stage cumulative bound instead.
 Everything here is immutable after construction and all operations are
 pure functions.  Poset, Compat, the formulas and the lemma, conjugation,
 assembly and min-onto reports are namedtuple subclasses with empty
-__slots__; Instance, which a tuple cannot be, says why in its docstring.
+__slots__; Instance, which needs cached properties and still refuses new
+attributes, is frozen by hand.
 """
 
 from __future__ import annotations
@@ -146,10 +147,12 @@ class Instance:
     describe().  store holds what is built for the instance; equality,
     hash, repr and describe() ignore it.
 
-    Instance is the one record that is not a namedtuple: its store memos
-    are freed with it through a weak reference, which a tuple cannot
-    take.  So it is frozen by hand, keeps a __dict__ for its cached
-    properties, and compares, hashes and prints by _fields.
+    Instance is the one record that is not a namedtuple: it needs a
+    __dict__ for its cached properties (store, cells, cell_index) yet
+    must refuse new attributes, and a namedtuple subclass with a __dict__
+    accepts any.  So it is frozen by hand, and compares, hashes and
+    prints by _fields.  Its store is an ordinary attribute, freed with
+    it; __weakref__ only lets a test watch that happen.
     """
 
     _fields = ("kind", "poset", "fiber_counts", "slot_counts", "support_cutoff",
@@ -351,11 +354,12 @@ def _same_instance(a, b):
 class Condition:
     """A finite partial bit assignment on the instance's cells.
 
-    Stored canonically as a cell-sorted tuple of (cell, bit) pairs;
-    equality is structural.  The empty condition is the maximum.
+    items, its cell-sorted tuple of (cell, bit) pairs, is its only form:
+    equality, hashing, to_obj and every lookup read it.  The empty
+    condition is the maximum.
     """
 
-    __slots__ = ("inst", "items", "_map", "_hash")
+    __slots__ = ("inst", "items", "_hash")
 
     def __init__(self, inst, assignment=()):
         if isinstance(assignment, Mapping):
@@ -375,28 +379,22 @@ class Condition:
             raise InvalidInstance(violation)
         self.inst = inst
         self.items = items
-        self._map = seen
         self._hash = hash((inst, items))
 
     @classmethod
-    def _trusted(cls, inst, assignment: dict) -> "Condition":
-        """Build from a cell -> bit dict the caller has already checked:
-        every cell in the instance, every bit 0 or 1, the domain within
-        the limits.  The dict becomes the condition's own map."""
+    def _trusted(cls, inst, items: tuple) -> "Condition":
+        """Build from (cell, bit) items the caller has already checked and
+        sorted by cell: every cell in the instance and distinct, every bit
+        0 or 1, the domain within the limits."""
         self = cls.__new__(cls)
-        items = tuple(sorted(assignment.items()))
         self.inst = inst
         self.items = items
-        self._map = assignment
         self._hash = hash((inst, items))
         return self
 
     @classmethod
     def top(cls, inst):
         return cls(inst)
-
-    def value(self, cell):
-        return self._map.get(tuple(cell))
 
     def touched_fibers(self, site) -> frozenset:
         return frozenset(f for (s, f, _), _ in self.items if s == site)
@@ -452,8 +450,10 @@ def _conflict(p: Condition, q: Condition) -> Cell | None:
     """The first cell of the shorter condition on which the two disagree;
     None when they agree on their common domain (the instance is the
     caller's to check)."""
+    if p is q:
+        return None
     small, large = (p, q) if len(p.items) <= len(q.items) else (q, p)
-    get = large._map.get
+    get = dict(large.items).get
     for cell, bit in small.items:
         other = get(cell)
         if other is not None and other != bit:
@@ -467,8 +467,9 @@ def compatible(p: Condition, q: Condition) -> Compat:
     cell = _conflict(p, q)
     if cell is not None:
         return Compat(False, conflict=cell)
-    merged = {**p._map, **q._map}
-    if p.inst.condition_violation(merged.items()) is not None:
+    # the two agree on their common cells, so a set drops each repeat
+    merged = tuple(sorted(set(p.items + q.items)))
+    if p.inst.condition_violation(merged) is not None:
         return Compat(True, witness=None, cutoff_exceeded=True)
     # both sides are valid conditions and the union meets the limits
     return Compat(True, witness=Condition._trusted(p.inst, merged))
@@ -524,11 +525,11 @@ def generic_filters(inst, below: Condition | None = None) -> Iterator[GenericFil
     if below is None:
         below = Condition.top(inst)
     _same_instance(inst, below.inst)
-    fixed = below._map
+    fixed = dict(below.items)
     free = [cell for cell in inst.cells if cell not in fixed]
     index = inst.cell_index
     base = [0] * len(inst.cells)
-    for cell, bit in fixed.items():
+    for cell, bit in below.items:
         base[index[cell]] = bit
     for combo in itertools.product((0, 1), repeat=len(free)):
         bits = list(base)
@@ -539,7 +540,8 @@ def generic_filters(inst, below: Condition | None = None) -> Iterator[GenericFil
 
 def iter_conditions(inst, max_dom: int | None = None) -> Iterator[Condition]:
     """All conditions with domain size at most max_dom (default: the
-    instance cutoff), ordered by size, then cells, then bits."""
+    instance cutoff), ordered by size, then cells, then bits.  The cells
+    are in sorted order, so each combination's items already are."""
     limit = inst.domain_cutoff if max_dom is None else min(max_dom, inst.domain_cutoff)
     cells = inst.cells
     for k in range(limit + 1):
@@ -547,4 +549,4 @@ def iter_conditions(inst, max_dom: int | None = None) -> Iterator[Condition]:
             for bits in itertools.product((0, 1), repeat=k):
                 items = tuple(zip(combo, bits))
                 if inst.condition_violation(items) is None:
-                    yield Condition._trusted(inst, dict(items))
+                    yield Condition._trusted(inst, items)

@@ -40,14 +40,14 @@ MAX_SITES = 10
 # On a 2-CPU machine under CPython 3.11, parsing {"stages": [3, 127]}
 # (16,138 cells, under the cap) takes 0.37 s of CPU and 34 MB, an
 # embedding-only run of a flat antichain of 10 sites x 40 fibers x 40
-# slots (16,000 cells) 1.7 s and 121 MB, and building [3, 800] (640,009
+# slots (16,000 cells) 1.0 s and 103 MB, and building [3, 800] (640,009
 # cells) took 17.5 s and 718 MB
 MAX_CELLS = 1 << 14
 # the most cells a flat spec's least names may hold, also checked before
 # the instance is built: a row's least name holds a condition of j + 1
 # cells for each slot j, so sites x n x v(v+1)/2 in all.  An
 # embedding-only run of 1 site x 3 fibers x 590 slots (523,035 cells)
-# takes 1.3 s and 141 MB on the same machine, 1,000 slots (1,501,500
+# takes 0.9 s and 120 MB on the same machine, 1,000 slots (1,501,500
 # cells) took 3.7 s and 380 MB
 MAX_LEAST_CELLS = 1 << 19
 
@@ -75,18 +75,6 @@ def row_name(inst, site, fiber) -> Name:
     return make_name(
         (Condition(inst, {(site, fiber, g): 1}), check_name(inst, ordinal(g)))
         for g in range(inst.slot_count(site)))
-
-
-def site_name(inst, site) -> Name:
-    return set_name(inst, [row_name(inst, site, a)
-                           for a in range(inst.fiber_count(site))])
-
-
-def region_name(inst, sites) -> Name:
-    sites = sorted(sites)
-    return set_name(inst, [row_name(inst, z, a)
-                           for z in sites
-                           for a in range(inst.fiber_count(z))])
 
 
 def least_value_name(inst, site, fiber) -> Name:
@@ -133,7 +121,7 @@ def canonical_family(inst: Instance) -> NameFamily:
         raise InvalidInstance("canonical family builds all region names; "
                               f"instances are capped at {MAX_SITES} sites")
     # each row name is built once; the site, region and graph names are
-    # built from these rows (site_name and region_name rebuild them)
+    # built from these rows
     rows = {z: [row_name(inst, z, a) for a in range(inst.fiber_count(z))]
             for z in inst.sites}
     sites = {z: set_name(inst, rows[z]) for z in inst.sites}

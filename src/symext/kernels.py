@@ -338,8 +338,7 @@ def _wisc_details(step: SwapStep, base_stage: int, swap_stage: int, rank: int,
 
 
 class MinOntoReport(namedtuple("MinOntoReport", ("site", "max_dom", "checked", "witnessed",
-                                                 "failures", "defects", "scope"),
-                                defaults=(SCOPE,))):
+                                                 "failures", "defects"))):
     """Density sweep for the least-value map of one site.
 
     For every condition with spare room and every slot value, a witness
@@ -351,6 +350,7 @@ class MinOntoReport(namedtuple("MinOntoReport", ("site", "max_dom", "checked", "
     """
 
     __slots__ = ()
+    scope = SCOPE
 
     @property
     def verdict(self) -> bool:

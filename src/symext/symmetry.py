@@ -156,11 +156,12 @@ def act_condition(pi: FiberPermutation, p: Condition) -> Condition:
             break
     else:
         return p
-    image = {}
+    image = []
     for (site, fiber, slot), bit in p.items:
         dst = get((site, fiber))
-        image[(site, fiber if dst is None else dst[1], slot)] = bit
-    return Condition._trusted(p.inst, image)
+        image.append(((site, fiber if dst is None else dst[1], slot), bit))
+    image.sort()
+    return Condition._trusted(p.inst, tuple(image))
 
 
 def act_name(pi: FiberPermutation, x: Name) -> Name:
@@ -287,16 +288,21 @@ def _product_key(w: FiberPermutation, g: FiberPermutation) -> tuple:
     return tuple(sorted([item for item in product.items() if item[0] != item[1]]))
 
 
-def _closure(gens: Iterable[FiberPermutation], max_len: int) -> set:
-    """The products of at most max_len generators, the identity included,
-    found breadth first.
+def generator_closure(gens: Iterable[FiberPermutation], max_len: int) -> list:
+    """All products of at most max_len generators (including the identity),
+    deduplicated, in a deterministic order.
 
-    Each product is looked up by its moved pairs first, so only a new one
-    is built and validated; one over the moved bound is remembered and
-    skipped after its first validation."""
+    The products are found breadth first.  Each is looked up by its moved
+    pairs first, so only a new one is built and validated.  On staged
+    instances a product can overflow the per-stage moved bound (two
+    transpositions compose to a 3-cycle); such products are not group
+    elements and are skipped, the same way condition merges past the
+    domain cutoff stay unrepresentable.  Each is validated once, then
+    remembered.
+    """
     gens = list(gens)
     if not gens:
-        return set()
+        return []
     inst = gens[0].inst
     for g in gens:
         _same_instance(inst, g.inst)
@@ -319,19 +325,7 @@ def _closure(gens: Iterable[FiberPermutation], max_len: int) -> set:
                 words[wg.moved] = wg     # wg's own tuple, equal to key: no copy kept
                 nxt.append(wg)
         frontier = nxt
-    return set(words.values())
-
-
-def generator_closure(gens: Iterable[FiberPermutation], max_len: int) -> list:
-    """All products of at most max_len generators (including the identity),
-    deduplicated, in a deterministic order.
-
-    On staged instances a product can overflow the per-stage moved bound
-    (two transpositions compose to a 3-cycle); such products are not
-    group elements and are skipped, the same way condition merges past
-    the domain cutoff stay unrepresentable.
-    """
-    return sorted(_closure(gens, max_len), key=lambda p: (len(p.moved), p.moved))
+    return sorted(words.values(), key=lambda p: (len(p.moved), p.moved))
 
 
 def conjugate(pi: FiberPermutation, g: FiberPermutation) -> FiberPermutation:

@@ -8,7 +8,7 @@ paths is a genuine cross-check.
 
 import itertools
 
-from symext import And, Eq, Mem, Not
+from symext import And, Eq, Mem, Not, row_name, set_name
 
 
 def total_assignments(cells, fixed=None):
@@ -19,6 +19,19 @@ def total_assignments(cells, fixed=None):
         assign = dict(fixed)
         assign.update(zip(free, combo))
         yield assign
+
+
+def site_name(inst, site):
+    """The set-name of a site's row names, each row built afresh."""
+    return set_name(inst, [row_name(inst, site, a)
+                           for a in range(inst.fiber_count(site))])
+
+
+def region_name(inst, sites):
+    """The set-name of the row names of every site in `sites`."""
+    return set_name(inst, [row_name(inst, z, a)
+                           for z in sorted(sites)
+                           for a in range(inst.fiber_count(z))])
 
 
 def cond_holds(cond, assign):

@@ -10,14 +10,15 @@ from symext import (And, Condition, Eq, FiberPermutation, GenericFilter,
                     forces, forcing_vectors, forcing,
                     generic_filters, generator_closure, fix_generators,
                     iter_conditions, make_name, ordinal, pair_name,
-                    parse_formula, row_name, set_name, site_name,
+                    parse_formula, row_name, set_name,
                     symmetry_lemma_check)
 from symext.cli import default_formula_pool
 from symext.forcing import _filter_space, _separating_filter, _space
 from symext.names import EMPTY_NAME
 
 from _oracles import (cond_holds, extends, hf_to_frozen, naive_eval, naive_forces,
-                      naive_interpret, naive_recursive_forces, total_assignments)
+                      naive_interpret, naive_recursive_forces, site_name,
+                      total_assignments)
 
 
 def small_pool(inst, family):

@@ -9,10 +9,11 @@ from symext import (GenericFilter, InvalidInstance, Poset,
                     chain_family, check_name, downset_embedding, generic_filters,
                     in_stage, interpret, is_hs, iter_conditions,
                     least_value_name, make_name, name_cells, name_stage, ordinal,
-                    pair_name, random_poset, region_name, set_name, site_name)
+                    pair_name, random_poset, set_name)
 from symext import instances
 
-from _oracles import hf_to_frozen, naive_interpret, total_assignments
+from _oracles import (hf_to_frozen, naive_interpret, region_name, site_name,
+                      total_assignments)
 
 
 class TestBuild:

@@ -70,7 +70,6 @@ class TestPermutations:
 def _assert_same_condition(got, expected):
     assert got.items == expected.items
     assert got == expected and hash(got) == hash(expected)
-    assert got._map == expected._map
 
 
 class TestTrustedConstruction:
