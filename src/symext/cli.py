@@ -53,10 +53,17 @@ the set of failed keys.  One unit rule serves every suite: its generator
 decides each unit and yields its params text, built from shared
 prefixes, with its failing field (see the suites comment); where a
 suite reads a verdict off a fail mask or a shared verdict, only a
-failing unit runs its one-shot check for the witness.  The clock is
-read once per unit, so a unit's elapsed time runs from the end of the
-previous unit's run and includes its enumeration and any shared table
-it is the first to need.
+failing unit runs its one-shot check for the witness.  Where those
+show that every unit of a group passes (the formulas at one condition,
+or at one permutation and condition; the steps of one condition's swap
+plan), the generator yields the group as one block, a params prefix
+and the list of its lines' tails, and the run writes the block with one
+join.  A failing unit is never inside a block.  The clock is read once
+per yielded item, so an item's elapsed time runs from the end of the
+previous item's run and includes its enumeration and any shared table
+it is the first to need; a block's first line carries that time and
+its other lines read 0.0.  With elapsed stripped, stdout is
+byte-identical to framing every line alone.
 """
 
 from __future__ import annotations
@@ -70,7 +77,7 @@ import random
 import re
 import sys
 from collections import namedtuple
-from operator import itemgetter
+from operator import itemgetter, or_
 from time import monotonic_ns
 
 try:  # the builtin SHA-256 (hashlib would load OpenSSL for one digest)
@@ -391,6 +398,23 @@ def _wisc_pool(ctx, base):
                    if label != "graph" and in_stage(nm, base)]
 
 
+def _plan_tails(plans, tail):
+    """id(plan) -> (plan, its lines' params tails, tail(*entry) for each
+    entry), built once per distinct plan of the (condition index, plan)
+    list; the list keeps each plan alive, so its id names it."""
+    blocks = {}
+    for _, plan in plans:
+        if id(plan) not in blocks:
+            blocks[id(plan)] = plan, [tail(*entry) for entry in plan]
+    return blocks
+
+
+def _failing_plans(blocks, failed, key):
+    """The ids of the plans of _plan_tails holding a step whose key failed."""
+    return {pid for pid, (plan, _) in blocks.items()
+            if failed and any(key(step) in failed for *_, step in plan)}
+
+
 def _kernel_inputs(plans, key):
     """One (condition index, support index, site, fiber, step) per
     key(step) of the plans' steps, at the key's first step in line order.
@@ -450,8 +474,11 @@ def _pull_back(vector: int, image: list) -> int:
 # suites: gen(ctx) decides each unit, in order, and yields its (params
 # text, failing): failing is falsy on a pass, True on a fail without a
 # witness, and otherwise the fail's witness, a non-empty JSON object
-# built only for a failing unit.  run is _unit for every suite.  Which
-# suites apply to which kind of instance is FLAT_SUITES/STAGED_SUITES
+# built only for a failing unit, and never a list.  A group of units
+# that all pass is yielded as one block instead, (params prefix, list of
+# each line's params tail); a group holding a failing unit is yielded
+# unit by unit.  run is _unit for every suite.  Which suites apply to
+# which kind of instance is FLAT_SUITES/STAGED_SUITES
 
 def _downset_law(poset):
     """(z1, z2, ok) for each ordered pair of the poset's elements: ok when
@@ -470,7 +497,7 @@ def _gen_embedding(ctx):
         poset = random_poset(rng)
         bad = [(z1, z2) for z1, z2, ok in _downset_law(poset) if not ok]
         params = {"sample": i, "seed": ctx["seed"], "elements": len(poset.elements)}
-        yield json.dumps(params), bad and {"failing_pairs": bad}
+        yield json.dumps(params), {"failing_pairs": bad} if bad else 0
 
 
 def _formula_tails(ctx):
@@ -481,12 +508,17 @@ def _formula_tails(ctx):
 def _gen_oracle(ctx):
     # a unit fails when its bit of its formula's fail mask is set: the two
     # modes differ at its condition, and the witness is each one's bit;
-    # a zero mask has no bit to read
+    # a zero mask has no bit to read.  A condition whose bit is clear in
+    # every mask is one block
     tails, vector = _formula_tails(ctx), ctx["vector"]
     phis = [phi for _, phi in ctx["pool"]]
     masks = [vector[phi, "recursive"] ^ vector[phi, "semantic"] for phi in phis]
+    fails = functools.reduce(or_, masks)
     for ci in range(len(ctx["conditions"])):
         head = '{"condition": ' + ctx["cond_text"][ci]
+        if not fails >> ci & 1:
+            yield head, tails
+            continue
         for tail, mask, phi in zip(tails, masks, phis):
             yield head + tail, mask and mask >> ci & 1 and {
                 mode: bool(vector[phi, mode] >> ci & 1)
@@ -496,16 +528,21 @@ def _gen_oracle(ctx):
 def _gen_symmetry(ctx):
     # a unit fails when its bit of its (permutation, formula) fail mask is
     # set, and then runs the one-shot check for its witness; the fail
-    # masks are read once per permutation
+    # masks are read once per permutation.  A (permutation, condition)
+    # whose bit is clear in every mask is one block
     tails, cond_text = _formula_tails(ctx), ctx["cond_text"]
     conditions, where, vector = ctx["conditions"], ctx["cond_index"], ctx["vector"]
     phis = [phi for _, phi in ctx["pool"]]
     for perm in ctx["perms"]:
         image = [where[act_condition(perm, c)] for c in conditions]
         masks = [_lemma_fail(vector, perm, image, phi) for phi in phis]
+        fails = functools.reduce(or_, masks)
         head = '{"permutation": ' + json.dumps(perm.to_obj()) + ', "condition": '
         for ci, q in enumerate(conditions):
             prefix = head + cond_text[ci]
+            if not fails >> ci & 1:
+                yield prefix, tails
+                continue
             for tail, mask, phi in zip(tails, masks, phis):
                 yield prefix + tail, mask and mask >> ci & 1 and _lemma_failing(
                     symmetry_lemma_check(perm, q, phi))
@@ -526,7 +563,8 @@ def _gen_swap(ctx):
     # swap_kernel's verdict reads only its step (the two flags, and the
     # support's default names under the transposition), so the kernel
     # runs once per distinct step, on its first input (_kernel_inputs); a
-    # unit whose step failed reruns it on its own input for the witness
+    # unit whose step failed reruns it on its own input for the witness.
+    # A (condition, plan) with no failed step is one block
     inst, conditions, supports = ctx["inst"], ctx["conditions"], ctx["supports"]
     support_text, text = ctx["support_text"], ctx["text"]
     plans = ctx["plans"][inst.pairs]
@@ -534,13 +572,19 @@ def _gen_swap(ctx):
     failed = {step for qi, si, z, a, step in inputs
               if not swap_kernel(inst, conditions[qi], supports[si], z, a,
                                  step=step).verdict}
+    blocks = _plan_tails(plans, lambda si, z, a, step: (
+        support_text[si] + ', "site": ' + text[z]
+        + f', "fiber": {a}, "partner": {step.mate}}}'))
+    bad = _failing_plans(blocks, failed, lambda step: step)
     for qi, plan in plans:
         head = '{"condition": ' + ctx["cond_text"][qi] + ', "support": '
-        for si, z, a, step in plan:
-            yield (head + support_text[si] + ', "site": ' + text[z]
-                   + f', "fiber": {a}, "partner": {step.mate}}}',
-                   0 if not failed or step not in failed else _kernel_failing(
-                       swap_kernel(inst, conditions[qi], supports[si], z, a, step=step)))
+        tails = blocks[id(plan)][1]
+        if id(plan) not in bad:
+            yield head, tails
+            continue
+        for (si, z, a, step), tail in zip(plan, tails):
+            yield head + tail, 0 if step not in failed else _kernel_failing(
+                swap_kernel(inst, conditions[qi], supports[si], z, a, step=step))
 
 
 def _gen_hs(ctx):
@@ -589,28 +633,35 @@ def _gen_wisc(ctx):
     # runs once per (base stage, swap stage, name, key), on the key's
     # first input (_kernel_inputs); a unit whose key failed reruns it on
     # its own step for the witness.  A stage's lines run condition-major,
-    # so a line is its condition's prefix and its support's tail
+    # so a line is its condition's prefix and its support's tail, and a
+    # (name, condition, plan) with no failed key is one block
     inst, conditions, supports = ctx["inst"], ctx["conditions"], ctx["supports"]
     cond_text = ctx["cond_text"]
-    tails = [', "support": ' + ctx["support_text"][si] + '}'
-             for si in range(len(supports))]
+    support_tails = [', "support": ' + ctx["support_text"][si] + '}'
+                     for si in range(len(supports))]
     for base in inst.sites:
         pool = ctx["wisc_pool"][base]
         for swap in inst.sites:
             if swap > base:
                 plans = ctx["plans"][((swap, None),)]
                 inputs = _kernel_inputs(plans, wisc_key)
+                blocks = _plan_tails(plans, lambda si, z, a, step: support_tails[si])
                 for label, y in pool:
                     failed = {wisc_key(step) for qi, si, _, _, step in inputs
                               if not wisc_kernel(inst, base, y, swap, conditions[qi],
                                                  supports[si], step).verdict}
+                    bad = _failing_plans(blocks, failed, wisc_key)
                     head = (f'{{"base_stage": {base}, "swap_stage": {swap}, '
                             f'"name": {ctx["text"][label]}, "condition": ')
                     for qi, plan in plans:
                         prefix = head + cond_text[qi]
-                        for si, _, _, step in plan:
-                            yield prefix + tails[si], (
-                                0 if not failed or wisc_key(step) not in failed
+                        tails = blocks[id(plan)][1]
+                        if id(plan) not in bad:
+                            yield prefix, tails
+                            continue
+                        for (si, _, _, step), tail in zip(plan, tails):
+                            yield prefix + tail, (
+                                0 if wisc_key(step) not in failed
                                 else _kernel_failing(wisc_kernel(
                                     inst, base, y, swap, conditions[qi], supports[si], step)))
 
@@ -656,10 +707,15 @@ def _run_units(ctx, suite, out) -> bool:
     """Run the suite's units in order, writing each one's report line
     (JSON text, the fields in a fixed order) as soon as it has run; True
     when any verdict is not pass.  The clock is read in whole
-    microseconds once per unit, after its run, so a unit's elapsed time
-    runs from the previous reading (the suite's start, for the first
-    unit): it covers the unit's generation, any shared table built for
-    it and its run, and a suite's elapsed times add up to its span."""
+    microseconds once per item the generator yields, after its run, so
+    an item's elapsed time runs from the previous reading (the suite's
+    start, for the first item): it covers the item's generation, any
+    shared table built for it and its run.  A block of passing lines
+    (see the suites comment) is written with one join: its first line
+    carries the block's elapsed time and the rest read 0.0, so a suite's
+    elapsed times still add up to its span, and with elapsed stripped
+    each line is the one its unit would give alone.  A failing unit is
+    never inside a block."""
     gen, run = SUITES[suite]
     head = ('{"suite": ' + json.dumps(suite)
             + ', "instance": ' + json.dumps(ctx["hash"]) + ', "params": ')
@@ -668,11 +724,19 @@ def _run_units(ctx, suite, out) -> bool:
     # sqrt(2 T) entries, however many units it has
     seconds = _Table(lambda us: repr(us / 1e6))
     write, failed = out.write, False
+    passed = ', "verdict": "pass", "elapsed": 0.0}\n'
     last = monotonic_ns() // 1000
     for unit in gen(ctx):
         params, failing = run(ctx, unit)
         now = monotonic_ns() // 1000
         elapsed, last = seconds[now - last], now
+        if type(failing) is list:
+            # a block: params is the shared prefix, failing the tails
+            lead = head + params
+            write(f'{lead}{failing[0]}, "verdict": "pass", "elapsed": {elapsed}}}\n')
+            if len(failing) > 1:
+                write(lead + (passed + lead).join(failing[1:]) + passed)
+            continue
         if not failing:
             write(f'{head}{params}, "verdict": "pass", "elapsed": {elapsed}}}\n')
             continue

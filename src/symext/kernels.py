@@ -110,12 +110,13 @@ def swap_plans(inst, conditions, supports, targets):
     and the transposition, so it is decided once per transposition of each
     condition, in the order of the transposition's first entry.  A plan
     is built once per (touched fibers at the target sites, compatibility
-    flags) and yielded by reference to every condition with that key, and
-    its steps are shared likewise: the mate is untouched by the condition,
-    so under the sound action every step is compatible, and an
-    incompatible entry holds a copy with the flag cleared.  The tables
-    live for one call, and their sizes are bounded by the supports and the
-    distinct touched-fiber sets, not by the conditions."""
+    flags) and interned by value, so equal plans of different keys are
+    one object, yielded by reference to every condition it serves; its
+    steps are shared likewise: the mate is untouched by the condition, so
+    under the sound action every step is compatible, and an incompatible
+    entry holds a copy with the flag cleared.  The tables live for one
+    call, and their sizes are bounded by the supports and the distinct
+    touched-fiber sets, not by the conditions."""
     sites = dict.fromkeys(z for z, _ in targets)
     # (site, fiber, touched fibers) -> per support index, None when
     # swap_fibers finds no fibers, else the compatible step
@@ -123,8 +124,9 @@ def swap_plans(inst, conditions, supports, targets):
     # touched fibers at each target site -> (the plan of compatible
     # steps, its transpositions in order of first entry)
     shapes = {}
-    # (touched fibers at each target site, compatibility flags) -> plan
-    plans = {}
+    # (touched fibers at each target site, compatibility flags) -> plan,
+    # and each plan value -> its one object
+    plans, by_value = {}, {}
     for qi, q in enumerate(conditions):
         touched = tuple([q.touched_fibers(z) for z in sites])
         shape = shapes.get(touched)
@@ -147,10 +149,10 @@ def swap_plans(inst, conditions, supports, targets):
         plan = plans.get((touched, flags))
         if plan is None:
             agrees = dict(zip(order, flags))
-            plan = plans[touched, flags] = tuple(
-                (si, z, a, step if agrees[step.transposition]
-                 else step._replace(compatible=False))
-                for si, z, a, step in entries)
+            plan = tuple((si, z, a, step if agrees[step.transposition]
+                          else step._replace(compatible=False))
+                         for si, z, a, step in entries)
+            plan = plans[touched, flags] = by_value.setdefault(plan, plan)
         yield qi, plan
 
 

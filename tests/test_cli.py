@@ -507,7 +507,10 @@ class TestDeterminism:
 
     def test_elapsed_sums_to_the_span_in_whole_microseconds(self, monkeypatch):
         # readings off a whole microsecond: each is read in whole
-        # microseconds, so the lines still add up to the span exactly
+        # microseconds, so the lines still add up to the span exactly.
+        # Every unit passes, so each (permutation, condition) is one block
+        # of 21 lines, one per formula, and the clock is read once per
+        # block: its first line carries the block's time, the rest 0.0
         ticks = itertools.count(5_000_000_123, 1_499)
         readings = []
 
@@ -517,9 +520,11 @@ class TestDeterminism:
 
         monkeypatch.setattr(cli, "monotonic_ns", clock)
         code, lines = run(REFERENCE, "symmetry-lemma", {"max_dom": 1})
-        assert code == 0 and len(lines) == len(readings) - 1 == 4 * 17 * 21
+        assert code == 0 and len(lines) == 4 * 17 * 21
+        assert len(readings) - 1 == 4 * 17
         assert [round(line["elapsed"] * 1e6) for line in lines] == [
-            b // 1000 - a // 1000 for a, b in zip(readings, readings[1:])]
+            b // 1000 - a // 1000 if k == 0 else 0
+            for a, b in zip(readings, readings[1:]) for k in range(21)]
         assert (sum(round(line["elapsed"] * 1e6) for line in lines)
                 == readings[-1] // 1000 - readings[0] // 1000)
 
@@ -814,6 +819,16 @@ def _swap_inputs(ctx):
     return inputs, found
 
 
+def _units(items):
+    """A generator's (params text, failing) per line, each block of
+    passing lines (params prefix, list of tails) flattened."""
+    for params, failing in items:
+        if isinstance(failing, list):
+            yield from ((params + tail, 0) for tail in failing)
+        else:
+            yield params, failing
+
+
 def _indices(ctx):
     """The index of each condition and of each support, by JSON text."""
     return ({json.dumps(q.to_obj()): qi for qi, q in enumerate(ctx["conditions"])},
@@ -834,7 +849,7 @@ class TestPartnerRule:
         # every unit passes
         cond_index, support_index = _indices(ctx)
         emitted = []
-        for params, failing in _gen_swap(ctx):
+        for params, failing in _units(_gen_swap(ctx)):
             assert failing == 0
             unit = json.loads(params)
             emitted.append((cond_index[json.dumps(unit["condition"])],
@@ -871,7 +886,7 @@ class TestPartnerRule:
         # every unit passes, so none carries a failing step
         cond_index, support_index = _indices(ctx)
         emitted = set()
-        for params, failing in _gen_wisc(ctx):
+        for params, failing in _units(_gen_wisc(ctx)):
             assert failing == 0
             unit = json.loads(params)
             base = unit["base_stage"]
@@ -1235,6 +1250,131 @@ class TestHoistedPath:
             assert line["verdict"] == "fail" and not report.verdict
             assert line["witness"] == json.loads(json.dumps(report.to_obj()))
             assert line["witness"]["witness"]["merged"] is None
+
+
+def _stripped(line):
+    return line[:line.rindex(', "elapsed": ')] + "}"
+
+
+def _assert_only_these_fail(clean, doctored, failing, witness):
+    """clean and doctored are the (exit status, lines) of one suite's run
+    before and after a fault: the lines at the indices in failing fail,
+    each with witness(index) and its clean params, and every other line's
+    text with elapsed stripped is the clean one."""
+    (clean_code, before), (code, after) = clean, doctored
+    assert clean_code == 0 and code == 1 and failing
+    assert len(after) == len(before)
+    for i, (was, line) in enumerate(zip(before, after)):
+        if i in failing:
+            obj = json.loads(line)
+            assert obj["verdict"] == "fail" and obj["witness"] == witness(i)
+            assert obj["params"] == json.loads(was)["params"]
+        else:
+            assert _stripped(line) == _stripped(was)
+
+
+class TestBlocks:
+    """A group of lines that all pass is written as one block; a group
+    holding one failing unit falls back to a line per unit, so exactly the
+    failing units fail, each with its witness, and no other line moves."""
+
+    def test_one_failed_swap_step_fails_only_its_lines(self, monkeypatch):
+        spec = parse_instance_spec((SPECS / "reference.json").read_text())
+        clean = run_text(spec, "swap", {"max_dom": 1})
+        ctx = _context(spec, {"max_dom": 1})
+        inst, conditions, supports = ctx["inst"], ctx["conditions"], ctx["supports"]
+        units = _flat_steps(inst, conditions, supports, inst.pairs)
+        target = units[len(units) // 2][-1]
+        # the failed step shares a plan with passing steps
+        plans = [[step for *_, step in plan] for _, plan in ctx["plans"][inst.pairs]]
+        assert any(target in steps and len(set(steps)) > 1 for steps in plans)
+
+        def doctored(*args, step, **kwargs):
+            report = swap_kernel(*args, step=step, **kwargs)
+            report.verdict = report.verdict and step != target
+            return report
+
+        monkeypatch.setattr(cli, "swap_kernel", doctored)
+
+        def witness(i):
+            qi, si, z, a, step = units[i]
+            return json.loads(json.dumps(doctored(
+                inst, conditions[qi], supports[si], z, a, step=step).to_obj()))
+
+        failing = {i for i, unit in enumerate(units) if unit[-1] == target}
+        _assert_only_these_fail(clean, run_text(spec, "swap", {"max_dom": 1}),
+                                failing, witness)
+
+    def test_one_failed_wisc_key_fails_only_its_lines(self, monkeypatch):
+        spec = parse_instance_spec((SPECS / "staged.json").read_text())
+        clean = run_text(spec, "wisc", {"max_dom": 1})
+        ctx = _context(spec, {"max_dom": 1})
+        units = _wisc_units(ctx)
+        target = wisc_key(units[len(units) // 3][-1])
+        assert len({wisc_key(unit[-1]) for unit in units}) > 1
+
+        def doctored(*args):
+            report = wisc_kernel(*args)
+            report.verdict = report.verdict and wisc_key(args[-1]) != target
+            return report
+
+        monkeypatch.setattr(cli, "wisc_kernel", doctored)
+
+        def witness(i):
+            base, swap, _, y, qi, si, step = units[i]
+            return json.loads(json.dumps(doctored(
+                ctx["inst"], base, y, swap, ctx["conditions"][qi],
+                ctx["supports"][si], step).to_obj()))
+
+        failing = {i for i, unit in enumerate(units) if wisc_key(unit[-1]) == target}
+        _assert_only_these_fail(clean, run_text(spec, "wisc", {"max_dom": 1}),
+                                failing, witness)
+
+    def test_one_forced_lemma_bit_fails_only_its_line(self, monkeypatch):
+        spec = parse_instance_spec((SPECS / "reference.json").read_text())
+        clean = run_text(spec, "symmetry-lemma", {"max_dom": 1})
+        ctx = _context(spec, {"max_dom": 1})
+        units = _symmetry_units(ctx)
+        index = len(units) // 2 + 5
+        pii, ci, fi = units[index]
+        perm, q, phi = ctx["perms"][pii], ctx["conditions"][ci], ctx["pool"][fi][1]
+        forced = {"condition": q.to_obj(), "forced": True}
+        lemma_fail, check = cli._lemma_fail, cli.symmetry_lemma_check
+
+        def fail_mask(vector, pi, image, psi):
+            mask = lemma_fail(vector, pi, image, psi)
+            return mask | 1 << ci if (pi, psi) == (perm, phi) else mask
+
+        def one_shot(pi, p, psi):
+            report = check(pi, p, psi)
+            return (report._replace(equal=False, witness=forced)
+                    if (pi, p, psi) == (perm, q, phi) else report)
+
+        monkeypatch.setattr(cli, "_lemma_fail", fail_mask)
+        monkeypatch.setattr(cli, "symmetry_lemma_check", one_shot)
+        _assert_only_these_fail(
+            clean, run_text(spec, "symmetry-lemma", {"max_dom": 1}), {index},
+            lambda i: forced)
+
+    def test_one_forced_oracle_bit_fails_only_its_line(self, monkeypatch):
+        spec = parse_instance_spec((SPECS / "reference.json").read_text())
+        clean = run_text(spec, "forcing-oracle", {"max_dom": 1})
+        ctx = _context(spec, {"max_dom": 1})
+        units = _oracle_units(ctx)
+        index = len(units) // 2 + 3
+        ci, fi = units[index]
+        phi, vectors_ = ctx["pool"][fi][1], cli.forcing_vectors
+        semantic = bool(ctx["vector"][phi, "semantic"] >> ci & 1)
+
+        def vectors(conds, mode):
+            vector = vectors_(conds, mode)
+            flip = 1 << ci if mode == "recursive" else 0
+            return lambda psi: vector(psi) ^ flip if psi == phi else vector(psi)
+
+        monkeypatch.setattr(cli, "forcing_vectors", vectors)
+        _assert_only_these_fail(
+            clean, run_text(spec, "forcing-oracle", {"max_dom": 1}), {index},
+            lambda i: {"recursive": not semantic, "semantic": semantic})
 
 
 class TestEncoding:
