@@ -50,20 +50,19 @@ kernel's verdict by one rule: the kernel runs once per key of what its
 verdict reads of a step (the step itself, or kernels.wisc_key), on the
 key's first input (_kernel_inputs), and a line reads its verdict off
 the set of failed keys.  One unit rule serves every suite: its generator
-decides each unit and yields its params text, built from shared
-prefixes, with its failing field (see the suites comment); where a
-suite reads a verdict off a fail mask or a shared verdict, only a
-failing unit runs its one-shot check for the witness.  Where those
-show that every unit of a group passes (the formulas at one condition,
-or at one permutation and condition; the steps of one condition's swap
-plan), the generator yields the group as one block, a params prefix
-and the list of its lines' tails, and the run writes the block with one
-join.  A failing unit is never inside a block.  The clock is read once
-per yielded item, so an item's elapsed time runs from the end of the
-previous item's run and includes its enumeration and any shared table
-it is the first to need; a block's first line carries that time and
-its other lines read 0.0.  With elapsed stripped, stdout is
-byte-identical to framing every line alone.
+decides each unit and yields groups of units, each a params prefix, the
+tails of its lines' params and the failing fields of its failing units
+(see the suites comment); where a suite reads a verdict off a fail mask
+or a shared verdict, only a failing unit runs its one-shot check for
+the witness.  A group is the formulas at one condition, or at one
+permutation and condition, the steps of one condition's swap plan, or
+a lone unit.  The run writes a group whose units all pass with one
+join, and any other group a line per unit.  The clock is read once per
+group, so a group's elapsed time runs from the end of the previous
+group's run and includes its enumeration and any shared table it is
+the first to need; its first line carries that time and its other
+lines read 0.0.  With elapsed stripped, stdout is byte-identical to
+framing every line alone.
 """
 
 from __future__ import annotations
@@ -399,20 +398,14 @@ def _wisc_pool(ctx, base):
 
 
 def _plan_tails(plans, tail):
-    """id(plan) -> (plan, its lines' params tails, tail(*entry) for each
-    entry), built once per distinct plan of the (condition index, plan)
-    list; the list keeps each plan alive, so its id names it."""
-    blocks = {}
+    """id(plan) -> its lines' params tails, tail(*entry) for each entry,
+    built once per distinct plan of the (condition index, plan) list; the
+    list keeps each plan alive, so its id names it."""
+    tails = {}
     for _, plan in plans:
-        if id(plan) not in blocks:
-            blocks[id(plan)] = plan, [tail(*entry) for entry in plan]
-    return blocks
-
-
-def _failing_plans(blocks, failed, key):
-    """The ids of the plans of _plan_tails holding a step whose key failed."""
-    return {pid for pid, (plan, _) in blocks.items()
-            if failed and any(key(step) in failed for *_, step in plan)}
+        if id(plan) not in tails:
+            tails[id(plan)] = [tail(*entry) for entry in plan]
+    return tails
 
 
 def _kernel_inputs(plans, key):
@@ -428,6 +421,24 @@ def _kernel_inputs(plans, key):
             for si, z, a, step in plan:
                 inputs.setdefault(key(step), (qi, si, z, a, step))
     return list(inputs.values())
+
+
+def _plan_groups(cond_text, plans, tails, key, kernel, head):
+    """The group of each (condition index, plan) of plans: head and the
+    condition's text, the plan's tails (see _plan_tails) and the failing
+    fields of the units whose key(step) failed.  kernel(qi, si, z, a,
+    step) is a unit's kernel report; it runs once per key, on the key's
+    first input (_kernel_inputs), and again on each unit whose key
+    failed, for its witness.  Whether a plan holds a failed key is
+    decided once per distinct plan."""
+    failed = {key(step) for qi, si, z, a, step in _kernel_inputs(plans, key)
+              if not kernel(qi, si, z, a, step).verdict}
+    bad = failed and {pid for pid, plan in {id(plan): plan for _, plan in plans}.items()
+                      if any(key(step) in failed for *_, step in plan)}
+    for qi, plan in plans:
+        yield head + cond_text[qi], tails[id(plan)], id(plan) in bad and {
+            i: 0 if (report := kernel(qi, *entry)).verdict else report.to_obj()
+            for i, entry in enumerate(plan) if key(entry[-1]) in failed}
 
 
 # field -> build(ctx), run on its first lookup; a _per_key field is a
@@ -471,14 +482,20 @@ def _pull_back(vector: int, image: list) -> int:
 
 
 # ------------------------------------------------------------------
-# suites: gen(ctx) decides each unit, in order, and yields its (params
-# text, failing): failing is falsy on a pass, True on a fail without a
-# witness, and otherwise the fail's witness, a non-empty JSON object
-# built only for a failing unit, and never a list.  A group of units
-# that all pass is yielded as one block instead, (params prefix, list of
-# each line's params tail); a group holding a failing unit is yielded
-# unit by unit.  run is _unit for every suite.  Which suites apply to
-# which kind of instance is FLAT_SUITES/STAGED_SUITES
+# suites: gen(ctx) decides each unit, in order, and yields them in
+# groups (params prefix, tails, fails): a line's params text is the
+# prefix and its tail.  fails is falsy when every unit of the group
+# passes; otherwise it maps a tail's index to that unit's failing field:
+# falsy on a pass, True on a fail without a witness, and otherwise the
+# fail's witness, a non-empty JSON object built only for a failing unit.
+# A lone unit is a group of one (_one).  run is _unit for every suite.
+# Which suites apply to which kind of instance is
+# FLAT_SUITES/STAGED_SUITES
+
+def _one(params, failing):
+    """A lone unit's group: its params text and failing field."""
+    return params, ("",), failing and {0: failing}
+
 
 def _downset_law(poset):
     """(z1, z2, ok) for each ordered pair of the poset's elements: ok when
@@ -491,13 +508,13 @@ def _downset_law(poset):
 
 def _gen_embedding(ctx):
     for z1, z2, ok in _downset_law(ctx["inst"].poset):
-        yield json.dumps({"pair": [z1, z2]}), not ok
+        yield _one(json.dumps({"pair": [z1, z2]}), not ok)
     for i in range(ctx["posets"]):
         rng = random.Random(f"{ctx['seed']}:{i}")
         poset = random_poset(rng)
         bad = [(z1, z2) for z1, z2, ok in _downset_law(poset) if not ok]
         params = {"sample": i, "seed": ctx["seed"], "elements": len(poset.elements)}
-        yield json.dumps(params), {"failing_pairs": bad} if bad else 0
+        yield _one(json.dumps(params), bad and {"failing_pairs": bad})
 
 
 def _formula_tails(ctx):
@@ -506,30 +523,25 @@ def _formula_tails(ctx):
 
 
 def _gen_oracle(ctx):
-    # a unit fails when its bit of its formula's fail mask is set: the two
-    # modes differ at its condition, and the witness is each one's bit;
-    # a zero mask has no bit to read.  A condition whose bit is clear in
-    # every mask is one block
+    # a condition's group is the pool's formulas.  A unit fails when its
+    # bit of its formula's fail mask is set: the two modes differ at its
+    # condition, and the witness is each one's bit
     tails, vector = _formula_tails(ctx), ctx["vector"]
     phis = [phi for _, phi in ctx["pool"]]
     masks = [vector[phi, "recursive"] ^ vector[phi, "semantic"] for phi in phis]
     fails = functools.reduce(or_, masks)
     for ci in range(len(ctx["conditions"])):
-        head = '{"condition": ' + ctx["cond_text"][ci]
-        if not fails >> ci & 1:
-            yield head, tails
-            continue
-        for tail, mask, phi in zip(tails, masks, phis):
-            yield head + tail, mask and mask >> ci & 1 and {
-                mode: bool(vector[phi, mode] >> ci & 1)
-                for mode in ("recursive", "semantic")}
+        yield '{"condition": ' + ctx["cond_text"][ci], tails, fails >> ci & 1 and {
+            fi: {mode: bool(vector[phi, mode] >> ci & 1)
+                 for mode in ("recursive", "semantic")}
+            for fi, (mask, phi) in enumerate(zip(masks, phis)) if mask >> ci & 1}
 
 
 def _gen_symmetry(ctx):
-    # a unit fails when its bit of its (permutation, formula) fail mask is
-    # set, and then runs the one-shot check for its witness; the fail
-    # masks are read once per permutation.  A (permutation, condition)
-    # whose bit is clear in every mask is one block
+    # a (permutation, condition)'s group is the pool's formulas.  A unit
+    # fails when its bit of its (permutation, formula) fail mask is set,
+    # and then runs the one-shot check for its witness; the fail masks
+    # are read once per permutation
     tails, cond_text = _formula_tails(ctx), ctx["cond_text"]
     conditions, where, vector = ctx["conditions"], ctx["cond_index"], ctx["vector"]
     phis = [phi for _, phi in ctx["pool"]]
@@ -539,52 +551,27 @@ def _gen_symmetry(ctx):
         fails = functools.reduce(or_, masks)
         head = '{"permutation": ' + json.dumps(perm.to_obj()) + ', "condition": '
         for ci, q in enumerate(conditions):
-            prefix = head + cond_text[ci]
-            if not fails >> ci & 1:
-                yield prefix, tails
-                continue
-            for tail, mask, phi in zip(tails, masks, phis):
-                yield prefix + tail, mask and mask >> ci & 1 and _lemma_failing(
-                    symmetry_lemma_check(perm, q, phi))
-
-
-def _lemma_failing(report):
-    """A symmetry-lemma unit's failing field, from its one-shot check: 0
-    when the law holds, else the witness."""
-    return 0 if report.equal else report.witness
-
-
-def _kernel_failing(report):
-    """A kernel unit's failing field: 0 on a pass, else the report."""
-    return 0 if report.verdict else report.to_obj()
+            yield head + cond_text[ci], tails, fails >> ci & 1 and {
+                fi: 0 if (report := symmetry_lemma_check(perm, q, phi)).equal
+                else report.witness
+                for fi, (mask, phi) in enumerate(zip(masks, phis)) if mask >> ci & 1}
 
 
 def _gen_swap(ctx):
     # swap_kernel's verdict reads only its step (the two flags, and the
-    # support's default names under the transposition), so the kernel
-    # runs once per distinct step, on its first input (_kernel_inputs); a
-    # unit whose step failed reruns it on its own input for the witness.
-    # A (condition, plan) with no failed step is one block
+    # support's default names under the transposition), so its key is
+    # the step itself
     inst, conditions, supports = ctx["inst"], ctx["conditions"], ctx["supports"]
     support_text, text = ctx["support_text"], ctx["text"]
     plans = ctx["plans"][inst.pairs]
-    inputs = _kernel_inputs(plans, lambda step: step)
-    failed = {step for qi, si, z, a, step in inputs
-              if not swap_kernel(inst, conditions[qi], supports[si], z, a,
-                                 step=step).verdict}
-    blocks = _plan_tails(plans, lambda si, z, a, step: (
-        support_text[si] + ', "site": ' + text[z]
+    tails = _plan_tails(plans, lambda si, z, a, step: (
+        ', "support": ' + support_text[si] + ', "site": ' + text[z]
         + f', "fiber": {a}, "partner": {step.mate}}}'))
-    bad = _failing_plans(blocks, failed, lambda step: step)
-    for qi, plan in plans:
-        head = '{"condition": ' + ctx["cond_text"][qi] + ', "support": '
-        tails = blocks[id(plan)][1]
-        if id(plan) not in bad:
-            yield head, tails
-            continue
-        for (si, z, a, step), tail in zip(plan, tails):
-            yield head + tail, 0 if step not in failed else _kernel_failing(
-                swap_kernel(inst, conditions[qi], supports[si], z, a, step=step))
+    yield from _plan_groups(
+        ctx["cond_text"], plans, tails, lambda step: step,
+        lambda qi, si, z, a, step: swap_kernel(inst, conditions[qi], supports[si],
+                                               z, a, step=step),
+        '{"condition": ')
 
 
 def _gen_hs(ctx):
@@ -602,7 +589,7 @@ def _gen_hs(ctx):
         ok = found is not None and found == expected
         params = {"name": label,
                   "support": _support_obj(found) if found is not None else None}
-        yield json.dumps(params), not (ok and hereditarily)
+        yield _one(json.dumps(params), not (ok and hereditarily))
 
 
 def _gen_normality(ctx):
@@ -616,27 +603,24 @@ def _gen_normality(ctx):
         head = '{"permutation": ' + json.dumps(perm.to_obj()) + ', "support": '
         for si, support in enumerate(supports):
             report = conjugation_check(inst, perm, support)
-            yield (head + support_text[si] + ', "image": '
-                   + support_text[where[report.support_image]] + '}',
-                   0 if report.ok else {"witness": report.witness.to_obj()})
+            yield _one(head + support_text[si] + ', "image": '
+                       + support_text[where[report.support_image]] + '}',
+                       not report.ok and {"witness": report.witness.to_obj()})
     names = ctx["names"]
     for k in (1, 2):
         for labels in itertools.combinations(ctx["members"], k):
             report = assemble_sequence(inst, [names[label] for label in labels])
             params = {"members": list(labels), "hereditarily_symmetric": report.hs,
                       "certified": report.certified}
-            yield json.dumps(params), report.certified and not report.hs
+            yield _one(json.dumps(params), report.certified and not report.hs)
 
 
 def _gen_wisc(ctx):
     # wisc_kernel's verdict reads only its step's wisc_key, so the kernel
-    # runs once per (base stage, swap stage, name, key), on the key's
-    # first input (_kernel_inputs); a unit whose key failed reruns it on
-    # its own step for the witness.  A stage's lines run condition-major,
-    # so a line is its condition's prefix and its support's tail, and a
-    # (name, condition, plan) with no failed key is one block
+    # runs once per (base stage, swap stage, name, key).  A stage's lines
+    # run condition-major, so a line is its condition's prefix and its
+    # support's tail
     inst, conditions, supports = ctx["inst"], ctx["conditions"], ctx["supports"]
-    cond_text = ctx["cond_text"]
     support_tails = [', "support": ' + ctx["support_text"][si] + '}'
                      for si in range(len(supports))]
     for base in inst.sites:
@@ -644,26 +628,14 @@ def _gen_wisc(ctx):
         for swap in inst.sites:
             if swap > base:
                 plans = ctx["plans"][((swap, None),)]
-                inputs = _kernel_inputs(plans, wisc_key)
-                blocks = _plan_tails(plans, lambda si, z, a, step: support_tails[si])
+                tails = _plan_tails(plans, lambda si, z, a, step: support_tails[si])
                 for label, y in pool:
-                    failed = {wisc_key(step) for qi, si, _, _, step in inputs
-                              if not wisc_kernel(inst, base, y, swap, conditions[qi],
-                                                 supports[si], step).verdict}
-                    bad = _failing_plans(blocks, failed, wisc_key)
-                    head = (f'{{"base_stage": {base}, "swap_stage": {swap}, '
-                            f'"name": {ctx["text"][label]}, "condition": ')
-                    for qi, plan in plans:
-                        prefix = head + cond_text[qi]
-                        tails = blocks[id(plan)][1]
-                        if id(plan) not in bad:
-                            yield prefix, tails
-                            continue
-                        for (si, _, _, step), tail in zip(plan, tails):
-                            yield prefix + tail, (
-                                0 if wisc_key(step) not in failed
-                                else _kernel_failing(wisc_kernel(
-                                    inst, base, y, swap, conditions[qi], supports[si], step)))
+                    yield from _plan_groups(
+                        ctx["cond_text"], plans, tails, wisc_key,
+                        lambda qi, si, z, a, step: wisc_kernel(
+                            inst, base, y, swap, conditions[qi], supports[si], step),
+                        f'{{"base_stage": {base}, "swap_stage": {swap}, '
+                        f'"name": {ctx["text"][label]}, "condition": ')
 
 
 def _gen_chains(ctx):
@@ -672,7 +644,7 @@ def _gen_chains(ctx):
     staged, chain = ctx["inst"], ctx["chain"]
     for b in range(len(staged.sites) - 1):
         ok = set(chain[b + 1].entries) < set(chain[b].entries)
-        yield json.dumps({"link": [b + 1, b]}), not ok
+        yield _one(json.dumps({"link": [b + 1, b]}), not ok)
     for i in range(16):
         rng = random.Random(f"{ctx['seed']}:chain:{i}")
         bits = [rng.randint(0, 1) for _ in staged.cells]
@@ -680,13 +652,13 @@ def _gen_chains(ctx):
         links = ((interpret(chain[b + 1], filt), interpret(chain[b], filt))
                  for b in range(len(chain) - 1))
         ok = all(all(e in large for e in small) for small, large in links)
-        yield (json.dumps({"sample": i, "seed": ctx["seed"]}),
-               not ok and {"bits": bits})
+        yield _one(json.dumps({"sample": i, "seed": ctx["seed"]}),
+                   not ok and {"bits": bits})
 
 
 def _unit(ctx, unit):
-    """Every suite's run: the generator has decided the unit, which is
-    already its (params text, failing)."""
+    """Every suite's run: the generator has decided the group, which is
+    already its (params prefix, tails, fails)."""
     return unit
 
 
@@ -704,18 +676,17 @@ SUITES = {suite: (gen, _unit) for suite, gen in (
 
 
 def _run_units(ctx, suite, out) -> bool:
-    """Run the suite's units in order, writing each one's report line
+    """Run the suite's units in order, writing each group's report lines
     (JSON text, the fields in a fixed order) as soon as it has run; True
     when any verdict is not pass.  The clock is read in whole
-    microseconds once per item the generator yields, after its run, so
-    an item's elapsed time runs from the previous reading (the suite's
-    start, for the first item): it covers the item's generation, any
-    shared table built for it and its run.  A block of passing lines
-    (see the suites comment) is written with one join: its first line
-    carries the block's elapsed time and the rest read 0.0, so a suite's
-    elapsed times still add up to its span, and with elapsed stripped
-    each line is the one its unit would give alone.  A failing unit is
-    never inside a block."""
+    microseconds once per group the generator yields (see the suites
+    comment), after its run, so a group's elapsed time runs from the
+    previous reading (the suite's start, for the first group): it covers
+    the group's generation, any shared table built for it and its run.
+    The group's first line carries that time and the rest read 0.0, so a
+    suite's elapsed times add up to its span.  A group whose units all
+    pass is written with one join, any other a line per unit; with
+    elapsed stripped, each line is the one its unit would give alone."""
     gen, run = SUITES[suite]
     head = ('{"suite": ' + json.dumps(suite)
             + ', "instance": ' + json.dumps(ctx["hash"]) + ', "params": ')
@@ -726,23 +697,25 @@ def _run_units(ctx, suite, out) -> bool:
     write, failed = out.write, False
     passed = ', "verdict": "pass", "elapsed": 0.0}\n'
     last = monotonic_ns() // 1000
-    for unit in gen(ctx):
-        params, failing = run(ctx, unit)
+    for group in gen(ctx):
+        prefix, tails, fails = run(ctx, group)
         now = monotonic_ns() // 1000
         elapsed, last = seconds[now - last], now
-        if type(failing) is list:
-            # a block: params is the shared prefix, failing the tails
-            lead = head + params
-            write(f'{lead}{failing[0]}, "verdict": "pass", "elapsed": {elapsed}}}\n')
-            if len(failing) > 1:
-                write(lead + (passed + lead).join(failing[1:]) + passed)
+        lead = head + prefix
+        if not fails:
+            write(f'{lead}{tails[0]}, "verdict": "pass", "elapsed": {elapsed}}}\n')
+            if len(tails) > 1:
+                write(lead + (passed + lead).join(tails[1:]) + passed)
             continue
-        if not failing:
-            write(f'{head}{params}, "verdict": "pass", "elapsed": {elapsed}}}\n')
-            continue
-        failed = True
-        witness = "" if failing is True else ', "witness": ' + json.dumps(failing)
-        write(f'{head}{params}, "verdict": "fail"{witness}, "elapsed": {elapsed}}}\n')
+        for i, tail in enumerate(tails):
+            failing = fails.get(i)
+            if not failing:
+                write(f'{lead}{tail}, "verdict": "pass", "elapsed": {elapsed}}}\n')
+            else:
+                failed = True
+                witness = "" if failing is True else ', "witness": ' + json.dumps(failing)
+                write(f'{lead}{tail}, "verdict": "fail"{witness}, "elapsed": {elapsed}}}\n')
+            elapsed = "0.0"
     return failed
 
 

@@ -451,7 +451,7 @@ class TestDeterminism:
         def gen(ctx):
             for unit in range(4):
                 seen.append(out.getvalue().count("\n"))
-                yield json.dumps({"k": unit}), 0
+                yield cli._one(json.dumps({"k": unit}), 0)
 
         monkeypatch.setitem(cli.SUITES, "fake", (gen, cli._unit))
         monkeypatch.setattr(cli, "FLAT_SUITES", cli.FLAT_SUITES + ("fake",))
@@ -467,7 +467,7 @@ class TestDeterminism:
             for unit in range(4):
                 if unit == 2:
                     raise FiberExhausted("unit 2")
-                yield json.dumps({"k": unit}), 0
+                yield cli._one(json.dumps({"k": unit}), 0)
 
         monkeypatch.setitem(cli.SUITES, "fake", (gen, cli._unit))
         monkeypatch.setattr(cli, "FLAT_SUITES", cli.FLAT_SUITES + ("fake",))
@@ -490,7 +490,7 @@ class TestDeterminism:
             for k in range(4):
                 now[0] += 1_000 * k         # enumerating the unit
                 now[0] += 3_000 + 500_000 * (k == 2)    # deciding it
-                yield json.dumps({"k": k}), 0
+                yield cli._one(json.dumps({"k": k}), 0)
 
         monkeypatch.setattr(cli, "monotonic_ns", clock)
         monkeypatch.setitem(cli.SUITES, "fake", (gen, cli._unit))
@@ -505,12 +505,50 @@ class TestDeterminism:
         span = (readings[-1] - readings[0]) // 1000
         assert sum(round(e * 1e6) for e in elapsed) == span
 
+    def test_a_group_holding_a_failure_is_written_a_line_per_unit(self, monkeypatch):
+        # a group of four units, the second failing without a witness and
+        # the third with one, between a passing and a failing lone unit;
+        # the clock is read once per group, and only a group's first line
+        # carries its time
+        now, readings = [3_000_000_000], []
+
+        def clock():
+            readings.append(now[0])
+            return now[0]
+
+        def gen(ctx):
+            for k, group in enumerate((
+                    cli._one('{"k": 0}', 0),
+                    ('{"k": 1, "tail": ', ("0}", "1}", "2}", "3}"),
+                     {1: True, 2: {"w": 1}}),
+                    cli._one('{"k": 2}', {"w": 2}))):
+                now[0] += 7_000_000 * (k + 1)
+                yield group
+
+        monkeypatch.setattr(cli, "monotonic_ns", clock)
+        monkeypatch.setitem(cli.SUITES, "fake", (gen, cli._unit))
+        monkeypatch.setattr(cli, "FLAT_SUITES", cli.FLAT_SUITES + ("fake",))
+        code, lines = run(REFERENCE, "fake")
+        assert code == 1 and len(readings) == 4
+        assert [(line["params"], line["verdict"], line.get("witness"))
+                for line in lines] == [
+            ({"k": 0}, "pass", None),
+            ({"k": 1, "tail": 0}, "pass", None),
+            ({"k": 1, "tail": 1}, "fail", None),
+            ({"k": 1, "tail": 2}, "fail", {"w": 1}),
+            ({"k": 1, "tail": 3}, "pass", None),
+            ({"k": 2}, "fail", {"w": 2})]
+        elapsed = [line["elapsed"] for line in lines]
+        assert elapsed == [0.007, 0.014, 0.0, 0.0, 0.0, 0.021]
+        span = (readings[-1] - readings[0]) // 1000
+        assert sum(round(e * 1e6) for e in elapsed) == span
+
     def test_elapsed_sums_to_the_span_in_whole_microseconds(self, monkeypatch):
         # readings off a whole microsecond: each is read in whole
         # microseconds, so the lines still add up to the span exactly.
-        # Every unit passes, so each (permutation, condition) is one block
-        # of 21 lines, one per formula, and the clock is read once per
-        # block: its first line carries the block's time, the rest 0.0
+        # Each (permutation, condition) is one group of 21 lines, one per
+        # formula, and the clock is read once per group: its first line
+        # carries the group's time, the rest 0.0
         ticks = itertools.count(5_000_000_123, 1_499)
         readings = []
 
@@ -819,14 +857,12 @@ def _swap_inputs(ctx):
     return inputs, found
 
 
-def _units(items):
-    """A generator's (params text, failing) per line, each block of
-    passing lines (params prefix, list of tails) flattened."""
-    for params, failing in items:
-        if isinstance(failing, list):
-            yield from ((params + tail, 0) for tail in failing)
-        else:
-            yield params, failing
+def _units(groups):
+    """A generator's (params text, failing) per line, each group
+    (params prefix, tails, fails) flattened."""
+    for prefix, tails, fails in groups:
+        for i, tail in enumerate(tails):
+            yield prefix + tail, fails and fails.get(i, 0)
 
 
 def _indices(ctx):
@@ -1274,8 +1310,8 @@ def _assert_only_these_fail(clean, doctored, failing, witness):
 
 
 class TestBlocks:
-    """A group of lines that all pass is written as one block; a group
-    holding one failing unit falls back to a line per unit, so exactly the
+    """A group of lines that all pass is written with one join; a group
+    holding one failing unit is written a line per unit, so exactly the
     failing units fail, each with its witness, and no other line moves."""
 
     def test_one_failed_swap_step_fails_only_its_lines(self, monkeypatch):

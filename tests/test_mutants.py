@@ -4,7 +4,9 @@ condition, that test two conditions for agreement, and that conjugate a
 permutation.  Each row patches one function (and every engine module's
 reference to it, where one imports it by name)
 and runs one CLI suite on a shipped spec, with the row's option
-overrides; the defect must fail the lines the row names.  The instance
+overrides; the defect must fail the lines the row names.  A paired row
+(SURVIVORS) adds a second defect that hides the first, and the pair
+must pass every line of the spec's --suite all.  The instance
 and its store memos belong to the parsed spec, and each row parses its
 spec with the defect in place, so no memo built by the unpatched engine
 hides the defect, and none built by the patched one outlives the row."""
@@ -153,6 +155,61 @@ def test_seeded_defect_fails_its_suite(patches, spec_file, suite, overrides, fai
     verdicts = [json.loads(line)["verdict"] for line in out.getvalue().splitlines()]
     assert code == 1
     assert (verdicts.count("fail"), len(verdicts)) == (failing, total)
+
+
+def _in_fix_always(pi, support):
+    return True
+
+
+def _no_conflict(p, q):
+    return None
+
+
+# paired defects that must survive --suite all at the default options:
+# (first id, its patches, second id, its patches, spec file, lines the
+# first fails alone, total lines).  The partner rule picks both fibers
+# outside the support and a mate that q does not touch, so on the steps
+# it builds every transposition fixes the support (in_fix is true) and
+# q's image agrees with q (_conflict is None).  The first defect breaks
+# that rule, and the second turns off the flag that sees it there: the
+# stabilizer flag for a fiber inside the support, the compatibility flag
+# for a mate q touches; with both in place every line passes.  On the
+# reference spec, the first pair still fails 292 of 14,773 lines, so it
+# is a staged row only
+SURVIVORS = [
+    ("partner-ignores-support", [(kernels, "partner", _partner_ignores_support)],
+     "in-fix-always", [(kernels, "in_fix", _in_fix_always)],
+     "staged.json", 15_012, 60_600),
+    ("swap-fibers-ignore-occupied", _FREE_MATE,
+     "no-conflict", [(kernels, "_conflict", _no_conflict)],
+     "reference.json", 48, 15_153),
+    ("swap-fibers-ignore-occupied", _FREE_MATE,
+     "no-conflict", [(kernels, "_conflict", _no_conflict)],
+     "staged.json", 384, 60_600),
+]
+
+
+def _verdicts(spec_file):
+    """(exit status, failing lines, total lines) of --suite all on the spec."""
+    spec = parse_instance_spec((SPECS / spec_file).read_text())
+    out = io.StringIO()
+    code = run_checks(spec, "all", out=out)
+    verdicts = [json.loads(line)["verdict"] for line in out.getvalue().splitlines()]
+    return code, verdicts.count("fail"), len(verdicts)
+
+
+@pytest.mark.parametrize(
+    "first, second, spec_file, failing, total",
+    [pytest.param(row[1], row[3], *row[4:],
+                  id=f"{row[0]}+{row[2]}-{row[4].split('.')[0]}")
+     for row in SURVIVORS])
+def test_paired_defects_survive(first, second, spec_file, failing, total, monkeypatch):
+    for module, attr, replacement in first:
+        monkeypatch.setattr(module, attr, replacement)
+    assert _verdicts(spec_file) == (1, failing, total)
+    for module, attr, replacement in second:
+        monkeypatch.setattr(module, attr, replacement)
+    assert _verdicts(spec_file) == (0, 0, total)
 
 
 # one row per suite whose generator reads verdicts off fail masks or
