@@ -44,25 +44,25 @@ The work a suite's units share is done once per index, not once per
 unit: the JSON text of each condition, support and label, the image of
 each condition and formula under each permutation, the forcing verdicts
 of each formula over all conditions as one bit vector per mode, and the
-swap plans of each set of targets (kernels.swap_plans, one plan object
-for all the conditions it serves).  The swap and wisc suites share a
-kernel's verdict by one rule: the kernel runs once per key of what its
-verdict reads of a step (the step itself, or kernels.wisc_key), on the
-key's first input (_kernel_inputs), and a line reads its verdict off
-the set of failed keys.  One unit rule serves every suite: its generator
-decides each unit and yields groups of units, each a params prefix, the
-tails of its lines' params and the failing fields of its failing units
-(see the suites comment); where a suite reads a verdict off a fail mask
-or a shared verdict, only a failing unit runs its one-shot check for
-the witness.  A group is the formulas at one condition, or at one
-permutation and condition, the steps of one condition's swap plan, or
-a lone unit.  The run writes a group whose units all pass with one
-join, and any other group a line per unit.  The clock is read once per
-group, so a group's elapsed time runs from the end of the previous
-group's run and includes its enumeration and any shared table it is
-the first to need; its first line carries that time and its other
-lines read 0.0.  With elapsed stripped, stdout is byte-identical to
-framing every line alone.
+swap plans of each set of targets (kernels.swap_plans: each distinct
+plan once, and the plan index each condition uses).  The swap and wisc
+suites share a kernel's verdict by one rule (_plan_groups): the kernel
+runs once per key of what its verdict reads of a step (the step itself,
+or kernels.wisc_key), on the key's first input in line order, and a line
+reads its verdict off its plan's failing entries.  One unit rule serves
+every suite: its generator decides each unit and yields groups of units,
+each a params prefix, the tails of its lines' params and the failing
+fields of its failing units (see the suites comment); where a suite
+reads a verdict off a fail mask or a shared verdict, only a failing unit
+runs its one-shot check for the witness.  A group is the formulas at one
+condition, or at one permutation and condition, the steps of one
+condition's swap plan, or a lone unit.  The run writes a group whose
+units all pass with one join, and any other group a line per unit.  The
+clock is read once per group, so a group's elapsed time runs from the
+end of the previous group's run and includes its enumeration and any
+shared table it is the first to need; its first line carries that time
+and its other lines read 0.0.  With elapsed stripped, stdout is
+byte-identical to framing every line alone.
 """
 
 from __future__ import annotations
@@ -397,48 +397,28 @@ def _wisc_pool(ctx, base):
                    if label != "graph" and in_stage(nm, base)]
 
 
-def _plan_tails(plans, tail):
-    """id(plan) -> its lines' params tails, tail(*entry) for each entry,
-    built once per distinct plan of the (condition index, plan) list; the
-    list keeps each plan alive, so its id names it."""
-    tails = {}
-    for _, plan in plans:
-        if id(plan) not in tails:
-            tails[id(plan)] = [tail(*entry) for entry in plan]
-    return tails
-
-
-def _kernel_inputs(plans, key):
-    """One (condition index, support index, site, fiber, step) per
-    key(step) of the plans' steps, at the key's first step in line order.
-    The first condition whose plan holds a key is that plan's first
-    condition, so only distinct plans are scanned; the plan list keeps
-    each plan alive, so its id names it."""
-    inputs, seen = {}, set()
-    for qi, plan in plans:
-        if id(plan) not in seen:
-            seen.add(id(plan))
-            for si, z, a, step in plan:
-                inputs.setdefault(key(step), (qi, si, z, a, step))
-    return list(inputs.values())
-
-
 def _plan_groups(cond_text, plans, tails, key, kernel, head):
-    """The group of each (condition index, plan) of plans: head and the
-    condition's text, the plan's tails (see _plan_tails) and the failing
-    fields of the units whose key(step) failed.  kernel(qi, si, z, a,
-    step) is a unit's kernel report; it runs once per key, on the key's
-    first input (_kernel_inputs), and again on each unit whose key
-    failed, for its witness.  Whether a plan holds a failed key is
-    decided once per distinct plan."""
-    failed = {key(step) for qi, si, z, a, step in _kernel_inputs(plans, key)
-              if not kernel(qi, si, z, a, step).verdict}
-    bad = failed and {pid for pid, plan in {id(plan): plan for _, plan in plans}.items()
-                      if any(key(step) in failed for *_, step in plan)}
-    for qi, plan in plans:
-        yield head + cond_text[qi], tails[id(plan)], id(plan) in bad and {
-            i: 0 if (report := kernel(qi, *entry)).verdict else report.to_obj()
-            for i, entry in enumerate(plan) if key(entry[-1]) in failed}
+    """The group of each use (condition index, plan index) of plans, a
+    kernels.swap_plans (plans, uses) pair: head and the condition's text,
+    tails[plan index] and the failing fields of the units whose key(step)
+    failed.  kernel(qi, si, z, a, step) is a unit's kernel report.  One
+    pass over the distinct plans runs it once per key, on the key's first
+    input in line order (the first use of the first plan holding the key),
+    and lists each plan's failing entries, 0 when there are none; a
+    failing entry's unit reruns it for its witness."""
+    plans, uses = plans
+    first = {pi: qi for qi, pi in reversed(uses)}
+    verdicts, fails = {}, []
+    for pi, plan in enumerate(plans):
+        for entry in plan:
+            if (k := key(entry[-1])) not in verdicts:
+                verdicts[k] = kernel(first[pi], *entry).verdict
+        fails.append([i for i, (*_, step) in enumerate(plan)
+                      if not verdicts[key(step)]] or 0)
+    for qi, pi in uses:
+        yield head + cond_text[qi], tails[pi], fails[pi] and {
+            i: 0 if (report := kernel(qi, *plans[pi][i])).verdict else report.to_obj()
+            for i in fails[pi]}
 
 
 # field -> build(ctx), run on its first lookup; a _per_key field is a
@@ -464,12 +444,10 @@ _FIELDS = {
     # that function's vector for the formula
     "vectors": _per_key(lambda ctx, mode: forcing_vectors(ctx["conditions"], mode)),
     "vector": _per_key(lambda ctx, key: ctx["vectors"][key[1]](key[0])),
-    # (site, fiber) targets -> their non-empty swap plans, as (condition
-    # index, plan) (kernels.swap_plans): the swap suite's targets are the
-    # instance's pairs, a wisc swap stage's ((stage, None),)
-    "plans": _per_key(lambda ctx, targets: [
-        (qi, plan) for qi, plan in swap_plans(
-            ctx["inst"], ctx["conditions"], ctx["supports"], targets) if plan]),
+    # (site, fiber) targets -> kernels.swap_plans' (plans, uses): the swap
+    # suite's targets are the instance's pairs, a wisc stage's ((stage, None),)
+    "plans": _per_key(lambda ctx, targets: swap_plans(
+        ctx["inst"], ctx["conditions"], ctx["supports"], targets)),
     # base stage -> the wisc suite's name pool
     "wisc_pool": _per_key(_wisc_pool),
 }
@@ -564,9 +542,9 @@ def _gen_swap(ctx):
     inst, conditions, supports = ctx["inst"], ctx["conditions"], ctx["supports"]
     support_text, text = ctx["support_text"], ctx["text"]
     plans = ctx["plans"][inst.pairs]
-    tails = _plan_tails(plans, lambda si, z, a, step: (
-        ', "support": ' + support_text[si] + ', "site": ' + text[z]
-        + f', "fiber": {a}, "partner": {step.mate}}}'))
+    tails = [[', "support": ' + support_text[si] + ', "site": ' + text[z]
+              + f', "fiber": {a}, "partner": {step.mate}}}' for si, z, a, step in plan]
+             for plan in plans[0]]
     yield from _plan_groups(
         ctx["cond_text"], plans, tails, lambda step: step,
         lambda qi, si, z, a, step: swap_kernel(inst, conditions[qi], supports[si],
@@ -628,7 +606,7 @@ def _gen_wisc(ctx):
         for swap in inst.sites:
             if swap > base:
                 plans = ctx["plans"][((swap, None),)]
-                tails = _plan_tails(plans, lambda si, z, a, step: support_tails[si])
+                tails = [[support_tails[si] for si, *_ in plan] for plan in plans[0]]
                 for label, y in pool:
                     yield from _plan_groups(
                         ctx["cond_text"], plans, tails, wisc_key,

@@ -125,6 +125,8 @@ class Store:
         self.act = {}             # act_name: (FiberPermutation, Name) -> Name
         self.support = {}         # infer_min_support: Name -> support
         self.hs = {}              # is_hs: Name -> bool
+        # these two serve one-shot kernel calls, such as criterion 4's 200k-odd
+        # swap_kernel calls; a CLI run hits them at most 24 times
         self.name_checks = {}     # kernels: (transposition, Name) -> (fixed, disjoint)
         self.swap_names = {}      # swap_kernel: support -> its default (label, Name) list
         self.family = None        # canonical_family

@@ -39,8 +39,9 @@ to one instance and indexes it once (semantic: its ext masks; recursive:
 its codes), and returns a function from phi to an int whose bit i is
 set iff conds[i] forces phi.  Each vector is one gather over phi's mask
 or table; the two branches share no helper, and no space keeps anything
-about a caller's list.  `forces(p, phi, mode)` reads p's one mask or bit
-directly; TestForcingVector checks that the two agree bit for bit.
+about a caller's list.  `forces(p, phi, mode)` is the one-condition
+case, `forcing_vectors((p,), mode)(phi) == 1`; TestForcingVector checks
+that a list's vector agrees with it bit for bit.
 
 Both modes check that a formula's names belong to the conditions'
 instance once, when its mask or table is first built in that instance's
@@ -404,15 +405,9 @@ def forcing_vectors(conds: Sequence[Condition], mode: str = "semantic"):
 
 
 def forces(p: Condition, phi: Formula, mode: str = "semantic") -> bool:
-    """Decide whether p forces phi, in the requested mode, from p's one
-    ext mask or code."""
-    if mode == "semantic":
-        fs = _filter_space(p.inst)
-        return not fs.ext(p) & ~fs.truth(phi)
-    if mode == "recursive":
-        sp = _space(p.inst)
-        return bool(sp.rec_table(phi) >> sp.code_of(p) & 1)
-    raise ValueError(f"unknown mode {mode!r}")
+    """Decide whether p forces phi, in the requested mode: the
+    one-condition case of forcing_vectors."""
+    return forcing_vectors((p,), mode)(phi) == 1
 
 
 def _separating_filter(p: Condition, phi: Formula) -> list | None:

@@ -96,64 +96,60 @@ class SwapStep(namedtuple("SwapStep", ("fiber", "mate", "in_stabilizer", "compat
 
 
 def swap_plans(inst, conditions, supports, targets):
-    """(condition index, plan) for each condition, where the plan is the
-    tuple of (support index, site, fiber, step) for each support and each
-    (site, fiber) of targets, in that order, on which swap_fibers finds the
-    fibers; _choice, which swap_step calls too, is the one place a step is
-    chosen.  fiber None asks for the least fiber outside the support.
-    The supports are trusted to be frozensets of the instance's pairs.
+    """(plans, uses): plans holds each distinct non-empty plan once, in
+    order of first use, and uses holds (condition index, plan index) for
+    each condition whose plan is not empty, in condition order.  A
+    condition's plan is the tuple of (support index, site, fiber, step)
+    for each support and each (site, fiber) of targets, in that order, on
+    which swap_fibers finds the fibers; _choice, which swap_step calls
+    too, is the one place a step is chosen.  fiber None asks for the
+    least fiber outside the support.  The supports are trusted to be
+    frozensets of the instance's pairs.
 
     The fibers, the transposition and the stabilizer flag depend only on
     the support, the target and the condition's touched fibers at the
-    site, so they are chosen once per (site, fiber, touched fibers), for
-    every support; the compatibility flag depends only on the condition
-    and the transposition, so it is decided once per transposition of each
-    condition, in the order of the transposition's first entry.  A plan
-    is built once per (touched fibers at the target sites, compatibility
-    flags) and interned by value, so equal plans of different keys are
-    one object, yielded by reference to every condition it serves; its
-    steps are shared likewise: the mate is untouched by the condition, so
-    under the sound action every step is compatible, and an incompatible
-    entry holds a copy with the flag cleared.  The tables live for one
-    call, and their sizes are bounded by the supports and the distinct
-    touched-fiber sets, not by the conditions."""
+    site, so the steps are chosen once per touched-fiber shape (the
+    touched fibers at every target site); the compatibility flag depends
+    only on the condition and the transposition, so it is decided once
+    per transposition of each condition, in the order of the
+    transposition's first entry.  A plan is built once per (shape,
+    compatibility flags) and interned by value to its index, so equal
+    plans of different keys share one index; its steps are shared
+    likewise: the mate is untouched by the condition, so under the sound
+    action every step is compatible, and an incompatible entry holds a
+    copy with the flag cleared.  The tables live for one call, and their
+    sizes are bounded by the supports and the distinct shapes, not by
+    the conditions."""
     sites = dict.fromkeys(z for z, _ in targets)
-    # (site, fiber, touched fibers) -> per support index, None when
-    # swap_fibers finds no fibers, else the compatible step
-    choices = {}
-    # touched fibers at each target site -> (the plan of compatible
-    # steps, its transpositions in order of first entry)
+    # shape -> (its entries of compatible steps, their transpositions in
+    # order of first entry)
     shapes = {}
-    # (touched fibers at each target site, compatibility flags) -> plan,
-    # and each plan value -> its one object
-    plans, by_value = {}, {}
+    # (shape, compatibility flags) -> plan index, and each plan -> its
+    # index, in order of first use
+    indices, by_value, uses = {}, {}, []
     for qi, q in enumerate(conditions):
         touched = tuple([q.touched_fibers(z) for z in sites])
         shape = shapes.get(touched)
         if shape is None:
             occupied = dict(zip(sites, touched))
-            rows = []
-            for z, a in targets:
-                key = (z, a, occupied[z])
-                row = choices.get(key)
-                if row is None:
-                    row = choices[key] = [_choice(inst, support, z, a, occupied[z])
-                                          for support in supports]
-                rows.append(row)
-            entries = tuple((si, z, a, row[si]) for si in range(len(supports))
-                            for (z, a), row in zip(targets, rows) if row[si] is not None)
+            entries = tuple((si, z, a, step) for si, support in enumerate(supports)
+                            for z, a in targets if (step := _choice(
+                                inst, support, z, a, occupied[z])) is not None)
             shape = shapes[touched] = (entries, tuple(dict.fromkeys(
                 step.transposition for *_, step in entries)))
         entries, order = shape
+        if not entries:
+            continue
         flags = tuple([_compatible(q, pi) for pi in order])
-        plan = plans.get((touched, flags))
-        if plan is None:
+        index = indices.get((touched, flags))
+        if index is None:
             agrees = dict(zip(order, flags))
             plan = tuple((si, z, a, step if agrees[step.transposition]
                           else step._replace(compatible=False))
                          for si, z, a, step in entries)
-            plan = plans[touched, flags] = by_value.setdefault(plan, plan)
-        yield qi, plan
+            index = indices[touched, flags] = by_value.setdefault(plan, len(by_value))
+        uses.append((qi, index))
+    return list(by_value), uses
 
 
 def _choice(inst, support, site, fiber, occupied) -> SwapStep | None:

@@ -20,7 +20,7 @@ from symext import (Compat, Condition, EngineError, FiberExhausted,
 from symext import cli, forcing, instances, kernels, symmetry
 from symext.cli import (InstanceSpec, default_formula_pool, main,
                         parse_instance_spec, run_checks, _context, _gen_swap,
-                        _gen_wisc, _kernel_inputs)
+                        _gen_wisc, _plan_groups)
 from symext.kernels import wisc_key
 
 from test_kernels import _conflict_at_stage_1_fiber_0, _flat_steps
@@ -876,11 +876,17 @@ class TestPartnerRule:
     """The units a generator emits are exactly the inputs on which its
     kernel finds its fibers, so enumeration and kernel cannot drift."""
 
-    def test_swap_units_are_the_kernel_inputs(self):
+    # At max_dom 4 some conditions touch every fiber of a site and have
+    # no admissible input, so their plans are empty and have no use
+    @pytest.mark.parametrize("max_dom", [1, 4])
+    def test_swap_units_are_the_kernel_inputs(self, max_dom):
         spec = parse_instance_spec((SPECS / "reference.json").read_text())
-        ctx = _context(spec, {"max_dom": 1})
+        ctx = _context(spec, {"max_dom": max_dom})
         inputs, found = _swap_inputs(ctx)
         assert 0 < len(found) < inputs
+        used = [qi for qi, _ in ctx["plans"][ctx["inst"].pairs][1]]
+        assert used == sorted({qi for qi, *_ in found})
+        assert (len(used) < len(ctx["conditions"])) == (max_dom == 4)
         # a unit's params text names its condition, support and target;
         # every unit passes
         cond_index, support_index = _indices(ctx)
@@ -1175,19 +1181,41 @@ class TestHoistedPath:
 
     @pytest.mark.parametrize("key", [wisc_key, lambda step: step], ids=["wisc_key", "step"])
     @pytest.mark.parametrize("name, max_dom", [("staged.json", None), ("reference.json", 3)])
-    def test_kernel_inputs_are_each_keys_first_step(self, name, max_dom, key):
-        # _kernel_inputs scans only the distinct plans; a scan of every
-        # step in line order, with no dedup by id, finds the same inputs
+    def test_kernel_inputs_are_each_keys_first_step(self, name, max_dom, key,
+                                                    monkeypatch):
+        # _plan_groups scans only the distinct plans; a scan of every step
+        # in line order finds the inputs it runs the kernel on
         spec = parse_instance_spec((SPECS / name).read_text())
         ctx = _context(spec, {} if max_dom is None else {"max_dom": max_dom})
-        inst = ctx["inst"]
-        targets = ((1, None),) if inst.kind == "staged" else inst.pairs
+        inst, conditions, supports = ctx["inst"], ctx["conditions"], ctx["supports"]
+        staged = inst.kind == "staged"
+        targets = ((1, None),) if staged else inst.pairs
         first = {}
-        for qi, si, z, a, step in _flat_steps(inst, ctx["conditions"], ctx["supports"],
-                                              targets):
-            first.setdefault(key(step), (qi, si, z, a, step))
-        inputs = _kernel_inputs(ctx["plans"][targets], key)
-        assert len(inputs) > 1 and inputs == list(first.values())
+        for qi, si, z, a, step in _flat_steps(inst, conditions, supports, targets):
+            first.setdefault(key(step), (conditions[qi], supports[si], z, a, step))
+        calls = []
+
+        def swap(inst, q, support, z, a, step):
+            calls.append((q, support, z, a, step))
+            return swap_kernel(inst, q, support, z, a, step=step)
+
+        def wisc(inst, base, y, stage, q, support, step):
+            calls.append((q, support, stage, None, step))
+            return wisc_kernel(inst, base, y, stage, q, support, step)
+
+        monkeypatch.setattr(cli, "swap_kernel", swap)
+        monkeypatch.setattr(cli, "wisc_kernel", wisc)
+        y = staged and ctx["wisc_pool"][0][0][1]
+        plans = ctx["plans"][targets]
+        groups = list(_plan_groups(
+            ctx["cond_text"], plans, [[""] * len(plan) for plan in plans[0]], key,
+            lambda qi, si, z, a, step: cli.wisc_kernel(
+                inst, 0, y, z, conditions[qi], supports[si], step) if staged
+            else cli.swap_kernel(inst, conditions[qi], supports[si], z, a, step=step),
+            ""))
+        # a passing run: the kernel runs only on each key's first input
+        assert len(groups) == len(plans[1]) and not any(fails for *_, fails in groups)
+        assert len(calls) > 1 and calls == list(first.values())
 
     def test_swap_run_finds_touched_fibers_once_per_condition_and_site(
             self, monkeypatch):
@@ -1322,7 +1350,7 @@ class TestBlocks:
         units = _flat_steps(inst, conditions, supports, inst.pairs)
         target = units[len(units) // 2][-1]
         # the failed step shares a plan with passing steps
-        plans = [[step for *_, step in plan] for _, plan in ctx["plans"][inst.pairs]]
+        plans = [[step for *_, step in plan] for plan in ctx["plans"][inst.pairs][0]]
         assert any(target in steps and len(set(steps)) > 1 for steps in plans)
 
         def doctored(*args, step, **kwargs):

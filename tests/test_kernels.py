@@ -75,9 +75,9 @@ def _spec_inputs(name, max_dom=None):
 
 def _flat_steps(inst, conditions, supports, targets):
     """(condition index, support index, site, fiber, step) for each entry
-    of each plan kernels.swap_plans yields, in that order."""
-    return [(qi, *entry) for qi, plan in kernels.swap_plans(
-        inst, conditions, supports, targets) for entry in plan]
+    of the plan of each use kernels.swap_plans returns, in that order."""
+    plans, uses = kernels.swap_plans(inst, conditions, supports, targets)
+    return [(qi, *entry) for qi, pi in uses for entry in plans[pi]]
 
 
 def _assert_steps_are_the_one_input_steps(inst, conditions, supports, targets):
@@ -148,24 +148,27 @@ class TestSwapPartner:
 
 
 class TestSharedSteps:
-    """swap_plans decides each step once per choice and shares it, and
-    each plan once per (touched fibers, compatibility flags), one object
-    per plan value; at the spec files' real traffic its flattened plans
-    still give swap_step's step on every input."""
+    """swap_plans decides each step once per touched-fiber shape and
+    shares it, and each plan once per (shape, compatibility flags), one
+    index per plan value; at the spec files' real traffic its flattened
+    plans still give swap_step's step on every input."""
 
-    @pytest.mark.parametrize("name, max_dom, staged, plans", [
+    @pytest.mark.parametrize("name, max_dom, staged, count", [
         ("staged.json", None, True, 6), ("reference.json", 3, False, 15)])
-    def test_plans_flatten_to_the_steps(self, name, max_dom, staged, plans):
+    def test_plans_flatten_to_the_steps(self, name, max_dom, staged, count):
         inst, conditions, supports = _spec_inputs(name, max_dom)
         targets = ((1, None),) if staged else inst.pairs
-        found = list(kernels.swap_plans(inst, conditions, supports, targets))
-        assert [qi for qi, _ in found] == list(range(len(conditions)))
-        assert ([(qi, *entry) for qi, plan in found for entry in plan]
-                == _flat_steps(inst, conditions, supports, targets))
-        # one plan object per distinct plan value, however many (touched
-        # fibers, compatibility flags) keys give it
-        assert (len({id(plan) for _, plan in found})
-                == len({plan for _, plan in found}) == plans)
+        plans, uses = kernels.swap_plans(inst, conditions, supports, targets)
+        # every condition here has a step, so each has a use
+        assert [qi for qi, _ in uses] == list(range(len(conditions)))
+        # each distinct non-empty plan is listed once, in order of first
+        # use, however many (shape, compatibility flags) keys give it
+        assert len(set(plans)) == len(plans) == count and all(plans)
+        assert list(dict.fromkeys(pi for _, pi in uses)) == list(range(count))
+        # a use's plan is the plan of its condition alone
+        for qi, pi in uses:
+            alone = kernels.swap_plans(inst, [conditions[qi]], supports, targets)
+            assert alone == ([plans[pi]], [(0, 0)])
 
     @pytest.mark.parametrize("name, max_dom, staged, calls", [
         ("staged.json", None, True, 3497), ("reference.json", 3, False, 802),
@@ -183,8 +186,7 @@ class TestSharedSteps:
         monkeypatch.setattr(kernels, "_compatible", counted)
         inst, conditions, supports = _spec_inputs(name, max_dom)
         targets = ((1, None),) if staged else inst.pairs
-        for _ in kernels.swap_plans(inst, conditions, supports, targets):
-            pass
+        kernels.swap_plans(inst, conditions, supports, targets)
         assert len(seen) == len(set(seen)) == calls
 
     def test_staged_wisc_inputs(self):
