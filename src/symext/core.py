@@ -125,8 +125,9 @@ class Store:
         self.act = {}             # act_name: (FiberPermutation, Name) -> Name
         self.support = {}         # infer_min_support: Name -> support
         self.hs = {}              # is_hs: Name -> bool
-        # these two serve one-shot kernel calls, such as criterion 4's 200k-odd
-        # swap_kernel calls; a CLI run hits them at most 24 times
+        # these serve repeated one-shot kernel calls (criterion 4: 230,532 swap_kernel
+        # calls, 647,490 and 230,525 hits); a CLI run looks them up once per kernel
+        # key (swap-3fiber: 168 and 60 times) and again per failing unit's witness
         self.name_checks = {}     # kernels: (transposition, Name) -> (fixed, disjoint)
         self.swap_names = {}      # swap_kernel: support -> its default (label, Name) list
         self.family = None        # canonical_family
